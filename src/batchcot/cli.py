@@ -156,12 +156,14 @@ def cmd_gen(args, argv):
     questions = load_questions(args.questions)
     os.makedirs(args.out_dir, exist_ok=True)
     outputs = []
+    request_failures = 0
     for k in args.batch_size:
         groups = shuffle_and_group(questions, k, seed=args.seed, group=args.group)
         envelopes = [build_prompt(g) for g in groups]
         results = complete_many(envelopes, cfg, backend)
         records = [r for r in results if not isinstance(r, Exception)]
         failures = len(results) - len(records)
+        request_failures += failures
         out_path = os.path.join(args.out_dir, f"completions_k{k}.jsonl")
         write_completions(out_path, records)
         outputs.append(out_path)
@@ -176,6 +178,7 @@ def cmd_gen(args, argv):
     write_run_manifest(
         os.path.join(args.out_dir, "manifest.json"), "gen", argv,
         _config_snapshot(cfg), args.seed, [args.questions], outputs, started,
+        exclusions={"request_failures": request_failures},
         extra={"group": args.group, "batch_sizes": args.batch_size},
     )
     return 0

@@ -47,7 +47,7 @@ class TransportError(Exception):
 
 
 class RequestError(Exception):
-    """Non-retryable client-side failure (HTTP 4xx other than 429)."""
+    """Non-retryable failure: HTTP 4xx other than 429, or a malformed 200 body."""
 
     def __init__(self, message, status=None):
         super().__init__(message)
@@ -164,6 +164,27 @@ class MockBackend:
                              [{"attempt": 1, "status": 200}])
 
 
+def _chat_completion_body(resp):
+    """(content, completion_tokens) of an HTTP 200 chat-completion response.
+
+    Raises RequestError(status=200) when the body is not JSON or lacks a
+    string message content, so one malformed reply fails one request only.
+    """
+    try:
+        data = resp.json()
+        text = data["choices"][0]["message"]["content"]
+        tokens = (data.get("usage") or {}).get("completion_tokens")
+    except (ValueError, LookupError, TypeError, AttributeError) as exc:
+        raise RequestError(f"malformed completion body: {type(exc).__name__}: {exc}",
+                           status=200) from exc
+    if not isinstance(text, str):
+        raise RequestError(
+            f"malformed completion body: content is {type(text).__name__}, not str",
+            status=200,
+        )
+    return text, tokens
+
+
 class HttpBackend:
     """OpenAI-compatible chat-completions transport with retry and backoff."""
 
@@ -198,9 +219,7 @@ class HttpBackend:
             else:
                 if resp.status_code == 200:
                     attempts.append({"attempt": attempt, "status": 200})
-                    data = resp.json()
-                    text = data["choices"][0]["message"]["content"]
-                    tokens = (data.get("usage") or {}).get("completion_tokens")
+                    text, tokens = _chat_completion_body(resp)
                     return RawCompletion(text, tokens, attempts)
                 attempts.append({"attempt": attempt, "status": resp.status_code})
                 if resp.status_code != 429 and resp.status_code < 500:

@@ -174,6 +174,8 @@ def evaluate(spec: BenchmarkSpec, cfg: EndpointConfig, backend):
 def overall_mean(aggregates):
     """Plain mean over benchmarks: (accuracy, mean_tokens)."""
     n = len(aggregates)
+    if n == 0:
+        raise ValueError("no benchmark aggregates to average")
     return (
         sum(a.accuracy for a in aggregates) / n,
         sum(a.mean_tokens for a in aggregates) / n,
@@ -192,6 +194,8 @@ def overall_weighted(aggregates):
 
 
 def token_delta_percent(baseline_tokens: float, method_tokens: float) -> float:
+    if baseline_tokens == 0:
+        raise ValueError("baseline mean tokens is 0; a percent change is undefined")
     return (method_tokens - baseline_tokens) / baseline_tokens * 100.0
 
 

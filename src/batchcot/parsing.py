@@ -14,21 +14,25 @@ BYTES_OVER_4 = "bytes_over_4"
 
 _BOXED = "\\boxed"
 
-# Final-answer section marker: case-insensitive, tolerant of surrounding
-# whitespace and markdown emphasis around the bracketed heading.
+# Section markers: case-insensitive bracketed headings, tolerant of surrounding
+# whitespace and markdown emphasis. The patterns start at the `[` so that the
+# scan can jump between brackets; _marker_spans adds the leading emphasis and
+# whitespace back to each match.
 _FINAL_RE = re.compile(
-    r"(?:\*{1,2}|_{1,2})?[ \t]*\[[ \t]*final[ \t]+answers?[ \t]*\][ \t]*(?:\*{1,2}|_{1,2})?",
+    r"\[[ \t]*final[ \t]+answers?[ \t]*\][ \t]*(?:\*{1,2}|_{1,2})?",
     re.IGNORECASE,
 )
 _SOLUTION_RE = re.compile(
-    r"(?:\*{1,2}|_{1,2})?[ \t]*\[[ \t]*solution[ \t]+process[ \t]*\][ \t]*(?:\*{1,2}|_{1,2})?",
+    r"\[[ \t]*solution[ \t]+process[ \t]*\][ \t]*(?:\*{1,2}|_{1,2})?",
     re.IGNORECASE,
 )
 # Per-problem heading at line start: optional Problem/Question prefix, an
-# integer, and a [.):] delimiter.
+# integer, and a [.):] delimiter. The pattern starts at the newline that ends
+# the previous line, so that the scan can jump between newlines; it is run
+# over the text with one newline put in front, so the first line counts too.
 _HEADING_RE = re.compile(
-    r"^[ \t]*(?:\*{1,2}|#{1,6}[ \t]*)?(?:problem|question)?[ \t]*(\d+)[ \t]*[.):]",
-    re.IGNORECASE | re.MULTILINE,
+    r"\n[ \t]*(?:\*{1,2}|#{1,6}[ \t]*)?(?:problem|question)?[ \t]*(\d+)[ \t]*[.):]",
+    re.IGNORECASE,
 )
 _ENTRY_RE = re.compile(r"(\d+)\s*[.):]\s*\$?\s*(?=\\boxed)")
 
@@ -139,21 +143,34 @@ def extract_boxed(text: str) -> list:
             i = end
 
 
-def parse_final_answers(record: CompletionRecord) -> FinalAnswers:
-    """Numbered boxed entries from the last final-answer block of a batch response.
+def _marker_spans(pattern, text: str) -> list:
+    """(start, end) of every marker of `pattern` in `text`, in order.
 
-    Falls back to the last k boxed occurrences anywhere in the text when no
-    marker is present, flagged fallback=True.
+    A match begins at its `[`. The marker also owns the run of spaces and tabs
+    right before it and, before those, up to two copies of one emphasis
+    character (`*` or `_`), but nothing up to the end of the previous marker.
     """
-    if record.envelope.mode != BATCH:
-        raise ValueError("parse_final_answers requires a batch completion")
-    k = record.envelope.batch_size
-    text = record.raw_text
-    matches = list(_FINAL_RE.finditer(text))
-    if not matches:
+    spans = []
+    floor = 0
+    for m in pattern.finditer(text):
+        i = m.start()
+        while i > floor and text[i - 1] in " \t":
+            i -= 1
+        if i > floor and text[i - 1] in "*_":
+            i -= 1
+            if i > floor and text[i - 1] == text[i]:
+                i -= 1
+        spans.append((i, m.end()))
+        floor = m.end()
+    return spans
+
+
+def _final_answers(text: str, k: int, finals: list) -> FinalAnswers:
+    """Answers after the last of the final-answer marker spans `finals`."""
+    if not finals:
         boxes = extract_boxed(text)[-k:]
         return FinalAnswers([(i, b) for i, b in enumerate(boxes, 1)], fallback=True)
-    tail = text[matches[-1].end():]
+    tail = text[finals[-1][1]:]
     entries = []
     last = 0
     for m in _ENTRY_RE.finditer(tail):
@@ -165,6 +182,19 @@ def parse_final_answers(record: CompletionRecord) -> FinalAnswers:
             entries.append((pos, parsed[0]))
             last = pos
     return FinalAnswers(entries, fallback=False)
+
+
+def parse_final_answers(record: CompletionRecord) -> FinalAnswers:
+    """Numbered boxed entries from the last final-answer block of a batch response.
+
+    Falls back to the last k boxed occurrences anywhere in the text when no
+    marker is present, flagged fallback=True.
+    """
+    if record.envelope.mode != BATCH:
+        raise ValueError("parse_final_answers requires a batch completion")
+    text = record.raw_text
+    return _final_answers(text, record.envelope.batch_size,
+                          _marker_spans(_FINAL_RE, text))
 
 
 def split_batch_chains(record: CompletionRecord) -> list:
@@ -179,16 +209,17 @@ def split_batch_chains(record: CompletionRecord) -> list:
     text = record.raw_text
 
     sol = _SOLUTION_RE.search(text)
-    finals = list(_FINAL_RE.finditer(text))
+    finals = _marker_spans(_FINAL_RE, text)
     region_start = sol.end() if sol else 0
-    region_end = finals[-1].start() if finals else len(text)
+    region_end = finals[-1][0] if finals else len(text)
     if region_end < region_start:
         region_end = len(text)
     region = text[region_start:region_end]
 
     marks = []
     expected = 1
-    for m in _HEADING_RE.finditer(region):
+    # In "\n" + region a match starts at the offset in region of its line.
+    for m in _HEADING_RE.finditer("\n" + region):
         if int(m.group(1)) == expected:
             marks.append(m.start())
             expected += 1
@@ -200,7 +231,7 @@ def split_batch_chains(record: CompletionRecord) -> list:
         )
 
     boundaries = [0] + marks[1:] + [len(region)]
-    answers = dict(parse_final_answers(record).entries)
+    answers = dict(_final_answers(text, k, finals).entries)
     chains = []
     for pos in range(1, k + 1):
         segment = region[boundaries[pos - 1]:boundaries[pos]]

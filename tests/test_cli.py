@@ -1,4 +1,5 @@
 import json
+import socket
 
 import pytest
 
@@ -61,6 +62,21 @@ class TestGen:
         assert manifest["batch_sizes"] == [1, 2, 3]
         assert str(workspace["corpus"]) in manifest["inputs"]
         assert manifest["tool_version"]
+        assert manifest["exclusions"] == {"request_failures": 0}
+
+    def test_manifest_counts_request_failures(self, workspace, tmp_path, capsys):
+        with socket.socket() as sock:
+            sock.bind(("127.0.0.1", 0))
+            closed_port = sock.getsockname()[1]
+        out = tmp_path / "gen"
+        assert main(["gen", "--questions", str(workspace["corpus"]),
+                     "--out-dir", str(out), "--batch-size", "1", "--batch-size", "3",
+                     "--base-url", f"http://127.0.0.1:{closed_port}/v1",
+                     "--max-retries", "0"]) == 0
+        capsys.readouterr()
+        manifest = json.loads((out / "manifest.json").read_text())
+        n_envelopes = pf.N_QUESTIONS + -(-pf.N_QUESTIONS // 3)
+        assert manifest["exclusions"] == {"request_failures": n_envelopes}
 
 
 @pytest.fixture(scope="module")
@@ -168,6 +184,15 @@ class TestEvalAndReport:
         assert "Delta vs baseline" in printed
         assert "0.00%" in printed
         assert csv_path.exists()
+
+
+    def test_report_on_empty_aggregates_is_error(self, tmp_path, capsys):
+        empty = tmp_path / "empty.json"
+        empty.write_text("[]\n")
+        assert main(["report", "--aggregates", str(empty)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
 
 
 class TestConfigResolution:

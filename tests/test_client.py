@@ -1,6 +1,7 @@
 import json
 import threading
 import time
+from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
@@ -21,6 +22,7 @@ from batchcot.client import (
     render_experiment_table,
     run_batch_experiment,
 )
+from batchcot.harness import BenchmarkSpec, evaluate
 from batchcot.prompts import Question, build_prompt, build_single_prompt, shuffle_and_group
 
 
@@ -170,6 +172,81 @@ class TestHttpTransport:
             raw = backend.send("hello prompt", cfg())
             assert raw.text == "loopback \\boxed{9}"
             assert raw.completion_tokens == 42
+
+
+_VALID_BODY = json.dumps({"choices": [{"message": {"content": "ok \\boxed{1}"}}]}).encode()
+_MALFORMED_BODIES = [
+    b"not json",
+    b"[]",
+    b"{}",
+    b'{"choices": []}',
+    b'{"choices": [{}]}',
+    b'{"choices": [{"message": {}}]}',
+    b'{"choices": [{"message": {"content": null}}]}',
+    b'{"choices": [{"message": {"content": 7}}]}',
+]
+
+
+class _MalformedHandler(BaseHTTPRequestHandler):
+    """HTTP 200 with `body`, or a valid completion when the prompt says SERVE-VALID."""
+
+    body = b"{}"
+
+    def do_POST(self):
+        length = int(self.headers.get("Content-Length", 0))
+        prompt = json.loads(self.rfile.read(length))["messages"][0]["content"]
+        payload = _VALID_BODY if "SERVE-VALID" in prompt else self.body
+        self.send_response(200)
+        self.send_header("Content-Length", str(len(payload)))
+        self.end_headers()
+        self.wfile.write(payload)
+
+    def log_message(self, *args):
+        pass
+
+
+@contextmanager
+def _serve_malformed(body):
+    handler = type("Handler", (_MalformedHandler,), {"body": body})
+    server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield HttpBackend(f"http://127.0.0.1:{server.server_address[1]}/v1", "m")
+    finally:
+        server.shutdown()
+        thread.join(timeout=5)
+    assert not thread.is_alive()
+
+
+class TestMalformedBody:
+    @pytest.mark.parametrize("body", _MALFORMED_BODIES)
+    def test_send_raises_request_error(self, body):
+        with _serve_malformed(body) as backend:
+            with pytest.raises(RequestError) as exc:
+                backend.send("p", cfg(max_retries=2))
+        assert exc.value.status == 200
+
+    def test_complete_many_returns_error_in_place(self):
+        envelopes = [build_single_prompt(Question(id=qid, text=text, gold_answer="1"))
+                     for qid, text in (("a", "SERVE-VALID"), ("b", "x"), ("c", "SERVE-VALID"))]
+        with _serve_malformed(b'{"choices": []}') as backend:
+            results = complete_many(envelopes, cfg(max_concurrent=2), backend)
+        assert [r.raw_text for r in (results[0], results[2])] == ["ok \\boxed{1}"] * 2
+        assert isinstance(results[1], RequestError)
+
+    def test_eval_counts_malformed_body_as_exclusion(self, tmp_path):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text(
+            json.dumps({"id": "a", "text": "SERVE-VALID 1?", "gold_answer": "1"}) + "\n"
+            + json.dumps({"id": "b", "text": "other?", "gold_answer": "1"}) + "\n")
+        spec = BenchmarkSpec(name="Toy", corpus_path=str(corpus), samples_per_question=2)
+        with _serve_malformed(b"not json") as backend:
+            records, agg = evaluate(spec, cfg(), backend)
+        assert agg.exclusions == 2
+        assert agg.n_samples == 2
+        assert agg.accuracy == 1.0
+        assert [r["question_id"] for r in records] == ["a", "a"]
 
 
 class _ProbeBackend:

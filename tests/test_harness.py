@@ -234,6 +234,14 @@ class TestOverallAndReport:
         assert token_delta_percent(100.0, 80.0) == pytest.approx(-20.0)
         assert token_delta_percent(9661.68, 6362.89) == pytest.approx(-34.14, abs=0.01)
 
+    def test_token_delta_percent_zero_baseline(self):
+        with pytest.raises(ValueError, match="baseline"):
+            token_delta_percent(0, 80.0)
+
+    def test_empty_report_rejected(self):
+        with pytest.raises(ValueError, match="no benchmark aggregates"):
+            render_report([])
+
     def test_report_row_formatting(self):
         report = render_report([agg("GSM8K", 0.8467, 1928.96)])
         assert "GSM8K                84.67%      1928.96" in report

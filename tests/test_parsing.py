@@ -1,12 +1,16 @@
+import re
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from batchcot import parsing
 from batchcot.parsing import (
     BYTES_OVER_4,
     WHITESPACE,
     ChainOrigin,
     CompletionRecord,
+    FinalAnswers,
     UnsplittableError,
     chain_from_dict,
     chain_to_dict,
@@ -178,6 +182,166 @@ class TestSplitBatchChains:
     def test_requires_batch_mode(self):
         with pytest.raises(ValueError):
             split_batch_chains(vanilla_record("text"))
+
+
+def _two_problem_text(solution_marker, final_marker):
+    return (f"{solution_marker}\n1. a\n2. b\n{final_marker}\n"
+            "1. \\boxed{1}\n2. \\boxed{2}\n")
+
+
+class TestMarkerBoundaries:
+    """Where chains end and start around markers decorated with emphasis and blanks."""
+
+    @pytest.mark.parametrize("final_marker, last_chain", [
+        ("**[Final Answer]**", "2. b\n"),
+        ("  __[final answers]__", "2. b\n  "),
+        ("  [final answers]", "2. b\n"),
+        ("***[Final Answer]", "2. b\n*"),
+        ("\t[Final Answer]", "2. b\n"),
+        ("*\t [ FINAL \t ANSWER ] **", "2. b\n"),
+        ("_*[Final Answer]", "2. b\n_"),
+    ])
+    def test_last_chain_ends_before_final_marker(self, final_marker, last_chain):
+        text = _two_problem_text("[Solution Process]", final_marker)
+        chains = split_batch_chains(batch_record(text))
+        assert [c.text for c in chains] == ["\n1. a\n", last_chain]
+        assert [c.predicted_answer for c in chains] == ["1", "2"]
+
+    @pytest.mark.parametrize("solution_marker", [
+        "[Solution Process]**", "**[solution process]**", "  [Solution Process] \t__",
+    ])
+    def test_first_chain_starts_after_solution_marker(self, solution_marker):
+        text = _two_problem_text(solution_marker, "[Final Answer]")
+        chains = split_batch_chains(batch_record(text))
+        assert [c.text for c in chains] == ["\n1. a\n", "2. b\n"]
+
+    def test_marker_spans(self):
+        text = "x **[Final Answer]***[final answer] y"
+        assert parsing._marker_spans(parsing._FINAL_RE, text) == [(2, 20), (20, 36)]
+
+
+# The emphasis-led marker patterns and the line-start heading pattern the
+# splitter used before markers were found by their `[` and headings by their
+# newline; they define where every marker, heading and chain starts and ends.
+_ORACLE_FINAL_RE = re.compile(
+    r"(?:\*{1,2}|_{1,2})?[ \t]*\[[ \t]*final[ \t]+answers?[ \t]*\][ \t]*(?:\*{1,2}|_{1,2})?",
+    re.IGNORECASE,
+)
+_ORACLE_SOLUTION_RE = re.compile(
+    r"(?:\*{1,2}|_{1,2})?[ \t]*\[[ \t]*solution[ \t]+process[ \t]*\][ \t]*(?:\*{1,2}|_{1,2})?",
+    re.IGNORECASE,
+)
+_ORACLE_HEADING_RE = re.compile(
+    r"^[ \t]*(?:\*{1,2}|#{1,6}[ \t]*)?(?:problem|question)?[ \t]*(\d+)[ \t]*[.):]",
+    re.IGNORECASE | re.MULTILINE,
+)
+
+
+def _oracle_final_answers(text, k):
+    matches = list(_ORACLE_FINAL_RE.finditer(text))
+    if not matches:
+        boxes = extract_boxed(text)[-k:]
+        return FinalAnswers([(i, b) for i, b in enumerate(boxes, 1)], fallback=True)
+    tail = text[matches[-1].end():]
+    entries = []
+    last = 0
+    for m in parsing._ENTRY_RE.finditer(tail):
+        pos = int(m.group(1))
+        parsed = parsing._boxed_content_at(tail, m.end())
+        if parsed is not None and last < pos <= k:
+            entries.append((pos, parsed[0]))
+            last = pos
+    return FinalAnswers(entries, fallback=False)
+
+
+def _oracle_chains(text, k):
+    """[(text, predicted_answer), ...] per question, or None when unsplittable."""
+    sol = _ORACLE_SOLUTION_RE.search(text)
+    finals = list(_ORACLE_FINAL_RE.finditer(text))
+    region_start = sol.end() if sol else 0
+    region_end = finals[-1].start() if finals else len(text)
+    if region_end < region_start:
+        region_end = len(text)
+    region = text[region_start:region_end]
+    marks = []
+    for m in _ORACLE_HEADING_RE.finditer(region):
+        if len(marks) < k and int(m.group(1)) == len(marks) + 1:
+            marks.append(m.start())
+    if len(marks) != k:
+        return None
+    boundaries = [0] + marks[1:] + [len(region)]
+    answers = dict(_oracle_final_answers(text, k).entries)
+    chains = []
+    for pos in range(1, k + 1):
+        segment = region[boundaries[pos - 1]:boundaries[pos]]
+        inner = extract_boxed(segment)
+        chains.append((segment, answers.get(pos, inner[-1] if inner else None)))
+    return chains
+
+
+_SOLUTION_MARKERS = ["[Solution Process]", "[solution  process]", "[ SOLUTION\tPROCESS ]"]
+_FINAL_MARKERS = ["[Final Answer]", "[final answers]", "[ FINAL \t ANSWER ]"]
+_FILLERS = ["*", "_", " ", "\n", "#", "x", "7", "1.", "2)", "12.", "[Final",
+            "[Solution", "\\boxed{4}", "1. \\boxed{5}", "\\boxed{"]
+_decoration = st.text(alphabet="*_ \t\n", max_size=4)
+
+
+def _decorated(markers):
+    return st.builds(lambda before, marker, after: before + marker + after,
+                     _decoration, st.sampled_from(markers), _decoration)
+
+
+def _heading(number):
+    return st.builds(
+        lambda newline, lead, word, delimiter: f"{newline}{lead}{word}{number}{delimiter}",
+        st.sampled_from(["\n", "\r\n", "\r"]),
+        st.sampled_from(["", " ", "\t", "*", "**", "***", "# ", "####### "]),
+        st.sampled_from(["", "Problem ", "QUESTION ", "problem", "Step "]),
+        st.sampled_from([".", ")", ":", " .", ","]),
+    )
+
+
+_markup = st.one_of(
+    _decorated(_SOLUTION_MARKERS), _decorated(_FINAL_MARKERS),
+    st.integers(1, 3).flatmap(_heading), st.sampled_from(_FILLERS),
+)
+
+
+@st.composite
+def _batch_like(draw):
+    """A solution marker, headings 1..3 (some dropped) each with noise, then
+    a final marker and numbered boxed entries, all among decoration."""
+    parts = draw(st.lists(_markup, max_size=3))
+    parts.append(draw(_decorated(_SOLUTION_MARKERS)))
+    for number in (1, 2, 3):
+        if draw(st.integers(0, 5)):
+            parts.append(draw(_heading(number)))
+        parts += draw(st.lists(_markup, max_size=3))
+    parts.append(draw(_decorated(_FINAL_MARKERS)))
+    for number in draw(st.lists(st.integers(1, 3), max_size=3)):
+        parts.append(f"\n{number}. \\boxed{{{number}}}")
+    parts += draw(st.lists(_markup, max_size=3))
+    return "".join(parts)
+
+
+class TestMarkerOracle:
+    @settings(max_examples=400, deadline=None)
+    @given(st.one_of(st.lists(_markup, max_size=30).map("".join), _batch_like()),
+           st.integers(2, 3))
+    def test_matches_emphasis_led_markers(self, text, k):
+        for pattern, oracle in ((parsing._FINAL_RE, _ORACLE_FINAL_RE),
+                                (parsing._SOLUTION_RE, _ORACLE_SOLUTION_RE)):
+            assert parsing._marker_spans(pattern, text) == \
+                [m.span() for m in oracle.finditer(text)]
+        rec = batch_record(text, k=k)
+        assert parse_final_answers(rec) == _oracle_final_answers(text, k)
+        expected = _oracle_chains(text, k)
+        if expected is None:
+            with pytest.raises(UnsplittableError):
+                split_batch_chains(rec)
+        else:
+            assert [(c.text, c.predicted_answer) for c in split_batch_chains(rec)] \
+                == expected
 
 
 class TestVanillaChain:
