@@ -257,6 +257,15 @@ class TestExitCodes:
                      "--out-dir", str(tmp_path / "x"), "--batch-size", "1",
                      "--mock", str(workspace["mock"])]) == 1
 
+    def test_split_on_completion_without_raw_text(self, workspace, tmp_path, capsys):
+        row = json.loads((workspace["gen"] / "completions_k2.jsonl").read_text()
+                         .splitlines()[0])
+        del row["raw_text"]
+        bad = tmp_path / "completions.jsonl"
+        bad.write_text(json.dumps(row) + "\n")
+        assert main(["split", "--in", str(bad), "--out", str(tmp_path / "c.jsonl")]) == 1
+        assert "error:" in capsys.readouterr().err
+
     def test_transport_error_maps_to_2(self, workspace, tmp_path, monkeypatch):
         def explode(*args, **kwargs):
             raise TransportError("endpoint unreachable", [])
