@@ -17,7 +17,6 @@ from batchcot.client import (
     RequestError,
     TransportError,
     complete_many,
-    experiment_rows_jsonl,
     render_experiment_table,
     run_batch_experiment,
 )
@@ -37,17 +36,14 @@ from batchcot.prompts import (
     load_questions,
     shuffle_and_group,
 )
+from batchcot.records import to_dict, write_jsonl
 
 _ENV_PREFIX = "BATCHCOT_"
-_ENDPOINT_KEYS = {
-    "base_url": str,
-    "model": str,
-    "temperature": float,
-    "max_tokens": int,
-    "timeout": float,
-    "max_retries": int,
-    "max_concurrent": int,
-}
+# The EndpointConfig fields a flag, config key or environment variable sets;
+# each value is cast to the type of the field's default.
+_ENDPOINT_KEYS = ("base_url", "model", "temperature", "max_tokens", "timeout",
+                  "max_retries", "max_concurrent")
+_ENDPOINT_DEFAULTS = EndpointConfig()
 
 
 def _read_config_file(path) -> dict:
@@ -67,31 +63,25 @@ def _read_config_file(path) -> dict:
 
 def resolve_endpoint_config(args) -> EndpointConfig:
     """Precedence: flags > config file > environment > defaults."""
-    defaults = EndpointConfig()
     values = {}
-    for key, cast in _ENDPOINT_KEYS.items():
+
+    def put(key, raw):
+        values[key] = type(getattr(_ENDPOINT_DEFAULTS, key))(raw)
+
+    for key in _ENDPOINT_KEYS:
         env = os.environ.get(_ENV_PREFIX + key.upper())
         if env is not None:
-            values[key] = cast(env)
+            put(key, env)
     if getattr(args, "config", None):
         for key, raw in _read_config_file(args.config).items():
             if key not in _ENDPOINT_KEYS:
                 raise ValueError(f"unknown config key: {key!r}")
-            values[key] = _ENDPOINT_KEYS[key](raw)
-    for key, cast in _ENDPOINT_KEYS.items():
+            put(key, raw)
+    for key in _ENDPOINT_KEYS:
         flag = getattr(args, key, None)
         if flag is not None:
-            values[key] = cast(flag)
-    return EndpointConfig(
-        base_url=values.get("base_url", defaults.base_url),
-        model=values.get("model", defaults.model),
-        temperature=values.get("temperature", defaults.temperature),
-        max_tokens=values.get("max_tokens", defaults.max_tokens),
-        timeout=values.get("timeout", defaults.timeout),
-        max_retries=values.get("max_retries", defaults.max_retries),
-        max_concurrent=values.get("max_concurrent", defaults.max_concurrent),
-        seed=getattr(args, "seed", None),
-    )
+            put(key, flag)
+    return EndpointConfig(**values, seed=getattr(args, "seed", None))
 
 
 def _make_backend(args, cfg: EndpointConfig):
@@ -124,26 +114,14 @@ def write_run_manifest(path, command, argv, config, seed, inputs, outputs,
 
 
 def _config_snapshot(cfg: EndpointConfig) -> dict:
-    return {
-        "base_url": cfg.base_url,
-        "model": cfg.model,
-        "temperature": cfg.temperature,
-        "max_tokens": cfg.max_tokens,
-        "timeout": cfg.timeout,
-        "max_retries": cfg.max_retries,
-        "max_concurrent": cfg.max_concurrent,
-    }
+    return {key: getattr(cfg, key) for key in _ENDPOINT_KEYS}
 
 
 def _add_endpoint_flags(p):
     p.add_argument("--mock", help="directory of fingerprint-named mock responses")
-    p.add_argument("--base-url", dest="base_url")
-    p.add_argument("--model")
-    p.add_argument("--temperature", type=float)
-    p.add_argument("--max-tokens", dest="max_tokens", type=int)
-    p.add_argument("--timeout", type=float)
-    p.add_argument("--max-retries", dest="max_retries", type=int)
-    p.add_argument("--max-concurrent", dest="max_concurrent", type=int)
+    for key in _ENDPOINT_KEYS:
+        p.add_argument("--" + key.replace("_", "-"), dest=key,
+                       type=type(getattr(_ENDPOINT_DEFAULTS, key)))
     p.add_argument("--config", help="flat key=value config file")
 
 
@@ -284,10 +262,7 @@ def cmd_grpo_train_toy(args, argv):
     print(f"trained {cfg.steps} steps; final mean gold-label probability = {final:.4f}")
     write_run_manifest(
         os.path.join(args.out_dir, "manifest.json"), "grpo-train-toy", argv,
-        {"beta": cfg.beta, "group_size": cfg.group_size,
-         "learning_rate": cfg.learning_rate, "steps": cfg.steps,
-         "advantage_mode": cfg.advantage_mode,
-         "objective_mode": cfg.objective_mode, "samples": args.samples},
+        {**to_dict(cfg), "samples": args.samples},
         args.seed, [], [curve_path, policy_path], started,
     )
     return 0
@@ -303,9 +278,7 @@ def cmd_eval(args, argv):
     records, aggregate = harness.evaluate(spec, cfg, backend)
     os.makedirs(args.out_dir, exist_ok=True)
     results_path = os.path.join(args.out_dir, "results.jsonl")
-    with open(results_path, "w", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
+    write_jsonl(results_path, records)
     agg_path = os.path.join(args.out_dir, "aggregate.json")
     harness.write_aggregates(agg_path, [aggregate])
     report = harness.render_report([aggregate])
@@ -343,8 +316,7 @@ def cmd_batch_experiment(args, argv):
     )
     os.makedirs(args.out_dir, exist_ok=True)
     rows_path = os.path.join(args.out_dir, "experiment.jsonl")
-    with open(rows_path, "w", encoding="utf-8") as fh:
-        fh.write(experiment_rows_jsonl(report))
+    write_jsonl(rows_path, map(to_dict, report.rows))
     table = render_experiment_table(report)
     table_path = os.path.join(args.out_dir, "experiment.txt")
     with open(table_path, "w", encoding="utf-8") as fh:

@@ -4,21 +4,16 @@ batch-compression experiment protocol."""
 from __future__ import annotations
 
 import hashlib
-import json
 import os
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable, NamedTuple, Optional
 
 import requests
 
 from batchcot import verify
 from batchcot.parsing import (
-    WHITESPACE,
     ChainOrigin,
     CompletionRecord,
     ReasoningChain,
@@ -66,7 +61,6 @@ class EndpointConfig:
     max_tokens: int = 32768
     seed: Optional[int] = None
     backoff_base: float = 0.5
-    token_scheme: str = WHITESPACE
 
     def __post_init__(self):
         if self.max_concurrent < 1:
@@ -167,8 +161,9 @@ class MockBackend:
 def _chat_completion_body(resp):
     """(content, completion_tokens) of an HTTP 200 chat-completion response.
 
-    Raises RequestError(status=200) when the body is not JSON or lacks a
-    string message content, so one malformed reply fails one request only.
+    Raises RequestError(status=200) when the body is not JSON, lacks a
+    string message content, or reports completion_tokens that is not a
+    non-negative int, so one malformed reply fails one request only.
     """
     try:
         data = resp.json()
@@ -178,11 +173,12 @@ def _chat_completion_body(resp):
         raise RequestError(f"malformed completion body: {type(exc).__name__}: {exc}",
                            status=200) from exc
     if not isinstance(text, str):
-        raise RequestError(
-            f"malformed completion body: content is {type(text).__name__}, not str",
-            status=200,
-        )
-    return text, tokens
+        problem = f"content is {type(text).__name__}, not str"
+    elif tokens is not None and (type(tokens) is not int or tokens < 0):
+        problem = f"completion_tokens is {tokens!r}, not a non-negative int"
+    else:
+        return text, tokens
+    raise RequestError(f"malformed completion body: {problem}", status=200)
 
 
 class HttpBackend:
@@ -241,7 +237,7 @@ def complete(envelope: PromptEnvelope, cfg: EndpointConfig,
     return CompletionRecord(
         envelope=envelope,
         raw_text=raw.text,
-        counted_tokens=count_tokens(raw.text, cfg.token_scheme),
+        counted_tokens=count_tokens(raw.text),
         reported_tokens=raw.completion_tokens,
         sampling=cfg.sampling(),
         endpoint=backend.name,
@@ -329,7 +325,7 @@ def run_batch_experiment(questions, batch_sizes, cfg: EndpointConfig, backend,
                     ))
                 try:
                     for chain in split_batch_chains(result):
-                        split_tokens.append(count_tokens(chain.text, cfg.token_scheme))
+                        split_tokens.append(count_tokens(chain.text))
                 except UnsplittableError:
                     n_unsplittable += 1
             for chain in chains:
@@ -374,61 +370,3 @@ def render_experiment_table(report: ExperimentReport) -> str:
             f"{row.n_graded:>8} {row.n_failures:>6} {row.n_unsplittable:>8}"
         )
     return "\n".join(lines)
-
-
-def experiment_rows_jsonl(report: ExperimentReport) -> str:
-    lines = []
-    for row in report.rows:
-        lines.append(json.dumps({
-            "batch_size": row.batch_size,
-            "n_groups": row.n_groups,
-            "n_questions": row.n_questions,
-            "n_graded": row.n_graded,
-            "accuracy": row.accuracy,
-            "mean_tokens_per_question": row.mean_tokens_per_question,
-            "mean_tokens_split": row.mean_tokens_split,
-            "n_failures": row.n_failures,
-            "n_unsplittable": row.n_unsplittable,
-        }, sort_keys=True))
-    return "\n".join(lines) + "\n"
-
-
-# --- loopback HTTP mode for transport-path integration tests -------------------
-
-@contextmanager
-def mock_http_server(script: MockScript, host: str = "127.0.0.1", port: int = 0):
-    """Serve a MockScript over an OpenAI-compatible loopback endpoint."""
-
-    class Handler(BaseHTTPRequestHandler):
-        def do_POST(self):
-            if not self.path.endswith("/chat/completions"):
-                self.send_error(404)
-                return
-            length = int(self.headers.get("Content-Length", 0))
-            body = json.loads(self.rfile.read(length))
-            prompt_text = body["messages"][0]["content"]
-            response = script.lookup(prompt_text)
-            tokens = (response.tokens if response.tokens is not None
-                      else count_tokens(response.text, WHITESPACE))
-            payload = json.dumps({
-                "choices": [{"message": {"role": "assistant",
-                                         "content": response.text}}],
-                "usage": {"completion_tokens": tokens},
-            }).encode("utf-8")
-            self.send_response(200)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(payload)))
-            self.end_headers()
-            self.wfile.write(payload)
-
-        def log_message(self, *args):
-            pass
-
-    server = ThreadingHTTPServer((host, port), Handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    try:
-        yield f"http://{host}:{server.server_address[1]}/v1"
-    finally:
-        server.shutdown()
-        thread.join()

@@ -198,14 +198,14 @@ def sample_group(policy: PolicyState, features: np.ndarray, gold: str,
 def _hash_noise(sample: PreferenceSample) -> float:
     """Deterministic pseudo-noise in [-1, 1) derived from the sample content."""
     digest = hashlib.sha256(
-        (sample.question_text + "\x00" + sample.cot_text).encode("utf-8")
+        (sample.question + "\x00" + sample.cot).encode("utf-8")
     ).digest()
     return int.from_bytes(digest[:8], "big") / 2 ** 63 - 1.0
 
 
 def feature_vector(sample: PreferenceSample, mean_tokens: float) -> np.ndarray:
     """Bias, normalized chain length, origin indicator, correctness-correlated channel."""
-    tokens = count_tokens(sample.cot_text, WHITESPACE)
+    tokens = count_tokens(sample.cot, WHITESPACE)
     vanilla = sample.provenance.get("origin_kind") == VANILLA
     correct = 1.0 if sample.gold_label != "C" else -1.0
     return np.array([
@@ -220,7 +220,7 @@ def feature_matrix(samples) -> np.ndarray:
     samples = list(samples)
     if not samples:
         raise ValueError("feature matrix needs a nonempty dataset")
-    counts = [count_tokens(s.cot_text, WHITESPACE) for s in samples]
+    counts = [count_tokens(s.cot, WHITESPACE) for s in samples]
     mean_tokens = sum(counts) / len(counts)
     return np.stack([feature_vector(s, mean_tokens) for s in samples])
 
@@ -241,8 +241,8 @@ def make_toy_dataset(n: int = 1000, seed: int = 0) -> list:
         verdict = verify.CORRECT if correct else verify.INCORRECT
         samples.append(
             PreferenceSample(
-                question_text=f"toy question {i}",
-                cot_text=" ".join(f"step{j}" for j in range(words)),
+                question=f"toy question {i}",
+                cot=" ".join(f"step{j}" for j in range(words)),
                 gold_label=label_sample(origin_kind, verdict),
                 provenance={
                     "origin_kind": origin_kind,
@@ -307,11 +307,7 @@ def save_policy(path, policy: PolicyState, seed: int, cfg: GrpoConfig):
     """Flat numeric text checkpoint with a config header."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# feature_dim={policy.theta.shape[0]} labels={policy.theta.shape[1]} seed={seed}\n")
-        fh.write(
-            f"# config beta={cfg.beta} group_size={cfg.group_size} "
-            f"learning_rate={cfg.learning_rate} steps={cfg.steps} "
-            f"advantage_mode={cfg.advantage_mode} objective_mode={cfg.objective_mode}\n"
-        )
+        fh.write("# config " + " ".join(f"{k}={v}" for k, v in vars(cfg).items()) + "\n")
         for row in policy.theta:
             fh.write(" ".join(repr(float(x)) for x in row) + "\n")
 

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 from batchcot import verify
 from batchcot.client import EndpointConfig, complete_many
 from batchcot.parsing import extract_boxed, vanilla_chain
 from batchcot.prompts import build_single_prompt, load_questions
+from batchcot.records import from_dict, to_dict
 
 NUMERIC = "numeric"
 CHOICE_LETTER = "choice-letter"
@@ -72,12 +73,9 @@ def registry_spec(key: str, corpus_path: str,
             f"unknown benchmark {key!r}; known: {sorted(BENCHMARKS)}"
         )
     base = BENCHMARKS[key]
-    return BenchmarkSpec(
-        name=base.name,
-        corpus_path=corpus_path,
+    return replace(
+        base, corpus_path=corpus_path,
         samples_per_question=samples_per_question or base.samples_per_question,
-        answer_kind=base.answer_kind,
-        description=base.description,
     )
 
 
@@ -88,7 +86,7 @@ class EvalAggregate:
     mean_tokens: float
     n_questions: int
     n_samples: int
-    exclusions: int
+    exclusions: int = 0
 
     def __post_init__(self):
         if not 0.0 <= self.accuracy <= 1.0:
@@ -221,45 +219,17 @@ def render_report(aggregates, baseline=None) -> str:
 
 
 def aggregates_to_csv(aggregates) -> str:
-    lines = ["benchmark,accuracy,mean_tokens,n_questions,n_samples,exclusions"]
-    for a in aggregates:
-        lines.append(
-            f"{a.benchmark},{a.accuracy!r},{a.mean_tokens!r},"
-            f"{a.n_questions},{a.n_samples},{a.exclusions}"
-        )
+    lines = [",".join(f.name for f in fields(EvalAggregate))]
+    lines += [",".join(map(str, vars(a).values())) for a in aggregates]
     return "\n".join(lines) + "\n"
-
-
-def aggregate_to_dict(a: EvalAggregate) -> dict:
-    return {
-        "benchmark": a.benchmark,
-        "accuracy": a.accuracy,
-        "mean_tokens": a.mean_tokens,
-        "n_questions": a.n_questions,
-        "n_samples": a.n_samples,
-        "exclusions": a.exclusions,
-    }
-
-
-def aggregate_from_dict(d: dict) -> EvalAggregate:
-    return EvalAggregate(
-        benchmark=d["benchmark"],
-        accuracy=d["accuracy"],
-        mean_tokens=d["mean_tokens"],
-        n_questions=d["n_questions"],
-        n_samples=d["n_samples"],
-        exclusions=d.get("exclusions", 0),
-    )
 
 
 def read_aggregates(path) -> list:
     with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
-    return [aggregate_from_dict(d) for d in data]
+        return [from_dict(EvalAggregate, d) for d in json.load(fh)]
 
 
 def write_aggregates(path, aggregates):
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump([aggregate_to_dict(a) for a in aggregates], fh, indent=2,
-                  sort_keys=True)
+        json.dump([to_dict(a) for a in aggregates], fh, indent=2, sort_keys=True)
         fh.write("\n")

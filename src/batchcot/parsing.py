@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 from batchcot.prompts import BATCH, VANILLA, PromptEnvelope
+from batchcot.records import read_jsonl, to_dict, write_jsonl
 
 WHITESPACE = "whitespace"
 BYTES_OVER_4 = "bytes_over_4"
@@ -265,106 +265,27 @@ def vanilla_chain(record: CompletionRecord) -> ReasoningChain:
 
 # --- JSONL (de)serialization -------------------------------------------------
 
-def chain_to_dict(chain: ReasoningChain, token_scheme: str = WHITESPACE) -> dict:
-    d = {
-        "question_id": chain.question_id,
-        "text": chain.text,
-        "origin": {
-            "kind": chain.origin.kind,
-            "size": chain.origin.size,
-            "position": chain.origin.position,
-        },
-        "predicted_answer": chain.predicted_answer,
-        "token_count": count_tokens(chain.text, token_scheme),
-        "token_scheme": token_scheme,
-    }
-    if chain.verdict is not None:
-        d["verdict"] = chain.verdict
+def _chain_row(chain: ReasoningChain) -> dict:
+    """A chain's fields plus its whitespace token count; verdict once graded."""
+    d = to_dict(chain)
+    if chain.verdict is None:
+        del d["verdict"]
+    d["token_count"] = count_tokens(chain.text)
+    d["token_scheme"] = WHITESPACE
     return d
 
 
-def chain_from_dict(d: dict) -> ReasoningChain:
-    origin = d["origin"]
-    return ReasoningChain(
-        question_id=d["question_id"],
-        text=d["text"],
-        origin=ChainOrigin(
-            kind=origin["kind"], size=origin["size"], position=origin["position"]
-        ),
-        predicted_answer=d.get("predicted_answer"),
-        verdict=d.get("verdict"),
-    )
-
-
-def write_chains(path, chains, token_scheme: str = WHITESPACE):
-    with open(path, "w", encoding="utf-8") as fh:
-        for chain in chains:
-            fh.write(json.dumps(chain_to_dict(chain, token_scheme), sort_keys=True))
-            fh.write("\n")
+def write_chains(path, chains):
+    write_jsonl(path, map(_chain_row, chains))
 
 
 def read_chains(path) -> list:
-    chains = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                chains.append(chain_from_dict(json.loads(line)))
-    return chains
-
-
-def completion_to_dict(record: CompletionRecord) -> dict:
-    return {
-        "envelope": {
-            "text": record.envelope.text,
-            "mode": record.envelope.mode,
-            "batch_size": record.envelope.batch_size,
-            "question_ids": list(record.envelope.question_ids),
-        },
-        "raw_text": record.raw_text,
-        "reported_tokens": record.reported_tokens,
-        "counted_tokens": record.counted_tokens,
-        "sampling": {
-            "temperature": record.sampling.temperature,
-            "max_tokens": record.sampling.max_tokens,
-            "seed": record.sampling.seed,
-        },
-        "endpoint": record.endpoint,
-    }
-
-
-def completion_from_dict(d: dict) -> CompletionRecord:
-    env = d["envelope"]
-    s = d["sampling"]
-    return CompletionRecord(
-        envelope=PromptEnvelope(
-            text=env["text"],
-            mode=env["mode"],
-            batch_size=env["batch_size"],
-            question_ids=tuple(env["question_ids"]),
-        ),
-        raw_text=d["raw_text"],
-        counted_tokens=d["counted_tokens"],
-        reported_tokens=d.get("reported_tokens"),
-        sampling=SamplingParams(
-            temperature=s["temperature"], max_tokens=s["max_tokens"], seed=s.get("seed")
-        ),
-        endpoint=d.get("endpoint", "mock"),
-    )
+    return read_jsonl(path, ReasoningChain)
 
 
 def write_completions(path, records):
-    with open(path, "w", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(json.dumps(completion_to_dict(record), sort_keys=True))
-            fh.write("\n")
+    write_jsonl(path, map(to_dict, records))
 
 
 def read_completions(path) -> list:
-    records = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                records.append(completion_from_dict(json.loads(line)))
-    return records
+    return read_jsonl(path, CompletionRecord)

@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-import json
 import random
 from collections import Counter
 from dataclasses import dataclass, field
 
 from batchcot import verify
 from batchcot.prompts import BATCH, VANILLA
+from batchcot.records import read_jsonl, to_dict, write_jsonl
 
 LABEL_A = "A"
 LABEL_B = "B"
@@ -34,8 +34,8 @@ PAIRED = "paired"
 
 @dataclass(frozen=True)
 class PreferenceSample:
-    question_text: str
-    cot_text: str
+    question: str
+    cot: str
     gold_label: str
     provenance: dict
     options: tuple = field(default=OPTIONS)
@@ -92,8 +92,8 @@ def build_dataset(vanilla_chains, batch_chains, questions, seed: int = 0,
         verdict = _resolve_verdict(chain, qmap)
         samples.append(
             PreferenceSample(
-                question_text=q.text,
-                cot_text=chain.text,
+                question=q.text,
+                cot=chain.text,
                 gold_label=label_sample(chain.origin.kind, verdict),
                 provenance={
                     "origin_kind": chain.origin.kind,
@@ -120,8 +120,8 @@ def build_dataset(vanilla_chains, batch_chains, questions, seed: int = 0,
 def render_judge_prompt(sample: PreferenceSample) -> str:
     """Canonical single-prompt rendering of a sample for a judge model."""
     return (
-        f"{sample.question_text}\n\n"
-        f"{sample.cot_text}\n\n"
+        f"{sample.question}\n\n"
+        f"{sample.cot}\n\n"
         "Evaluate the reasoning above and choose exactly one option:\n"
         f"A. {OPTION_A}\n"
         f"B. {OPTION_B}\n"
@@ -130,38 +130,9 @@ def render_judge_prompt(sample: PreferenceSample) -> str:
     )
 
 
-def sample_to_dict(sample: PreferenceSample) -> dict:
-    return {
-        "question": sample.question_text,
-        "cot": sample.cot_text,
-        "options": list(sample.options),
-        "gold_label": sample.gold_label,
-        "provenance": sample.provenance,
-    }
-
-
-def sample_from_dict(d: dict) -> PreferenceSample:
-    return PreferenceSample(
-        question_text=d["question"],
-        cot_text=d["cot"],
-        gold_label=d["gold_label"],
-        provenance=d["provenance"],
-        options=tuple(d["options"]),
-    )
-
-
 def write_samples(path, samples):
-    with open(path, "w", encoding="utf-8") as fh:
-        for sample in samples:
-            fh.write(json.dumps(sample_to_dict(sample), sort_keys=True))
-            fh.write("\n")
+    write_jsonl(path, map(to_dict, samples))
 
 
 def read_samples(path) -> list:
-    samples = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                samples.append(sample_from_dict(json.loads(line)))
-    return samples
+    return read_jsonl(path, PreferenceSample)

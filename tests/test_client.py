@@ -7,6 +7,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import pytest
 
 import pipeline_fixtures as pf
+from http_fixtures import mock_http_server
 from batchcot.client import (
     EndpointConfig,
     HttpBackend,
@@ -18,10 +19,10 @@ from batchcot.client import (
     complete,
     complete_many,
     fingerprint,
-    mock_http_server,
     render_experiment_table,
     run_batch_experiment,
 )
+from batchcot.cli import main
 from batchcot.harness import BenchmarkSpec, evaluate
 from batchcot.prompts import Question, build_prompt, build_single_prompt, shuffle_and_group
 
@@ -175,6 +176,8 @@ class TestHttpTransport:
 
 
 _VALID_BODY = json.dumps({"choices": [{"message": {"content": "ok \\boxed{1}"}}]}).encode()
+_NON_INTEGER_USAGE_BODY = (
+    b'{"choices": [{"message": {"content": "x"}}], "usage": {"completion_tokens": "many"}}')
 _MALFORMED_BODIES = [
     b"not json",
     b"[]",
@@ -184,6 +187,10 @@ _MALFORMED_BODIES = [
     b'{"choices": [{"message": {}}]}',
     b'{"choices": [{"message": {"content": null}}]}',
     b'{"choices": [{"message": {"content": 7}}]}',
+    _NON_INTEGER_USAGE_BODY,
+    b'{"choices": [{"message": {"content": "x"}}], "usage": {"completion_tokens": -1}}',
+    b'{"choices": [{"message": {"content": "x"}}], "usage": {"completion_tokens": 2.5}}',
+    b'{"choices": [{"message": {"content": "x"}}], "usage": {"completion_tokens": true}}',
 ]
 
 
@@ -247,6 +254,24 @@ class TestMalformedBody:
         assert agg.n_samples == 2
         assert agg.accuracy == 1.0
         assert [r["question_id"] for r in records] == ["a", "a"]
+
+    def test_cli_eval_counts_non_integer_usage_as_exclusion(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text(
+            json.dumps({"id": "a", "text": "SERVE-VALID 1?", "gold_answer": "1"}) + "\n"
+            + json.dumps({"id": "b", "text": "other?", "gold_answer": "1"}) + "\n")
+        out = tmp_path / "eval"
+        with _serve_malformed(_NON_INTEGER_USAGE_BODY) as backend:
+            code = main(["eval", "--benchmark", "gsm8k", "--corpus", str(corpus),
+                         "--out-dir", str(out), "--base-url", backend.base_url,
+                         "--max-retries", "0"])
+        capsys.readouterr()
+        assert code == 0
+        aggregate, = json.loads((out / "aggregate.json").read_text())
+        assert aggregate["exclusions"] == 1
+        assert aggregate["n_samples"] == 1
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["exclusions"] == {"endpoint_failures": 1}
 
 
 class _ProbeBackend:

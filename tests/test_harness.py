@@ -9,8 +9,6 @@ from batchcot.harness import (
     CHOICE_LETTER,
     BenchmarkSpec,
     EvalAggregate,
-    aggregate_from_dict,
-    aggregate_to_dict,
     aggregates_to_csv,
     evaluate,
     grade_choice_letter,
@@ -23,6 +21,7 @@ from batchcot.harness import (
     write_aggregates,
 )
 from batchcot.prompts import Question, build_single_prompt
+from batchcot.records import from_dict, to_dict
 from batchcot import verify
 
 
@@ -275,7 +274,7 @@ class TestOverallAndReport:
 class TestAggregateIo:
     def test_dict_roundtrip(self):
         a = agg("X", 0.321, 123.45, n_questions=7, n_samples=35, exclusions=2)
-        assert aggregate_from_dict(aggregate_to_dict(a)) == a
+        assert from_dict(EvalAggregate, to_dict(a)) == a
 
     def test_file_roundtrip(self, tmp_path):
         rows = [agg("X", 0.5, 100.0), agg("Y", 0.9, 42.0)]

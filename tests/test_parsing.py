@@ -1,3 +1,4 @@
+import json
 import re
 
 import pytest
@@ -12,13 +13,13 @@ from batchcot.parsing import (
     CompletionRecord,
     FinalAnswers,
     UnsplittableError,
-    chain_from_dict,
-    chain_to_dict,
     count_tokens,
     extract_boxed,
     parse_final_answers,
+    read_chains,
     split_batch_chains,
     vanilla_chain,
+    write_chains,
 )
 from batchcot.prompts import BATCH, VANILLA, PromptEnvelope
 
@@ -374,13 +375,15 @@ class TestCountTokens:
 
 
 class TestChainSerialization:
-    def test_roundtrip(self):
+    def test_roundtrip(self, tmp_path):
         chain = vanilla_chain(vanilla_record("body \\boxed{3}", qid="qz"))
         chain.verdict = "correct"
-        d = chain_to_dict(chain)
+        path = tmp_path / "chains.jsonl"
+        write_chains(path, [chain])
+        d = json.loads(path.read_text())
         assert d["token_scheme"] == WHITESPACE
         assert d["token_count"] == 2
-        back = chain_from_dict(d)
+        back, = read_chains(path)
         assert back.question_id == "qz"
         assert back.predicted_answer == "3"
         assert back.verdict == "correct"

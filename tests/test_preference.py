@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import pytest
 
@@ -16,11 +17,10 @@ from batchcot.preference import (
     label_sample,
     read_samples,
     render_judge_prompt,
-    sample_from_dict,
-    sample_to_dict,
     write_samples,
 )
 from batchcot.prompts import BATCH, VANILLA, Question
+from batchcot.records import from_dict, to_dict
 
 
 def chain(qid, kind, predicted, position=1, size=2, verdict=None):
@@ -67,14 +67,16 @@ class TestOptions:
     def test_sample_rejects_modified_options(self):
         with pytest.raises(ValueError):
             PreferenceSample(
-                question_text="q", cot_text="c", gold_label="A",
+                question="q", cot="c", gold_label="A",
                 provenance={}, options=(OPTION_A, OPTION_B, "Wrong."),
             )
 
-    def test_serialized_options_immutable(self):
-        sample = PreferenceSample(question_text="q", cot_text="c",
+    def test_serialized_options_immutable(self, tmp_path):
+        sample = PreferenceSample(question="q", cot="c",
                                   gold_label="B", provenance={})
-        assert sample_to_dict(sample)["options"] == list(OPTIONS)
+        path = tmp_path / "prefs.jsonl"
+        write_samples(path, [sample])
+        assert json.loads(path.read_text())["options"] == list(OPTIONS)
 
 
 class TestBuildDataset:
@@ -146,8 +148,8 @@ class TestBuildDataset:
 
 class TestJudgePromptAndIo:
     def test_judge_prompt_contains_everything(self):
-        sample = PreferenceSample(question_text="What is 1+1?",
-                                  cot_text="I think 2.", gold_label="B",
+        sample = PreferenceSample(question="What is 1+1?",
+                                  cot="I think 2.", gold_label="B",
                                   provenance={})
         prompt = render_judge_prompt(sample)
         assert "What is 1+1?" in prompt
@@ -157,7 +159,7 @@ class TestJudgePromptAndIo:
 
     def test_jsonl_roundtrip(self, tmp_path):
         samples = [
-            PreferenceSample(question_text=f"q{i}", cot_text=f"c{i}",
+            PreferenceSample(question=f"q{i}", cot=f"c{i}",
                              gold_label=LABELS[i % 3],
                              provenance={"question_id": f"q{i}"})
             for i in range(5)
@@ -167,6 +169,6 @@ class TestJudgePromptAndIo:
         assert read_samples(path) == samples
 
     def test_dict_roundtrip(self):
-        sample = PreferenceSample(question_text="q", cot_text="c",
+        sample = PreferenceSample(question="q", cot="c",
                                   gold_label="C", provenance={"x": 1})
-        assert sample_from_dict(sample_to_dict(sample)) == sample
+        assert from_dict(PreferenceSample, to_dict(sample)) == sample
