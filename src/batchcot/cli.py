@@ -63,24 +63,17 @@ def _read_config_file(path) -> dict:
 
 def resolve_endpoint_config(args) -> EndpointConfig:
     """Precedence: flags > config file > environment > defaults."""
+    config = _read_config_file(args.config) if getattr(args, "config", None) else {}
+    for key in config:
+        if key not in _ENDPOINT_KEYS:
+            raise ValueError(f"unknown config key: {key!r}")
     values = {}
-
-    def put(key, raw):
-        values[key] = type(getattr(_ENDPOINT_DEFAULTS, key))(raw)
-
     for key in _ENDPOINT_KEYS:
-        env = os.environ.get(_ENV_PREFIX + key.upper())
-        if env is not None:
-            put(key, env)
-    if getattr(args, "config", None):
-        for key, raw in _read_config_file(args.config).items():
-            if key not in _ENDPOINT_KEYS:
-                raise ValueError(f"unknown config key: {key!r}")
-            put(key, raw)
-    for key in _ENDPOINT_KEYS:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            put(key, flag)
+        sources = (getattr(args, key, None), config.get(key),
+                   os.environ.get(_ENV_PREFIX + key.upper()))
+        raw = next((v for v in sources if v is not None), None)
+        if raw is not None:
+            values[key] = type(getattr(_ENDPOINT_DEFAULTS, key))(raw)
     return EndpointConfig(**values, seed=getattr(args, "seed", None))
 
 

@@ -8,27 +8,35 @@ import typing
 from dataclasses import MISSING, fields, is_dataclass
 
 
+@functools.cache
+def _schema(cls) -> tuple:
+    """Type hints of a dataclass, resolved once: (fields, nested).
+
+    fields holds (name, required, convert) per init field, where convert is
+    the field's dataclass type, tuple, or None; nested names the fields whose
+    type is a dataclass.
+    """
+    hints = typing.get_type_hints(cls)
+    plan = []
+    for f in fields(cls):
+        if f.init:
+            hint = hints[f.name]
+            convert = hint if is_dataclass(hint) or hint is tuple else None
+            plan.append((f.name, f.default is MISSING and f.default_factory is MISSING,
+                         convert))
+    return tuple(plan), tuple(name for name, _, c in plan if c not in (None, tuple))
+
+
 def to_dict(obj) -> dict:
-    """A dataclass's fields as a dict, nested dataclasses as nested dicts.
+    """A dataclass's fields as a dict, nested dataclass fields as nested dicts.
 
     Unlike dataclasses.asdict, leaves every other value as it is (no copy);
     json.dumps writes tuples as lists.
     """
     d = dict(vars(obj))
-    for key, value in d.items():
-        if is_dataclass(value):
-            d[key] = to_dict(value)
+    for name in _schema(type(obj))[1]:
+        d[name] = to_dict(d[name])
     return d
-
-
-@functools.cache
-def _plan(cls) -> tuple:
-    """(name, required, type) per init field, with the type hints resolved."""
-    hints = typing.get_type_hints(cls)
-    return tuple(
-        (f.name, f.default is MISSING and f.default_factory is MISSING, hints[f.name])
-        for f in fields(cls) if f.init
-    )
 
 
 def from_dict(cls, d: dict):
@@ -38,14 +46,14 @@ def from_dict(cls, d: dict):
     take the field's default; a missing required key raises KeyError.
     """
     kwargs = {}
-    for name, required, hint in _plan(cls):
+    for name, required, convert in _schema(cls)[0]:
         if not required and name not in d:
             continue
         value = d[name]
-        if is_dataclass(hint):
-            value = from_dict(hint, value)
-        elif hint is tuple:
+        if convert is tuple:
             value = tuple(value)
+        elif convert is not None:
+            value = from_dict(convert, value)
         kwargs[name] = value
     return cls(**kwargs)
 
