@@ -16,26 +16,20 @@ from batchcot.client import (
     MockScript,
     RequestError,
     TransportError,
-    complete_many,
+    complete_groups,
     render_experiment_table,
     run_batch_experiment,
+    tokens_per_question,
 )
 from batchcot.parsing import (
     BATCH,
-    UnsplittableError,
     read_chains,
     read_completions,
-    split_batch_chains,
-    vanilla_chain,
+    split_completions,
     write_chains,
     write_completions,
 )
-from batchcot.prompts import (
-    VANILLA,
-    build_prompt,
-    load_questions,
-    shuffle_and_group,
-)
+from batchcot.prompts import VANILLA, load_questions
 from batchcot.records import to_dict, write_jsonl
 
 _ENV_PREFIX = "BATCHCOT_"
@@ -129,23 +123,16 @@ def cmd_gen(args, argv):
     outputs = []
     request_failures = 0
     for k in args.batch_size:
-        groups = shuffle_and_group(questions, k, seed=args.seed, group=args.group)
-        envelopes = [build_prompt(g) for g in groups]
-        results = complete_many(envelopes, cfg, backend)
-        records = [r for r in results if not isinstance(r, Exception)]
-        failures = len(results) - len(records)
+        records, failures = complete_groups(questions, k, cfg, backend,
+                                            args.seed, args.group)
         request_failures += failures
         out_path = os.path.join(args.out_dir, f"completions_k{k}.jsonl")
         write_completions(out_path, records)
         outputs.append(out_path)
-        per_q = [
-            r.effective_tokens / r.envelope.batch_size for r in records
-            for _ in range(r.envelope.batch_size)
-        ]
-        mean = sum(per_q) / len(per_q) if per_q else 0.0
         mode = "vanilla" if k == 1 else f"batch-{k}"
         print(f"{mode}: {len(records)} completions, "
-              f"mean tokens/question = {mean:.2f}, failures = {failures}")
+              f"mean tokens/question = {tokens_per_question(records):.2f}, "
+              f"failures = {failures}")
     write_run_manifest(
         os.path.join(args.out_dir, "manifest.json"), "gen", argv,
         _config_snapshot(cfg), args.seed, [args.questions], outputs, started,
@@ -158,16 +145,8 @@ def cmd_gen(args, argv):
 def cmd_split(args, argv):
     started = time.strftime("%Y-%m-%dT%H:%M:%S%z")
     records = read_completions(args.infile)
-    chains = []
-    unsplittable = 0
-    for record in records:
-        if record.envelope.mode == VANILLA:
-            chains.append(vanilla_chain(record))
-        else:
-            try:
-                chains.extend(split_batch_chains(record))
-            except UnsplittableError:
-                unsplittable += 1
+    chains, unsplit_records = split_completions(records)
+    unsplittable = len(unsplit_records)
     write_chains(args.out, chains)
     rate = unsplittable / len(records) if records else 0.0
     print(f"{len(chains)} chains from {len(records)} completions; "
@@ -304,13 +283,13 @@ def cmd_batch_experiment(args, argv):
     cfg = resolve_endpoint_config(args)
     backend = _make_backend(args, cfg)
     questions = load_questions(args.questions)
-    report = run_batch_experiment(
+    rows = run_batch_experiment(
         questions, args.batch_size, cfg, backend, seed=args.seed, group=args.group
     )
     os.makedirs(args.out_dir, exist_ok=True)
     rows_path = os.path.join(args.out_dir, "experiment.jsonl")
-    write_jsonl(rows_path, map(to_dict, report.rows))
-    table = render_experiment_table(report)
+    write_jsonl(rows_path, map(to_dict, rows))
+    table = render_experiment_table(rows)
     table_path = os.path.join(args.out_dir, "experiment.txt")
     with open(table_path, "w", encoding="utf-8") as fh:
         fh.write(table + "\n")
@@ -319,8 +298,8 @@ def cmd_batch_experiment(args, argv):
         os.path.join(args.out_dir, "manifest.json"), "batch-experiment", argv,
         _config_snapshot(cfg), args.seed, [args.questions],
         [rows_path, table_path], started,
-        exclusions={"request_failures": sum(r.n_failures for r in report.rows),
-                    "unsplittable": sum(r.n_unsplittable for r in report.rows)},
+        exclusions={"request_failures": sum(r.n_failures for r in rows),
+                    "unsplittable": sum(r.n_unsplittable for r in rows)},
         extra={"group": args.group, "batch_sizes": args.batch_size},
     )
     return 0

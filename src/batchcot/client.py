@@ -18,19 +18,11 @@ from batchcot.parsing import (
     CompletionRecord,
     ReasoningChain,
     SamplingParams,
-    UnsplittableError,
     count_tokens,
     parse_final_answers,
-    split_batch_chains,
-    vanilla_chain,
+    split_completions,
 )
-from batchcot.prompts import (
-    BATCH,
-    VANILLA,
-    PromptEnvelope,
-    build_prompt,
-    shuffle_and_group,
-)
+from batchcot.prompts import BATCH, PromptEnvelope, build_prompt, shuffle_and_group
 
 
 class TransportError(Exception):
@@ -134,15 +126,6 @@ class MockScript:
                     tokens = int(fh.read().strip())
             responses[fp] = MockResponse(text, tokens)
         return cls(responses=responses)
-
-    def write_dir(self, path):
-        os.makedirs(path, exist_ok=True)
-        for fp, response in self.responses.items():
-            with open(os.path.join(path, fp + ".txt"), "w", encoding="utf-8") as fh:
-                fh.write(response.text)
-            if response.tokens is not None:
-                with open(os.path.join(path, fp + ".tokens"), "w", encoding="utf-8") as fh:
-                    fh.write(str(response.tokens))
 
 
 class MockBackend:
@@ -259,6 +242,25 @@ def complete_many(envelopes, cfg: EndpointConfig, backend) -> list:
         return list(pool.map(one, envelopes))
 
 
+def complete_groups(questions, k: int, cfg: EndpointConfig, backend,
+                    seed: int = 0, group: str = "random"):
+    """Completions of every batch-k group of the corpus, in group order.
+
+    Returns (records, n_failures): failed requests are counted, not kept.
+    """
+    groups = shuffle_and_group(questions, k, seed=seed, group=group)
+    results = complete_many([build_prompt(g) for g in groups], cfg, backend)
+    records = [r for r in results if not isinstance(r, Exception)]
+    return records, len(results) - len(records)
+
+
+def tokens_per_question(records) -> float:
+    """Mean effective tokens per question, each response's split evenly."""
+    per_q = [r.effective_tokens / r.envelope.batch_size for r in records
+             for _ in range(r.envelope.batch_size)]
+    return sum(per_q) / len(per_q) if per_q else 0.0
+
+
 # --- batch-compression experiment ---------------------------------------------
 
 @dataclass
@@ -274,18 +276,23 @@ class ExperimentRow:
     n_unsplittable: int
 
 
-@dataclass
-class ExperimentReport:
-    rows: list
-    seed: int
-    group_mode: str
-    endpoint: str
-    sampling: SamplingParams
+def _block_chains(record: CompletionRecord) -> list:
+    """Textless chains of an unsplittable batch response, answered by its block."""
+    answers = dict(parse_final_answers(record).entries)
+    k = record.envelope.batch_size
+    return [ReasoningChain(question_id=qid, text="",
+                           origin=ChainOrigin(kind=BATCH, size=k, position=pos),
+                           predicted_answer=answers.get(pos))
+            for pos, qid in enumerate(record.envelope.question_ids, 1)]
 
 
 def run_batch_experiment(questions, batch_sizes, cfg: EndpointConfig, backend,
-                         seed: int = 0, group: str = "random") -> ExperimentReport:
-    """Vanilla vs Batch-k token/accuracy comparison over a question corpus."""
+                         seed: int = 0, group: str = "random") -> list:
+    """Vanilla vs Batch-k token/accuracy rows over a question corpus.
+
+    Each row grades the chains that `split` would write; only responses that
+    cannot be split are graded from their final-answer block.
+    """
     questions = list(questions)
     if not questions:
         raise ValueError("experiment needs a nonempty corpus")
@@ -294,74 +301,34 @@ def run_batch_experiment(questions, batch_sizes, cfg: EndpointConfig, backend,
     qmap = {q.id: q for q in questions}
     rows = []
     for k in batch_sizes:
-        groups = shuffle_and_group(questions, k, seed=seed, group=group)
-        envelopes = [build_prompt(g) for g in groups]
-        results = complete_many(envelopes, cfg, backend)
-
-        per_question_tokens = []
-        split_tokens = []
-        n_correct = 0
-        n_graded = 0
-        n_failures = 0
-        n_unsplittable = 0
-        for grp, result in zip(groups, results):
-            if isinstance(result, Exception):
-                n_failures += 1
-                continue
-            size = len(grp)
-            total = result.effective_tokens
-            per_question_tokens.extend([total / size] * size)
-            if result.envelope.mode == VANILLA:
-                chains = [vanilla_chain(result)]
-                split_tokens.append(total)
-            else:
-                answers = dict(parse_final_answers(result).entries)
-                chains = []
-                for pos, q in enumerate(grp, 1):
-                    chains.append(ReasoningChain(
-                        question_id=q.id, text="",
-                        origin=ChainOrigin(kind=BATCH, size=size, position=pos),
-                        predicted_answer=answers.get(pos),
-                    ))
-                try:
-                    for chain in split_batch_chains(result):
-                        split_tokens.append(count_tokens(chain.text))
-                except UnsplittableError:
-                    n_unsplittable += 1
-            for chain in chains:
-                verdict = verify.grade(chain, qmap[chain.question_id])
-                n_graded += 1
-                if verdict == verify.CORRECT:
-                    n_correct += 1
-
+        records, n_failures = complete_groups(questions, k, cfg, backend, seed, group)
+        chains, unsplittable = split_completions(records)
+        graded = chains + [c for r in unsplittable for c in _block_chains(r)]
+        n_correct = sum(verify.grade(c, qmap[c.question_id]) == verify.CORRECT
+                        for c in graded)
+        split_tokens = [count_tokens(c.text) for c in chains]
         rows.append(ExperimentRow(
             batch_size=k,
-            n_groups=len(groups),
-            n_questions=sum(len(g) for g in groups),
-            n_graded=n_graded,
-            accuracy=n_correct / n_graded if n_graded else 0.0,
-            mean_tokens_per_question=(
-                sum(per_question_tokens) / len(per_question_tokens)
-                if per_question_tokens else 0.0
-            ),
+            n_groups=len(records) + n_failures,
+            n_questions=len(questions),
+            n_graded=len(graded),
+            accuracy=n_correct / len(graded) if graded else 0.0,
+            mean_tokens_per_question=tokens_per_question(records),
             mean_tokens_split=(
                 sum(split_tokens) / len(split_tokens) if split_tokens else None
             ),
             n_failures=n_failures,
-            n_unsplittable=n_unsplittable,
+            n_unsplittable=len(unsplittable),
         ))
-    return ExperimentReport(
-        rows=rows, seed=seed, group_mode=group, endpoint=backend.name,
-        sampling=cfg.sampling(),
-    )
+    return rows
 
 
-def render_experiment_table(report: ExperimentReport) -> str:
+def render_experiment_table(rows) -> str:
     lines = [
         f"{'Mode':<10} {'Acc':>8} {'Tokens/Q':>12} {'Tokens/Q(split)':>16} "
         f"{'Graded':>8} {'Fail':>6} {'Unsplit':>8}"
     ]
-    for row in report.rows:
+    for row in rows:
         mode = "Vanilla" if row.batch_size == 1 else f"Batch-{row.batch_size}"
         split = f"{row.mean_tokens_split:.2f}" if row.mean_tokens_split is not None else "-"
         lines.append(

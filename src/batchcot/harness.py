@@ -9,7 +9,7 @@ from batchcot import verify
 from batchcot.client import EndpointConfig, complete_many
 from batchcot.parsing import extract_boxed, vanilla_chain
 from batchcot.prompts import build_single_prompt, load_questions
-from batchcot.records import from_dict, to_dict
+from batchcot.records import load, to_dict
 
 NUMERIC = "numeric"
 CHOICE_LETTER = "choice-letter"
@@ -226,7 +226,8 @@ def aggregates_to_csv(aggregates) -> str:
 
 def read_aggregates(path) -> list:
     with open(path, encoding="utf-8") as fh:
-        return [from_dict(EvalAggregate, d) for d in json.load(fh)]
+        return [load(EvalAggregate, d, f"{path}: entry {n}")
+                for n, d in enumerate(json.load(fh), 1)]
 
 
 def write_aggregates(path, aggregates):

@@ -168,8 +168,10 @@ def _marker_spans(pattern, text: str) -> list:
 def _final_answers(text: str, k: int, finals: list) -> FinalAnswers:
     """Answers after the last of the final-answer marker spans `finals`."""
     if not finals:
-        boxes = extract_boxed(text)[-k:]
-        return FinalAnswers([(i, b) for i, b in enumerate(boxes, 1)], fallback=True)
+        # With fewer than k boxes their positions are unknown: guess none.
+        boxes = extract_boxed(text)
+        entries = enumerate(boxes[-k:], 1) if len(boxes) >= k else ()
+        return FinalAnswers(list(entries), fallback=True)
     tail = text[finals[-1][1]:]
     entries = []
     last = 0
@@ -188,7 +190,8 @@ def parse_final_answers(record: CompletionRecord) -> FinalAnswers:
     """Numbered boxed entries from the last final-answer block of a batch response.
 
     Falls back to the last k boxed occurrences anywhere in the text when no
-    marker is present, flagged fallback=True.
+    marker is present, flagged fallback=True; with fewer than k boxes that
+    fallback has no entries.
     """
     if record.envelope.mode != BATCH:
         raise ValueError("parse_final_answers requires a batch completion")
@@ -261,6 +264,24 @@ def vanilla_chain(record: CompletionRecord) -> ReasoningChain:
         origin=ChainOrigin(kind=VANILLA),
         predicted_answer=boxes[-1] if boxes else None,
     )
+
+
+def split_completions(records):
+    """Chains of every completion, and the batch completions that cannot be split.
+
+    Returns (chains, unsplittable_records), both in record order.
+    """
+    chains = []
+    unsplittable = []
+    for record in records:
+        if record.envelope.mode == VANILLA:
+            chains.append(vanilla_chain(record))
+        else:
+            try:
+                chains.extend(split_batch_chains(record))
+            except UnsplittableError:
+                unsplittable.append(record)
+    return chains, unsplittable
 
 
 # --- JSONL (de)serialization -------------------------------------------------

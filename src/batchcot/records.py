@@ -66,7 +66,16 @@ def write_jsonl(path, rows):
             fh.write("\n")
 
 
+def load(cls, d, where: str):
+    """from_dict(cls, d), with any error from the data a ValueError naming `where`."""
+    try:
+        return from_dict(cls, d)
+    except (TypeError, KeyError, ValueError) as exc:
+        raise ValueError(f"{where}: {type(exc).__name__}: {exc}") from exc
+
+
 def read_jsonl(path, cls) -> list:
     """Every non-blank line of a JSONL file as a `cls` record."""
     with open(path, encoding="utf-8") as fh:
-        return [from_dict(cls, json.loads(line)) for line in fh if line.strip()]
+        return [load(cls, json.loads(line), f"{path}: line {n}")
+                for n, line in enumerate(fh, 1) if line.strip()]

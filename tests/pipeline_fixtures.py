@@ -4,6 +4,8 @@ The 60-question corpus has designed correctness per mode, so expected label
 distributions and per-mode token means are computable in closed form.
 """
 
+import os
+
 from batchcot.client import MockScript
 from batchcot.prompts import Question, build_prompt, shuffle_and_group
 
@@ -70,6 +72,17 @@ def build_script(questions, batch_sizes=(1, 2, 3), seed=0, group="sequential"):
             else:
                 script.add(envelope.text, batch_response(grp, k))
     return script
+
+
+def write_script_dir(script, path):
+    """Write a MockScript as the fingerprint-named files MockScript.from_dir reads."""
+    os.makedirs(path, exist_ok=True)
+    for fp, response in script.responses.items():
+        with open(os.path.join(path, fp + ".txt"), "w", encoding="utf-8") as fh:
+            fh.write(response.text)
+        if response.tokens is not None:
+            with open(os.path.join(path, fp + ".tokens"), "w", encoding="utf-8") as fh:
+                fh.write(str(response.tokens))
 
 
 def expected_label_counts(n=N_QUESTIONS, batch_sizes=(1, 2, 3)):

@@ -182,8 +182,8 @@ def test_criterion_08_end_to_end_mock_pipeline(tmp_path):
             fh.write(json.dumps({"id": q.id, "text": q.text,
                                  "gold_answer": q.gold_answer}) + "\n")
     mock_dir = tmp_path / "mock"
-    pf.build_script(questions, (1, 2, 3), seed=0,
-                    group="sequential").write_dir(mock_dir)
+    pf.write_script_dir(pf.build_script(questions, (1, 2, 3), seed=0,
+                                        group="sequential"), mock_dir)
 
     gen_dir = tmp_path / "gen"
     assert main(["gen", "--questions", str(corpus), "--out-dir", str(gen_dir),

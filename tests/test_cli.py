@@ -4,9 +4,10 @@ import socket
 import pytest
 
 import pipeline_fixtures as pf
-from batchcot.client import TransportError
+from batchcot.client import MockScript, TransportError
 from batchcot.cli import main, resolve_endpoint_config
 from batchcot.preference import read_samples
+from batchcot.prompts import build_prompt
 
 
 def write_corpus(path, questions):
@@ -25,7 +26,8 @@ def workspace(tmp_path_factory):
     corpus = root / "questions.jsonl"
     write_corpus(corpus, questions)
     mock_dir = root / "mock"
-    pf.build_script(questions, (1, 2, 3), seed=0, group="sequential").write_dir(mock_dir)
+    pf.write_script_dir(pf.build_script(questions, (1, 2, 3), seed=0, group="sequential"),
+                        mock_dir)
     gen_dir = root / "gen"
     argv = ["gen", "--questions", str(corpus), "--out-dir", str(gen_dir),
             "--batch-size", "1", "--batch-size", "2", "--batch-size", "3",
@@ -138,6 +140,83 @@ class TestBatchExperiment:
         assert tokens[0] > tokens[1] > tokens[2]
         assert (out / "experiment.txt").exists()
         assert "Vanilla" in capsys.readouterr().out
+
+
+def run_split_grade_and_experiment(tmp_path, questions, script, k):
+    """gen, split and grade one batch size, then batch-experiment on the same script.
+
+    Returns (experiment row, graded chains, split manifest's unsplittable count).
+    """
+    corpus = tmp_path / "questions.jsonl"
+    write_corpus(corpus, questions)
+    mock = tmp_path / "mock"
+    pf.write_script_dir(script, mock)
+    common = ["--questions", str(corpus), "--batch-size", str(k),
+              "--group", "sequential", "--mock", str(mock)]
+    chains, graded = tmp_path / "chains.jsonl", tmp_path / "graded.jsonl"
+    assert main(["gen", "--out-dir", str(tmp_path / "gen")] + common) == 0
+    assert main(["split", "--in", str(tmp_path / "gen" / f"completions_k{k}.jsonl"),
+                 "--out", str(chains)]) == 0
+    assert main(["grade", "--in", str(chains), "--questions", str(corpus),
+                 "--out", str(graded)]) == 0
+    assert main(["batch-experiment", "--out-dir", str(tmp_path / "exp")] + common) == 0
+    (row,) = [json.loads(line) for line in
+              (tmp_path / "exp" / "experiment.jsonl").read_text().splitlines()]
+    manifest = json.loads((tmp_path / "chains.jsonl.manifest.json").read_text())
+    return (row, [json.loads(line) for line in graded.read_text().splitlines()],
+            manifest["exclusions"]["unsplittable"])
+
+
+def batch_text(segments, block):
+    """A batch response: numbered segments, then numbered block entries."""
+    return "\n".join(["[Solution Process]"]
+                     + [f"{pos}. {seg}" for pos, seg in enumerate(segments, 1)]
+                     + ["[Final Answer]"]
+                     + [f"{pos}. \\boxed{{{ans}}}" for pos, ans in block])
+
+
+class TestExperimentAgreesWithSplitGrade:
+    """batch-experiment grades the chains split and grade write, on one script."""
+
+    def test_block_skipping_a_boxed_position(self, tmp_path):
+        questions = pf.make_corpus(3)
+        golds = [q.gold_answer for q in questions]
+        text = batch_text([f"work, so \\boxed{{{g}}}" for g in golds],
+                          [(1, golds[0]), (3, golds[2])])
+        script = MockScript()
+        script.add(build_prompt(questions).text, text)
+        row, graded, _ = run_split_grade_and_experiment(tmp_path, questions, script, 3)
+        assert [g["verdict"] for g in graded] == ["correct"] * 3
+        assert (row["n_graded"], row["accuracy"]) == (3, 1.0)
+
+    def test_vanilla_row_counts_split_tokens_like_split(self, tmp_path):
+        questions = pf.make_corpus(2)
+        script = MockScript()
+        for q in questions:
+            script.add(build_prompt([q]).text, f"a b c \\boxed{{{q.gold_answer}}}",
+                       tokens=999)
+        row, graded, _ = run_split_grade_and_experiment(tmp_path, questions, script, 1)
+        assert row["mean_tokens_per_question"] == 999
+        assert row["mean_tokens_split"] == sum(g["token_count"] for g in graded) / 2 == 4
+
+    def test_unsplittable_response_graded_from_its_block(self, tmp_path):
+        questions = pf.make_corpus(4)
+        golds = [q.gold_answer for q in questions]
+        script = MockScript()
+        # no numbered headings: unsplittable; its block has one right answer
+        script.add(build_prompt(questions[:2]).text,
+                   f"I solved both.\n[Final Answer]\n1. \\boxed{{{golds[0]}}}\n"
+                   f"2. \\boxed{{0}}")
+        # splittable, but its block leaves out position 2, boxed in its segment
+        script.add(build_prompt(questions[2:]).text,
+                   batch_text([f"so \\boxed{{{g}}}" for g in golds[2:]], [(1, golds[2])]))
+        row, graded, unsplittable = run_split_grade_and_experiment(
+            tmp_path, questions, script, 2)
+        assert row["n_unsplittable"] == unsplittable == 1
+        assert [g["question_id"] for g in graded] == ["q002", "q003"]
+        assert [g["verdict"] for g in graded] == ["correct"] * 2
+        assert (row["n_graded"], row["accuracy"]) == (4, 3 / 4)
+        assert row["mean_tokens_split"] == sum(g["token_count"] for g in graded) / 2
 
 
 class TestGrpoCommands:
@@ -265,6 +344,25 @@ class TestExitCodes:
         bad.write_text(json.dumps(row) + "\n")
         assert main(["split", "--in", str(bad), "--out", str(tmp_path / "c.jsonl")]) == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [("envelope", "x"), ("counted_tokens", "many")])
+    def test_split_on_wrongly_typed_completion(self, workspace, tmp_path, capsys,
+                                               key, value):
+        row = json.loads((workspace["gen"] / "completions_k2.jsonl").read_text()
+                         .splitlines()[0])
+        row[key] = value
+        bad = tmp_path / "completions.jsonl"
+        bad.write_text(json.dumps(row) + "\n")
+        assert main(["split", "--in", str(bad), "--out", str(tmp_path / "c.jsonl")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"{bad}: line 1: TypeError" in err
+
+    def test_report_on_wrongly_typed_aggregate(self, tmp_path, capsys):
+        bad = tmp_path / "aggregate.json"
+        bad.write_text(json.dumps([{"benchmark": "b", "accuracy": "high", "mean_tokens": 1.0,
+                                   "n_questions": 1, "n_samples": 1}]))
+        assert main(["report", "--aggregates", str(bad)]) == 1
+        assert f"error: {bad}: entry 1: TypeError" in capsys.readouterr().err
 
     def test_transport_error_maps_to_2(self, workspace, tmp_path, monkeypatch):
         def explode(*args, **kwargs):

@@ -69,7 +69,7 @@ class TestMockEngine:
         script = MockScript()
         script.add("prompt one", "resp one", tokens=5)
         script.add("prompt two", "resp two")
-        script.write_dir(tmp_path / "m")
+        pf.write_script_dir(script, tmp_path / "m")
         loaded = MockScript.from_dir(tmp_path / "m")
         assert loaded.lookup("prompt one") == ("resp one", 5)
         assert loaded.lookup("prompt two") == ("resp two", None)
@@ -323,25 +323,25 @@ class TestBatchExperiment:
     def test_single_size_arity(self):
         questions = pf.make_corpus(4)
         backend = self.make_backend(questions, (1,))
-        report = run_batch_experiment(questions, [1], cfg(), backend, seed=0)
-        assert len(report.rows) == 1
-        row = report.rows[0]
+        rows = run_batch_experiment(questions, [1], cfg(), backend, seed=0)
+        assert len(rows) == 1
+        row = rows[0]
         assert row.n_groups == 4
         assert row.n_questions == 4
 
     def test_scripted_batch2_shorter(self):
         questions = pf.make_corpus(12)
         backend = self.make_backend(questions, (1, 2))
-        report = run_batch_experiment(questions, [1, 2], cfg(), backend, seed=0)
-        vanilla, batch2 = report.rows
+        rows = run_batch_experiment(questions, [1, 2], cfg(), backend, seed=0)
+        vanilla, batch2 = rows
         assert vanilla.mean_tokens_per_question > batch2.mean_tokens_per_question
 
     def test_report_arithmetic_against_oracle(self):
         # spreadsheet-style recomputation of the per-k means from the raw script
         questions = pf.make_corpus(10)
         backend = self.make_backend(questions, (2,))
-        report = run_batch_experiment(questions, [2], cfg(), backend, seed=0)
-        row = report.rows[0]
+        rows = run_batch_experiment(questions, [2], cfg(), backend, seed=0)
+        row = rows[0]
 
         groups = shuffle_and_group(questions, 2, seed=0, group="random")
         expected_tokens = []
@@ -360,16 +360,16 @@ class TestBatchExperiment:
     def test_accuracy_matches_design(self):
         questions = pf.make_corpus(60)
         backend = self.make_backend(questions, (3,))
-        report = run_batch_experiment(questions, [3], cfg(), backend, seed=0)
-        assert report.rows[0].accuracy == pytest.approx(
+        rows = run_batch_experiment(questions, [3], cfg(), backend, seed=0)
+        assert rows[0].accuracy == pytest.approx(
             (60 - len(pf.WRONG[3])) / 60)
 
     def test_leftover_group_kept(self):
         questions = pf.make_corpus(5)
         backend = MockBackend(pf.build_script(questions, (2,), seed=1,
                                               group="random"))
-        report = run_batch_experiment(questions, [2], cfg(), backend, seed=1)
-        row = report.rows[0]
+        rows = run_batch_experiment(questions, [2], cfg(), backend, seed=1)
+        row = rows[0]
         assert row.n_groups == 3
         assert row.n_questions == 5
 
@@ -386,16 +386,16 @@ class TestBatchExperiment:
                 raise TransportError("down", [])
 
         questions = pf.make_corpus(4)
-        report = run_batch_experiment(questions, [2], cfg(), FailingBackend(),
+        rows = run_batch_experiment(questions, [2], cfg(), FailingBackend(),
                                       seed=0)
-        row = report.rows[0]
+        row = rows[0]
         assert row.n_failures == 2
         assert row.n_graded == 0
 
     def test_render_table(self):
         questions = pf.make_corpus(6)
         backend = self.make_backend(questions, (1, 2))
-        report = run_batch_experiment(questions, [1, 2], cfg(), backend, seed=0)
-        table = render_experiment_table(report)
+        rows = run_batch_experiment(questions, [1, 2], cfg(), backend, seed=0)
+        table = render_experiment_table(rows)
         assert "Vanilla" in table
         assert "Batch-2" in table

@@ -128,7 +128,8 @@ class TestGoldenLines:
             json.dumps({"id": q.id, "text": q.text, "gold_answer": q.gold_answer}) + "\n"
             for q in questions))
         mock = tmp_path / "mock"
-        pf.build_script(questions, (1, 2), seed=0, group="sequential").write_dir(mock)
+        pf.write_script_dir(pf.build_script(questions, (1, 2), seed=0, group="sequential"),
+                            mock)
         out = tmp_path / "exp"
         assert main(["batch-experiment", "--questions", str(corpus),
                      "--out-dir", str(out), "--batch-size", "1", "--batch-size", "2",

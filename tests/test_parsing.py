@@ -103,6 +103,15 @@ class TestParseFinalAnswers:
         assert result.entries == [(1, "1"), (2, "2")]
         assert result.fallback
 
+    def test_fewer_boxes_than_k_without_block_guess_nothing(self):
+        # Boxes only in segments 1 and 3: the last-k fallback would shift
+        # question 3's answer onto question 2.
+        text = ("[Solution Process]\n1. first, so \\boxed{11}\n"
+                "2. second, no box\n3. third, so \\boxed{33}")
+        rec = batch_record(text, k=3)
+        assert parse_final_answers(rec) == ([], True)
+        assert [c.predicted_answer for c in split_batch_chains(rec)] == ["11", None, "33"]
+
     def test_marker_decoration_tolerated(self):
         rec = batch_record("**[final answer]**\n1. \\boxed{5}\n2. \\boxed{6}")
         result = parse_final_answers(rec)
@@ -241,8 +250,10 @@ _ORACLE_HEADING_RE = re.compile(
 def _oracle_final_answers(text, k):
     matches = list(_ORACLE_FINAL_RE.finditer(text))
     if not matches:
-        boxes = extract_boxed(text)[-k:]
-        return FinalAnswers([(i, b) for i, b in enumerate(boxes, 1)], fallback=True)
+        boxes = extract_boxed(text)
+        if len(boxes) < k:
+            return FinalAnswers([], fallback=True)
+        return FinalAnswers([(i, b) for i, b in enumerate(boxes[-k:], 1)], fallback=True)
     tail = text[matches[-1].end():]
     entries = []
     last = 0
