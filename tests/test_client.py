@@ -386,8 +386,7 @@ class TestBatchExperiment:
                 raise TransportError("down", [])
 
         questions = pf.make_corpus(4)
-        rows = run_batch_experiment(questions, [2], cfg(), FailingBackend(),
-                                      seed=0)
+        rows = run_batch_experiment(questions, [2], cfg(), FailingBackend(), seed=0)
         row = rows[0]
         assert row.n_failures == 2
         assert row.n_graded == 0
