@@ -38,6 +38,7 @@ _ENV_PREFIX = "BATCHCOT_"
 _ENDPOINT_KEYS = ("base_url", "model", "temperature", "max_tokens", "timeout",
                   "max_retries", "max_concurrent")
 _ENDPOINT_DEFAULTS = EndpointConfig()
+_TIMESTAMP = "%Y-%m-%dT%H:%M:%S%z"
 
 
 def _read_config_file(path) -> dict:
@@ -79,22 +80,26 @@ def _make_backend(args, cfg: EndpointConfig):
     return HttpBackend(cfg.base_url, cfg.model)
 
 
-def write_run_manifest(path, command, argv, config, seed, inputs, outputs,
-                       started, exclusions=None, extra=None):
+def write_run_manifest(args, argv, started, fields):
+    """Write a run's manifest: what `args` gives, overridden by the command's `fields`.
+
+    Written to <out_dir>/manifest.json, or <out>.manifest.json for a command
+    without --out-dir.
+    """
+    out_dir = getattr(args, "out_dir", None)
+    path = (os.path.join(out_dir, "manifest.json") if out_dir
+            else args.out + ".manifest.json")
     manifest = {
-        "command": command,
+        "command": args.command,
         "argv": list(argv),
-        "config": config,
-        "seed": seed,
-        "inputs": list(inputs),
-        "outputs": list(outputs),
+        "config": {},
+        "seed": getattr(args, "seed", None),
+        "exclusions": {},
+        **fields,
         "tool_version": __version__,
         "started": started,
-        "finished": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-        "exclusions": exclusions or {},
+        "finished": time.strftime(_TIMESTAMP),
     }
-    if extra:
-        manifest.update(extra)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -112,10 +117,21 @@ def _add_endpoint_flags(p):
     p.add_argument("--config", help="flat key=value config file")
 
 
-# --- subcommands ----------------------------------------------------------------
+def _add_batch_run_args(p):
+    """The arguments gen and batch-experiment share."""
+    p.add_argument("--questions", required=True)
+    p.add_argument("--out-dir", required=True)
+    p.add_argument("--batch-size", action="append", type=int, required=True)
+    p.add_argument("--group", choices=["random", "sequential"], default="random")
+    p.add_argument("--seed", type=int, default=0)
+    _add_endpoint_flags(p)
 
-def cmd_gen(args, argv):
-    started = time.strftime("%Y-%m-%dT%H:%M:%S%z")
+
+# --- subcommands ----------------------------------------------------------------
+# A command returns its own manifest fields, which main writes, or an exit code
+# when it writes no manifest.
+
+def cmd_gen(args):
     cfg = resolve_endpoint_config(args)
     backend = _make_backend(args, cfg)
     questions = load_questions(args.questions)
@@ -133,17 +149,12 @@ def cmd_gen(args, argv):
         print(f"{mode}: {len(records)} completions, "
               f"mean tokens/question = {tokens_per_question(records):.2f}, "
               f"failures = {failures}")
-    write_run_manifest(
-        os.path.join(args.out_dir, "manifest.json"), "gen", argv,
-        _config_snapshot(cfg), args.seed, [args.questions], outputs, started,
-        exclusions={"request_failures": request_failures},
-        extra={"group": args.group, "batch_sizes": args.batch_size},
-    )
-    return 0
+    return {"config": _config_snapshot(cfg), "inputs": [args.questions],
+            "outputs": outputs, "exclusions": {"request_failures": request_failures},
+            "group": args.group, "batch_sizes": args.batch_size}
 
 
-def cmd_split(args, argv):
-    started = time.strftime("%Y-%m-%dT%H:%M:%S%z")
+def cmd_split(args):
     records = read_completions(args.infile)
     chains, unsplit_records = split_completions(records)
     unsplittable = len(unsplit_records)
@@ -151,16 +162,11 @@ def cmd_split(args, argv):
     rate = unsplittable / len(records) if records else 0.0
     print(f"{len(chains)} chains from {len(records)} completions; "
           f"unsplittable = {unsplittable} ({rate:.1%})")
-    write_run_manifest(
-        args.out + ".manifest.json", "split", argv, {}, None,
-        [args.infile], [args.out], started,
-        exclusions={"unsplittable": unsplittable},
-    )
-    return 0
+    return {"inputs": [args.infile], "outputs": [args.out],
+            "exclusions": {"unsplittable": unsplittable}}
 
 
-def cmd_grade(args, argv):
-    started = time.strftime("%Y-%m-%dT%H:%M:%S%z")
+def cmd_grade(args):
     questions = {q.id: q for q in load_questions(args.questions)}
     chains = read_chains(args.infile)
     missing = sorted({c.question_id for c in chains if c.question_id not in questions})
@@ -174,16 +180,11 @@ def cmd_grade(args, argv):
         counts[chain.verdict] = counts.get(chain.verdict, 0) + 1
     print(f"graded {len(chains)} chains: " +
           ", ".join(f"{k}={v}" for k, v in sorted(counts.items())))
-    write_run_manifest(
-        args.out + ".manifest.json", "grade", argv, {}, None,
-        [args.infile, args.questions], [args.out], started,
-        extra={"verdict_counts": counts},
-    )
-    return 0
+    return {"inputs": [args.infile, args.questions], "outputs": [args.out],
+            "verdict_counts": counts}
 
 
-def cmd_label(args, argv):
-    started = time.strftime("%Y-%m-%dT%H:%M:%S%z")
+def cmd_label(args):
     questions = load_questions(args.questions)
     chains = []
     for path in args.infile:
@@ -197,27 +198,18 @@ def cmd_label(args, argv):
     preference.write_samples(args.out, samples)
     print(f"{manifest['n_samples']} samples; label counts: "
           + ", ".join(f"{k}={v}" for k, v in manifest["label_counts"].items()))
-    write_run_manifest(
-        args.out + ".manifest.json", "label", argv, {}, args.seed,
-        list(args.infile) + [args.questions], [args.out], started,
-        extra={"dataset": manifest},
-    )
-    return 0
+    return {"inputs": args.infile + [args.questions], "outputs": [args.out],
+            "dataset": manifest}
 
 
-def cmd_grpo_check(args, argv):
+def cmd_grpo_check(args):
     results = grpo.run_verification_suite(seed=args.seed)
-    failed = 0
     for result in results:
-        status = "PASS" if result.passed else "FAIL"
-        print(f"{status} {result.name}: {result.detail}")
-        if not result.passed:
-            failed += 1
-    return 0 if failed == 0 else 1
+        print(f"{'PASS' if result.passed else 'FAIL'} {result.name}: {result.detail}")
+    return 0 if all(result.passed for result in results) else 1
 
 
-def cmd_grpo_train_toy(args, argv):
-    started = time.strftime("%Y-%m-%dT%H:%M:%S%z")
+def cmd_grpo_train_toy(args):
     cfg = grpo.GrpoConfig(
         beta=args.beta, group_size=args.group_size, learning_rate=args.lr,
         steps=args.steps, advantage_mode=args.advantage_mode,
@@ -232,16 +224,11 @@ def cmd_grpo_train_toy(args, argv):
     grpo.save_policy(policy_path, policy, args.seed, cfg)
     final = curve[-1].mean_gold_prob if curve else 1 / 3
     print(f"trained {cfg.steps} steps; final mean gold-label probability = {final:.4f}")
-    write_run_manifest(
-        os.path.join(args.out_dir, "manifest.json"), "grpo-train-toy", argv,
-        {**to_dict(cfg), "samples": args.samples},
-        args.seed, [], [curve_path, policy_path], started,
-    )
-    return 0
+    return {"config": {**to_dict(cfg), "samples": args.samples},
+            "inputs": [], "outputs": [curve_path, policy_path]}
 
 
-def cmd_eval(args, argv):
-    started = time.strftime("%Y-%m-%dT%H:%M:%S%z")
+def cmd_eval(args):
     cfg = resolve_endpoint_config(args)
     backend = _make_backend(args, cfg)
     spec = harness.registry_spec(
@@ -258,16 +245,12 @@ def cmd_eval(args, argv):
     with open(report_path, "w", encoding="utf-8") as fh:
         fh.write(report + "\n")
     print(report)
-    write_run_manifest(
-        os.path.join(args.out_dir, "manifest.json"), "eval", argv,
-        _config_snapshot(cfg), args.seed, [args.corpus],
-        [results_path, agg_path, report_path], started,
-        exclusions={"endpoint_failures": aggregate.exclusions},
-    )
-    return 0
+    return {"config": _config_snapshot(cfg), "inputs": [args.corpus],
+            "outputs": [results_path, agg_path, report_path],
+            "exclusions": {"endpoint_failures": aggregate.exclusions}}
 
 
-def cmd_report(args, argv):
+def cmd_report(args):
     aggregates = harness.read_aggregates(args.aggregates)
     baseline = harness.read_aggregates(args.baseline) if args.baseline else None
     report = harness.render_report(aggregates, baseline=baseline)
@@ -278,8 +261,7 @@ def cmd_report(args, argv):
     return 0
 
 
-def cmd_batch_experiment(args, argv):
-    started = time.strftime("%Y-%m-%dT%H:%M:%S%z")
+def cmd_batch_experiment(args):
     cfg = resolve_endpoint_config(args)
     backend = _make_backend(args, cfg)
     questions = load_questions(args.questions)
@@ -294,15 +276,11 @@ def cmd_batch_experiment(args, argv):
     with open(table_path, "w", encoding="utf-8") as fh:
         fh.write(table + "\n")
     print(table)
-    write_run_manifest(
-        os.path.join(args.out_dir, "manifest.json"), "batch-experiment", argv,
-        _config_snapshot(cfg), args.seed, [args.questions],
-        [rows_path, table_path], started,
-        exclusions={"request_failures": sum(r.n_failures for r in rows),
-                    "unsplittable": sum(r.n_unsplittable for r in rows)},
-        extra={"group": args.group, "batch_sizes": args.batch_size},
-    )
-    return 0
+    return {"config": _config_snapshot(cfg), "inputs": [args.questions],
+            "outputs": [rows_path, table_path],
+            "exclusions": {"request_failures": sum(r.n_failures for r in rows),
+                           "unsplittable": sum(r.n_unsplittable for r in rows)},
+            "group": args.group, "batch_sizes": args.batch_size}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -314,12 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate vanilla and batch completions")
-    p.add_argument("--questions", required=True)
-    p.add_argument("--out-dir", required=True)
-    p.add_argument("--batch-size", action="append", type=int, required=True)
-    p.add_argument("--group", choices=["random", "sequential"], default="random")
-    p.add_argument("--seed", type=int, default=0)
-    _add_endpoint_flags(p)
+    _add_batch_run_args(p)
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("split", help="split completions into reasoning chains")
@@ -377,12 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("batch-experiment",
                        help="vanilla vs batch-k token/accuracy comparison")
-    p.add_argument("--questions", required=True)
-    p.add_argument("--out-dir", required=True)
-    p.add_argument("--batch-size", action="append", type=int, required=True)
-    p.add_argument("--group", choices=["random", "sequential"], default="random")
-    p.add_argument("--seed", type=int, default=0)
-    _add_endpoint_flags(p)
+    _add_batch_run_args(p)
     p.set_defaults(func=cmd_batch_experiment)
 
     return parser
@@ -396,12 +364,17 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
+    started = time.strftime(_TIMESTAMP)
     try:
-        return args.func(args, argv)
+        fields = args.func(args)
+        if not isinstance(fields, dict):
+            return fields
+        write_run_manifest(args, argv, started, fields)
+        return 0
     except (TransportError, RequestError) as exc:
         print(f"transport error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

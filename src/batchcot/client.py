@@ -8,7 +8,7 @@ import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 import requests
 
@@ -23,6 +23,9 @@ from batchcot.parsing import (
     split_completions,
 )
 from batchcot.prompts import BATCH, PromptEnvelope, build_prompt, shuffle_and_group
+
+# Environment variable whose value HttpBackend sends as a bearer token.
+API_KEY_ENV = "BATCHCOT_API_KEY"
 
 
 class TransportError(Exception):
@@ -45,7 +48,6 @@ class RequestError(Exception):
 class EndpointConfig:
     base_url: str = ""
     model: str = "mock"
-    api_key_env: str = "BATCHCOT_API_KEY"
     timeout: float = 120.0
     max_retries: int = 3
     max_concurrent: int = 4
@@ -84,30 +86,24 @@ class MockResponse(NamedTuple):
     tokens: Optional[int] = None
 
 
-def _default_response(prompt_text: str) -> MockResponse:
-    return MockResponse("\\boxed{0}", None)
+_UNMATCHED = MockResponse("\\boxed{0}")
 
 
 class MockScript:
     """Mapping from prompt fingerprints to canned responses.
 
-    Unmatched prompts go through the default generator; the same fingerprint
-    always yields the same response.
+    Unmatched prompts get `\\boxed{0}`; the same fingerprint always yields the
+    same response.
     """
 
-    def __init__(self, responses=None,
-                 default: Callable[[str], MockResponse] = _default_response):
+    def __init__(self, responses=None):
         self.responses = dict(responses or {})
-        self.default = default
 
     def add(self, prompt_text: str, text: str, tokens: Optional[int] = None):
         self.responses[fingerprint(prompt_text)] = MockResponse(text, tokens)
 
     def lookup(self, prompt_text: str) -> MockResponse:
-        fp = fingerprint(prompt_text)
-        if fp in self.responses:
-            return self.responses[fp]
-        return self.default(prompt_text)
+        return self.responses.get(fingerprint(prompt_text), _UNMATCHED)
 
     @classmethod
     def from_dir(cls, path) -> "MockScript":
@@ -183,7 +179,7 @@ class HttpBackend:
         if cfg.seed is not None:
             payload["seed"] = cfg.seed
         headers = {"Content-Type": "application/json"}
-        api_key = os.environ.get(cfg.api_key_env)
+        api_key = os.environ.get(API_KEY_ENV)
         if api_key:
             headers["Authorization"] = f"Bearer {api_key}"
 

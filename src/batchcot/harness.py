@@ -7,7 +7,7 @@ from dataclasses import dataclass, fields, replace
 
 from batchcot import verify
 from batchcot.client import EndpointConfig, complete_many
-from batchcot.parsing import extract_boxed, vanilla_chain
+from batchcot.parsing import extract_boxed, split_completions
 from batchcot.prompts import build_single_prompt, load_questions
 from batchcot.records import load, to_dict
 
@@ -124,47 +124,35 @@ def evaluate(spec: BenchmarkSpec, cfg: EndpointConfig, backend):
     if not questions:
         raise ValueError(f"{spec.corpus_path}: corpus is empty")
 
-    envelopes = []
-    owners = []
-    for q in questions:
-        envelope = build_single_prompt(q)
-        for _ in range(spec.samples_per_question):
-            envelopes.append(envelope)
-            owners.append(q)
-
-    results = complete_many(envelopes, cfg, backend)
+    envelopes = [build_single_prompt(q) for q in questions
+                 for _ in range(spec.samples_per_question)]
+    completions = [r for r in complete_many(envelopes, cfg, backend)
+                   if not isinstance(r, Exception)]
+    chains, _ = split_completions(completions)
+    by_id = {q.id: q for q in questions}
     records = []
-    n_correct = 0
-    exclusions = 0
-    token_sum = 0.0
-    for q, result in zip(owners, results):
-        if isinstance(result, Exception):
-            exclusions += 1
-            continue
-        chain = vanilla_chain(result)
+    for chain, completion in zip(chains, completions):
+        q = by_id[chain.question_id]
         if spec.answer_kind == NUMERIC:
             verdict = verify.grade(chain, q)
         else:
             verdict = grade_choice_letter(chain.predicted_answer, q.gold_answer)
-        tokens = result.effective_tokens
-        token_sum += tokens
-        if verdict == verify.CORRECT:
-            n_correct += 1
         records.append({
             "question_id": q.id,
             "predicted_answer": chain.predicted_answer,
             "verdict": verdict,
-            "tokens": tokens,
+            "tokens": completion.effective_tokens,
         })
 
-    n_samples = len(questions) * spec.samples_per_question - exclusions
+    n_samples = len(records)
+    n_correct = sum(r["verdict"] == verify.CORRECT for r in records)
     aggregate = EvalAggregate(
         benchmark=spec.name,
         accuracy=n_correct / n_samples if n_samples else 0.0,
-        mean_tokens=token_sum / n_samples if n_samples else 0.0,
+        mean_tokens=sum(r["tokens"] for r in records) / n_samples if n_samples else 0.0,
         n_questions=len(questions),
         n_samples=n_samples,
-        exclusions=exclusions,
+        exclusions=len(envelopes) - n_samples,
     )
     return records, aggregate
 

@@ -67,9 +67,12 @@ def write_jsonl(path, rows):
 
 
 def load(cls, d, where: str):
-    """from_dict(cls, d), with any error from the data a ValueError naming `where`."""
+    """from_dict(cls, d), with any error from the data a ValueError naming `where`.
+
+    A str `d` is first decoded as JSON.
+    """
     try:
-        return from_dict(cls, d)
+        return from_dict(cls, json.loads(d) if isinstance(d, str) else d)
     except (TypeError, KeyError, ValueError) as exc:
         raise ValueError(f"{where}: {type(exc).__name__}: {exc}") from exc
 
@@ -77,5 +80,5 @@ def load(cls, d, where: str):
 def read_jsonl(path, cls) -> list:
     """Every non-blank line of a JSONL file as a `cls` record."""
     with open(path, encoding="utf-8") as fh:
-        return [load(cls, json.loads(line), f"{path}: line {n}")
+        return [load(cls, line, f"{path}: line {n}")
                 for n, line in enumerate(fh, 1) if line.strip()]

@@ -1,9 +1,12 @@
+import contextlib
 import json
 import socket
+from pathlib import Path
 
 import pytest
 
 import pipeline_fixtures as pf
+from batchcot import __version__
 from batchcot.client import MockScript, TransportError
 from batchcot.cli import main, resolve_endpoint_config
 from batchcot.preference import read_samples
@@ -79,6 +82,105 @@ class TestGen:
         manifest = json.loads((out / "manifest.json").read_text())
         n_envelopes = pf.N_QUESTIONS + -(-pf.N_QUESTIONS // 3)
         assert manifest["exclusions"] == {"request_failures": n_envelopes}
+
+
+ENDPOINT_CONFIG = {"base_url": "", "max_concurrent": 4, "max_retries": 3,
+                   "max_tokens": 32768, "model": "mock", "temperature": 0.6,
+                   "timeout": 120.0}
+
+# argv, manifest path and every manifest value but started/finished, with
+# paths relative to the run directory
+MANIFEST_RUNS = {
+    "gen": (
+        ["gen", "--questions", "questions.jsonl", "--out-dir", "gen",
+         "--batch-size", "1", "--batch-size", "2", "--seed", "4", "--mock", "mock"],
+        "gen/manifest.json",
+        {"batch_sizes": [1, 2], "config": ENDPOINT_CONFIG,
+         "exclusions": {"request_failures": 0}, "group": "random",
+         "inputs": ["questions.jsonl"],
+         "outputs": ["gen/completions_k1.jsonl", "gen/completions_k2.jsonl"], "seed": 4},
+    ),
+    "split": (
+        ["split", "--in", "gen/completions_k2.jsonl", "--out", "chains.jsonl"],
+        "chains.jsonl.manifest.json",
+        {"config": {}, "exclusions": {"unsplittable": 0},
+         "inputs": ["gen/completions_k2.jsonl"], "outputs": ["chains.jsonl"], "seed": None},
+    ),
+    "grade": (
+        ["grade", "--in", "chains.jsonl", "--questions", "questions.jsonl",
+         "--out", "graded.jsonl"],
+        "graded.jsonl.manifest.json",
+        {"config": {}, "exclusions": {}, "inputs": ["chains.jsonl", "questions.jsonl"],
+         "outputs": ["graded.jsonl"], "seed": None,
+         "verdict_counts": {"correct": 45, "incorrect": 15}},
+    ),
+    "label": (
+        ["label", "--in", "graded.jsonl", "--questions", "questions.jsonl",
+         "--out", "prefs.jsonl", "--seed", "2"],
+        "prefs.jsonl.manifest.json",
+        {"config": {}, "exclusions": {}, "inputs": ["graded.jsonl", "questions.jsonl"],
+         "outputs": ["prefs.jsonl"], "seed": 2,
+         "dataset": {"label_counts": {"A": 0, "B": 45, "C": 15}, "mode": "per_chain",
+                     "n_questions": 60, "n_samples": 60, "seed": 2,
+                     "template_version": "judge-prompt-v1"}},
+    ),
+    "grpo-train-toy": (
+        ["grpo-train-toy", "--samples", "20", "--steps", "5", "--seed", "1",
+         "--out-dir", "toy"],
+        "toy/manifest.json",
+        {"config": {"advantage_mode": "mean_std", "beta": 0.01, "group_size": 16,
+                    "learning_rate": 0.5, "objective_mode": "sampled", "samples": 20,
+                    "steps": 5},
+         "exclusions": {}, "inputs": [], "outputs": ["toy/curve.csv", "toy/policy.txt"],
+         "seed": 1},
+    ),
+    "eval": (
+        ["eval", "--benchmark", "gsm8k", "--corpus", "questions.jsonl",
+         "--out-dir", "eval", "--seed", "7", "--mock", "mock"],
+        "eval/manifest.json",
+        {"config": ENDPOINT_CONFIG, "exclusions": {"endpoint_failures": 0},
+         "inputs": ["questions.jsonl"],
+         "outputs": ["eval/results.jsonl", "eval/aggregate.json", "eval/report.txt"],
+         "seed": 7},
+    ),
+    "batch-experiment": (
+        ["batch-experiment", "--questions", "questions.jsonl", "--out-dir", "exp",
+         "--batch-size", "1", "--batch-size", "2", "--seed", "4", "--mock", "mock"],
+        "exp/manifest.json",
+        {"batch_sizes": [1, 2], "config": ENDPOINT_CONFIG,
+         "exclusions": {"request_failures": 0, "unsplittable": 0}, "group": "random",
+         "inputs": ["questions.jsonl"],
+         "outputs": ["exp/experiment.jsonl", "exp/experiment.txt"], "seed": 4},
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def manifests(tmp_path_factory):
+    """Every manifest-writing command run in order in one directory: {command: manifest}."""
+    root = tmp_path_factory.mktemp("manifests")
+    questions = pf.make_corpus()
+    write_corpus(root / "questions.jsonl", questions)
+    pf.write_script_dir(pf.build_script(questions, (1, 2), seed=4, group="random"),
+                        root / "mock")
+    written = {}
+    with contextlib.chdir(root):
+        for command, (argv, path, _) in MANIFEST_RUNS.items():
+            assert main(argv) == 0
+            written[command] = json.loads(Path(path).read_text())
+    return written
+
+
+class TestManifests:
+    @pytest.mark.parametrize("command", MANIFEST_RUNS)
+    def test_manifest_is_pinned(self, manifests, command):
+        argv, _, expected = MANIFEST_RUNS[command]
+        manifest = dict(manifests[command])
+        assert set(manifest) == {"argv", "command", "started", "finished",
+                                 "tool_version"} | set(expected)
+        assert manifest.pop("started") <= manifest.pop("finished")
+        assert manifest == {"argv": argv, "command": command,
+                            "tool_version": __version__, **expected}
 
 
 @pytest.fixture(scope="module")
@@ -356,6 +458,12 @@ class TestExitCodes:
         assert main(["split", "--in", str(bad), "--out", str(tmp_path / "c.jsonl")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and f"{bad}: line 1: TypeError" in err
+
+    def test_split_on_line_that_is_not_json(self, tmp_path, capsys):
+        bad = tmp_path / "completions.jsonl"
+        bad.write_text("not json\n")
+        assert main(["split", "--in", str(bad), "--out", str(tmp_path / "c.jsonl")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {bad}: line 1: JSONDecodeError")
 
     def test_report_on_wrongly_typed_aggregate(self, tmp_path, capsys):
         bad = tmp_path / "aggregate.json"

@@ -213,8 +213,8 @@ class _MalformedHandler(BaseHTTPRequestHandler):
 
 
 @contextmanager
-def _serve_malformed(body):
-    handler = type("Handler", (_MalformedHandler,), {"body": body})
+def _serve_malformed(body, base=_MalformedHandler):
+    handler = type("Handler", (base,), {"body": body})
     server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -272,6 +272,25 @@ class TestMalformedBody:
         assert aggregate["n_samples"] == 1
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["exclusions"] == {"endpoint_failures": 1}
+
+
+class TestApiKey:
+    @pytest.mark.parametrize("key, header", [("sk-test", "Bearer sk-test"), (None, None)])
+    def test_authorization_header_from_env(self, monkeypatch, key, header):
+        if key is None:
+            monkeypatch.delenv("BATCHCOT_API_KEY", raising=False)
+        else:
+            monkeypatch.setenv("BATCHCOT_API_KEY", key)
+        seen = []
+
+        class Recorder(_MalformedHandler):
+            def do_POST(self):
+                seen.append(self.headers.get("Authorization"))
+                super().do_POST()
+
+        with _serve_malformed(b"{}", base=Recorder) as backend:
+            assert backend.send("SERVE-VALID", cfg()).text == "ok \\boxed{1}"
+        assert seen == [header]
 
 
 class _ProbeBackend:
