@@ -8,7 +8,7 @@ import os
 import sys
 import time
 
-from batchcot import __version__, grpo, harness, preference, verify
+from batchcot import __version__, harness, preference, verify
 from batchcot.client import (
     EndpointConfig,
     HttpBackend,
@@ -21,6 +21,7 @@ from batchcot.client import (
     run_batch_experiment,
     tokens_per_question,
 )
+from batchcot.grpo_modes import ADVANTAGE_MODES, MEAN_STD, OBJECTIVE_MODES, SAMPLED
 from batchcot.parsing import (
     BATCH,
     read_chains,
@@ -203,6 +204,8 @@ def cmd_label(args):
 
 
 def cmd_grpo_check(args):
+    from batchcot import grpo  # numpy loads only for the grpo-* commands
+
     results = grpo.run_verification_suite(seed=args.seed)
     for result in results:
         print(f"{'PASS' if result.passed else 'FAIL'} {result.name}: {result.detail}")
@@ -210,6 +213,8 @@ def cmd_grpo_check(args):
 
 
 def cmd_grpo_train_toy(args):
+    from batchcot import grpo
+
     cfg = grpo.GrpoConfig(
         beta=args.beta, group_size=args.group_size, learning_rate=args.lr,
         steps=args.steps, advantage_mode=args.advantage_mode,
@@ -325,10 +330,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--group-size", type=int, default=16)
     p.add_argument("--beta", type=float, default=0.01)
     p.add_argument("--lr", type=float, default=0.5)
-    p.add_argument("--advantage-mode", choices=[grpo.MEAN_STD, grpo.MEAN_ONLY],
-                   default=grpo.MEAN_STD)
-    p.add_argument("--objective-mode", choices=[grpo.SAMPLED, grpo.PAPER_LITERAL],
-                   default=grpo.SAMPLED)
+    p.add_argument("--advantage-mode", choices=ADVANTAGE_MODES, default=MEAN_STD)
+    p.add_argument("--objective-mode", choices=OBJECTIVE_MODES, default=SAMPLED)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_grpo_train_toy)

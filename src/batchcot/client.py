@@ -4,13 +4,14 @@ batch-compression experiment protocol."""
 from __future__ import annotations
 
 import hashlib
+import http.client
+import json
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
-
-import requests
+from urllib.parse import urlsplit
 
 from batchcot import verify
 from batchcot.parsing import (
@@ -23,6 +24,7 @@ from batchcot.parsing import (
     split_completions,
 )
 from batchcot.prompts import BATCH, PromptEnvelope, build_prompt, shuffle_and_group
+from batchcot.records import naming
 
 # Environment variable whose value HttpBackend sends as a bearer token.
 API_KEY_ENV = "BATCHCOT_API_KEY"
@@ -118,7 +120,7 @@ class MockScript:
             tokens = None
             sidecar = os.path.join(path, fp + ".tokens")
             if os.path.exists(sidecar):
-                with open(sidecar, encoding="utf-8") as fh:
+                with open(sidecar, encoding="utf-8") as fh, naming(sidecar):
                     tokens = int(fh.read().strip())
             responses[fp] = MockResponse(text, tokens)
         return cls(responses=responses)
@@ -137,15 +139,15 @@ class MockBackend:
                              [{"attempt": 1, "status": 200}])
 
 
-def _chat_completion_body(resp):
-    """(content, completion_tokens) of an HTTP 200 chat-completion response.
+def _chat_completion_body(body: bytes):
+    """(content, completion_tokens) of an HTTP 200 chat-completion response body.
 
     Raises RequestError(status=200) when the body is not JSON, lacks a
     string message content, or reports completion_tokens that is not a
     non-negative int, so one malformed reply fails one request only.
     """
     try:
-        data = resp.json()
+        data = json.loads(body)
         text = data["choices"][0]["message"]["content"]
         tokens = (data.get("usage") or {}).get("completion_tokens")
     except (ValueError, LookupError, TypeError, AttributeError) as exc:
@@ -161,15 +163,26 @@ def _chat_completion_body(resp):
 
 
 class HttpBackend:
-    """OpenAI-compatible chat-completions transport with retry and backoff."""
+    """OpenAI-compatible chat-completions transport with retry and backoff.
+
+    Each attempt opens one fresh connection and closes it: reusing one
+    against a server that writes headers and body in separate sends stalls
+    every request on Nagle's algorithm and delayed ACK.
+    """
 
     def __init__(self, base_url: str, model: str):
         self.base_url = base_url.rstrip("/")
         self.model = model
         self.name = f"{self.base_url}#{model}"
+        self.url = self.base_url + "/chat/completions"
+        url = urlsplit(self.url)
+        if url.scheme not in ("http", "https") or not url.hostname:
+            raise ValueError(f"base URL {base_url!r} is not an http(s) URL")
+        self._connection_class = (http.client.HTTPSConnection if url.scheme == "https"
+                                  else http.client.HTTPConnection)
+        self._host, self._port, self._path = url.hostname, url.port, url.path
 
     def send(self, prompt_text: str, cfg: EndpointConfig) -> RawCompletion:
-        url = self.base_url + "/chat/completions"
         payload = {
             "model": self.model,
             "messages": [{"role": "user", "content": prompt_text}],
@@ -178,6 +191,7 @@ class HttpBackend:
         }
         if cfg.seed is not None:
             payload["seed"] = cfg.seed
+        body = json.dumps(payload).encode("utf-8")
         headers = {"Content-Type": "application/json"}
         api_key = os.environ.get(API_KEY_ENV)
         if api_key:
@@ -186,27 +200,30 @@ class HttpBackend:
         attempts = []
         total = cfg.max_retries + 1
         for attempt in range(1, total + 1):
+            conn = self._connection_class(self._host, self._port, timeout=cfg.timeout)
             try:
-                resp = requests.post(url, json=payload, headers=headers,
-                                     timeout=cfg.timeout)
-            except requests.RequestException as exc:
+                conn.request("POST", self._path, body, headers)
+                # a response the server will close owns the socket, not conn
+                with conn.getresponse() as resp:
+                    status = resp.status
+                    data = resp.read() if status == 200 else None
+            except (OSError, http.client.HTTPException) as exc:
                 attempts.append({"attempt": attempt, "error": type(exc).__name__})
+            except ValueError:  # http.client's message would print the key
+                raise ValueError(f"{API_KEY_ENV} is not a valid HTTP header value") from None
             else:
-                if resp.status_code == 200:
-                    attempts.append({"attempt": attempt, "status": 200})
-                    text, tokens = _chat_completion_body(resp)
+                attempts.append({"attempt": attempt, "status": status})
+                if status == 200:
+                    text, tokens = _chat_completion_body(data)
                     return RawCompletion(text, tokens, attempts)
-                attempts.append({"attempt": attempt, "status": resp.status_code})
-                if resp.status_code != 429 and resp.status_code < 500:
-                    raise RequestError(
-                        f"request rejected with HTTP {resp.status_code}",
-                        status=resp.status_code,
-                    )
+                if status != 429 and status < 500:
+                    raise RequestError(f"request rejected with HTTP {status}",
+                                       status=status)
+            finally:
+                conn.close()
             if attempt < total and cfg.backoff_base > 0:
                 time.sleep(cfg.backoff_base * 2 ** (attempt - 1))
-        raise TransportError(
-            f"exhausted {total} attempts against {url}", attempts
-        )
+        raise TransportError(f"exhausted {total} attempts against {self.url}", attempts)
 
 
 def complete(envelope: PromptEnvelope, cfg: EndpointConfig,

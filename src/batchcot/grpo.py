@@ -17,14 +17,17 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from batchcot.grpo_modes import (
+    ADVANTAGE_MODES,
+    MEAN_ONLY,
+    MEAN_STD,
+    OBJECTIVE_MODES,
+    PAPER_LITERAL,
+    SAMPLED,
+)
 from batchcot.parsing import WHITESPACE, count_tokens
 from batchcot.preference import LABELS, PreferenceSample, label_sample
 from batchcot.prompts import BATCH, VANILLA
-
-MEAN_STD = "mean_std"
-MEAN_ONLY = "mean_only"
-SAMPLED = "sampled"
-PAPER_LITERAL = "paper_literal"
 
 FEATURE_DIM = 4
 
@@ -46,9 +49,9 @@ class GrpoConfig:
             raise ValueError("beta must be >= 0")
         if self.group_size < 2:
             raise ValueError("group size must be >= 2")
-        if self.advantage_mode not in (MEAN_STD, MEAN_ONLY):
+        if self.advantage_mode not in ADVANTAGE_MODES:
             raise ValueError(f"unknown advantage mode: {self.advantage_mode!r}")
-        if self.objective_mode not in (SAMPLED, PAPER_LITERAL):
+        if self.objective_mode not in OBJECTIVE_MODES:
             raise ValueError(f"unknown objective mode: {self.objective_mode!r}")
 
 
@@ -367,7 +370,7 @@ def gradient_check(n_configs: int = 100, seed: int = 0, step: float = 1e-5,
         theta_old = theta + rng.normal(scale=0.3, size=theta.shape)
         features = rng.normal(scale=1.0, size=FEATURE_DIM)
         beta = float(rng.choice([0.0, 0.01, 0.1]))
-        for mode in (SAMPLED, PAPER_LITERAL):
+        for mode in OBJECTIVE_MODES:
             cfg = GrpoConfig(beta=beta, group_size=8, objective_mode=mode)
             policy = PolicyState(theta=theta)
             old = PolicyState(theta=theta_old)

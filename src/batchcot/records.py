@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 import typing
@@ -71,8 +72,18 @@ def load(cls, d, where: str):
 
     A str `d` is first decoded as JSON.
     """
+    # not `with naming(where)`, which costs twice as much once per record line
     try:
         return from_dict(cls, json.loads(d) if isinstance(d, str) else d)
+    except (TypeError, KeyError, ValueError) as exc:
+        raise ValueError(f"{where}: {type(exc).__name__}: {exc}") from exc
+
+
+@contextlib.contextmanager
+def naming(where: str):
+    """Re-raise an error from the data read inside as `load` does, naming `where`."""
+    try:
+        yield
     except (TypeError, KeyError, ValueError) as exc:
         raise ValueError(f"{where}: {type(exc).__name__}: {exc}") from exc
 

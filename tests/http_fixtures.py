@@ -39,10 +39,12 @@ def mock_http_server(script: MockScript, host: str = "127.0.0.1", port: int = 0)
             pass
 
     server = ThreadingHTTPServer((host, port), Handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(target=server.serve_forever,
+                              kwargs={"poll_interval": 0.05}, daemon=True)
     thread.start()
     try:
         yield f"http://{host}:{server.server_address[1]}/v1"
     finally:
         server.shutdown()
         thread.join()
+        server.server_close()

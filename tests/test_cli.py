@@ -1,10 +1,14 @@
 import contextlib
 import json
+import os
 import socket
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import batchcot
 import pipeline_fixtures as pf
 from batchcot import __version__
 from batchcot.client import MockScript, TransportError
@@ -336,6 +340,24 @@ class TestGrpoCommands:
         assert (out / "policy.txt").exists()
         assert "final mean gold-label probability" in capsys.readouterr().out
 
+    def test_cli_import_loads_neither_numpy_nor_requests(self, tmp_path):
+        script = (
+            "import sys\n"
+            "import batchcot.cli as cli\n"
+            "assert not {'numpy', 'requests'} & set(sys.modules), 'loaded at import'\n"
+            "assert cli.main(['grpo-check', '--seed', '8']) == 0\n"
+            "assert cli.main(['grpo-train-toy', '--samples', '20', '--steps', '3',\n"
+            "                 '--out-dir', sys.argv[1]]) == 0\n"
+            "assert 'numpy' in sys.modules and 'requests' not in sys.modules\n"
+        )
+        src = str(Path(batchcot.__file__).parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        result = subprocess.run([sys.executable, "-c", script, str(tmp_path / "toy")],
+                                env=env, capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        assert (tmp_path / "toy" / "policy.txt").exists()
+
 
 class TestEvalAndReport:
     def test_eval_with_mock(self, workspace, tmp_path):
@@ -471,6 +493,24 @@ class TestExitCodes:
                                    "n_questions": 1, "n_samples": 1}]))
         assert main(["report", "--aggregates", str(bad)]) == 1
         assert f"error: {bad}: entry 1: TypeError" in capsys.readouterr().err
+
+    def test_report_on_aggregates_that_are_not_json(self, tmp_path, capsys):
+        bad = tmp_path / "aggregate.json"
+        bad.write_text("not json\n")
+        assert main(["report", "--aggregates", str(bad)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {bad}: JSONDecodeError")
+
+    def test_gen_on_tokens_sidecar_that_is_not_an_integer(self, workspace, tmp_path,
+                                                          capsys):
+        script = MockScript()
+        script.add("any prompt", "\\boxed{1}", tokens=3)
+        pf.write_script_dir(script, tmp_path / "mock")
+        sidecar, = (tmp_path / "mock").glob("*.tokens")
+        sidecar.write_text("many\n")
+        assert main(["gen", "--questions", str(workspace["corpus"]),
+                     "--out-dir", str(tmp_path / "x"), "--batch-size", "1",
+                     "--mock", str(tmp_path / "mock")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {sidecar}: ValueError")
 
     def test_transport_error_maps_to_2(self, workspace, tmp_path, monkeypatch):
         def explode(*args, **kwargs):

@@ -1,8 +1,12 @@
+import gc
 import json
+import socket
 import threading
 import time
+import warnings
 from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from urllib.parse import urlsplit
 
 import pytest
 
@@ -117,11 +121,13 @@ class _FlakyHandler(BaseHTTPRequestHandler):
 def flaky_server():
     _FlakyHandler.failures_left = 2
     server = ThreadingHTTPServer(("127.0.0.1", 0), _FlakyHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(target=server.serve_forever,
+                              kwargs={"poll_interval": 0.05}, daemon=True)
     thread.start()
     yield f"http://127.0.0.1:{server.server_address[1]}/v1"
     server.shutdown()
     thread.join()
+    server.server_close()
 
 
 class TestHttpTransport:
@@ -154,7 +160,8 @@ class TestHttpTransport:
                 self.end_headers()
 
         server = ThreadingHTTPServer(("127.0.0.1", 0), Handler404)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread = threading.Thread(target=server.serve_forever,
+                                  kwargs={"poll_interval": 0.05}, daemon=True)
         thread.start()
         try:
             backend = HttpBackend(
@@ -164,6 +171,7 @@ class TestHttpTransport:
         finally:
             server.shutdown()
             thread.join()
+            server.server_close()
 
     def test_loopback_mock_server(self):
         script = MockScript()
@@ -213,17 +221,25 @@ class _MalformedHandler(BaseHTTPRequestHandler):
 
 
 @contextmanager
-def _serve_malformed(body, base=_MalformedHandler):
-    handler = type("Handler", (base,), {"body": body})
+def _serve(handler):
+    """Serve `handler` on a loopback port; yields the server's root URL."""
     server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(target=server.serve_forever,
+                              kwargs={"poll_interval": 0.05}, daemon=True)
     thread.start()
     try:
-        yield HttpBackend(f"http://127.0.0.1:{server.server_address[1]}/v1", "m")
+        yield f"http://127.0.0.1:{server.server_address[1]}"
     finally:
         server.shutdown()
         thread.join(timeout=5)
+        server.server_close()
     assert not thread.is_alive()
+
+
+@contextmanager
+def _serve_malformed(body, base=_MalformedHandler):
+    with _serve(type("Handler", (base,), {"body": body})) as root:
+        yield HttpBackend(root + "/v1", "m")
 
 
 class TestMalformedBody:
@@ -291,6 +307,118 @@ class TestApiKey:
         with _serve_malformed(b"{}", base=Recorder) as backend:
             assert backend.send("SERVE-VALID", cfg()).text == "ok \\boxed{1}"
         assert seen == [header]
+
+    @pytest.mark.parametrize("key", ["sk-secret\nx", "sk-secret\u2019"])
+    def test_key_that_is_not_a_header_value_is_not_printed(self, monkeypatch, key):
+        monkeypatch.setenv("BATCHCOT_API_KEY", key)
+        with pytest.raises(ValueError) as exc:
+            HttpBackend("http://127.0.0.1:9/v1", "m").send("p", cfg(max_retries=0))
+        assert "BATCHCOT_API_KEY" in str(exc.value) and "secret" not in str(exc.value)
+
+
+class _DroppingHandler(_MalformedHandler):
+    """Closes the connection unanswered while `drops` is positive, then serves."""
+
+    drops = 0
+
+    def do_POST(self):
+        if type(self).drops > 0:
+            type(self).drops -= 1
+            self.rfile.read(int(self.headers.get("Content-Length", 0)))
+            self.close_connection = True
+            return
+        super().do_POST()
+
+
+def _dropping(drops):
+    return type("Dropping", (_DroppingHandler,), {"drops": drops})
+
+
+class TestStdlibTransport:
+    def test_dropped_connection_is_a_logged_retry(self):
+        with _serve_malformed(b"{}", base=_dropping(1)) as backend:
+            raw = backend.send("SERVE-VALID", cfg(max_retries=1))
+        assert raw.text == "ok \\boxed{1}"
+        assert raw.attempts == [{"attempt": 1, "error": "RemoteDisconnected"},
+                                {"attempt": 2, "status": 200}]
+
+    def test_dropped_connections_exhaust_attempts(self):
+        with _serve_malformed(b"{}", base=_dropping(10)) as backend:
+            with pytest.raises(TransportError) as exc:
+                backend.send("SERVE-VALID", cfg(max_retries=2))
+        assert exc.value.attempts == [{"attempt": n, "error": "RemoteDisconnected"}
+                                      for n in (1, 2, 3)]
+
+    def test_silent_server_times_out_each_attempt(self):
+        # the kernel completes the handshake for the backlog; nothing ever replies
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            backend = HttpBackend(f"http://127.0.0.1:{listener.getsockname()[1]}/v1", "m")
+            start = time.perf_counter()
+            with pytest.raises(TransportError) as exc:
+                backend.send("p", cfg(max_retries=1, timeout=0.2))
+            elapsed = time.perf_counter() - start
+        assert exc.value.attempts == [{"attempt": n, "error": "TimeoutError"}
+                                      for n in (1, 2)]
+        assert 0.4 <= elapsed < 2.0
+
+    def test_base_url_path_prefix_and_trailing_slash(self):
+        paths = []
+
+        class Recorder(_MalformedHandler):
+            def do_POST(self):
+                paths.append(self.path)
+                super().do_POST()
+
+        with _serve(Recorder) as root:
+            backend = HttpBackend(root + "/api/v1/", "m")
+            assert backend.send("SERVE-VALID", cfg()).text == "ok \\boxed{1}"
+        assert paths == ["/api/v1/chat/completions"]
+
+    @pytest.mark.parametrize("base_url", ["127.0.0.1:8000/v1", "ftp://127.0.0.1/v1",
+                                          "http:///v1"])
+    def test_base_url_that_is_not_http_is_rejected(self, base_url):
+        with pytest.raises(ValueError):
+            HttpBackend(base_url, "m")
+
+    def test_send_leaves_no_open_socket(self):
+        # each raised error stays referenced, as a caller's would, and an
+        # HTTP/1.1 server keeps a connection open for another request, so only
+        # send's own closing releases a socket
+        keep_alive = type("KeepAlive", (_dropping(1),), {"protocol_version": "HTTP/1.1"})
+        gc.collect()  # earlier tests' garbage warns outside the block below
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            with _serve_malformed(b"{}", base=keep_alive) as backend:
+                backend.send("SERVE-VALID", cfg(max_retries=1))  # a drop, then a 200
+                with pytest.raises(RequestError) as malformed:
+                    backend.send("p", cfg())  # a malformed 200
+                assert _open_sockets_to(backend.url) == []
+            with _serve(type("Busy", (_FlakyHandler,), {"failures_left": 10})) as root:
+                with pytest.raises(TransportError) as busy:  # 429s, bodies unread
+                    HttpBackend(root, "m").send("p", cfg(max_retries=1))
+                assert _open_sockets_to(root) == []
+            with socket.create_server(("127.0.0.1", 0)) as listener:
+                url = f"http://127.0.0.1:{listener.getsockname()[1]}"
+                with pytest.raises(TransportError) as silent:
+                    HttpBackend(url, "m").send("p", cfg(max_retries=0, timeout=0.05))
+                assert _open_sockets_to(url) == []
+            del malformed, busy, silent
+            gc.collect()
+        assert [str(w.message) for w in caught if w.category is ResourceWarning] == []
+
+
+def _open_sockets_to(url):
+    """This process's open sockets connected to the port of `url`."""
+    port = urlsplit(url).port
+    found = []
+    for obj in gc.get_objects():
+        if isinstance(obj, socket.socket) and obj.fileno() != -1:
+            try:
+                if obj.getpeername()[1] == port:
+                    found.append(obj)
+            except OSError:
+                pass
+    return found
 
 
 class _ProbeBackend:
