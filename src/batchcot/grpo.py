@@ -25,7 +25,7 @@ from batchcot.grpo_modes import (
     PAPER_LITERAL,
     SAMPLED,
 )
-from batchcot.parsing import WHITESPACE, count_tokens
+from batchcot.parsing import count_tokens
 from batchcot.preference import LABELS, PreferenceSample, label_sample
 from batchcot.prompts import BATCH, VANILLA
 
@@ -66,18 +66,10 @@ class PolicyState:
         exp = np.exp(logits)
         return exp / exp.sum()
 
-    def copy(self) -> "PolicyState":
-        return PolicyState(theta=self.theta.copy())
-
 
 def initial_policy(feature_dim: int = FEATURE_DIM) -> PolicyState:
     """Zero weights, i.e. the uniform policy."""
     return PolicyState(theta=np.zeros((feature_dim, len(LABELS))))
-
-
-def greedy_label(policy: PolicyState, features: np.ndarray) -> str:
-    """Highest-probability label; ties break by label order A < B < C."""
-    return LABELS[int(np.argmax(policy.distribution(features)))]
 
 
 @dataclass(frozen=True)
@@ -123,20 +115,6 @@ def group_advantages(rewards, mode: str = MEAN_STD) -> list:
     raise ValueError(f"unknown advantage mode: {mode!r}")
 
 
-def kl_categorical(p, q) -> float:
-    """KL(p || q) for strictly positive categorical distributions."""
-    p = list(p)
-    q = list(q)
-    if len(p) != len(q):
-        raise ValueError("distributions must have equal support size")
-    for dist in (p, q):
-        if any(x <= 0 for x in dist):
-            raise ValueError("distribution entries must be strictly positive")
-        if abs(sum(dist) - 1.0) > 1e-12:
-            raise ValueError("distribution must sum to 1 within 1e-12")
-    return sum(pi * math.log(pi / qi) for pi, qi in zip(p, q))
-
-
 def _kl_and_logit_grad(p: np.ndarray, q: np.ndarray):
     """KL(p||q) and its gradient w.r.t. the logits producing p."""
     logratio = np.log(p) - np.log(q)
@@ -144,17 +122,18 @@ def _kl_and_logit_grad(p: np.ndarray, q: np.ndarray):
     return kl, p * logratio - p * kl
 
 
-def grpo_loss(policy: PolicyState, old_policy: PolicyState, group: RolloutGroup,
+def grpo_loss(policy: PolicyState, ref_policy: PolicyState, group: RolloutGroup,
               cfg: GrpoConfig):
     """Negated group objective with its analytic gradient w.r.t. theta.
 
     SAMPLED averages advantage-weighted log-probabilities over the sampled
     rollouts; PAPER_LITERAL sums over the whole action set with the fixed
-    +1 / -1/2 advantage scheme. Both add beta * KL(pi || pi_old).
+    +1 / -1/2 advantage scheme. Both add beta * KL(pi || pi_ref) against the
+    frozen reference policy.
     """
     phi = np.asarray(group.features, dtype=float)
     pi = policy.distribution(phi)
-    pi_old = old_policy.distribution(phi)
+    pi_ref = ref_policy.distribution(phi)
 
     if cfg.objective_mode == SAMPLED:
         g = len(group.actions)
@@ -176,23 +155,28 @@ def grpo_loss(policy: PolicyState, old_policy: PolicyState, group: RolloutGroup,
         # sum_a adv[a] * (pi - e_a); the pi terms cancel because adv sums to 0
         grad_logits = -adv_vec.copy()
 
-    kl, kl_grad_logits = _kl_and_logit_grad(pi, pi_old)
+    kl, kl_grad_logits = _kl_and_logit_grad(pi, pi_ref)
     loss = loss_policy + cfg.beta * kl
     grad = np.outer(phi, grad_logits + cfg.beta * kl_grad_logits)
     return loss, grad
 
 
-def sample_group(policy: PolicyState, features: np.ndarray, gold: str,
-                 cfg: GrpoConfig, rng: np.random.Generator) -> RolloutGroup:
-    pi = policy.distribution(features)
-    actions = tuple(
-        LABELS[i] for i in rng.choice(len(LABELS), size=cfg.group_size, p=pi)
-    )
+def _rollout_group(features: np.ndarray, action_idx, gold: str,
+                   cfg: GrpoConfig) -> RolloutGroup:
+    actions = tuple(LABELS[i] for i in action_idx)
     rewards = tuple(reward(a, gold) for a in actions)
     advantages = tuple(group_advantages(rewards, cfg.advantage_mode))
     return RolloutGroup(
         features=features, actions=actions, rewards=rewards,
         advantages=advantages, gold=gold,
+    )
+
+
+def sample_group(policy: PolicyState, features: np.ndarray, gold: str,
+                 cfg: GrpoConfig, rng: np.random.Generator) -> RolloutGroup:
+    pi = policy.distribution(features)
+    return _rollout_group(
+        features, rng.choice(len(LABELS), size=cfg.group_size, p=pi), gold, cfg,
     )
 
 
@@ -206,26 +190,23 @@ def _hash_noise(sample: PreferenceSample) -> float:
     return int.from_bytes(digest[:8], "big") / 2 ** 63 - 1.0
 
 
-def feature_vector(sample: PreferenceSample, mean_tokens: float) -> np.ndarray:
-    """Bias, normalized chain length, origin indicator, correctness-correlated channel."""
-    tokens = count_tokens(sample.cot, WHITESPACE)
-    vanilla = sample.provenance.get("origin_kind") == VANILLA
-    correct = 1.0 if sample.gold_label != "C" else -1.0
-    return np.array([
-        1.0,
-        tokens / mean_tokens if mean_tokens > 0 else 0.0,
-        1.0 if vanilla else 0.0,
-        correct + 0.3 * _hash_noise(sample),
-    ])
-
-
 def feature_matrix(samples) -> np.ndarray:
+    """One row per sample: bias, chain length over the mean, origin indicator,
+    correctness-correlated channel."""
     samples = list(samples)
     if not samples:
         raise ValueError("feature matrix needs a nonempty dataset")
-    counts = [count_tokens(s.cot, WHITESPACE) for s in samples]
+    counts = [count_tokens(s.cot) for s in samples]
     mean_tokens = sum(counts) / len(counts)
-    return np.stack([feature_vector(s, mean_tokens) for s in samples])
+    return np.array([
+        [
+            1.0,
+            tokens / mean_tokens if mean_tokens > 0 else 0.0,
+            1.0 if s.provenance.get("origin_kind") == VANILLA else 0.0,
+            (1.0 if s.gold_label != "C" else -1.0) + 0.3 * _hash_noise(s),
+        ]
+        for s, tokens in zip(samples, counts)
+    ])
 
 
 def make_toy_dataset(n: int = 1000, seed: int = 0) -> list:
@@ -284,14 +265,13 @@ def train_toy(dataset, cfg: GrpoConfig, seed: int = 0):
     features = feature_matrix(dataset)
     gold_idx = np.array([_LABEL_INDEX[s.gold_label] for s in dataset])
     rng = np.random.default_rng(seed)
-    policy = initial_policy(features.shape[1])
+    ref = policy = initial_policy(features.shape[1])  # ref stays frozen
     curve = []
     for step in range(cfg.steps):
         idx = int(rng.integers(len(dataset)))
         phi = features[idx]
-        old = policy.copy()
         group = sample_group(policy, phi, dataset[idx].gold_label, cfg, rng)
-        loss, grad = grpo_loss(policy, old, group, cfg)
+        loss, grad = grpo_loss(policy, ref, group, cfg)
         policy = PolicyState(theta=policy.theta - cfg.learning_rate * grad)
         curve.append(
             CurvePoint(step, loss, _mean_gold_prob(policy.theta, features, gold_idx))
@@ -350,14 +330,22 @@ def finite_difference_grad(loss_fn: Callable[[np.ndarray], float],
     return grad
 
 
-def _random_group(rng: np.random.Generator, cfg: GrpoConfig,
-                  policy: PolicyState, features: np.ndarray) -> RolloutGroup:
-    # resample until the group is mixed so gradients are nontrivial
-    gold = LABELS[int(rng.integers(len(LABELS)))]
-    while True:
-        group = sample_group(policy, features, gold, cfg, rng)
-        if 0 < sum(group.rewards) < len(group.rewards):
-            return group
+def _mixed_group(policy: PolicyState, features: np.ndarray, gold: str,
+                 cfg: GrpoConfig, rng: np.random.Generator) -> RolloutGroup:
+    """A group with both rewards, so its gradient is nontrivial, in one draw.
+
+    G-2 actions come from pi, plus the gold action and one non-gold action
+    drawn from pi restricted to the two non-gold labels, at random positions.
+    """
+    pi = policy.distribution(features)
+    gold_idx = _LABEL_INDEX[gold]
+    wrong = np.delete(np.arange(len(LABELS)), gold_idx)
+    wrong_pi = pi[wrong] / pi[wrong].sum()
+    action_idx = np.concatenate([
+        rng.choice(len(LABELS), size=cfg.group_size - 2, p=pi),
+        [gold_idx, rng.choice(wrong, p=wrong_pi)],
+    ])
+    return _rollout_group(features, rng.permutation(action_idx), gold, cfg)
 
 
 def gradient_check(n_configs: int = 100, seed: int = 0, step: float = 1e-5,
@@ -367,18 +355,18 @@ def gradient_check(n_configs: int = 100, seed: int = 0, step: float = 1e-5,
     worst = 0.0
     for _ in range(n_configs):
         theta = rng.normal(scale=0.8, size=(FEATURE_DIM, len(LABELS)))
-        theta_old = theta + rng.normal(scale=0.3, size=theta.shape)
+        ref = PolicyState(theta=theta + rng.normal(scale=0.3, size=theta.shape))
         features = rng.normal(scale=1.0, size=FEATURE_DIM)
         beta = float(rng.choice([0.0, 0.01, 0.1]))
+        policy = PolicyState(theta=theta)
         for mode in OBJECTIVE_MODES:
             cfg = GrpoConfig(beta=beta, group_size=8, objective_mode=mode)
-            policy = PolicyState(theta=theta)
-            old = PolicyState(theta=theta_old)
-            group = _random_group(rng, cfg, policy, features)
-            _, grad = grpo_loss(policy, old, group, cfg)
+            gold = LABELS[int(rng.integers(len(LABELS)))]
+            group = _mixed_group(policy, features, gold, cfg, rng)
+            _, grad = grpo_loss(policy, ref, group, cfg)
 
-            def loss_at(t, _old=old, _group=group, _cfg=cfg):
-                return grpo_loss(PolicyState(theta=t), _old, _group, _cfg)[0]
+            def loss_at(t, _ref=ref, _group=group, _cfg=cfg):
+                return grpo_loss(PolicyState(theta=t), _ref, _group, _cfg)[0]
 
             fd = finite_difference_grad(loss_at, theta, step)
             denom = max(np.linalg.norm(grad), np.linalg.norm(fd))
@@ -422,33 +410,22 @@ def _random_distribution(rng: np.random.Generator, size: int = 3) -> np.ndarray:
 
 
 def kl_checks(n_pairs: int = 1000, seed: int = 0):
+    """Properties of _kl_and_logit_grad, the KL that grpo_loss adds."""
+    # closed form fixes the direction: KL(q || p) here is about 0.0566
+    kl, _ = _kl_and_logit_grad(np.array([0.5, 0.25, 0.25]), np.full(3, 1 / 3))
+    if abs(kl - (math.log(3) - 1.5 * math.log(2))) > 1e-12:
+        return False, f"KL((1/2,1/4,1/4) || uniform) = {kl!r}, not log 3 - 3/2 log 2"
     rng = np.random.default_rng(seed)
-    uniform = [1 / 3, 1 / 3, 1 / 3]
-    if abs(kl_categorical(uniform, uniform)) > 1e-12:
-        return False, "KL(p, p) != 0"
     for _ in range(n_pairs):
         p = _random_distribution(rng)
-        q = _random_distribution(rng)
-        if kl_categorical(p, q) < 0:
+        if _kl_and_logit_grad(p, _random_distribution(rng))[0] < 0:
             return False, "KL negative"
-        if abs(kl_categorical(p, p)) > 1e-12:
+        kl, grad = _kl_and_logit_grad(p, p)
+        if abs(kl) > 1e-12:
             return False, "KL(p, p) != 0"
-    # gradient of the KL term vanishes where the two policies coincide
-    theta = rng.normal(size=(FEATURE_DIM, len(LABELS)))
-    features = rng.normal(size=FEATURE_DIM)
-    policy = PolicyState(theta=theta)
-    _, grad = _kl_term_grad(policy, policy, features)
-    if np.abs(grad).max() > 1e-10:
-        return False, "KL gradient nonzero at pi == pi_old"
-    return True, f"{n_pairs} generated pairs"
-
-
-def _kl_term_grad(policy: PolicyState, old_policy: PolicyState,
-                  features: np.ndarray):
-    pi = policy.distribution(features)
-    pi_old = old_policy.distribution(features)
-    kl, grad_logits = _kl_and_logit_grad(pi, pi_old)
-    return kl, np.outer(features, grad_logits)
+        if np.abs(grad).max() > 1e-10:
+            return False, "KL gradient nonzero at pi == pi_ref"
+    return True, f"closed form and {n_pairs} generated pairs"
 
 
 def run_verification_suite(seed: int = 0) -> list:

@@ -10,7 +10,6 @@ from batchcot.prompts import BATCH, VANILLA, PromptEnvelope
 from batchcot.records import read_jsonl, to_dict, write_jsonl
 
 WHITESPACE = "whitespace"
-BYTES_OVER_4 = "bytes_over_4"
 
 _BOXED = "\\boxed"
 
@@ -92,12 +91,9 @@ class FinalAnswers(NamedTuple):
     fallback: bool
 
 
-def count_tokens(text: str, scheme: str = WHITESPACE) -> int:
-    if scheme == WHITESPACE:
-        return len(text.split())
-    if scheme == BYTES_OVER_4:
-        return (len(text.encode("utf-8")) + 3) // 4
-    raise ValueError(f"unknown token scheme: {scheme!r}")
+def count_tokens(text: str) -> int:
+    """Whitespace-delimited word count, the WHITESPACE scheme chain rows name."""
+    return len(text.split())
 
 
 def _boxed_content_at(text: str, start: int):

@@ -69,8 +69,9 @@ def test_criterion_02_advantage_properties():
 def test_criterion_03_kl_properties():
     ok, detail = kl_checks(n_pairs=1000, seed=0)
     assert ok, detail
-    report(3, "KL(p,p)=0, KL(p,q)>=0 on 1000 generated pairs, and the KL-term "
-              "gradient vanishes at the old policy within 1e-10")
+    report(3, "KL((1/2,1/4,1/4) || uniform) = log 3 - 3/2 log 2, KL(p,p)=0 and "
+              "KL(p,q)>=0 on 1000 generated pairs, and the KL-term gradient "
+              "vanishes at the reference policy within 1e-10")
 
 
 def test_criterion_04_toy_training():

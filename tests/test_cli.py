@@ -340,6 +340,15 @@ class TestGrpoCommands:
         assert (out / "policy.txt").exists()
         assert "final mean gold-label probability" in capsys.readouterr().out
 
+    def test_grpo_train_toy_beta_changes_output(self, tmp_path):
+        curves = []
+        for beta in ("0", "1.0"):
+            out = tmp_path / f"beta{beta}"
+            assert main(["grpo-train-toy", "--samples", "100", "--steps", "50",
+                         "--beta", beta, "--seed", "0", "--out-dir", str(out)]) == 0
+            curves.append((out / "curve.csv").read_bytes())
+        assert curves[0] != curves[1]
+
     def test_cli_import_loads_neither_numpy_nor_requests(self, tmp_path):
         script = (
             "import sys\n"

@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -16,11 +17,11 @@ from batchcot.grpo import (
     RolloutGroup,
     feature_matrix,
     finite_difference_grad,
-    greedy_label,
+    gradient_check,
     group_advantages,
     grpo_loss,
     initial_policy,
-    kl_categorical,
+    kl_checks,
     load_policy,
     make_toy_dataset,
     reward,
@@ -31,6 +32,28 @@ from batchcot.grpo import (
     write_curve_csv,
 )
 from batchcot.preference import LABELS
+
+
+def kl_categorical(p, q) -> float:
+    """KL(p || q) for strictly positive categorical distributions, in pure Python.
+
+    The oracle for grpo._kl_and_logit_grad, which the loss calls.
+    """
+    p = list(p)
+    q = list(q)
+    if len(p) != len(q):
+        raise ValueError("distributions must have equal support size")
+    for dist in (p, q):
+        if any(x <= 0 for x in dist):
+            raise ValueError("distribution entries must be strictly positive")
+        if abs(sum(dist) - 1.0) > 1e-12:
+            raise ValueError("distribution must sum to 1 within 1e-12")
+    return sum(pi * math.log(pi / qi) for pi, qi in zip(p, q))
+
+
+def greedy_label(policy: PolicyState, features: np.ndarray) -> str:
+    """Highest-probability label; ties break by label order A < B < C."""
+    return LABELS[int(np.argmax(policy.distribution(features)))]
 
 
 class TestReward:
@@ -109,6 +132,22 @@ class TestKl:
         with pytest.raises(ValueError):
             kl_categorical([0.5, 0.5], [1 / 3, 1 / 3, 1 / 3])
 
+    def test_loss_kl_matches_oracle(self):
+        rng = np.random.default_rng(4)
+        for _ in range(1000):
+            p, q = (grpo._random_distribution(rng) for _ in range(2))
+            kl, _ = grpo._kl_and_logit_grad(p, q)
+            assert abs(kl - kl_categorical(p, q)) < 1e-12
+
+    def test_checks_reject_reversed_kl(self, monkeypatch):
+        def reversed_kl(p, q):
+            # KL(q || p) and its gradient w.r.t. the logits producing p
+            return float(np.dot(q, np.log(q) - np.log(p))), p - q
+
+        monkeypatch.setattr(grpo, "_kl_and_logit_grad", reversed_kl)
+        ok, _ = kl_checks(n_pairs=1000, seed=0)
+        assert not ok
+
 
 def make_group(actions, gold, features=None, mode=MEAN_STD):
     features = features if features is not None else np.ones(FEATURE_DIM)
@@ -154,14 +193,14 @@ class TestGrpoLoss:
     def test_gradient_matches_finite_differences(self, mode, beta):
         rng = np.random.default_rng(42)
         theta = rng.normal(size=(FEATURE_DIM, 3))
-        old = PolicyState(theta=theta + rng.normal(scale=0.2, size=theta.shape))
+        ref = PolicyState(theta=theta + rng.normal(scale=0.2, size=theta.shape))
         features = rng.normal(size=FEATURE_DIM)
         cfg = GrpoConfig(beta=beta, objective_mode=mode)
         group = make_group(["A", "B", "C", "A", "B", "A"], "B", features=features)
-        _, grad = grpo_loss(PolicyState(theta=theta), old, group, cfg)
+        _, grad = grpo_loss(PolicyState(theta=theta), ref, group, cfg)
 
         def loss_at(t):
-            return grpo_loss(PolicyState(theta=t), old, group, cfg)[0]
+            return grpo_loss(PolicyState(theta=t), ref, group, cfg)[0]
 
         fd = finite_difference_grad(loss_at, theta, step=1e-5)
         denom = max(np.linalg.norm(grad), np.linalg.norm(fd))
@@ -239,6 +278,19 @@ class TestTrainToy:
         policy, curve = train_toy(dataset, GrpoConfig(steps=300), seed=2)
         assert curve[-1].mean_gold_prob > 0.9
 
+    def test_beta_keeps_policy_near_reference(self):
+        # the reference is the initial, uniform policy, frozen for the whole run
+        dataset = make_toy_dataset(300, seed=2)
+        features = feature_matrix(dataset)
+        uniform = initial_policy().distribution(features[0])
+
+        def final_mean_kl(beta):
+            policy, _ = train_toy(dataset, GrpoConfig(beta=beta, steps=300), seed=2)
+            return np.mean([kl_categorical(policy.distribution(x), uniform)
+                            for x in features])
+
+        assert final_mean_kl(1.0) < final_mean_kl(0.0)
+
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
             train_toy([], GrpoConfig(), seed=0)
@@ -277,3 +329,19 @@ class TestVerificationSuite:
     def test_all_pass(self):
         results = run_verification_suite(seed=0)
         assert all(r.passed for r in results), results
+
+    @pytest.mark.parametrize("seed", [0, 8])
+    def test_gradient_check_draws_one_mixed_group_per_config_and_mode(
+            self, monkeypatch, seed):
+        groups = []
+        draw = grpo._mixed_group
+
+        def counted(*args):
+            groups.append(draw(*args))
+            return groups[-1]
+
+        monkeypatch.setattr(grpo, "_mixed_group", counted)
+        _, ok = gradient_check(n_configs=100, seed=seed)
+        assert ok
+        assert len(groups) == 200
+        assert all(0 < sum(g.rewards) < len(g.rewards) for g in groups)

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from batchcot import parsing
 from batchcot.parsing import (
-    BYTES_OVER_4,
     WHITESPACE,
     ChainOrigin,
     CompletionRecord,
@@ -370,19 +369,10 @@ class TestVanillaChain:
 
 class TestCountTokens:
     def test_whitespace(self):
-        assert count_tokens("a b  c", WHITESPACE) == 3
+        assert count_tokens("a b  c") == 3
 
     def test_empty(self):
-        assert count_tokens("", WHITESPACE) == 0
-        assert count_tokens("", BYTES_OVER_4) == 0
-
-    def test_bytes_over_4(self):
-        assert count_tokens("abcdefgh", BYTES_OVER_4) == 2
-        assert count_tokens("abcde", BYTES_OVER_4) == 2
-
-    def test_unknown_scheme(self):
-        with pytest.raises(ValueError):
-            count_tokens("x", "chars")
+        assert count_tokens("") == 0
 
 
 class TestChainSerialization:
