@@ -13,7 +13,6 @@ from batchcot.client import (
     EndpointConfig,
     HttpBackend,
     MockBackend,
-    MockScript,
     RequestError,
     TransportError,
     complete_groups,
@@ -23,14 +22,13 @@ from batchcot.client import (
 )
 from batchcot.grpo_modes import ADVANTAGE_MODES, MEAN_STD, OBJECTIVE_MODES, SAMPLED
 from batchcot.parsing import (
-    BATCH,
     read_chains,
     read_completions,
     split_completions,
     write_chains,
     write_completions,
 )
-from batchcot.prompts import VANILLA, load_questions
+from batchcot.prompts import load_questions
 from batchcot.records import to_dict, write_jsonl
 
 _ENV_PREFIX = "BATCHCOT_"
@@ -75,7 +73,7 @@ def resolve_endpoint_config(args) -> EndpointConfig:
 
 def _make_backend(args, cfg: EndpointConfig):
     if getattr(args, "mock", None):
-        return MockBackend(MockScript.from_dir(args.mock))
+        return MockBackend.from_dir(args.mock)
     if not cfg.base_url:
         raise ValueError("no endpoint configured: pass --mock DIR or --base-url URL")
     return HttpBackend(cfg.base_url, cfg.model)
@@ -187,15 +185,10 @@ def cmd_grade(args):
 
 def cmd_label(args):
     questions = load_questions(args.questions)
-    chains = []
-    for path in args.infile:
-        chains.extend(read_chains(path))
-    vanilla_chains = [c for c in chains if c.origin.kind == VANILLA]
-    batch_chains = [c for c in chains if c.origin.kind == BATCH]
+    chains = [c for path in args.infile for c in read_chains(path)]
     mode = preference.PAIRED if args.paired else preference.PER_CHAIN
-    samples, manifest = preference.build_dataset(
-        vanilla_chains, batch_chains, questions, seed=args.seed, mode=mode
-    )
+    samples, manifest = preference.build_dataset(chains, questions, seed=args.seed,
+                                                 mode=mode)
     preference.write_samples(args.out, samples)
     print(f"{manifest['n_samples']} samples; label counts: "
           + ", ".join(f"{k}={v}" for k, v in manifest["label_counts"].items()))

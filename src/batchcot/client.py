@@ -28,6 +28,8 @@ from batchcot.records import naming
 
 # Environment variable whose value HttpBackend sends as a bearer token.
 API_KEY_ENV = "BATCHCOT_API_KEY"
+# Seconds before the first retry; each further retry waits twice as long.
+BACKOFF_BASE_S = 0.5
 
 
 class TransportError(Exception):
@@ -56,11 +58,14 @@ class EndpointConfig:
     temperature: float = 0.6
     max_tokens: int = 32768
     seed: Optional[int] = None
-    backoff_base: float = 0.5
 
     def __post_init__(self):
         if self.max_concurrent < 1:
             raise ValueError("max_concurrent must be >= 1")
+        if self.timeout <= 0:
+            raise ValueError("timeout must be > 0")
+        if self.max_tokens < 1:
+            raise ValueError("max_tokens must be >= 1")
         if self.temperature < 0:
             raise ValueError("temperature must be >= 0")
         if self.max_retries < 0:
@@ -91,12 +96,14 @@ class MockResponse(NamedTuple):
 _UNMATCHED = MockResponse("\\boxed{0}")
 
 
-class MockScript:
-    """Mapping from prompt fingerprints to canned responses.
+class MockBackend:
+    """In-process scripted engine keyed by prompt fingerprint; no network involved.
 
     Unmatched prompts get `\\boxed{0}`; the same fingerprint always yields the
     same response.
     """
+
+    name = "mock"
 
     def __init__(self, responses=None):
         self.responses = dict(responses or {})
@@ -108,7 +115,7 @@ class MockScript:
         return self.responses.get(fingerprint(prompt_text), _UNMATCHED)
 
     @classmethod
-    def from_dir(cls, path) -> "MockScript":
+    def from_dir(cls, path) -> "MockBackend":
         """Load fingerprint-named .txt response files (optional .tokens sidecar)."""
         responses = {}
         for name in sorted(os.listdir(path)):
@@ -122,19 +129,13 @@ class MockScript:
             if os.path.exists(sidecar):
                 with open(sidecar, encoding="utf-8") as fh, naming(sidecar):
                     tokens = int(fh.read().strip())
+                    if tokens < 0:
+                        raise ValueError(f"token count {tokens} is negative")
             responses[fp] = MockResponse(text, tokens)
         return cls(responses=responses)
 
-
-class MockBackend:
-    """In-process scripted engine; no network involved."""
-
-    def __init__(self, script: MockScript):
-        self.script = script
-        self.name = "mock"
-
     def send(self, prompt_text: str, cfg: EndpointConfig) -> RawCompletion:
-        response = self.script.lookup(prompt_text)
+        response = self.lookup(prompt_text)
         return RawCompletion(response.text, response.tokens,
                              [{"attempt": 1, "status": 200}])
 
@@ -221,8 +222,8 @@ class HttpBackend:
                                        status=status)
             finally:
                 conn.close()
-            if attempt < total and cfg.backoff_base > 0:
-                time.sleep(cfg.backoff_base * 2 ** (attempt - 1))
+            if attempt < total:
+                time.sleep(BACKOFF_BASE_S * 2 ** (attempt - 1))
         raise TransportError(f"exhausted {total} attempts against {self.url}", attempts)
 
 

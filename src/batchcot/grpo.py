@@ -17,6 +17,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from batchcot import verify
 from batchcot.grpo_modes import (
     ADVANTAGE_MODES,
     MEAN_ONLY,
@@ -60,11 +61,11 @@ class PolicyState:
     theta: np.ndarray  # (feature_dim, 3) logit weights
 
     def distribution(self, features: np.ndarray) -> np.ndarray:
-        """Strictly positive softmax distribution over the three labels."""
+        """Strictly positive softmax over the three labels, one per feature row."""
         logits = features @ self.theta
-        logits = logits - logits.max()
+        logits = logits - logits.max(axis=-1, keepdims=True)
         exp = np.exp(logits)
-        return exp / exp.sum()
+        return exp / exp.sum(axis=-1, keepdims=True)
 
 
 def initial_policy(feature_dim: int = FEATURE_DIM) -> PolicyState:
@@ -76,16 +77,12 @@ def initial_policy(feature_dim: int = FEATURE_DIM) -> PolicyState:
 class RolloutGroup:
     features: np.ndarray
     actions: tuple  # G sampled labels
-    rewards: tuple  # G values in {0, 1}
     advantages: tuple
     gold: str
 
     def __post_init__(self):
-        if len(self.actions) != len(self.rewards) or len(self.actions) != len(self.advantages):
-            raise ValueError("actions, rewards and advantages must have equal length")
-        for action, r in zip(self.actions, self.rewards):
-            if r != reward(action, self.gold):
-                raise ValueError("reward must be the indicator of action == gold")
+        if len(self.actions) != len(self.advantages):
+            raise ValueError("actions and advantages must have equal length")
 
 
 def reward(action: str, gold: str) -> int:
@@ -164,12 +161,10 @@ def grpo_loss(policy: PolicyState, ref_policy: PolicyState, group: RolloutGroup,
 def _rollout_group(features: np.ndarray, action_idx, gold: str,
                    cfg: GrpoConfig) -> RolloutGroup:
     actions = tuple(LABELS[i] for i in action_idx)
-    rewards = tuple(reward(a, gold) for a in actions)
-    advantages = tuple(group_advantages(rewards, cfg.advantage_mode))
-    return RolloutGroup(
-        features=features, actions=actions, rewards=rewards,
-        advantages=advantages, gold=gold,
-    )
+    advantages = tuple(group_advantages([reward(a, gold) for a in actions],
+                                        cfg.advantage_mode))
+    return RolloutGroup(features=features, actions=actions, advantages=advantages,
+                        gold=gold)
 
 
 def sample_group(policy: PolicyState, features: np.ndarray, gold: str,
@@ -211,8 +206,6 @@ def feature_matrix(samples) -> np.ndarray:
 
 def make_toy_dataset(n: int = 1000, seed: int = 0) -> list:
     """Synthetic preference samples whose labels are linearly separable."""
-    from batchcot import verify
-
     rng = random.Random(seed)
     samples = []
     for i in range(n):
@@ -245,12 +238,9 @@ class CurvePoint(NamedTuple):
     mean_gold_prob: float
 
 
-def _mean_gold_prob(theta: np.ndarray, features: np.ndarray,
+def _mean_gold_prob(policy: PolicyState, features: np.ndarray,
                     gold_idx: np.ndarray) -> float:
-    logits = features @ theta
-    logits -= logits.max(axis=1, keepdims=True)
-    exp = np.exp(logits)
-    probs = exp / exp.sum(axis=1, keepdims=True)
+    probs = policy.distribution(features)
     return float(probs[np.arange(len(gold_idx)), gold_idx].mean())
 
 
@@ -274,7 +264,7 @@ def train_toy(dataset, cfg: GrpoConfig, seed: int = 0):
         loss, grad = grpo_loss(policy, ref, group, cfg)
         policy = PolicyState(theta=policy.theta - cfg.learning_rate * grad)
         curve.append(
-            CurvePoint(step, loss, _mean_gold_prob(policy.theta, features, gold_idx))
+            CurvePoint(step, loss, _mean_gold_prob(policy, features, gold_idx))
         )
     return policy, curve
 
@@ -295,19 +285,6 @@ def save_policy(path, policy: PolicyState, seed: int, cfg: GrpoConfig):
             fh.write(" ".join(repr(float(x)) for x in row) + "\n")
 
 
-def load_policy(path) -> PolicyState:
-    rows = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            rows.append([float(x) for x in line.split()])
-    if not rows:
-        raise ValueError(f"{path}: no weight rows found")
-    return PolicyState(theta=np.array(rows))
-
-
 # --- self-verification suite --------------------------------------------------
 
 class CheckResult(NamedTuple):
@@ -319,9 +296,7 @@ class CheckResult(NamedTuple):
 def finite_difference_grad(loss_fn: Callable[[np.ndarray], float],
                            theta: np.ndarray, step: float = 1e-5) -> np.ndarray:
     grad = np.zeros_like(theta)
-    it = np.nditer(theta, flags=["multi_index"])
-    for _ in it:
-        idx = it.multi_index
+    for idx in np.ndindex(theta.shape):
         up = theta.copy()
         up[idx] += step
         down = theta.copy()

@@ -75,7 +75,8 @@ def registry_spec(key: str, corpus_path: str,
     base = BENCHMARKS[key]
     return replace(
         base, corpus_path=corpus_path,
-        samples_per_question=samples_per_question or base.samples_per_question,
+        samples_per_question=(base.samples_per_question if samples_per_question is None
+                              else samples_per_question),
     )
 
 

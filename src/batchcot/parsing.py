@@ -59,6 +59,8 @@ class CompletionRecord:
     def __post_init__(self):
         if self.counted_tokens < 0:
             raise ValueError("counted_tokens must be >= 0")
+        if self.reported_tokens is not None and self.reported_tokens < 0:
+            raise ValueError("reported_tokens must be >= 0")
 
     @property
     def effective_tokens(self) -> int:
@@ -73,6 +75,8 @@ class ChainOrigin:
     position: int = 1
 
     def __post_init__(self):
+        if self.kind not in (VANILLA, BATCH):
+            raise ValueError(f"unknown chain origin kind: {self.kind!r}")
         if self.kind == BATCH and not 1 <= self.position <= self.size:
             raise ValueError("batch origin position must lie in 1..size")
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 from batchcot import verify
 from batchcot.prompts import BATCH, VANILLA
-from batchcot.records import read_jsonl, to_dict, write_jsonl
+from batchcot.records import to_dict, write_jsonl
 
 LABEL_A = "A"
 LABEL_B = "B"
@@ -60,8 +60,7 @@ def _resolve_verdict(chain, qmap):
     return verify.grade(chain, qmap[chain.question_id])
 
 
-def build_dataset(vanilla_chains, batch_chains, questions, seed: int = 0,
-                  mode: str = PER_CHAIN):
+def build_dataset(chains, questions, seed: int = 0, mode: str = PER_CHAIN):
     """One labeled sample per graded chain, shuffled with a recorded seed.
 
     Returns (samples, manifest). In PAIRED mode only questions with at least
@@ -70,7 +69,7 @@ def build_dataset(vanilla_chains, batch_chains, questions, seed: int = 0,
     if mode not in (PER_CHAIN, PAIRED):
         raise ValueError(f"unknown dataset mode: {mode!r}")
     qmap = {q.id: q for q in questions}
-    chains = list(vanilla_chains) + list(batch_chains)
+    chains = list(chains)
     unresolved = sorted({c.question_id for c in chains if c.question_id not in qmap})
     if unresolved:
         raise ValueError(f"chains reference unknown question ids: {unresolved}")
@@ -132,7 +131,3 @@ def render_judge_prompt(sample: PreferenceSample) -> str:
 
 def write_samples(path, samples):
     write_jsonl(path, map(to_dict, samples))
-
-
-def read_samples(path) -> list:
-    return read_jsonl(path, PreferenceSample)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from batchcot.parsing import ReasoningChain
+from batchcot.parsing import ReasoningChain, _boxed_content_at
 from batchcot.prompts import Question
 
 INTEGER = "integer"
@@ -45,18 +45,10 @@ class CanonicalNumber:
 
 def _strip_boxed(s: str) -> str:
     """Remove one enclosing \\boxed{...} wrapper if it spans the whole string."""
-    if s.startswith("\\boxed{") and s.endswith("}"):
-        inner = s[len("\\boxed{"):-1]
-        depth = 0
-        for ch in inner:
-            if ch == "{":
-                depth += 1
-            elif ch == "}":
-                depth -= 1
-                if depth < 0:
-                    return s
-        if depth == 0:
-            return inner
+    if s.startswith("\\boxed{"):
+        parsed = _boxed_content_at(s, 0)
+        if parsed is not None and parsed[1] == len(s):
+            return parsed[0]
     return s
 
 

@@ -5,13 +5,13 @@ import threading
 from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-from batchcot.client import MockScript
+from batchcot.client import MockBackend
 from batchcot.parsing import count_tokens
 
 
 @contextmanager
-def mock_http_server(script: MockScript, host: str = "127.0.0.1", port: int = 0):
-    """Serve a MockScript over an OpenAI-compatible loopback endpoint."""
+def mock_http_server(script: MockBackend, host: str = "127.0.0.1", port: int = 0):
+    """Serve a MockBackend over an OpenAI-compatible loopback endpoint."""
 
     class Handler(BaseHTTPRequestHandler):
         def do_POST(self):

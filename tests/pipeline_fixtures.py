@@ -6,7 +6,7 @@ distributions and per-mode token means are computable in closed form.
 
 import os
 
-from batchcot.client import MockScript
+from batchcot.client import MockBackend
 from batchcot.prompts import Question, build_prompt, shuffle_and_group
 
 N_QUESTIONS = 60
@@ -62,8 +62,8 @@ def batch_response(group, batch_size):
 
 
 def build_script(questions, batch_sizes=(1, 2, 3), seed=0, group="sequential"):
-    """MockScript covering every prompt the pipeline will issue."""
-    script = MockScript()
+    """MockBackend covering every prompt the pipeline will issue."""
+    script = MockBackend()
     for k in batch_sizes:
         for grp in shuffle_and_group(questions, k, seed=seed, group=group):
             envelope = build_prompt(grp)
@@ -75,7 +75,7 @@ def build_script(questions, batch_sizes=(1, 2, 3), seed=0, group="sequential"):
 
 
 def write_script_dir(script, path):
-    """Write a MockScript as the fingerprint-named files MockScript.from_dir reads."""
+    """Write a MockBackend as the fingerprint-named files MockBackend.from_dir reads."""
     os.makedirs(path, exist_ok=True)
     for fp, response in script.responses.items():
         with open(os.path.join(path, fp + ".txt"), "w", encoding="utf-8") as fh:

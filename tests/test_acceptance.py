@@ -33,7 +33,7 @@ from batchcot.parsing import (
     extract_boxed,
     split_batch_chains,
 )
-from batchcot.preference import label_sample, read_samples
+from batchcot.preference import PreferenceSample, label_sample
 from batchcot.prompts import (
     BATCH,
     VANILLA,
@@ -42,6 +42,7 @@ from batchcot.prompts import (
     build_batch_prompt,
     build_single_prompt,
 )
+from batchcot.records import read_jsonl
 
 
 def report(n, detail):
@@ -205,7 +206,7 @@ def test_criterion_08_end_to_end_mock_pipeline(tmp_path):
                  "--seed", "0"] + label_inputs) == 0
 
     counts = {"A": 0, "B": 0, "C": 0}
-    for sample in read_samples(prefs):
+    for sample in read_jsonl(prefs, PreferenceSample):
         counts[sample.gold_label] += 1
     expected = pf.expected_label_counts()
     assert counts == expected

@@ -11,10 +11,11 @@ import pytest
 import batchcot
 import pipeline_fixtures as pf
 from batchcot import __version__
-from batchcot.client import MockScript, TransportError
+from batchcot.client import MockBackend, TransportError
 from batchcot.cli import main, resolve_endpoint_config
-from batchcot.preference import read_samples
+from batchcot.preference import PreferenceSample
 from batchcot.prompts import build_prompt
+from batchcot.records import read_jsonl
 
 
 def write_corpus(path, questions):
@@ -213,7 +214,7 @@ def labeled(workspace):
 
 class TestPipeline:
     def test_label_distribution_matches_design(self, labeled):
-        samples = read_samples(labeled)
+        samples = read_jsonl(labeled, PreferenceSample)
         counts = {"A": 0, "B": 0, "C": 0}
         for sample in samples:
             counts[sample.gold_label] += 1
@@ -289,7 +290,7 @@ class TestExperimentAgreesWithSplitGrade:
         golds = [q.gold_answer for q in questions]
         text = batch_text([f"work, so \\boxed{{{g}}}" for g in golds],
                           [(1, golds[0]), (3, golds[2])])
-        script = MockScript()
+        script = MockBackend()
         script.add(build_prompt(questions).text, text)
         row, graded, _ = run_split_grade_and_experiment(tmp_path, questions, script, 3)
         assert [g["verdict"] for g in graded] == ["correct"] * 3
@@ -297,7 +298,7 @@ class TestExperimentAgreesWithSplitGrade:
 
     def test_vanilla_row_counts_split_tokens_like_split(self, tmp_path):
         questions = pf.make_corpus(2)
-        script = MockScript()
+        script = MockBackend()
         for q in questions:
             script.add(build_prompt([q]).text, f"a b c \\boxed{{{q.gold_answer}}}",
                        tokens=999)
@@ -308,7 +309,7 @@ class TestExperimentAgreesWithSplitGrade:
     def test_unsplittable_response_graded_from_its_block(self, tmp_path):
         questions = pf.make_corpus(4)
         golds = [q.gold_answer for q in questions]
-        script = MockScript()
+        script = MockBackend()
         # no numbered headings: unsplittable; its block has one right answer
         script.add(build_prompt(questions[:2]).text,
                    f"I solved both.\n[Final Answer]\n1. \\boxed{{{golds[0]}}}\n"
@@ -398,6 +399,27 @@ class TestEvalAndReport:
         assert csv_path.exists()
 
 
+    def test_eval_with_zero_samples_per_question_is_error(self, workspace, tmp_path,
+                                                          capsys):
+        assert main(["eval", "--benchmark", "aime2024",
+                     "--corpus", str(workspace["corpus"]), "--samples-per-question", "0",
+                     "--out-dir", str(tmp_path / "eval"),
+                     "--mock", str(workspace["mock"])]) == 1
+        assert "samples_per_question must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value, setting", [("--timeout", "-1", "timeout"),
+                                                      ("--timeout", "0", "timeout"),
+                                                      ("--max-tokens", "0", "max_tokens")])
+    def test_eval_with_setting_out_of_range_is_error(self, workspace, tmp_path, capsys,
+                                                     monkeypatch, flag, value, setting):
+        monkeypatch.delenv("BATCHCOT_API_KEY", raising=False)
+        assert main(["eval", "--benchmark", "gsm8k", "--corpus", str(workspace["corpus"]),
+                     "--out-dir", str(tmp_path / "eval"),
+                     "--base-url", "http://127.0.0.1:9/v1", flag, value]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {setting} must be")
+        assert "BATCHCOT_API_KEY" not in err
+
     def test_report_on_empty_aggregates_is_error(self, tmp_path, capsys):
         empty = tmp_path / "empty.json"
         empty.write_text("[]\n")
@@ -478,17 +500,28 @@ class TestExitCodes:
         assert main(["split", "--in", str(bad), "--out", str(tmp_path / "c.jsonl")]) == 1
         assert "error:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key, value", [("envelope", "x"), ("counted_tokens", "many")])
+    @pytest.mark.parametrize("key, value, error", [("envelope", "x", "TypeError"),
+                                                   ("counted_tokens", "many", "TypeError"),
+                                                   ("reported_tokens", -3, "ValueError")])
     def test_split_on_wrongly_typed_completion(self, workspace, tmp_path, capsys,
-                                               key, value):
+                                               key, value, error):
         row = json.loads((workspace["gen"] / "completions_k2.jsonl").read_text()
                          .splitlines()[0])
         row[key] = value
         bad = tmp_path / "completions.jsonl"
         bad.write_text(json.dumps(row) + "\n")
         assert main(["split", "--in", str(bad), "--out", str(tmp_path / "c.jsonl")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {bad}: line 1: {error}")
+
+    def test_label_on_chain_of_unknown_kind(self, workspace, tmp_path, capsys):
+        bad = tmp_path / "chains.jsonl"
+        bad.write_text(json.dumps({"question_id": "q000", "text": "t",
+                                   "origin": {"kind": "judge", "size": 1, "position": 1}})
+                       + "\n")
+        assert main(["label", "--in", str(bad), "--questions", str(workspace["corpus"]),
+                     "--out", str(tmp_path / "prefs.jsonl")]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and f"{bad}: line 1: TypeError" in err
+        assert err.startswith(f"error: {bad}: line 1: ValueError") and "'judge'" in err
 
     def test_split_on_line_that_is_not_json(self, tmp_path, capsys):
         bad = tmp_path / "completions.jsonl"
@@ -509,13 +542,14 @@ class TestExitCodes:
         assert main(["report", "--aggregates", str(bad)]) == 1
         assert capsys.readouterr().err.startswith(f"error: {bad}: JSONDecodeError")
 
+    @pytest.mark.parametrize("count", ["many", "-5"])
     def test_gen_on_tokens_sidecar_that_is_not_an_integer(self, workspace, tmp_path,
-                                                          capsys):
-        script = MockScript()
+                                                          capsys, count):
+        script = MockBackend()
         script.add("any prompt", "\\boxed{1}", tokens=3)
         pf.write_script_dir(script, tmp_path / "mock")
         sidecar, = (tmp_path / "mock").glob("*.tokens")
-        sidecar.write_text("many\n")
+        sidecar.write_text(count + "\n")
         assert main(["gen", "--questions", str(workspace["corpus"]),
                      "--out-dir", str(tmp_path / "x"), "--batch-size", "1",
                      "--mock", str(tmp_path / "mock")]) == 1

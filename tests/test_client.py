@@ -5,6 +5,7 @@ import threading
 import time
 import warnings
 from contextlib import contextmanager
+from types import SimpleNamespace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import urlsplit
 
@@ -12,11 +13,11 @@ import pytest
 
 import pipeline_fixtures as pf
 from http_fixtures import mock_http_server
+from batchcot import client
 from batchcot.client import (
     EndpointConfig,
     HttpBackend,
     MockBackend,
-    MockScript,
     RawCompletion,
     RequestError,
     TransportError,
@@ -31,15 +32,17 @@ from batchcot.harness import BenchmarkSpec, evaluate
 from batchcot.prompts import Question, build_prompt, build_single_prompt, shuffle_and_group
 
 
-def cfg(**kw):
-    kw.setdefault("backoff_base", 0.0)
-    return EndpointConfig(**kw)
+cfg = EndpointConfig
 
 
 class TestEndpointConfig:
     def test_invalid(self):
         with pytest.raises(ValueError):
             EndpointConfig(max_concurrent=0)
+        with pytest.raises(ValueError):
+            EndpointConfig(timeout=0)
+        with pytest.raises(ValueError):
+            EndpointConfig(max_tokens=0)
         with pytest.raises(ValueError):
             EndpointConfig(temperature=-1)
 
@@ -51,10 +54,9 @@ class TestEndpointConfig:
 
 class TestMockEngine:
     def test_scripted_determinism(self):
-        script = MockScript()
+        backend = MockBackend()
         env = build_single_prompt(Question(id="a", text="2+2?", gold_answer="4"))
-        script.add(env.text, "it is \\boxed{4}", tokens=11)
-        backend = MockBackend(script)
+        backend.add(env.text, "it is \\boxed{4}", tokens=11)
         rec1 = complete(env, cfg(), backend)
         rec2 = complete(env, cfg(), backend)
         assert rec1.raw_text == rec2.raw_text == "it is \\boxed{4}"
@@ -62,7 +64,7 @@ class TestMockEngine:
         assert rec1.effective_tokens == 11
 
     def test_default_generator_for_unmatched(self):
-        backend = MockBackend(MockScript())
+        backend = MockBackend()
         env = build_single_prompt(Question(id="a", text="anything", gold_answer="1"))
         rec = complete(env, cfg(), backend)
         assert rec.raw_text == "\\boxed{0}"
@@ -70,11 +72,11 @@ class TestMockEngine:
         assert rec.counted_tokens == 1
 
     def test_dir_roundtrip(self, tmp_path):
-        script = MockScript()
+        script = MockBackend()
         script.add("prompt one", "resp one", tokens=5)
         script.add("prompt two", "resp two")
         pf.write_script_dir(script, tmp_path / "m")
-        loaded = MockScript.from_dir(tmp_path / "m")
+        loaded = MockBackend.from_dir(tmp_path / "m")
         assert loaded.lookup("prompt one") == ("resp one", 5)
         assert loaded.lookup("prompt two") == ("resp two", None)
 
@@ -83,7 +85,7 @@ class TestMockEngine:
         assert fingerprint("abc") != fingerprint("abd")
 
     def test_record_provenance(self):
-        backend = MockBackend(MockScript())
+        backend = MockBackend()
         env = build_single_prompt(Question(id="a", text="x", gold_answer="1"))
         rec = complete(env, cfg(temperature=0.3, seed=99), backend)
         assert rec.sampling.temperature == 0.3
@@ -92,16 +94,17 @@ class TestMockEngine:
 
 
 class _FlakyHandler(BaseHTTPRequestHandler):
-    """Returns 429 for the first N requests, then a valid completion."""
+    """Returns `status` for the first N requests, then a valid completion."""
 
     failures_left = 2
+    status = 429
 
     def do_POST(self):
         length = int(self.headers.get("Content-Length", 0))
         self.rfile.read(length)
         if type(self).failures_left > 0:
             type(self).failures_left -= 1
-            self.send_response(429)
+            self.send_response(self.status)
             self.end_headers()
             return
         payload = json.dumps({
@@ -120,6 +123,7 @@ class _FlakyHandler(BaseHTTPRequestHandler):
 @pytest.fixture
 def flaky_server():
     _FlakyHandler.failures_left = 2
+    _FlakyHandler.status = 429
     server = ThreadingHTTPServer(("127.0.0.1", 0), _FlakyHandler)
     thread = threading.Thread(target=server.serve_forever,
                               kwargs={"poll_interval": 0.05}, daemon=True)
@@ -146,6 +150,18 @@ class TestHttpTransport:
         with pytest.raises(TransportError) as exc:
             backend.send("p", cfg(max_retries=1))
         assert len(exc.value.attempts) == 2
+
+    def test_backoff_doubles_between_retries(self, flaky_server, monkeypatch):
+        monkeypatch.undo()  # restore the BACKOFF_BASE_S that conftest zeroes
+        delays = []
+        monkeypatch.setattr(client, "time", SimpleNamespace(sleep=delays.append))
+        _FlakyHandler.failures_left = 10
+        _FlakyHandler.status = 503
+        with pytest.raises(TransportError) as exc:
+            HttpBackend(flaky_server, "m").send("p", cfg(max_retries=3))
+        # three delays tell doubling (0.5, 1, 2) from linear growth (0.5, 1, 1.5)
+        assert delays == [0.5, 1.0, 2.0]
+        assert [a["status"] for a in exc.value.attempts] == [503] * 4
 
     def test_unreachable_host(self):
         backend = HttpBackend("http://127.0.0.1:1/v1", "m")
@@ -174,7 +190,7 @@ class TestHttpTransport:
             server.server_close()
 
     def test_loopback_mock_server(self):
-        script = MockScript()
+        script = MockBackend()
         script.add("hello prompt", "loopback \\boxed{9}", tokens=42)
         with mock_http_server(script) as base_url:
             backend = HttpBackend(base_url, "mock-model")
@@ -451,21 +467,20 @@ class TestConcurrency:
         assert probe.max_in_flight <= 3
 
     def test_results_in_input_order(self):
-        script = MockScript()
+        script = MockBackend()
         envs = []
         for i in range(10):
             env = build_single_prompt(
                 Question(id=f"q{i}", text=f"body {i}", gold_answer="1"))
             script.add(env.text, f"answer {i} \\boxed{{{i}}}")
             envs.append(env)
-        results = complete_many(envs, cfg(max_concurrent=4), MockBackend(script))
+        results = complete_many(envs, cfg(max_concurrent=4), script)
         assert [r.raw_text.split()[1] for r in results] == [str(i) for i in range(10)]
 
 
 class TestBatchExperiment:
     def make_backend(self, questions, batch_sizes, seed=0):
-        return MockBackend(pf.build_script(questions, batch_sizes, seed=seed,
-                                           group="random"))
+        return pf.build_script(questions, batch_sizes, seed=seed, group="random")
 
     def test_single_size_arity(self):
         questions = pf.make_corpus(4)
@@ -494,7 +509,7 @@ class TestBatchExperiment:
         expected_tokens = []
         expected_correct = 0
         for grp in groups:
-            text = backend.script.lookup(build_prompt(grp).text).text
+            text = backend.lookup(build_prompt(grp).text).text
             total = len(text.split())
             expected_tokens.extend([total / len(grp)] * len(grp))
             for q in grp:
@@ -513,8 +528,7 @@ class TestBatchExperiment:
 
     def test_leftover_group_kept(self):
         questions = pf.make_corpus(5)
-        backend = MockBackend(pf.build_script(questions, (2,), seed=1,
-                                              group="random"))
+        backend = pf.build_script(questions, (2,), seed=1, group="random")
         rows = run_batch_experiment(questions, [2], cfg(), backend, seed=1)
         row = rows[0]
         assert row.n_groups == 3
@@ -523,7 +537,7 @@ class TestBatchExperiment:
     def test_invalid_batch_size(self):
         with pytest.raises(ValueError):
             run_batch_experiment(pf.make_corpus(4), [0], cfg(),
-                                 MockBackend(MockScript()))
+                                 MockBackend())
 
     def test_failures_counted_not_dropped(self):
         class FailingBackend:

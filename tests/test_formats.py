@@ -21,8 +21,9 @@ from batchcot.parsing import (
     write_chains,
     write_completions,
 )
-from batchcot.preference import PreferenceSample, read_samples, write_samples
+from batchcot.preference import PreferenceSample, write_samples
 from batchcot.prompts import BATCH, VANILLA, PromptEnvelope
+from batchcot.records import read_jsonl
 
 COMPLETION = CompletionRecord(
     PromptEnvelope("Q1?\nQ2?", BATCH, 2, ("q1", "q2")),
@@ -152,7 +153,7 @@ class TestRoundTrip:
     def test_preference_sample(self, tmp_path):
         path = tmp_path / "prefs.jsonl"
         write_samples(path, [SAMPLE])
-        assert read_samples(path) == [SAMPLE]
+        assert read_jsonl(path, PreferenceSample) == [SAMPLE]
 
     def test_aggregate(self, tmp_path):
         path = tmp_path / "aggregate.json"

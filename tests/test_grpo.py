@@ -22,7 +22,6 @@ from batchcot.grpo import (
     grpo_loss,
     initial_policy,
     kl_checks,
-    load_policy,
     make_toy_dataset,
     reward,
     run_verification_suite,
@@ -54,6 +53,23 @@ def kl_categorical(p, q) -> float:
 def greedy_label(policy: PolicyState, features: np.ndarray) -> str:
     """Highest-probability label; ties break by label order A < B < C."""
     return LABELS[int(np.argmax(policy.distribution(features)))]
+
+
+def load_policy(path) -> PolicyState:
+    """Read back the weight rows save_policy writes under its # header lines."""
+    rows = []
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            line = line.strip()
+            if line and not line.startswith("#"):
+                rows.append([float(x) for x in line.split()])
+    return PolicyState(theta=np.array(rows))
+
+
+def is_mixed(group) -> bool:
+    """Whether the group holds both a rewarded and an unrewarded action."""
+    rewards = [reward(a, group.gold) for a in group.actions]
+    return 0 < sum(rewards) < len(rewards)
 
 
 class TestReward:
@@ -151,9 +167,9 @@ class TestKl:
 
 def make_group(actions, gold, features=None, mode=MEAN_STD):
     features = features if features is not None else np.ones(FEATURE_DIM)
-    rewards = tuple(reward(a, gold) for a in actions)
+    rewards = [reward(a, gold) for a in actions]
     return RolloutGroup(
-        features=features, actions=tuple(actions), rewards=rewards,
+        features=features, actions=tuple(actions),
         advantages=tuple(group_advantages(rewards, mode)), gold=gold,
     )
 
@@ -226,7 +242,7 @@ class TestGrpoLoss:
             gold = "B"
             group = sample_group(policy, features, gold, cfg,
                                  np.random.default_rng(17))
-            if not 0 < sum(group.rewards) < len(group.rewards):
+            if not is_mixed(group):
                 continue
             _, grad = grpo_loss(policy, policy, group, cfg)
             for lr in (1e-4, 1e-3):
@@ -234,11 +250,6 @@ class TestGrpoLoss:
                 before = policy.distribution(features)[LABELS.index(gold)]
                 after = stepped.distribution(features)[LABELS.index(gold)]
                 assert after >= before - 1e-12
-
-    def test_reward_consistency_enforced(self):
-        with pytest.raises(ValueError):
-            RolloutGroup(features=np.ones(4), actions=("A", "B"),
-                         rewards=(1, 1), advantages=(0.0, 0.0), gold="A")
 
 
 class TestConfig:
@@ -344,4 +355,4 @@ class TestVerificationSuite:
         _, ok = gradient_check(n_configs=100, seed=seed)
         assert ok
         assert len(groups) == 200
-        assert all(0 < sum(g.rewards) < len(g.rewards) for g in groups)
+        assert all(is_mixed(g) for g in groups)

@@ -3,7 +3,7 @@ import threading
 
 import pytest
 
-from batchcot.client import EndpointConfig, MockBackend, MockScript, RawCompletion, TransportError
+from batchcot.client import EndpointConfig, MockBackend, RawCompletion, TransportError
 from batchcot.harness import (
     BENCHMARKS,
     CHOICE_LETTER,
@@ -32,9 +32,7 @@ def write_corpus(path, questions):
                                  "gold_answer": q.gold_answer}) + "\n")
 
 
-def cfg(**kw):
-    kw.setdefault("backoff_base", 0.0)
-    return EndpointConfig(**kw)
+cfg = EndpointConfig
 
 
 class TestRegistry:
@@ -110,12 +108,12 @@ class TestEvaluate:
         questions = self.make_questions(5)
         corpus = tmp_path / "corpus.jsonl"
         write_corpus(corpus, questions)
-        script = MockScript()
+        script = MockBackend()
         for q in questions:
             env = build_single_prompt(q)
             script.add(env.text, f"so \\boxed{{{q.gold_answer}}}", tokens=100)
         spec = BenchmarkSpec(name="Toy", corpus_path=str(corpus))
-        records, agg = evaluate(spec, cfg(), MockBackend(script))
+        records, agg = evaluate(spec, cfg(), script)
         assert agg.accuracy == 1.0
         assert agg.mean_tokens == 100.0
         assert agg.n_questions == 5
@@ -179,12 +177,11 @@ class TestEvaluate:
         # evaluating two halves separately and pooling by sample weight must
         # match evaluating the whole corpus at once
         questions = self.make_questions(8)
-        script = MockScript()
+        backend = MockBackend()
         for i, q in enumerate(questions):
             env = build_single_prompt(q)
             answer = q.gold_answer if i % 3 else str(int(q.gold_answer) + 7)
-            script.add(env.text, f"\\boxed{{{answer}}}", tokens=10 * (i + 1))
-        backend = MockBackend(script)
+            backend.add(env.text, f"\\boxed{{{answer}}}", tokens=10 * (i + 1))
 
         def run(qs, name):
             corpus = tmp_path / f"{name}.jsonl"
@@ -202,12 +199,12 @@ class TestEvaluate:
         questions = [Question(id="g1", text="pick one", gold_answer="C")]
         corpus = tmp_path / "corpus.jsonl"
         write_corpus(corpus, questions)
-        script = MockScript()
+        script = MockBackend()
         script.add(build_single_prompt(questions[0]).text,
                    "I choose \\boxed{C}", tokens=7)
         spec = BenchmarkSpec(name="Choices", corpus_path=str(corpus),
                              answer_kind=CHOICE_LETTER)
-        _, agg = evaluate(spec, cfg(), MockBackend(script))
+        _, agg = evaluate(spec, cfg(), script)
         assert agg.accuracy == 1.0
 
 

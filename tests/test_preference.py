@@ -15,12 +15,11 @@ from batchcot.preference import (
     PreferenceSample,
     build_dataset,
     label_sample,
-    read_samples,
     render_judge_prompt,
     write_samples,
 )
 from batchcot.prompts import BATCH, VANILLA, Question
-from batchcot.records import from_dict, to_dict
+from batchcot.records import from_dict, read_jsonl, to_dict
 
 
 def chain(qid, kind, predicted, position=1, size=2, verdict=None):
@@ -86,13 +85,13 @@ class TestBuildDataset:
     def test_one_sample_per_chain(self):
         qs = self.questions[:1]
         samples, manifest = build_dataset(
-            [chain("q0", VANILLA, "0")], [chain("q0", BATCH, "0")], qs
+            [chain("q0", VANILLA, "0"), chain("q0", BATCH, "0")], qs
         )
         assert sorted(s.gold_label for s in samples) == ["A", "B"]
         assert manifest["label_counts"] == {"A": 1, "B": 1, "C": 0}
 
     def test_empty(self):
-        samples, manifest = build_dataset([], [], self.questions)
+        samples, manifest = build_dataset([], self.questions)
         assert samples == []
         assert manifest["label_counts"] == {"A": 0, "B": 0, "C": 0}
 
@@ -103,7 +102,7 @@ class TestBuildDataset:
                    for i in range(10)]
         batch = [chain(f"q{i}", BATCH, str(i + 1)) for i in range(10)]
         expected_a = sum(1 for i in range(10) if i % 2)
-        samples, manifest = build_dataset(vanilla, batch, self.questions)
+        samples, manifest = build_dataset(vanilla + batch, self.questions)
         assert len(samples) == 20
         assert manifest["label_counts"]["A"] == expected_a
         assert manifest["label_counts"]["B"] == 0
@@ -111,36 +110,34 @@ class TestBuildDataset:
 
     def test_unresolved_id_rejected(self):
         with pytest.raises(ValueError, match="ghost"):
-            build_dataset([chain("ghost", VANILLA, "1")], [], self.questions)
+            build_dataset([chain("ghost", VANILLA, "1")], self.questions)
 
     def test_deterministic_given_seed(self):
         vanilla = [chain(f"q{i}", VANILLA, str(i)) for i in range(10)]
-        a, _ = build_dataset(vanilla, [], self.questions, seed=3)
-        b, _ = build_dataset(vanilla, [], self.questions, seed=3)
+        a, _ = build_dataset(vanilla, self.questions, seed=3)
+        b, _ = build_dataset(vanilla, self.questions, seed=3)
         assert a == b
-        c, _ = build_dataset(vanilla, [], self.questions, seed=4)
+        c, _ = build_dataset(vanilla, self.questions, seed=4)
         assert [s.provenance for s in a] != [s.provenance for s in c]
 
     def test_precomputed_verdict_respected(self):
         # a chain already graded keeps its verdict even if gold would differ
         pre = chain("q1", VANILLA, "999", verdict=verify.CORRECT)
-        samples, _ = build_dataset([pre], [], self.questions)
+        samples, _ = build_dataset([pre], self.questions)
         assert samples[0].gold_label == "A"
 
     def test_paired_mode(self):
         vanilla = [chain(f"q{i}", VANILLA, str(i)) for i in range(4)]
         batch = [chain(f"q{i}", BATCH, str(i)) for i in range(2)] + \
                 [chain("q0", BATCH, str(0), position=2)]
-        samples, manifest = build_dataset(vanilla, batch, self.questions,
-                                          mode=PAIRED)
+        samples, manifest = build_dataset(vanilla + batch, self.questions, mode=PAIRED)
         # only q0 and q1 have both kinds; one chain of each kind
         assert manifest["n_samples"] == 4
         ids = sorted(s.provenance["question_id"] for s in samples)
         assert ids == ["q0", "q0", "q1", "q1"]
 
     def test_manifest_fields(self):
-        _, manifest = build_dataset([chain("q0", VANILLA, "0")], [],
-                                    self.questions, seed=11)
+        _, manifest = build_dataset([chain("q0", VANILLA, "0")], self.questions, seed=11)
         assert manifest["seed"] == 11
         assert manifest["n_questions"] == 1
         assert manifest["template_version"]
@@ -166,7 +163,7 @@ class TestJudgePromptAndIo:
         ]
         path = tmp_path / "prefs.jsonl"
         write_samples(path, samples)
-        assert read_samples(path) == samples
+        assert read_jsonl(path, PreferenceSample) == samples
 
     def test_dict_roundtrip(self):
         sample = PreferenceSample(question="q", cot="c",

@@ -57,6 +57,12 @@ class TestNormalize:
 
     def test_boxed_wrapper(self):
         assert norm("\\boxed{7}").value == 7
+        assert norm("\\boxed{\\frac{1}{2}}").value == Fraction(1, 2)
+
+    @pytest.mark.parametrize("text", ["\\boxed {7}", "\\boxed{7}{8}", "\\boxed{{7}",
+                                      "\\boxed{7}}", "\\boxed{7"])
+    def test_boxed_wrapper_must_span_the_whole_string(self, text):
+        assert normalize_numeric(text) is None
 
     def test_leading_plus(self):
         assert norm("+5").value == 5
