@@ -20,7 +20,7 @@ from batchcot.client import (
     run_batch_experiment,
     tokens_per_question,
 )
-from batchcot.grpo_modes import ADVANTAGE_MODES, MEAN_STD, OBJECTIVE_MODES, SAMPLED
+from batchcot.grpo_modes import ADVANTAGE_MODES, OBJECTIVE_MODES, GrpoConfig
 from batchcot.parsing import (
     read_chains,
     read_completions,
@@ -31,44 +31,17 @@ from batchcot.parsing import (
 from batchcot.prompts import load_questions
 from batchcot.records import to_dict, write_jsonl
 
-_ENV_PREFIX = "BATCHCOT_"
-# The EndpointConfig fields a flag, config key or environment variable sets;
-# each value is cast to the type of the field's default.
+# The EndpointConfig fields a flag sets; each flag takes its field's type and
+# default from EndpointConfig().
 _ENDPOINT_KEYS = ("base_url", "model", "temperature", "max_tokens", "timeout",
                   "max_retries", "max_concurrent")
 _ENDPOINT_DEFAULTS = EndpointConfig()
 _TIMESTAMP = "%Y-%m-%dT%H:%M:%S%z"
 
 
-def _read_config_file(path) -> dict:
-    """Flat key=value config format; blank lines and # comments ignored."""
-    values = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}: line {lineno}: expected key=value")
-            key, _, value = line.partition("=")
-            values[key.strip()] = value.strip()
-    return values
-
-
 def resolve_endpoint_config(args) -> EndpointConfig:
-    """Precedence: flags > config file > environment > defaults."""
-    config = _read_config_file(args.config) if getattr(args, "config", None) else {}
-    for key in config:
-        if key not in _ENDPOINT_KEYS:
-            raise ValueError(f"unknown config key: {key!r}")
-    values = {}
-    for key in _ENDPOINT_KEYS:
-        sources = (getattr(args, key, None), config.get(key),
-                   os.environ.get(_ENV_PREFIX + key.upper()))
-        raw = next((v for v in sources if v is not None), None)
-        if raw is not None:
-            values[key] = type(getattr(_ENDPOINT_DEFAULTS, key))(raw)
-    return EndpointConfig(**values, seed=getattr(args, "seed", None))
+    return EndpointConfig(**{key: getattr(args, key) for key in _ENDPOINT_KEYS},
+                          seed=args.seed)
 
 
 def _make_backend(args, cfg: EndpointConfig):
@@ -111,9 +84,9 @@ def _config_snapshot(cfg: EndpointConfig) -> dict:
 def _add_endpoint_flags(p):
     p.add_argument("--mock", help="directory of fingerprint-named mock responses")
     for key in _ENDPOINT_KEYS:
-        p.add_argument("--" + key.replace("_", "-"), dest=key,
-                       type=type(getattr(_ENDPOINT_DEFAULTS, key)))
-    p.add_argument("--config", help="flat key=value config file")
+        default = getattr(_ENDPOINT_DEFAULTS, key)
+        p.add_argument("--" + key.replace("_", "-"), dest=key, type=type(default),
+                       default=default)
 
 
 def _add_batch_run_args(p):
@@ -208,7 +181,7 @@ def cmd_grpo_check(args):
 def cmd_grpo_train_toy(args):
     from batchcot import grpo
 
-    cfg = grpo.GrpoConfig(
+    cfg = GrpoConfig(
         beta=args.beta, group_size=args.group_size, learning_rate=args.lr,
         steps=args.steps, advantage_mode=args.advantage_mode,
         objective_mode=args.objective_mode,
@@ -319,12 +292,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("grpo-train-toy", help="train the toy label policy")
     p.add_argument("--samples", type=int, default=1000)
-    p.add_argument("--steps", type=int, default=500)
-    p.add_argument("--group-size", type=int, default=16)
-    p.add_argument("--beta", type=float, default=0.01)
-    p.add_argument("--lr", type=float, default=0.5)
-    p.add_argument("--advantage-mode", choices=ADVANTAGE_MODES, default=MEAN_STD)
-    p.add_argument("--objective-mode", choices=OBJECTIVE_MODES, default=SAMPLED)
+    p.add_argument("--steps", type=int, default=GrpoConfig.steps)
+    p.add_argument("--group-size", type=int, default=GrpoConfig.group_size)
+    p.add_argument("--beta", type=float, default=GrpoConfig.beta)
+    p.add_argument("--lr", type=float, default=GrpoConfig.learning_rate)
+    p.add_argument("--advantage-mode", choices=ADVANTAGE_MODES,
+                   default=GrpoConfig.advantage_mode)
+    p.add_argument("--objective-mode", choices=OBJECTIVE_MODES,
+                   default=GrpoConfig.objective_mode)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_grpo_train_toy)

@@ -6,6 +6,7 @@ from __future__ import annotations
 import hashlib
 import http.client
 import json
+import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -62,12 +63,12 @@ class EndpointConfig:
     def __post_init__(self):
         if self.max_concurrent < 1:
             raise ValueError("max_concurrent must be >= 1")
-        if self.timeout <= 0:
-            raise ValueError("timeout must be > 0")
+        if not (math.isfinite(self.timeout) and self.timeout > 0):
+            raise ValueError("timeout must be finite and > 0")
         if self.max_tokens < 1:
             raise ValueError("max_tokens must be >= 1")
-        if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
+        if not (math.isfinite(self.temperature) and self.temperature >= 0):
+            raise ValueError("temperature must be finite and >= 0")
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
 
@@ -168,7 +169,8 @@ class HttpBackend:
 
     Each attempt opens one fresh connection and closes it: reusing one
     against a server that writes headers and body in separate sends stalls
-    every request on Nagle's algorithm and delayed ACK.
+    every request on Nagle's algorithm and delayed ACK. The API key is read
+    once, when the backend is built.
     """
 
     def __init__(self, base_url: str, model: str):
@@ -182,6 +184,13 @@ class HttpBackend:
         self._connection_class = (http.client.HTTPSConnection if url.scheme == "https"
                                   else http.client.HTTPConnection)
         self._host, self._port, self._path = url.hostname, url.port, url.path
+        self._headers = {"Content-Type": "application/json"}
+        api_key = os.environ.get(API_KEY_ENV)
+        if api_key:
+            # http.client's own error would print the key
+            if not (api_key.isascii() and api_key.isprintable()):
+                raise ValueError(f"{API_KEY_ENV} is not a valid HTTP header value")
+            self._headers["Authorization"] = f"Bearer {api_key}"
 
     def send(self, prompt_text: str, cfg: EndpointConfig) -> RawCompletion:
         payload = {
@@ -193,25 +202,19 @@ class HttpBackend:
         if cfg.seed is not None:
             payload["seed"] = cfg.seed
         body = json.dumps(payload).encode("utf-8")
-        headers = {"Content-Type": "application/json"}
-        api_key = os.environ.get(API_KEY_ENV)
-        if api_key:
-            headers["Authorization"] = f"Bearer {api_key}"
 
         attempts = []
         total = cfg.max_retries + 1
         for attempt in range(1, total + 1):
             conn = self._connection_class(self._host, self._port, timeout=cfg.timeout)
             try:
-                conn.request("POST", self._path, body, headers)
+                conn.request("POST", self._path, body, self._headers)
                 # a response the server will close owns the socket, not conn
                 with conn.getresponse() as resp:
                     status = resp.status
                     data = resp.read() if status == 200 else None
             except (OSError, http.client.HTTPException) as exc:
                 attempts.append({"attempt": attempt, "error": type(exc).__name__})
-            except ValueError:  # http.client's message would print the key
-                raise ValueError(f"{API_KEY_ENV} is not a valid HTTP header value") from None
             else:
                 attempts.append({"attempt": attempt, "status": status})
                 if status == 200:

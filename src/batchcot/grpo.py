@@ -19,12 +19,12 @@ import numpy as np
 
 from batchcot import verify
 from batchcot.grpo_modes import (
-    ADVANTAGE_MODES,
     MEAN_ONLY,
     MEAN_STD,
     OBJECTIVE_MODES,
     PAPER_LITERAL,
     SAMPLED,
+    GrpoConfig,
 )
 from batchcot.parsing import count_tokens
 from batchcot.preference import LABELS, PreferenceSample, label_sample
@@ -33,27 +33,6 @@ from batchcot.prompts import BATCH, VANILLA
 FEATURE_DIM = 4
 
 _LABEL_INDEX = {label: i for i, label in enumerate(LABELS)}
-
-
-@dataclass(frozen=True)
-class GrpoConfig:
-    # beta default is a declared convention; the source method never reports it
-    beta: float = 0.01
-    group_size: int = 16
-    learning_rate: float = 0.5
-    steps: int = 500
-    advantage_mode: str = MEAN_STD
-    objective_mode: str = SAMPLED
-
-    def __post_init__(self):
-        if self.beta < 0:
-            raise ValueError("beta must be >= 0")
-        if self.group_size < 2:
-            raise ValueError("group size must be >= 2")
-        if self.advantage_mode not in ADVANTAGE_MODES:
-            raise ValueError(f"unknown advantage mode: {self.advantage_mode!r}")
-        if self.objective_mode not in OBJECTIVE_MODES:
-            raise ValueError(f"unknown objective mode: {self.objective_mode!r}")
 
 
 @dataclass(frozen=True)

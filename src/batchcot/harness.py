@@ -21,7 +21,6 @@ class BenchmarkSpec:
     corpus_path: str = ""
     samples_per_question: int = 1
     answer_kind: str = NUMERIC
-    description: str = ""
 
     def __post_init__(self):
         if self.samples_per_question < 1:
@@ -32,37 +31,12 @@ class BenchmarkSpec:
 
 # Registry of benchmark metadata; corpora themselves are user-supplied JSONL.
 BENCHMARKS = {
-    "gsm8k": BenchmarkSpec(
-        name="GSM8K",
-        description="Grade-school arithmetic word problems.",
-    ),
-    "math500": BenchmarkSpec(
-        name="MATH-500",
-        description="500 competition math problems across algebra, geometry "
-                    "and number theory.",
-    ),
-    "aime2024": BenchmarkSpec(
-        name="AIME 2024",
-        samples_per_question=5,
-        description="30 invitational competition problems; repeat-sampled x5 "
-                    "for stability.",
-    ),
-    "aime2025": BenchmarkSpec(
-        name="AIME 2025",
-        samples_per_question=5,
-        description="30 invitational competition problems; repeat-sampled x5 "
-                    "for stability.",
-    ),
-    "amc2023": BenchmarkSpec(
-        name="AMC 2023",
-        description="40 competition problems at middle/high-school level.",
-    ),
-    "gpqa_diamond": BenchmarkSpec(
-        name="GPQA-Diamond",
-        answer_kind=CHOICE_LETTER,
-        description="Hard graduate-level science multiple-choice questions; "
-                    "graded by normalized answer letter.",
-    ),
+    "gsm8k": BenchmarkSpec(name="GSM8K"),
+    "math500": BenchmarkSpec(name="MATH-500"),
+    "aime2024": BenchmarkSpec(name="AIME 2024", samples_per_question=5),
+    "aime2025": BenchmarkSpec(name="AIME 2025", samples_per_question=5),
+    "amc2023": BenchmarkSpec(name="AMC 2023"),
+    "gpqa_diamond": BenchmarkSpec(name="GPQA-Diamond", answer_kind=CHOICE_LETTER),
 }
 
 

@@ -1,6 +1,7 @@
 import contextlib
 import json
 import os
+import re
 import socket
 import subprocess
 import sys
@@ -11,8 +12,8 @@ import pytest
 import batchcot
 import pipeline_fixtures as pf
 from batchcot import __version__
-from batchcot.client import MockBackend, TransportError
-from batchcot.cli import main, resolve_endpoint_config
+from batchcot.client import EndpointConfig, MockBackend, TransportError
+from batchcot.cli import build_parser, main, resolve_endpoint_config
 from batchcot.preference import PreferenceSample
 from batchcot.prompts import build_prompt
 from batchcot.records import read_jsonl
@@ -350,6 +351,18 @@ class TestGrpoCommands:
             curves.append((out / "curve.csv").read_bytes())
         assert curves[0] != curves[1]
 
+    @pytest.mark.parametrize("flag, value, setting", [("--steps", "-3", "steps"),
+                                                      ("--beta", "nan", "beta"),
+                                                      ("--lr", "inf", "learning_rate"),
+                                                      ("--lr", "0", "learning_rate")])
+    def test_grpo_train_toy_with_setting_out_of_range_is_error(self, tmp_path, capsys,
+                                                                flag, value, setting):
+        out = tmp_path / "toy"
+        assert main(["grpo-train-toy", "--samples", "50", flag, value,
+                     "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {setting} must be")
+        assert not out.exists()
+
     def test_cli_import_loads_neither_numpy_nor_requests(self, tmp_path):
         script = (
             "import sys\n"
@@ -409,6 +422,10 @@ class TestEvalAndReport:
 
     @pytest.mark.parametrize("flag, value, setting", [("--timeout", "-1", "timeout"),
                                                       ("--timeout", "0", "timeout"),
+                                                      ("--timeout", "nan", "timeout"),
+                                                      ("--timeout", "inf", "timeout"),
+                                                      ("--temperature", "nan", "temperature"),
+                                                      ("--temperature", "inf", "temperature"),
                                                       ("--max-tokens", "0", "max_tokens")])
     def test_eval_with_setting_out_of_range_is_error(self, workspace, tmp_path, capsys,
                                                      monkeypatch, flag, value, setting):
@@ -430,47 +447,26 @@ class TestEvalAndReport:
 
 
 class TestConfigResolution:
-    def make_args(self, **kw):
-        class Args:
-            pass
-
-        args = Args()
-        for key in ("config", "base_url", "model", "temperature", "max_tokens",
-                    "timeout", "max_retries", "max_concurrent", "seed", "mock"):
-            setattr(args, key, kw.get(key))
-        return args
-
     def test_defaults(self):
-        cfg = resolve_endpoint_config(self.make_args())
-        assert cfg.temperature == 0.6
-        assert cfg.max_tokens == 32768
+        args = build_parser().parse_args(["eval", "--benchmark", "gsm8k",
+                                          "--corpus", "c.jsonl", "--out-dir", "out"])
+        cfg = resolve_endpoint_config(args)
+        assert cfg == EndpointConfig()
 
-    def test_env_overrides_defaults(self, monkeypatch):
-        monkeypatch.setenv("BATCHCOT_TEMPERATURE", "0.2")
-        cfg = resolve_endpoint_config(self.make_args())
-        assert cfg.temperature == 0.2
+    def test_gen_with_config_flag_is_unrecognised(self, workspace, tmp_path, capsys):
+        assert main(["gen", "--questions", str(workspace["corpus"]),
+                     "--out-dir", str(tmp_path / "x"), "--batch-size", "1",
+                     "--mock", str(workspace["mock"]), "--config", "x"]) == 1
+        assert "unrecognized arguments: --config x" in capsys.readouterr().err
 
-    def test_config_file_overrides_env(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("BATCHCOT_TEMPERATURE", "0.2")
-        conf = tmp_path / "endpoint.conf"
-        conf.write_text("# endpoint settings\ntemperature = 0.4\nmodel = m1\n")
-        cfg = resolve_endpoint_config(self.make_args(config=str(conf)))
-        assert cfg.temperature == 0.4
-        assert cfg.model == "m1"
-
-    def test_flags_override_config_file(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("BATCHCOT_TEMPERATURE", "0.2")
-        conf = tmp_path / "endpoint.conf"
-        conf.write_text("temperature=0.4\n")
-        cfg = resolve_endpoint_config(
-            self.make_args(config=str(conf), temperature=0.9))
-        assert cfg.temperature == 0.9
-
-    def test_unknown_config_key(self, tmp_path):
-        conf = tmp_path / "endpoint.conf"
-        conf.write_text("tempperature=0.4\n")
-        with pytest.raises(ValueError, match="unknown config key"):
-            resolve_endpoint_config(self.make_args(config=str(conf)))
+    def test_only_the_api_key_is_read_from_the_environment(self):
+        # argv is a run's whole input: no other setting may come from the shell
+        src = Path(batchcot.__file__).parent
+        reads = [(path.name, line.strip())
+                 for path in sorted(src.glob("*.py"))
+                 for line in path.read_text(encoding="utf-8").splitlines()
+                 if re.search(r"environ|getenv", line)]
+        assert reads == [("client.py", "api_key = os.environ.get(API_KEY_ENV)")]
 
 
 class TestExitCodes:

@@ -307,6 +307,16 @@ class TestMalformedBody:
 
 
 class TestApiKey:
+    @staticmethod
+    def recorder(seen):
+        """A handler that appends each request's Authorization header to `seen`."""
+        class Recorder(_MalformedHandler):
+            def do_POST(self):
+                seen.append(self.headers.get("Authorization"))
+                super().do_POST()
+
+        return Recorder
+
     @pytest.mark.parametrize("key, header", [("sk-test", "Bearer sk-test"), (None, None)])
     def test_authorization_header_from_env(self, monkeypatch, key, header):
         if key is None:
@@ -314,15 +324,17 @@ class TestApiKey:
         else:
             monkeypatch.setenv("BATCHCOT_API_KEY", key)
         seen = []
-
-        class Recorder(_MalformedHandler):
-            def do_POST(self):
-                seen.append(self.headers.get("Authorization"))
-                super().do_POST()
-
-        with _serve_malformed(b"{}", base=Recorder) as backend:
+        with _serve_malformed(b"{}", base=self.recorder(seen)) as backend:
             assert backend.send("SERVE-VALID", cfg()).text == "ok \\boxed{1}"
         assert seen == [header]
+
+    def test_key_is_read_when_the_backend_is_built(self, monkeypatch):
+        monkeypatch.setenv("BATCHCOT_API_KEY", "sk-first")
+        seen = []
+        with _serve_malformed(b"{}", base=self.recorder(seen)) as backend:
+            monkeypatch.setenv("BATCHCOT_API_KEY", "sk-second")
+            backend.send("SERVE-VALID", cfg())
+        assert seen == ["Bearer sk-first"]
 
     @pytest.mark.parametrize("key", ["sk-secret\nx", "sk-secret\u2019"])
     def test_key_that_is_not_a_header_value_is_not_printed(self, monkeypatch, key):

@@ -262,6 +262,15 @@ class TestConfig:
             GrpoConfig(advantage_mode="median")
         with pytest.raises(ValueError):
             GrpoConfig(objective_mode="clipped")
+        with pytest.raises(ValueError, match="steps"):
+            GrpoConfig(steps=-1)
+        for beta in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="beta"):
+                GrpoConfig(beta=beta)
+        for learning_rate in (math.nan, math.inf, -math.inf, 0.0, -0.5):
+            with pytest.raises(ValueError, match="learning_rate"):
+                GrpoConfig(learning_rate=learning_rate)
+        assert GrpoConfig(steps=0).steps == 0
 
     def test_defaults(self):
         cfg = GrpoConfig()
