@@ -295,7 +295,7 @@ class ExperimentRow:
 
 def _block_chains(record: CompletionRecord) -> list:
     """Textless chains of an unsplittable batch response, answered by its block."""
-    answers = dict(parse_final_answers(record).entries)
+    answers = parse_final_answers(record)
     k = record.envelope.batch_size
     return [ReasoningChain(question_id=qid, text="",
                            origin=ChainOrigin(kind=BATCH, size=k, position=pos),

@@ -102,38 +102,24 @@ def grpo_loss(policy: PolicyState, ref_policy: PolicyState, group: RolloutGroup,
               cfg: GrpoConfig):
     """Negated group objective with its analytic gradient w.r.t. theta.
 
-    SAMPLED averages advantage-weighted log-probabilities over the sampled
-    rollouts; PAPER_LITERAL sums over the whole action set with the fixed
-    +1 / -1/2 advantage scheme. Both add beta * KL(pi || pi_ref) against the
-    frozen reference policy.
+    Both objective modes are one weighted log-likelihood over the labels,
+    -sum_a w_a log pi_a, whose logit gradient is (sum_a w_a) pi - w. SAMPLED
+    weighs each label by its sampled actions' advantages over G; PAPER_LITERAL
+    weighs the gold label +1 and the others -1/2. Both add
+    beta * KL(pi || pi_ref) against the frozen reference policy.
     """
     phi = np.asarray(group.features, dtype=float)
     pi = policy.distribution(phi)
     pi_ref = ref_policy.distribution(phi)
-
     if cfg.objective_mode == SAMPLED:
-        g = len(group.actions)
-        loss_policy = 0.0
-        grad_logits = np.zeros(len(LABELS))
-        for action, adv in zip(group.actions, group.advantages):
-            adv = float(adv)
-            idx = _LABEL_INDEX[action]
-            loss_policy -= adv * math.log(pi[idx])
-            onehot = np.zeros(len(LABELS))
-            onehot[idx] = 1.0
-            grad_logits += adv * (pi - onehot)
-        loss_policy /= g
-        grad_logits /= g
+        action_idx = list(map(_LABEL_INDEX.__getitem__, group.actions))
+        w = np.bincount(action_idx, group.advantages, len(LABELS)) / len(action_idx)
     else:
-        adv_vec = np.full(len(LABELS), -0.5)
-        adv_vec[_LABEL_INDEX[group.gold]] = 1.0
-        loss_policy = -float(np.dot(adv_vec, np.log(pi)))
-        # sum_a adv[a] * (pi - e_a); the pi terms cancel because adv sums to 0
-        grad_logits = -adv_vec.copy()
-
+        w = np.full(len(LABELS), -0.5)
+        w[_LABEL_INDEX[group.gold]] = 1.0
     kl, kl_grad_logits = _kl_and_logit_grad(pi, pi_ref)
-    loss = loss_policy + cfg.beta * kl
-    grad = np.outer(phi, grad_logits + cfg.beta * kl_grad_logits)
+    loss = -float(np.dot(w, np.log(pi))) + cfg.beta * kl
+    grad = np.outer(phi, w.sum() * pi - w + cfg.beta * kl_grad_logits)
     return loss, grad
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from batchcot.prompts import BATCH, VANILLA, PromptEnvelope
 from batchcot.records import read_jsonl, to_dict, write_jsonl
@@ -90,11 +90,6 @@ class ReasoningChain:
     verdict: Optional[str] = None
 
 
-class FinalAnswers(NamedTuple):
-    entries: list  # [(position, answer_string), ...] strictly increasing
-    fallback: bool
-
-
 def count_tokens(text: str) -> int:
     """Whitespace-delimited word count, the WHITESPACE scheme chain rows name."""
     return len(text.split())
@@ -165,15 +160,14 @@ def _marker_spans(pattern, text: str) -> list:
     return spans
 
 
-def _final_answers(text: str, k: int, finals: list) -> FinalAnswers:
-    """Answers after the last of the final-answer marker spans `finals`."""
+def _final_answers(text: str, k: int, finals: list) -> dict:
+    """{position: answer} after the last of the final-answer marker spans `finals`."""
     if not finals:
         # With fewer than k boxes their positions are unknown: guess none.
         boxes = extract_boxed(text)
-        entries = enumerate(boxes[-k:], 1) if len(boxes) >= k else ()
-        return FinalAnswers(list(entries), fallback=True)
+        return dict(enumerate(boxes[-k:], 1)) if len(boxes) >= k else {}
     tail = text[finals[-1][1]:]
-    entries = []
+    entries = {}
     last = 0
     for m in _ENTRY_RE.finditer(tail):
         pos = int(m.group(1))
@@ -181,17 +175,17 @@ def _final_answers(text: str, k: int, finals: list) -> FinalAnswers:
         if parsed is None:
             continue
         if last < pos <= k:
-            entries.append((pos, parsed[0]))
+            entries[pos] = parsed[0]
             last = pos
-    return FinalAnswers(entries, fallback=False)
+    return entries
 
 
-def parse_final_answers(record: CompletionRecord) -> FinalAnswers:
-    """Numbered boxed entries from the last final-answer block of a batch response.
+def parse_final_answers(record: CompletionRecord) -> dict:
+    """{position: answer} from the last final-answer block of a batch response.
 
-    Falls back to the last k boxed occurrences anywhere in the text when no
-    marker is present, flagged fallback=True; with fewer than k boxes that
-    fallback has no entries.
+    Positions increase in text order. Falls back to the last k boxed
+    occurrences anywhere in the text when no marker is present; with fewer
+    than k boxes that fallback has no entries.
     """
     if record.envelope.mode != BATCH:
         raise ValueError("parse_final_answers requires a batch completion")
@@ -234,7 +228,7 @@ def split_batch_chains(record: CompletionRecord) -> list:
         )
 
     boundaries = [0] + marks[1:] + [len(region)]
-    answers = dict(_final_answers(text, k, finals).entries)
+    answers = _final_answers(text, k, finals)
     chains = []
     for pos in range(1, k + 1):
         segment = region[boundaries[pos - 1]:boundaries[pos]]

@@ -116,6 +116,8 @@ def load_questions(path, require_numeric: bool = True) -> list:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}: line {lineno}: invalid JSON: {exc}") from exc
+            if not isinstance(obj, dict):
+                raise ValueError(f"{path}: line {lineno}: not a JSON object")
             missing = [k for k in ("id", "text", "gold_answer") if k not in obj]
             if missing:
                 raise ValueError(

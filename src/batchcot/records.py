@@ -8,14 +8,24 @@ import json
 import typing
 from dataclasses import MISSING, fields, is_dataclass
 
+_ACCEPTS = {str: (str,), int: (int,), float: (int, float), dict: (dict,),
+            tuple: (list, tuple), type(None): (type(None),)}
+
+
+def _accepts(hint) -> tuple:
+    """The types json.loads (or to_dict) gives a field of type `hint`."""
+    if is_dataclass(hint):
+        return (dict,)
+    return sum(map(_accepts, typing.get_args(hint)), ()) or _ACCEPTS[hint]
+
 
 @functools.cache
 def _schema(cls) -> tuple:
     """Type hints of a dataclass, resolved once: (fields, nested).
 
-    fields holds (name, required, convert) per init field, where convert is
-    the field's dataclass type, tuple, or None; nested names the fields whose
-    type is a dataclass.
+    fields holds (name, required, convert, accepts) per init field, where
+    convert is the field's dataclass type, tuple, or None; nested names the
+    fields whose type is a dataclass.
     """
     hints = typing.get_type_hints(cls)
     plan = []
@@ -24,8 +34,8 @@ def _schema(cls) -> tuple:
             hint = hints[f.name]
             convert = hint if is_dataclass(hint) or hint is tuple else None
             plan.append((f.name, f.default is MISSING and f.default_factory is MISSING,
-                         convert))
-    return tuple(plan), tuple(name for name, _, c in plan if c not in (None, tuple))
+                         convert, _accepts(hint)))
+    return tuple(plan), tuple(name for name, _, c, _ in plan if c not in (None, tuple))
 
 
 def to_dict(obj) -> dict:
@@ -44,13 +54,17 @@ def from_dict(cls, d: dict):
     """Rebuild a dataclass from to_dict's output.
 
     Keys the class does not declare are ignored and missing optional keys
-    take the field's default; a missing required key raises KeyError.
+    take the field's default; a missing required key raises KeyError and a
+    value of a type the field's hint does not take raises TypeError.
     """
     kwargs = {}
-    for name, required, convert in _schema(cls)[0]:
+    for name, required, convert, accepts in _schema(cls)[0]:
         if not required and name not in d:
             continue
         value = d[name]
+        if not isinstance(value, accepts):
+            raise TypeError(f"{name} is {type(value).__name__}, not "
+                            + " or ".join(t.__name__ for t in accepts))
         if convert is tuple:
             value = tuple(value)
         elif convert is not None:

@@ -498,7 +498,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("key, value, error", [("envelope", "x", "TypeError"),
                                                    ("counted_tokens", "many", "TypeError"),
-                                                   ("reported_tokens", -3, "ValueError")])
+                                                   ("reported_tokens", -3, "ValueError"),
+                                                   ("raw_text", 5, "TypeError")])
     def test_split_on_wrongly_typed_completion(self, workspace, tmp_path, capsys,
                                                key, value, error):
         row = json.loads((workspace["gen"] / "completions_k2.jsonl").read_text()
@@ -508,6 +509,16 @@ class TestExitCodes:
         bad.write_text(json.dumps(row) + "\n")
         assert main(["split", "--in", str(bad), "--out", str(tmp_path / "c.jsonl")]) == 1
         assert capsys.readouterr().err.startswith(f"error: {bad}: line 1: {error}")
+
+    @pytest.mark.parametrize("key, value", [("predicted_answer", 42), ("question_id", ["a"])])
+    def test_grade_on_wrongly_typed_chain(self, workspace, tmp_path, capsys, key, value):
+        chain = {"question_id": "q000", "text": "t", "predicted_answer": "1",
+                 "origin": {"kind": "vanilla", "size": 1, "position": 1}, key: value}
+        bad = tmp_path / "chains.jsonl"
+        bad.write_text(json.dumps(chain) + "\n")
+        assert main(["grade", "--in", str(bad), "--questions", str(workspace["corpus"]),
+                     "--out", str(tmp_path / "graded.jsonl")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {bad}: line 1: TypeError: {key}")
 
     def test_label_on_chain_of_unknown_kind(self, workspace, tmp_path, capsys):
         bad = tmp_path / "chains.jsonl"

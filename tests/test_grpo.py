@@ -50,6 +50,44 @@ def kl_categorical(p, q) -> float:
     return sum(pi * math.log(pi / qi) for pi, qi in zip(p, q))
 
 
+def reference_grpo_loss(policy: PolicyState, ref_policy: PolicyState,
+                        group: RolloutGroup, cfg: GrpoConfig):
+    """grpo_loss derived once per objective mode: the oracle for grpo_loss.
+
+    SAMPLED sums each sampled action's advantage-weighted log-probability and
+    one-hot gradient in turn; PAPER_LITERAL is the closed form over the action
+    set with the fixed +1 / -1/2 advantages.
+    """
+    phi = np.asarray(group.features, dtype=float)
+    pi = policy.distribution(phi)
+    pi_ref = ref_policy.distribution(phi)
+
+    if cfg.objective_mode == SAMPLED:
+        g = len(group.actions)
+        loss_policy = 0.0
+        grad_logits = np.zeros(len(LABELS))
+        for action, adv in zip(group.actions, group.advantages):
+            adv = float(adv)
+            idx = LABELS.index(action)
+            loss_policy -= adv * math.log(pi[idx])
+            onehot = np.zeros(len(LABELS))
+            onehot[idx] = 1.0
+            grad_logits += adv * (pi - onehot)
+        loss_policy /= g
+        grad_logits /= g
+    else:
+        adv_vec = np.full(len(LABELS), -0.5)
+        adv_vec[LABELS.index(group.gold)] = 1.0
+        loss_policy = -float(np.dot(adv_vec, np.log(pi)))
+        # sum_a adv[a] * (pi - e_a); the pi terms cancel because adv sums to 0
+        grad_logits = -adv_vec.copy()
+
+    kl, kl_grad_logits = grpo._kl_and_logit_grad(pi, pi_ref)
+    loss = loss_policy + cfg.beta * kl
+    grad = np.outer(phi, grad_logits + cfg.beta * kl_grad_logits)
+    return loss, grad
+
+
 def greedy_label(policy: PolicyState, features: np.ndarray) -> str:
     """Highest-probability label; ties break by label order A < B < C."""
     return LABELS[int(np.argmax(policy.distribution(features)))]
@@ -221,6 +259,36 @@ class TestGrpoLoss:
         fd = finite_difference_grad(loss_at, theta, step=1e-5)
         denom = max(np.linalg.norm(grad), np.linalg.norm(fd))
         assert np.linalg.norm(grad - fd) / denom < 1e-6
+
+    def test_matches_reference_loss(self):
+        # None draws arbitrary advantages that need not sum to zero: only such
+        # groups exercise the (sum_a w_a) * pi term of the gradient
+        rng = np.random.default_rng(11)
+        for mode, adv_mode, beta in itertools.product(
+                (SAMPLED, PAPER_LITERAL), (MEAN_STD, MEAN_ONLY, None), (0.0, 0.01, 1.0)):
+            cfg = GrpoConfig(beta=beta, objective_mode=mode)
+            for _ in range(60):
+                theta = rng.normal(scale=0.8, size=(FEATURE_DIM, 3))
+                ref = PolicyState(theta=theta + rng.normal(scale=0.3, size=theta.shape))
+                policy = PolicyState(theta=theta)
+                actions = [LABELS[i] for i in rng.integers(3, size=rng.integers(2, 17))]
+                gold = LABELS[int(rng.integers(3))]
+                features = rng.normal(size=FEATURE_DIM)
+                if adv_mode is None:
+                    group = RolloutGroup(
+                        features=features, actions=tuple(actions), gold=gold,
+                        advantages=tuple(rng.normal(loc=0.5, size=len(actions))))
+                else:
+                    group = make_group(actions, gold, features, adv_mode)
+                loss, grad = grpo_loss(policy, ref, group, cfg)
+                want_loss, want_grad = reference_grpo_loss(policy, ref, group, cfg)
+                if mode == PAPER_LITERAL:
+                    assert loss == want_loss
+                    assert np.array_equal(grad, want_grad)
+                else:
+                    assert abs(loss - want_loss) <= 1e-12 * abs(want_loss)
+                    assert (np.abs(grad - want_grad).max()
+                            <= 1e-12 * np.abs(want_grad).max())
 
     def test_paper_literal_advantage_scheme(self):
         # full-action-set objective: +1 on the gold label, -1/2 elsewhere

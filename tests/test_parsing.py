@@ -10,7 +10,6 @@ from batchcot.parsing import (
     WHITESPACE,
     ChainOrigin,
     CompletionRecord,
-    FinalAnswers,
     UnsplittableError,
     count_tokens,
     extract_boxed,
@@ -85,22 +84,18 @@ class TestExtractBoxedProperty:
 class TestParseFinalAnswers:
     def test_basic(self):
         rec = batch_record("work...\n[Final Answer]\n1. \\boxed{3}\n2. \\boxed{9}")
-        result = parse_final_answers(rec)
-        assert result.entries == [(1, "3"), (2, "9")]
-        assert not result.fallback
+        assert parse_final_answers(rec) == {1: "3", 2: "9"}
 
     def test_last_block_wins(self):
         text = ("[Final Answer]\n1. \\boxed{0}\n2. \\boxed{0}\n"
                 "more thoughts\n"
                 "[Final Answer]\n1. \\boxed{3}\n2. \\boxed{9}")
         rec = batch_record(text)
-        assert parse_final_answers(rec).entries == [(1, "3"), (2, "9")]
+        assert parse_final_answers(rec) == {1: "3", 2: "9"}
 
     def test_fallback_to_last_k_boxed(self):
         rec = batch_record("a \\boxed{7} b \\boxed{1} c \\boxed{2}", k=2)
-        result = parse_final_answers(rec)
-        assert result.entries == [(1, "1"), (2, "2")]
-        assert result.fallback
+        assert parse_final_answers(rec) == {1: "1", 2: "2"}
 
     def test_fewer_boxes_than_k_without_block_guess_nothing(self):
         # Boxes only in segments 1 and 3: the last-k fallback would shift
@@ -108,26 +103,23 @@ class TestParseFinalAnswers:
         text = ("[Solution Process]\n1. first, so \\boxed{11}\n"
                 "2. second, no box\n3. third, so \\boxed{33}")
         rec = batch_record(text, k=3)
-        assert parse_final_answers(rec) == ([], True)
+        assert parse_final_answers(rec) == {}
         assert [c.predicted_answer for c in split_batch_chains(rec)] == ["11", None, "33"]
 
     def test_marker_decoration_tolerated(self):
         rec = batch_record("**[final answer]**\n1. \\boxed{5}\n2. \\boxed{6}")
-        result = parse_final_answers(rec)
-        assert result.entries == [(1, "5"), (2, "6")]
-        assert not result.fallback
+        assert parse_final_answers(rec) == {1: "5", 2: "6"}
 
     def test_positions_strictly_increasing_within_k(self):
         text = "[Final Answer]\n2. \\boxed{9}\n1. \\boxed{3}\n5. \\boxed{8}"
         rec = batch_record(text, k=3)
-        entries = parse_final_answers(rec).entries
-        positions = [p for p, _ in entries]
+        positions = list(parse_final_answers(rec))
         assert positions == sorted(set(positions))
         assert all(1 <= p <= 3 for p in positions)
 
     def test_fewer_entries_than_k(self):
         rec = batch_record("[Final Answer]\n1. \\boxed{3}", k=3)
-        assert parse_final_answers(rec).entries == [(1, "3")]
+        assert parse_final_answers(rec) == {1: "3"}
 
     def test_requires_batch_mode(self):
         with pytest.raises(ValueError):
@@ -251,18 +243,18 @@ def _oracle_final_answers(text, k):
     if not matches:
         boxes = extract_boxed(text)
         if len(boxes) < k:
-            return FinalAnswers([], fallback=True)
-        return FinalAnswers([(i, b) for i, b in enumerate(boxes[-k:], 1)], fallback=True)
+            return {}
+        return dict(enumerate(boxes[-k:], 1))
     tail = text[matches[-1].end():]
-    entries = []
+    entries = {}
     last = 0
     for m in parsing._ENTRY_RE.finditer(tail):
         pos = int(m.group(1))
         parsed = parsing._boxed_content_at(tail, m.end())
         if parsed is not None and last < pos <= k:
-            entries.append((pos, parsed[0]))
+            entries[pos] = parsed[0]
             last = pos
-    return FinalAnswers(entries, fallback=False)
+    return entries
 
 
 def _oracle_chains(text, k):
@@ -281,7 +273,7 @@ def _oracle_chains(text, k):
     if len(marks) != k:
         return None
     boundaries = [0] + marks[1:] + [len(region)]
-    answers = dict(_oracle_final_answers(text, k).entries)
+    answers = _oracle_final_answers(text, k)
     chains = []
     for pos in range(1, k + 1):
         segment = region[boundaries[pos - 1]:boundaries[pos]]

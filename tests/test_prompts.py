@@ -119,9 +119,12 @@ class TestLoadQuestions:
 
     def test_bad_json_line_diagnostic(self, tmp_path):
         path = tmp_path / "q.jsonl"
-        path.write_text('{"id": "a", "text": "t", "gold_answer": "1"}\nnot json\n')
-        with pytest.raises(ValueError, match="line 2"):
-            load_questions(path)
+        # the string holds every required key, so only its type is wrong
+        for line, message in (("not json", "invalid JSON"), ("5", "not a JSON object"),
+                              ('"id text gold_answer"', "not a JSON object")):
+            path.write_text('{"id": "a", "text": "t", "gold_answer": "1"}\n' + line + "\n")
+            with pytest.raises(ValueError, match=f"line 2: {message}"):
+                load_questions(path)
 
 
 class TestGrouping:
