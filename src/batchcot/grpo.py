@@ -92,10 +92,13 @@ def group_advantages(rewards, mode: str = MEAN_STD) -> list:
 
 
 def _kl_and_logit_grad(p: np.ndarray, q: np.ndarray):
-    """KL(p||q) and its gradient w.r.t. the logits producing p."""
+    """KL(p||q) and its gradient w.r.t. the logits producing p, row by row.
+
+    p and q broadcast over leading axes; the last axis is the distribution.
+    """
     logratio = np.log(p) - np.log(q)
-    kl = float(np.dot(p, logratio))
-    return kl, p * logratio - p * kl
+    kl = np.vecdot(p, logratio)  # row-wise, bit for bit np.dot's sum
+    return kl, p * logratio - p * kl[..., None]
 
 
 def grpo_loss(policy: PolicyState, ref_policy: PolicyState, group: RolloutGroup,
@@ -107,6 +110,10 @@ def grpo_loss(policy: PolicyState, ref_policy: PolicyState, group: RolloutGroup,
     weighs each label by its sampled actions' advantages over G; PAPER_LITERAL
     weighs the gold label +1 and the others -1/2. Both add
     beta * KL(pi || pi_ref) against the frozen reference policy.
+
+    A policy whose theta is a stack of shape (..., F, 3) gives one loss per
+    theta, as an array of shape (...), and gradients of theta's shape; each
+    row is bit for bit what that theta alone gives. One theta gives a float.
     """
     phi = np.asarray(group.features, dtype=float)
     pi = policy.distribution(phi)
@@ -118,9 +125,9 @@ def grpo_loss(policy: PolicyState, ref_policy: PolicyState, group: RolloutGroup,
         w = np.full(len(LABELS), -0.5)
         w[_LABEL_INDEX[group.gold]] = 1.0
     kl, kl_grad_logits = _kl_and_logit_grad(pi, pi_ref)
-    loss = -float(np.dot(w, np.log(pi))) + cfg.beta * kl
-    grad = np.outer(phi, w.sum() * pi - w + cfg.beta * kl_grad_logits)
-    return loss, grad
+    loss = -np.vecdot(w, np.log(pi)) + cfg.beta * kl
+    grad = phi[:, None] * (w.sum() * pi - w + cfg.beta * kl_grad_logits)[..., None, :]
+    return (float(loss) if loss.ndim == 0 else loss), grad
 
 
 def _rollout_group(features: np.ndarray, action_idx, gold: str,
@@ -258,16 +265,17 @@ class CheckResult(NamedTuple):
     detail: str
 
 
-def finite_difference_grad(loss_fn: Callable[[np.ndarray], float],
+def finite_difference_grad(loss_fn: Callable[[np.ndarray], np.ndarray],
                            theta: np.ndarray, step: float = 1e-5) -> np.ndarray:
-    grad = np.zeros_like(theta)
-    for idx in np.ndindex(theta.shape):
-        up = theta.copy()
-        up[idx] += step
-        down = theta.copy()
-        down[idx] -= step
-        grad[idx] = (loss_fn(up) - loss_fn(down)) / (2 * step)
-    return grad
+    """Central differences of loss_fn at theta, every coordinate from one call.
+
+    loss_fn takes all 2n perturbed copies of theta at once, stacked along a
+    new first axis (theta + step e_i, then theta - step e_i, for i < n =
+    theta.size), and returns their 2n losses.
+    """
+    steps = step * np.eye(theta.size).reshape(theta.size, *theta.shape)
+    up, down = np.split(loss_fn(np.concatenate([theta + steps, theta - steps])), 2)
+    return ((up - down) / (2 * step)).reshape(theta.shape)
 
 
 def _mixed_group(policy: PolicyState, features: np.ndarray, gold: str,
@@ -324,12 +332,12 @@ def advantage_checks(max_length: int = 6):
     """Exhaustive zero-sum and sign checks over binary reward vectors."""
     for length in range(2, max_length + 1):
         for rewards in _binary_vectors(length):
-            adv = group_advantages(rewards, MEAN_ONLY)
-            if sum(adv) != 0:
+            by_mode = {mode: group_advantages(rewards, mode)
+                       for mode in (MEAN_ONLY, MEAN_STD)}
+            if sum(by_mode[MEAN_ONLY]) != 0:
                 return False, f"MEAN_ONLY sum nonzero for {rewards}"
             mixed = 0 < sum(rewards) < length
-            for mode in (MEAN_ONLY, MEAN_STD):
-                adv = group_advantages(rewards, mode)
+            for mode, adv in by_mode.items():
                 if mixed:
                     for r, a in zip(rewards, adv):
                         if (a > 0) != (r == 1):
@@ -337,16 +345,20 @@ def advantage_checks(max_length: int = 6):
                 else:
                     if any(a != 0 for a in adv):
                         return False, f"degenerate group not all-zero for {rewards} ({mode})"
-            adv = group_advantages(rewards, MEAN_STD)
-            if abs(sum(adv)) >= 1e-9:
+            if abs(sum(by_mode[MEAN_STD])) >= 1e-9:
                 return False, f"MEAN_STD sum too large for {rewards}"
     return True, f"all binary reward vectors of length 2..{max_length}"
 
 
-def _random_distribution(rng: np.random.Generator, size: int = 3) -> np.ndarray:
-    x = rng.dirichlet(np.ones(size))
+def _random_distributions(rng: np.random.Generator, count: int,
+                          size: int = 3) -> np.ndarray:
+    """count strictly positive distributions, one per row.
+
+    The rows are the draws that count one-row calls would make in turn.
+    """
+    x = rng.dirichlet(np.ones(size), size=count)
     x = np.clip(x, 1e-9, None)
-    return x / x.sum()
+    return x / x.sum(axis=-1, keepdims=True)
 
 
 def kl_checks(n_pairs: int = 1000, seed: int = 0):
@@ -354,17 +366,16 @@ def kl_checks(n_pairs: int = 1000, seed: int = 0):
     # closed form fixes the direction: KL(q || p) here is about 0.0566
     kl, _ = _kl_and_logit_grad(np.array([0.5, 0.25, 0.25]), np.full(3, 1 / 3))
     if abs(kl - (math.log(3) - 1.5 * math.log(2))) > 1e-12:
-        return False, f"KL((1/2,1/4,1/4) || uniform) = {kl!r}, not log 3 - 3/2 log 2"
-    rng = np.random.default_rng(seed)
-    for _ in range(n_pairs):
-        p = _random_distribution(rng)
-        if _kl_and_logit_grad(p, _random_distribution(rng))[0] < 0:
-            return False, "KL negative"
-        kl, grad = _kl_and_logit_grad(p, p)
-        if abs(kl) > 1e-12:
-            return False, "KL(p, p) != 0"
-        if np.abs(grad).max() > 1e-10:
-            return False, "KL gradient nonzero at pi == pi_ref"
+        return False, f"KL((1/2,1/4,1/4) || uniform) = {float(kl)!r}, not log 3 - 3/2 log 2"
+    rows = _random_distributions(np.random.default_rng(seed), 2 * n_pairs)
+    p, q = rows[0::2], rows[1::2]
+    if (_kl_and_logit_grad(p, q)[0] < 0).any():
+        return False, "KL negative"
+    kl, grad = _kl_and_logit_grad(p, p)
+    if (np.abs(kl) > 1e-12).any():
+        return False, "KL(p, p) != 0"
+    if (np.abs(grad) > 1e-10).any():
+        return False, "KL gradient nonzero at pi == pi_ref"
     return True, f"closed form and {n_pairs} generated pairs"
 
 

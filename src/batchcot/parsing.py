@@ -88,6 +88,12 @@ class ReasoningChain:
     origin: ChainOrigin
     predicted_answer: Optional[str] = None
     verdict: Optional[str] = None
+    # count_tokens(text), as read from a chain file; None until first written
+    token_count: Optional[int] = field(default=None, compare=False)
+
+    def __post_init__(self):
+        if self.token_count is not None and self.token_count < 0:
+            raise ValueError("token_count must be >= 0")
 
 
 def count_tokens(text: str) -> int:
@@ -281,11 +287,16 @@ def split_completions(records):
 # --- JSONL (de)serialization -------------------------------------------------
 
 def _chain_row(chain: ReasoningChain) -> dict:
-    """A chain's fields plus its whitespace token count; verdict once graded."""
+    """A chain's fields plus its whitespace token count; verdict once graded.
+
+    A chain read from a file keeps the count it was read with; only a chain
+    that has none is counted.
+    """
     d = to_dict(chain)
     if chain.verdict is None:
         del d["verdict"]
-    d["token_count"] = count_tokens(chain.text)
+    if chain.token_count is None:
+        d["token_count"] = count_tokens(chain.text)
     d["token_scheme"] = WHITESPACE
     return d
 

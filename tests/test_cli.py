@@ -11,7 +11,7 @@ import pytest
 
 import batchcot
 import pipeline_fixtures as pf
-from batchcot import __version__
+from batchcot import __version__, parsing
 from batchcot.client import EndpointConfig, MockBackend, TransportError
 from batchcot.cli import build_parser, main, resolve_endpoint_config
 from batchcot.preference import PreferenceSample
@@ -225,6 +225,19 @@ class TestPipeline:
         with open(str(labeled) + ".manifest.json") as fh:
             manifest = json.load(fh)
         assert manifest["dataset"]["label_counts"] == pf.expected_label_counts()
+
+    def test_grade_carries_split_token_counts(self, labeled, workspace, tmp_path,
+                                              monkeypatch):
+        counted = []
+        count = parsing.count_tokens
+        monkeypatch.setattr(parsing, "count_tokens",
+                            lambda text: counted.append(text) or count(text))
+        root = workspace["root"]
+        out = tmp_path / "graded.jsonl"
+        assert main(["grade", "--in", str(root / "chains_k2.jsonl"),
+                     "--questions", str(workspace["corpus"]), "--out", str(out)]) == 0
+        assert counted == []
+        assert out.read_bytes() == (root / "graded_k2.jsonl").read_bytes()
 
     def test_grade_rejects_unknown_ids(self, workspace, tmp_path):
         stray = tmp_path / "tiny.jsonl"
@@ -519,6 +532,16 @@ class TestExitCodes:
         assert main(["grade", "--in", str(bad), "--questions", str(workspace["corpus"]),
                      "--out", str(tmp_path / "graded.jsonl")]) == 1
         assert capsys.readouterr().err.startswith(f"error: {bad}: line 1: TypeError: {key}")
+
+    def test_grade_on_negative_token_count(self, workspace, tmp_path, capsys):
+        chain = {"question_id": "q000", "text": "t", "token_count": -1,
+                 "origin": {"kind": "vanilla", "size": 1, "position": 1}}
+        bad = tmp_path / "chains.jsonl"
+        bad.write_text("\n" + json.dumps(chain) + "\n")
+        assert main(["grade", "--in", str(bad), "--questions", str(workspace["corpus"]),
+                     "--out", str(tmp_path / "graded.jsonl")]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: {bad}: line 2: ValueError: token_count must be >= 0")
 
     def test_label_on_chain_of_unknown_kind(self, workspace, tmp_path, capsys):
         bad = tmp_path / "chains.jsonl"

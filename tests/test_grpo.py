@@ -88,6 +88,35 @@ def reference_grpo_loss(policy: PolicyState, ref_policy: PolicyState,
     return loss, grad
 
 
+def reference_finite_difference_grad(loss_fn, theta: np.ndarray,
+                                     step: float = 1e-5) -> np.ndarray:
+    """Central differences with one loss_fn call per perturbed theta: the
+    oracle for finite_difference_grad, which makes one call for all of them."""
+    grad = np.zeros_like(theta)
+    for idx in np.ndindex(theta.shape):
+        up = theta.copy()
+        up[idx] += step
+        down = theta.copy()
+        down[idx] -= step
+        grad[idx] = (loss_fn(up) - loss_fn(down)) / (2 * step)
+    return grad
+
+
+def sequential_random_distribution(rng: np.random.Generator, size: int = 3):
+    """One distribution per Dirichlet draw: the oracle for the rows of
+    grpo._random_distributions."""
+    x = rng.dirichlet(np.ones(size))
+    x = np.clip(x, 1e-9, None)
+    return x / x.sum()
+
+
+def random_group(rng) -> RolloutGroup:
+    """A MEAN_STD group of 2 to 16 uniformly drawn actions."""
+    actions = [LABELS[i] for i in rng.integers(3, size=rng.integers(2, 17))]
+    gold = LABELS[int(rng.integers(3))]
+    return make_group(actions, gold, rng.normal(size=FEATURE_DIM))
+
+
 def greedy_label(policy: PolicyState, features: np.ndarray) -> str:
     """Highest-probability label; ties break by label order A < B < C."""
     return LABELS[int(np.argmax(policy.distribution(features)))]
@@ -189,9 +218,25 @@ class TestKl:
     def test_loss_kl_matches_oracle(self):
         rng = np.random.default_rng(4)
         for _ in range(1000):
-            p, q = (grpo._random_distribution(rng) for _ in range(2))
+            p, q = grpo._random_distributions(rng, 2)
             kl, _ = grpo._kl_and_logit_grad(p, q)
             assert abs(kl - kl_categorical(p, q)) < 1e-12
+
+    def test_stacked_kl_matches_each_pair_and_np_dot(self):
+        rows = grpo._random_distributions(np.random.default_rng(6), 400)
+        p, q = rows[0::2], rows[1::2]
+        kls, grads = grpo._kl_and_logit_grad(p, q)
+        for i in range(len(p)):
+            kl, grad = grpo._kl_and_logit_grad(p[i], q[i])
+            assert kl == kls[i] == np.dot(p[i], np.log(p[i]) - np.log(q[i]))
+            assert np.array_equal(grad, grads[i])
+
+    @pytest.mark.parametrize("seed", [0, 1, 8])
+    def test_batched_draws_equal_sequential_draws(self, seed):
+        batched = grpo._random_distributions(np.random.default_rng(seed), 500)
+        rng = np.random.default_rng(seed)
+        sequential = [sequential_random_distribution(rng) for _ in range(500)]
+        assert np.array_equal(batched, np.array(sequential))
 
     def test_checks_reject_reversed_kl(self, monkeypatch):
         def reversed_kl(p, q):
@@ -201,6 +246,31 @@ class TestKl:
         monkeypatch.setattr(grpo, "_kl_and_logit_grad", reversed_kl)
         ok, _ = kl_checks(n_pairs=1000, seed=0)
         assert not ok
+
+    @pytest.mark.parametrize("flaw, detail", [
+        ("negative", "KL negative"),
+        ("nonzero_at_p_eq_q", "KL(p, p) != 0"),
+        ("gradient_at_p_eq_q", "KL gradient nonzero at pi == pi_ref"),
+    ])
+    def test_checks_reject_kl_wrong_only_on_generated_pairs(
+            self, monkeypatch, flaw, detail):
+        # right on the closed form's (1/2, 1/4, 1/4), wrong where p or q puts
+        # more than 0.9 on the first label, which about 1% of draws do
+        kl_and_grad = grpo._kl_and_logit_grad
+
+        def flawed(p, q):
+            kl, grad = kl_and_grad(p, q)
+            if flaw == "negative":
+                return np.where(np.asarray(q)[..., 0] > 0.9, -kl, kl), grad
+            off = np.asarray(p)[..., 0] > 0.9
+            if flaw == "nonzero_at_p_eq_q":
+                return kl + 1e-9 * off, grad
+            return kl, grad + 1e-8 * off[..., None]
+
+        assert kl_checks(n_pairs=1000, seed=0) == (
+            True, "closed form and 1000 generated pairs")
+        monkeypatch.setattr(grpo, "_kl_and_logit_grad", flawed)
+        assert kl_checks(n_pairs=1000, seed=0) == (False, detail)
 
 
 def make_group(actions, gold, features=None, mode=MEAN_STD):
@@ -260,6 +330,23 @@ class TestGrpoLoss:
         denom = max(np.linalg.norm(grad), np.linalg.norm(fd))
         assert np.linalg.norm(grad - fd) / denom < 1e-6
 
+    def test_finite_differences_match_reference(self):
+        rng = np.random.default_rng(31)
+        for mode, beta in itertools.product((SAMPLED, PAPER_LITERAL), (0.0, 0.01, 1.0)):
+            cfg = GrpoConfig(beta=beta, objective_mode=mode)
+            for _ in range(10):
+                theta = rng.normal(scale=0.8, size=(FEATURE_DIM, 3))
+                ref = PolicyState(theta=theta + rng.normal(scale=0.3, size=theta.shape))
+                group = random_group(rng)
+
+                def loss_at(t, _ref=ref, _group=group, _cfg=cfg):
+                    return grpo_loss(PolicyState(theta=t), _ref, _group, _cfg)[0]
+
+                for step in (1e-5, 1e-3):
+                    assert np.array_equal(
+                        finite_difference_grad(loss_at, theta, step),
+                        reference_finite_difference_grad(loss_at, theta, step))
+
     def test_matches_reference_loss(self):
         # None draws arbitrary advantages that need not sum to zero: only such
         # groups exercise the (sum_a w_a) * pi term of the gradient
@@ -289,6 +376,24 @@ class TestGrpoLoss:
                     assert abs(loss - want_loss) <= 1e-12 * abs(want_loss)
                     assert (np.abs(grad - want_grad).max()
                             <= 1e-12 * np.abs(want_grad).max())
+
+    def test_stack_of_thetas_matches_each_theta_alone(self):
+        rng = np.random.default_rng(23)
+        for mode, beta in itertools.product((SAMPLED, PAPER_LITERAL), (0.0, 0.01, 1.0)):
+            cfg = GrpoConfig(beta=beta, objective_mode=mode)
+            for _ in range(20):
+                thetas = rng.normal(scale=0.8, size=(2, 5, FEATURE_DIM, 3))
+                ref = PolicyState(theta=rng.normal(scale=0.8, size=(FEATURE_DIM, 3)))
+                group = random_group(rng)
+                losses, grads = grpo_loss(PolicyState(theta=thetas), ref, group, cfg)
+                assert losses.shape == (2, 5)
+                assert grads.shape == thetas.shape
+                for idx in np.ndindex(losses.shape):
+                    loss, grad = grpo_loss(PolicyState(theta=thetas[idx]), ref,
+                                           group, cfg)
+                    assert type(loss) is float
+                    assert loss == losses[idx]
+                    assert np.array_equal(grad, grads[idx])
 
     def test_paper_literal_advantage_scheme(self):
         # full-action-set objective: +1 on the gold label, -1/2 elsewhere

@@ -381,6 +381,18 @@ class TestChainSerialization:
         assert back.predicted_answer == "3"
         assert back.verdict == "correct"
 
+    def test_read_count_is_carried_and_missing_count_is_counted(self, tmp_path):
+        origin = {"kind": "vanilla", "size": 1, "position": 1}
+        path = tmp_path / "chains.jsonl"
+        path.write_text(
+            json.dumps({"question_id": "a", "text": "one two", "origin": origin,
+                        "token_count": 7}) + "\n"
+            + json.dumps({"question_id": "b", "text": "x y z", "origin": origin}) + "\n")
+        out = tmp_path / "out.jsonl"
+        write_chains(out, read_chains(path))
+        assert [json.loads(line)["token_count"]
+                for line in out.read_text().splitlines()] == [7, 3]
+
     def test_record_token_preference(self):
         rec = CompletionRecord(
             envelope=PromptEnvelope(text="p", mode=VANILLA, batch_size=1,
