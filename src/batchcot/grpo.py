@@ -83,11 +83,10 @@ def group_advantages(rewards, mode: str = MEAN_STD) -> list:
         mean = sum(exact) / len(exact)
         return [r - mean for r in exact]
     if mode == MEAN_STD:
-        arr = np.asarray(rewards, dtype=float)
-        std = arr.std()
-        if std == 0.0:
+        if min(rewards) == max(rewards):
             return [0.0] * len(rewards)
-        return list((arr - arr.mean()) / std)
+        arr = np.asarray(rewards, dtype=float)
+        return list((arr - arr.mean()) / arr.std())
     raise ValueError(f"unknown advantage mode: {mode!r}")
 
 
@@ -179,6 +178,7 @@ def feature_matrix(samples) -> np.ndarray:
 def make_toy_dataset(n: int = 1000, seed: int = 0) -> list:
     """Synthetic preference samples whose labels are linearly separable."""
     rng = random.Random(seed)
+    words_list = [f"step{j}" for j in range(140)]  # the longest chain's words
     samples = []
     for i in range(n):
         origin_kind = VANILLA if rng.random() < 0.5 else BATCH
@@ -191,7 +191,7 @@ def make_toy_dataset(n: int = 1000, seed: int = 0) -> list:
         samples.append(
             PreferenceSample(
                 question=f"toy question {i}",
-                cot=" ".join(f"step{j}" for j in range(words)),
+                cot=" ".join(words_list[:words]),
                 gold_label=label_sample(origin_kind, verdict),
                 provenance={
                     "origin_kind": origin_kind,
@@ -211,9 +211,21 @@ class CurvePoint(NamedTuple):
 
 
 def _mean_gold_prob(policy: PolicyState, features: np.ndarray,
-                    gold_idx: np.ndarray) -> float:
-    probs = policy.distribution(features)
-    return float(probs[np.arange(len(gold_idx)), gold_idx].mean())
+                    gold_flat: np.ndarray) -> float:
+    """Mean gold-label probability over the rows of features.
+
+    gold_flat holds each row's gold entry as an index into the flattened
+    (n, 3) probabilities. The result is bit for bit the mean of the gold
+    entries of policy.distribution(features): the same row max and exp,
+    and the denominator summed as (e0 + e1) + e2, the order of numpy's sum
+    over a 3-long axis (e0 + (e1 + e2) differs in the last bit), but only
+    the gold entries are divided.
+    """
+    logits = features @ policy.theta
+    c0, c1, c2 = logits.T
+    exp = np.exp(logits - np.maximum(np.maximum(c0, c1), c2)[:, None])
+    e0, e1, e2 = exp.T
+    return float((exp.take(gold_flat) / ((e0 + e1) + e2)).mean())
 
 
 def train_toy(dataset, cfg: GrpoConfig, seed: int = 0):
@@ -225,7 +237,8 @@ def train_toy(dataset, cfg: GrpoConfig, seed: int = 0):
     if not dataset:
         raise ValueError("training dataset must be nonempty")
     features = feature_matrix(dataset)
-    gold_idx = np.array([_LABEL_INDEX[s.gold_label] for s in dataset])
+    gold_flat = (np.arange(len(dataset)) * len(LABELS)
+                 + [_LABEL_INDEX[s.gold_label] for s in dataset])
     rng = np.random.default_rng(seed)
     ref = policy = initial_policy(features.shape[1])  # ref stays frozen
     curve = []
@@ -234,9 +247,12 @@ def train_toy(dataset, cfg: GrpoConfig, seed: int = 0):
         phi = features[idx]
         group = sample_group(policy, phi, dataset[idx].gold_label, cfg, rng)
         loss, grad = grpo_loss(policy, ref, group, cfg)
+        if not math.isfinite(loss):
+            raise ValueError(f"training diverged at step {step}: loss is {loss} "
+                             f"(objective {cfg.objective_mode})")
         policy = PolicyState(theta=policy.theta - cfg.learning_rate * grad)
         curve.append(
-            CurvePoint(step, loss, _mean_gold_prob(policy, features, gold_idx))
+            CurvePoint(step, loss, _mean_gold_prob(policy, features, gold_flat))
         )
     return policy, curve
 

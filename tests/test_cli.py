@@ -491,6 +491,17 @@ class TestExitCodes:
         assert main(["--version"]) == 0
         capsys.readouterr()
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # log(0) as pi underflows
+    def test_diverging_training_is_named_error(self, tmp_path, capsys):
+        # paper_literal's loss is unbounded below; this run first gives a NaN
+        # loss at step 723
+        assert main(["grpo-train-toy", "--objective-mode", "paper_literal",
+                     "--samples", "1000", "--steps", "1000", "--seed", "5",
+                     "--out-dir", str(tmp_path / "toy")]) == 1
+        assert capsys.readouterr().err.strip().endswith(
+            "error: training diverged at step 723: loss is nan "
+            "(objective paper_literal)")
+
     def test_missing_backend_is_validation_error(self, workspace, tmp_path):
         assert main(["gen", "--questions", str(workspace["corpus"]),
                      "--out-dir", str(tmp_path / "x"), "--batch-size", "1"]) == 1

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -30,7 +31,9 @@ from batchcot.grpo import (
     train_toy,
     write_curve_csv,
 )
-from batchcot.preference import LABELS
+from batchcot import verify
+from batchcot.preference import LABELS, PreferenceSample, label_sample
+from batchcot.prompts import BATCH, VANILLA
 
 
 def kl_categorical(p, q) -> float:
@@ -102,6 +105,62 @@ def reference_finite_difference_grad(loss_fn, theta: np.ndarray,
     return grad
 
 
+def reference_mean_gold_prob(policy: PolicyState, features: np.ndarray,
+                             gold_idx: np.ndarray) -> float:
+    """Mean of the gold column of policy.distribution(features): the oracle
+    for grpo._mean_gold_prob, which must give its bits."""
+    probs = policy.distribution(features)
+    return float(probs[np.arange(len(gold_idx)), gold_idx].mean())
+
+
+def reference_group_advantages(rewards, mode: str = MEAN_STD) -> list:
+    """The oracle for group_advantages, which must give its values and
+    element types: MEAN_STD always goes through numpy's std."""
+    rewards = list(rewards)
+    if len(rewards) < 2:
+        raise ValueError("advantage baseline needs a group of size >= 2")
+    if mode == MEAN_ONLY:
+        exact = [Fraction(r) for r in rewards]
+        mean = sum(exact) / len(exact)
+        return [r - mean for r in exact]
+    if mode == MEAN_STD:
+        arr = np.asarray(rewards, dtype=float)
+        std = arr.std()
+        if std == 0.0:
+            return [0.0] * len(rewards)
+        return list((arr - arr.mean()) / std)
+    raise ValueError(f"unknown advantage mode: {mode!r}")
+
+
+def reference_make_toy_dataset(n: int, seed: int) -> list:
+    """Each chain joined from a generator expression: the oracle for
+    make_toy_dataset, which must give equal samples."""
+    rng = random.Random(seed)
+    samples = []
+    for i in range(n):
+        origin_kind = VANILLA if rng.random() < 0.5 else BATCH
+        correct = rng.random() < 0.65
+        if origin_kind == VANILLA:
+            words = rng.randint(80, 140)
+        else:
+            words = rng.randint(30, 70)
+        verdict = verify.CORRECT if correct else verify.INCORRECT
+        samples.append(
+            PreferenceSample(
+                question=f"toy question {i}",
+                cot=" ".join(f"step{j}" for j in range(words)),
+                gold_label=label_sample(origin_kind, verdict),
+                provenance={
+                    "origin_kind": origin_kind,
+                    "batch_size": 1 if origin_kind == VANILLA else 2,
+                    "position": 1,
+                    "question_id": f"toy-{i}",
+                },
+            )
+        )
+    return samples
+
+
 def sequential_random_distribution(rng: np.random.Generator, size: int = 3):
     """One distribution per Dirichlet draw: the oracle for the rows of
     grpo._random_distributions."""
@@ -168,6 +227,22 @@ class TestAdvantages:
     def test_too_small_group(self):
         with pytest.raises(ValueError):
             group_advantages([1], MEAN_ONLY)
+
+    @pytest.mark.parametrize("mode", [MEAN_ONLY, MEAN_STD])
+    def test_matches_reference_in_value_and_type(self, mode):
+        vectors = [list(bits) for length in range(2, 13)
+                   for bits in itertools.product([0, 1], repeat=length)]
+        vectors += [[r] * length for r in (0, 1) for length in range(2, 33)]
+        for rewards in vectors:
+            adv = group_advantages(rewards, mode)
+            expected = reference_group_advantages(rewards, mode)
+            assert adv == expected, rewards
+            assert list(map(type, adv)) == list(map(type, expected)), rewards
+
+    def test_constant_float_rewards_zero(self):
+        # numpy's mean of [0.1] * 3 is not 0.1, so a std-based test of
+        # constancy would normalize rounding error to advantages of -1
+        assert group_advantages([0.1] * 3, MEAN_STD) == [0.0] * 3
 
     def test_exhaustive_binary_properties(self):
         for length in range(2, 7):
@@ -488,6 +563,29 @@ class TestTrainToy:
         with pytest.raises(ValueError):
             train_toy([], GrpoConfig(), seed=0)
 
+    @pytest.mark.parametrize("objective_mode, advantage_mode", [
+        (SAMPLED, MEAN_STD), (SAMPLED, MEAN_ONLY), (PAPER_LITERAL, MEAN_STD),
+    ])
+    def test_matches_reference_gold_prob(self, monkeypatch, objective_mode,
+                                         advantage_mode):
+        dataset = make_toy_dataset(200, seed=3)
+        cfg = GrpoConfig(steps=150, objective_mode=objective_mode,
+                         advantage_mode=advantage_mode)
+        policy, curve = train_toy(dataset, cfg, seed=3)
+        monkeypatch.setattr(
+            grpo, "_mean_gold_prob",
+            lambda p, features, gold_flat: reference_mean_gold_prob(
+                p, features, gold_flat % len(LABELS)),
+        )
+        ref_policy, ref_curve = train_toy(dataset, cfg, seed=3)
+        assert curve == ref_curve
+        assert np.array_equal(policy.theta, ref_policy.theta)
+
+    @pytest.mark.parametrize("n", [1, 50, 1000])
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_dataset_matches_reference(self, n, seed):
+        assert make_toy_dataset(n, seed) == reference_make_toy_dataset(n, seed)
+
     def test_greedy_tie_break(self):
         policy = initial_policy()
         assert greedy_label(policy, np.ones(FEATURE_DIM)) == "A"
@@ -497,6 +595,39 @@ class TestTrainToy:
         feats = feature_matrix(dataset)
         assert feats.shape == (10, FEATURE_DIM)
         assert np.all(feats[:, 0] == 1.0)
+
+
+class TestMeanGoldProb:
+    @pytest.fixture(scope="class")
+    def toy(self):
+        dataset = make_toy_dataset(1000, seed=0)
+        gold_idx = np.array([LABELS.index(s.gold_label) for s in dataset])
+        return feature_matrix(dataset), gold_idx, np.arange(1000) * 3 + gold_idx
+
+    def assert_matches_reference(self, toy, theta):
+        features, gold_idx, gold_flat = toy
+        policy = PolicyState(theta=theta)
+        assert (grpo._mean_gold_prob(policy, features, gold_flat)
+                == reference_mean_gold_prob(policy, features, gold_idx)), theta
+
+    @pytest.mark.parametrize("scale", [0.1, 0.3, 1.0, 3.0, 10.0, 30.0])
+    def test_random_thetas_match_reference_bit_for_bit(self, toy, scale):
+        rng = np.random.default_rng(int(scale * 10))
+        for _ in range(200):
+            self.assert_matches_reference(
+                toy, rng.normal(scale=scale, size=(FEATURE_DIM, len(LABELS))))
+
+    def test_zero_theta_is_one_third(self, toy):
+        self.assert_matches_reference(toy, np.zeros((FEATURE_DIM, len(LABELS))))
+
+    @pytest.mark.parametrize("tied", [(0, 1), (0, 2), (1, 2)])
+    def test_tied_logits_match_reference(self, toy, tied):
+        rng = np.random.default_rng(sum(tied))
+        for scale in (0.1, 1.0, 30.0):
+            for _ in range(20):
+                theta = rng.normal(scale=scale, size=(FEATURE_DIM, len(LABELS)))
+                theta[:, tied[1]] = theta[:, tied[0]]
+                self.assert_matches_reference(toy, theta)
 
 
 class TestCheckpointAndCurve:
