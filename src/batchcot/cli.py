@@ -254,43 +254,31 @@ def cmd_batch_experiment(args):
             "group": args.group, "batch_sizes": args.batch_size}
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="batchcot",
-        description="Batch-inference reasoning-efficiency pipeline",
-    )
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("gen", help="generate vanilla and batch completions")
-    _add_batch_run_args(p)
-    p.set_defaults(func=cmd_gen)
-
-    p = sub.add_parser("split", help="split completions into reasoning chains")
+def _add_split_args(p):
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_split)
 
-    p = sub.add_parser("grade", help="attach correctness verdicts to chains")
+
+def _add_grade_args(p):
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--questions", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_grade)
 
-    p = sub.add_parser("label", help="build the A/B/C preference dataset")
+
+def _add_label_args(p):
     p.add_argument("--in", dest="infile", action="append", required=True)
     p.add_argument("--questions", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--paired", action="store_true",
                    help="one vanilla + one batch chain per question")
-    p.set_defaults(func=cmd_label)
 
-    p = sub.add_parser("grpo-check", help="run gradient/KL/advantage verification")
+
+def _add_grpo_check_args(p):
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_grpo_check)
 
-    p = sub.add_parser("grpo-train-toy", help="train the toy label policy")
+
+def _add_grpo_train_toy_args(p):
     p.add_argument("--samples", type=int, default=1000)
     p.add_argument("--steps", type=int, default=GrpoConfig.steps)
     p.add_argument("--group-size", type=int, default=GrpoConfig.group_size)
@@ -302,35 +290,68 @@ def build_parser() -> argparse.ArgumentParser:
                    default=GrpoConfig.objective_mode)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-dir", required=True)
-    p.set_defaults(func=cmd_grpo_train_toy)
 
-    p = sub.add_parser("eval", help="evaluate a benchmark corpus")
+
+def _add_eval_args(p):
     p.add_argument("--benchmark", required=True)
     p.add_argument("--corpus", required=True)
     p.add_argument("--samples-per-question", type=int, default=None)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--seed", type=int, default=None)
     _add_endpoint_flags(p)
-    p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("report", help="render an accuracy/token report")
+
+def _add_report_args(p):
     p.add_argument("--aggregates", required=True)
     p.add_argument("--baseline")
     p.add_argument("--csv")
-    p.set_defaults(func=cmd_report)
 
-    p = sub.add_parser("batch-experiment",
-                       help="vanilla vs batch-k token/accuracy comparison")
-    _add_batch_run_args(p)
-    p.set_defaults(func=cmd_batch_experiment)
 
+# (name, help, add-arguments function, command function), in --help order
+COMMANDS = (
+    ("gen", "generate vanilla and batch completions", _add_batch_run_args, cmd_gen),
+    ("split", "split completions into reasoning chains", _add_split_args, cmd_split),
+    ("grade", "attach correctness verdicts to chains", _add_grade_args, cmd_grade),
+    ("label", "build the A/B/C preference dataset", _add_label_args, cmd_label),
+    ("grpo-check", "run gradient/KL/advantage verification", _add_grpo_check_args,
+     cmd_grpo_check),
+    ("grpo-train-toy", "train the toy label policy", _add_grpo_train_toy_args,
+     cmd_grpo_train_toy),
+    ("eval", "evaluate a benchmark corpus", _add_eval_args, cmd_eval),
+    ("report", "render an accuracy/token report", _add_report_args, cmd_report),
+    ("batch-experiment", "vanilla vs batch-k token/accuracy comparison",
+     _add_batch_run_args, cmd_batch_experiment),
+)
+
+
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The batchcot parser, with every subcommand.
+
+    Given the argv it will parse, only the subcommand argv[0] names gets its
+    arguments, which are all that parse can reach; when argv[0] names none,
+    every subcommand gets them. Either way the usage, --help and error
+    output are the same.
+    """
+    parser = argparse.ArgumentParser(
+        prog="batchcot",
+        description="Batch-inference reasoning-efficiency pipeline",
+    )
+    parser.add_argument("--version", action="version", version=__version__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    invoked = argv[0] if argv else None
+    every = invoked not in {name for name, _, _, _ in COMMANDS}
+    for name, help_text, add_args, func in COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        if every or name == invoked:
+            add_args(p)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser = build_parser()
+    parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -119,15 +119,17 @@ class MockBackend:
     def from_dir(cls, path) -> "MockBackend":
         """Load fingerprint-named .txt response files (optional .tokens sidecar)."""
         responses = {}
-        for name in sorted(os.listdir(path)):
+        names = sorted(os.listdir(path))
+        listed = set(names)
+        for name in names:
             if not name.endswith(".txt"):
                 continue
             fp = name[:-len(".txt")]
             with open(os.path.join(path, name), encoding="utf-8") as fh:
                 text = fh.read()
             tokens = None
-            sidecar = os.path.join(path, fp + ".tokens")
-            if os.path.exists(sidecar):
+            if fp + ".tokens" in listed:
+                sidecar = os.path.join(path, fp + ".tokens")
                 with open(sidecar, encoding="utf-8") as fh, naming(sidecar):
                     tokens = int(fh.read().strip())
                     if tokens < 0:
@@ -245,9 +247,12 @@ def complete(envelope: PromptEnvelope, cfg: EndpointConfig,
 
 
 def complete_many(envelopes, cfg: EndpointConfig, backend) -> list:
-    """Concurrent completions, merged in input order.
+    """Completions of every envelope, in input order.
 
-    Failures are returned in place as exception objects, never raised here.
+    Up to cfg.max_concurrent requests are in flight at once, except on a
+    MockBackend: it does no I/O, so it answers in the calling thread, where
+    a worker thread would only add a hand-off per request. Failures are
+    returned in place as exception objects, never raised here.
     """
     def one(envelope):
         try:
@@ -255,6 +260,8 @@ def complete_many(envelopes, cfg: EndpointConfig, backend) -> list:
         except (TransportError, RequestError) as exc:
             return exc
 
+    if isinstance(backend, MockBackend):
+        return [one(envelope) for envelope in envelopes]
     with ThreadPoolExecutor(max_workers=cfg.max_concurrent) as pool:
         return list(pool.map(one, envelopes))
 
@@ -323,7 +330,7 @@ def run_batch_experiment(questions, batch_sizes, cfg: EndpointConfig, backend,
         graded = chains + [c for r in unsplittable for c in _block_chains(r)]
         n_correct = sum(verify.grade(c, qmap[c.question_id]) == verify.CORRECT
                         for c in graded)
-        split_tokens = [count_tokens(c.text) for c in chains]
+        split_tokens = [c.token_count for c in chains]
         rows.append(ExperimentRow(
             batch_size=k,
             n_groups=len(records) + n_failures,

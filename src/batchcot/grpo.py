@@ -242,18 +242,21 @@ def train_toy(dataset, cfg: GrpoConfig, seed: int = 0):
     rng = np.random.default_rng(seed)
     ref = policy = initial_policy(features.shape[1])  # ref stays frozen
     curve = []
-    for step in range(cfg.steps):
-        idx = int(rng.integers(len(dataset)))
-        phi = features[idx]
-        group = sample_group(policy, phi, dataset[idx].gold_label, cfg, rng)
-        loss, grad = grpo_loss(policy, ref, group, cfg)
-        if not math.isfinite(loss):
-            raise ValueError(f"training diverged at step {step}: loss is {loss} "
-                             f"(objective {cfg.objective_mode})")
-        policy = PolicyState(theta=policy.theta - cfg.learning_rate * grad)
-        curve.append(
-            CurvePoint(step, loss, _mean_gold_prob(policy, features, gold_flat))
-        )
+    # a diverging run's log(0) and 0 * inf are named by the finiteness check
+    # below, not warned about; entered once, not once per step
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for step in range(cfg.steps):
+            idx = int(rng.integers(len(dataset)))
+            phi = features[idx]
+            group = sample_group(policy, phi, dataset[idx].gold_label, cfg, rng)
+            loss, grad = grpo_loss(policy, ref, group, cfg)
+            if not math.isfinite(loss):
+                raise ValueError(f"training diverged at step {step}: loss is {loss} "
+                                 f"(objective {cfg.objective_mode})")
+            policy = PolicyState(theta=policy.theta - cfg.learning_rate * grad)
+            curve.append(
+                CurvePoint(step, loss, _mean_gold_prob(policy, features, gold_flat))
+            )
     return policy, curve
 
 

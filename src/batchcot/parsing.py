@@ -88,7 +88,8 @@ class ReasoningChain:
     origin: ChainOrigin
     predicted_answer: Optional[str] = None
     verdict: Optional[str] = None
-    # count_tokens(text), as read from a chain file; None until first written
+    # count_tokens(text): set when the chain is split from a completion or
+    # read from a chain file; None only for a chain built some other way
     token_count: Optional[int] = field(default=None, compare=False)
 
     def __post_init__(self):
@@ -248,6 +249,7 @@ def split_batch_chains(record: CompletionRecord) -> list:
                 text=segment,
                 origin=ChainOrigin(kind=BATCH, size=k, position=pos),
                 predicted_answer=predicted,
+                token_count=count_tokens(segment),
             )
         )
     return chains
@@ -263,6 +265,8 @@ def vanilla_chain(record: CompletionRecord) -> ReasoningChain:
         text=record.raw_text,
         origin=ChainOrigin(kind=VANILLA),
         predicted_answer=boxes[-1] if boxes else None,
+        # the record's counted_tokens is already the count of raw_text
+        token_count=record.counted_tokens,
     )
 
 
@@ -289,8 +293,8 @@ def split_completions(records):
 def _chain_row(chain: ReasoningChain) -> dict:
     """A chain's fields plus its whitespace token count; verdict once graded.
 
-    A chain read from a file keeps the count it was read with; only a chain
-    that has none is counted.
+    A chain keeps the count it was split or read with; only a chain that has
+    none is counted.
     """
     d = to_dict(chain)
     if chain.verdict is None:

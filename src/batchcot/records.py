@@ -73,11 +73,15 @@ def from_dict(cls, d: dict):
     return cls(**kwargs)
 
 
+# json.dumps(row, sort_keys=True) without building an encoder per row
+_encode = json.JSONEncoder(sort_keys=True).encode
+
+
 def write_jsonl(path, rows):
     """One sort_keys JSON object per line."""
     with open(path, "w", encoding="utf-8") as fh:
         for row in rows:
-            fh.write(json.dumps(row, sort_keys=True))
+            fh.write(_encode(row))
             fh.write("\n")
 
 

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import json
 import os
@@ -11,7 +12,7 @@ import pytest
 
 import batchcot
 import pipeline_fixtures as pf
-from batchcot import __version__, parsing
+from batchcot import __version__, cli, parsing
 from batchcot.client import EndpointConfig, MockBackend, TransportError
 from batchcot.cli import build_parser, main, resolve_endpoint_config
 from batchcot.preference import PreferenceSample
@@ -482,6 +483,68 @@ class TestConfigResolution:
         assert reads == [("client.py", "api_key = os.environ.get(API_KEY_ENV)")]
 
 
+def parse_outcome(parser, argv, capsys):
+    """(exit code, stdout, stderr) of parser.parse_args(argv); code None on success."""
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        args, code = None, exc.code
+    else:
+        code = None
+    out = capsys.readouterr()
+    return code, out.out, out.err, args and vars(args)
+
+
+class TestParser:
+    """Only the invoked subcommand gets its arguments, and nobody can tell."""
+
+    VALID = {
+        "gen": ["--questions", "q", "--out-dir", "o", "--batch-size", "1",
+                "--batch-size", "4", "--mock", "m", "--max-concurrent", "2"],
+        "split": ["--in", "c", "--out", "o"],
+        "grade": ["--in", "c", "--questions", "q", "--out", "o"],
+        "label": ["--in", "a", "--in", "b", "--questions", "q", "--out", "o",
+                  "--paired"],
+        "grpo-check": ["--seed", "8"],
+        "grpo-train-toy": ["--steps", "5", "--lr", "0.1", "--out-dir", "o"],
+        "eval": ["--benchmark", "aime2024", "--corpus", "c", "--out-dir", "o",
+                 "--base-url", "http://localhost:1/v1", "--timeout", "3"],
+        "report": ["--aggregates", "a", "--csv", "c"],
+        "batch-experiment": ["--questions", "q", "--out-dir", "o",
+                             "--batch-size", "2", "--group", "sequential"],
+    }
+
+    def test_every_command_has_a_valid_argv(self):
+        assert sorted(self.VALID) == sorted(name for name, _, _, _ in cli.COMMANDS)
+
+    @pytest.mark.parametrize("argv", (
+        [[name, "--help"] for name in VALID]
+        + [[name] + rest for name, rest in VALID.items()]
+        + [["--help"], ["--version"], [], ["bogus"], ["bogus", "--in", "x"],
+           ["split", "--in", "x", "--out", "y", "--bogus"], ["gen", "--bogus"],
+           ["split", "--in", "x"], ["eval", "--benchmark", "b"],
+           ["label", "--questions", "q", "--out", "o"],
+           ["grpo-train-toy", "--objective-mode", "nope", "--out-dir", "o"],
+           ["report", "--aggregates"]]
+    ), ids=" ".join)
+    def test_same_outcome_as_the_parser_with_every_argument(self, argv, capsys):
+        invoked_only = parse_outcome(build_parser(argv), argv, capsys)
+        every = parse_outcome(build_parser(), argv, capsys)
+        assert invoked_only == every
+        assert invoked_only[0] in (None, 0, 2)
+
+    def test_invoked_only_build_leaves_the_other_commands_bare(self):
+        def arguments(parser):
+            sub, = (a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction))
+            return {name: len(p._actions) for name, p in sub.choices.items()}
+
+        invoked_only = arguments(build_parser(["split", "--in", "x"]))
+        every = arguments(build_parser())
+        assert invoked_only["split"] == every["split"] > 1
+        assert all(n == 1 for name, n in invoked_only.items() if name != "split")
+
+
 class TestExitCodes:
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate"]) == 1
@@ -491,16 +554,16 @@ class TestExitCodes:
         assert main(["--version"]) == 0
         capsys.readouterr()
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # log(0) as pi underflows
-    def test_diverging_training_is_named_error(self, tmp_path, capsys):
+    def test_diverging_training_is_named_error(self, tmp_path, capsys, recwarn):
         # paper_literal's loss is unbounded below; this run first gives a NaN
-        # loss at step 723
+        # loss at step 723, after log(0) as pi underflows, which warns nothing
         assert main(["grpo-train-toy", "--objective-mode", "paper_literal",
                      "--samples", "1000", "--steps", "1000", "--seed", "5",
                      "--out-dir", str(tmp_path / "toy")]) == 1
-        assert capsys.readouterr().err.strip().endswith(
+        assert capsys.readouterr().err == (
             "error: training diverged at step 723: loss is nan "
-            "(objective paper_literal)")
+            "(objective paper_literal)\n")
+        assert [str(w.message) for w in recwarn] == []
 
     def test_missing_backend_is_validation_error(self, workspace, tmp_path):
         assert main(["gen", "--questions", str(workspace["corpus"]),

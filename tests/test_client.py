@@ -476,7 +476,29 @@ class TestConcurrency:
                 for i in range(20)]
         results = complete_many(envs, cfg(max_concurrent=3), probe)
         assert len(results) == 20
-        assert probe.max_in_flight <= 3
+        # a backend that waits on I/O still gets concurrent requests
+        assert 1 < probe.max_in_flight <= 3
+
+    def test_mock_answers_in_the_calling_thread(self):
+        class ThreadRecordingMock(MockBackend):
+            def __init__(self):
+                super().__init__()
+                self.threads = []
+
+            def send(self, prompt_text, cfg):
+                self.threads.append(threading.get_ident())
+                return super().send(prompt_text, cfg)
+
+        script = ThreadRecordingMock()
+        envs = []
+        for i in range(10):
+            env = build_single_prompt(
+                Question(id=f"q{i}", text=f"body {i}", gold_answer="1"))
+            script.add(env.text, f"answer {i} \\boxed{{{i}}}")
+            envs.append(env)
+        results = complete_many(envs, cfg(max_concurrent=4), script)
+        assert script.threads == [threading.get_ident()] * 10
+        assert [r.raw_text.split()[1] for r in results] == [str(i) for i in range(10)]
 
     def test_results_in_input_order(self):
         script = MockBackend()

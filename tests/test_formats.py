@@ -23,7 +23,7 @@ from batchcot.parsing import (
 )
 from batchcot.preference import PreferenceSample, write_samples
 from batchcot.prompts import BATCH, VANILLA, PromptEnvelope
-from batchcot.records import read_jsonl
+from batchcot.records import read_jsonl, write_jsonl
 
 COMPLETION = CompletionRecord(
     PromptEnvelope("Q1?\nQ2?", BATCH, 2, ("q1", "q2")),
@@ -137,6 +137,21 @@ class TestGoldenLines:
                      "--group", "sequential", "--mock", str(mock)]) == 0
         assert lines(out / "experiment.jsonl") == [
             EXPERIMENT_K1_LINE, EXPERIMENT_K2_LINE, ""]
+
+
+class TestWriteJsonl:
+    def test_bytes_are_json_dumps_with_sorted_keys(self, tmp_path):
+        rows = [
+            {"text": "caf\u00e9 \u6570\u5b66 \U0001d70b \\boxed{\u00bd}", "id": "q\u00e9"},
+            {"z": {"b": {"d": 1, "c": [1, 2.5]}, "a": None}, "a": (1, "two", None)},
+            {"none": None, "flag": True, "float": 1e-300, "neg": -0.0, "big": 10 ** 30},
+            {},
+            {"list": [{"y": 2, "x": 1}, ("t", ("u",))], "line": "a\nb\t\"c\"\u2028"},
+        ]
+        path = tmp_path / "rows.jsonl"
+        write_jsonl(path, rows)
+        assert path.read_bytes() == "".join(
+            json.dumps(row, sort_keys=True) + "\n" for row in rows).encode("utf-8")
 
 
 class TestRoundTrip:

@@ -1,11 +1,15 @@
 import json
+import os
 import re
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pipeline_fixtures as pf
 from batchcot import parsing
+from batchcot.client import EndpointConfig, MockBackend, complete_groups
 from batchcot.parsing import (
     WHITESPACE,
     ChainOrigin,
@@ -16,10 +20,11 @@ from batchcot.parsing import (
     parse_final_answers,
     read_chains,
     split_batch_chains,
+    split_completions,
     vanilla_chain,
     write_chains,
 )
-from batchcot.prompts import BATCH, VANILLA, PromptEnvelope
+from batchcot.prompts import BATCH, VANILLA, PromptEnvelope, load_questions
 
 
 def batch_record(raw_text, k=2, ids=None):
@@ -365,6 +370,53 @@ class TestCountTokens:
 
     def test_empty(self):
         assert count_tokens("") == 0
+
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                         "perfbench")
+
+
+class TestChainTokenCounts:
+    """Every chain carries count_tokens(text) from the moment it is split."""
+
+    @staticmethod
+    def split_all(backend, questions, batch_sizes, seed, group):
+        chains = []
+        for k in batch_sizes:
+            records, failures = complete_groups(questions, k, EndpointConfig(),
+                                                backend, seed, group)
+            assert failures == 0
+            chains += split_completions(records)[0]
+        return chains
+
+    def test_clean_fixture_chains(self):
+        questions = pf.make_corpus()
+        chains = self.split_all(pf.build_script(questions), questions, (1, 2, 3),
+                                0, "sequential")
+        assert len(chains) == 3 * pf.N_QUESTIONS
+        assert [c.token_count for c in chains] == [count_tokens(c.text) for c in chains]
+
+    def test_hostile_benchmark_chains(self, tmp_path, monkeypatch):
+        # the benchmark's generated responses, a fixed share of them hostile
+        monkeypatch.syspath_prepend(PERFBENCH)
+        import gen_inputs
+        try:
+            truth = gen_inputs.make_pipeline_inputs(str(tmp_path), seed=3, n_questions=40)
+        finally:
+            sys.modules.pop("gen_inputs", None)
+        assert set(gen_inputs.HOSTILE_KINDS) <= {r["kind"] for r in truth["records"]}
+        questions = load_questions(str(tmp_path / "questions.jsonl"))
+        backend = MockBackend.from_dir(str(tmp_path / "mock"))
+        chains = self.split_all(backend, questions, truth["batch_sizes"], 3, "random")
+        assert {c.origin.size for c in chains} == {1, 4, 8}
+        assert [c.token_count for c in chains] == [count_tokens(c.text) for c in chains]
+
+    def test_unicode_whitespace_and_empty_segments(self):
+        text = ("[Solution Process]\n1.\u00a0a\u2003b\r\nc\n2.\n"
+                "[Final Answer]\n1. \\boxed{1}\n2. \\boxed{2}")
+        chains = split_completions([batch_record(text), vanilla_record("x\u3000y z")])[0]
+        assert [c.token_count for c in chains] == [4, 1, 3]
+        assert [c.token_count for c in chains] == [count_tokens(c.text) for c in chains]
 
 
 class TestChainSerialization:
