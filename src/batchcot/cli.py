@@ -7,6 +7,7 @@ import json
 import os
 import sys
 import time
+from contextlib import closing
 
 from batchcot import __version__, harness, preference, verify
 from batchcot.client import (
@@ -45,6 +46,7 @@ def resolve_endpoint_config(args) -> EndpointConfig:
 
 
 def _make_backend(args, cfg: EndpointConfig):
+    """The command's backend; the command closes it on every exit path."""
     if getattr(args, "mock", None):
         return MockBackend.from_dir(args.mock)
     if not cfg.base_url:
@@ -105,22 +107,22 @@ def _add_batch_run_args(p):
 
 def cmd_gen(args):
     cfg = resolve_endpoint_config(args)
-    backend = _make_backend(args, cfg)
-    questions = load_questions(args.questions)
-    os.makedirs(args.out_dir, exist_ok=True)
     outputs = []
     request_failures = 0
-    for k in args.batch_size:
-        records, failures = complete_groups(questions, k, cfg, backend,
-                                            args.seed, args.group)
-        request_failures += failures
-        out_path = os.path.join(args.out_dir, f"completions_k{k}.jsonl")
-        write_completions(out_path, records)
-        outputs.append(out_path)
-        mode = "vanilla" if k == 1 else f"batch-{k}"
-        print(f"{mode}: {len(records)} completions, "
-              f"mean tokens/question = {tokens_per_question(records):.2f}, "
-              f"failures = {failures}")
+    with closing(_make_backend(args, cfg)) as backend:
+        questions = load_questions(args.questions)
+        os.makedirs(args.out_dir, exist_ok=True)
+        for k in args.batch_size:
+            records, failures = complete_groups(questions, k, cfg, backend,
+                                                args.seed, args.group)
+            request_failures += failures
+            out_path = os.path.join(args.out_dir, f"completions_k{k}.jsonl")
+            write_completions(out_path, records)
+            outputs.append(out_path)
+            mode = "vanilla" if k == 1 else f"batch-{k}"
+            print(f"{mode}: {len(records)} completions, "
+                  f"mean tokens/question = {tokens_per_question(records):.2f}, "
+                  f"failures = {failures}")
     return {"config": _config_snapshot(cfg), "inputs": [args.questions],
             "outputs": outputs, "exclusions": {"request_failures": request_failures},
             "group": args.group, "batch_sizes": args.batch_size}
@@ -201,11 +203,11 @@ def cmd_grpo_train_toy(args):
 
 def cmd_eval(args):
     cfg = resolve_endpoint_config(args)
-    backend = _make_backend(args, cfg)
-    spec = harness.registry_spec(
-        args.benchmark, args.corpus, samples_per_question=args.samples_per_question
-    )
-    records, aggregate = harness.evaluate(spec, cfg, backend)
+    with closing(_make_backend(args, cfg)) as backend:
+        spec = harness.registry_spec(
+            args.benchmark, args.corpus, samples_per_question=args.samples_per_question
+        )
+        records, aggregate = harness.evaluate(spec, cfg, backend)
     os.makedirs(args.out_dir, exist_ok=True)
     results_path = os.path.join(args.out_dir, "results.jsonl")
     write_jsonl(results_path, records)
@@ -234,11 +236,11 @@ def cmd_report(args):
 
 def cmd_batch_experiment(args):
     cfg = resolve_endpoint_config(args)
-    backend = _make_backend(args, cfg)
-    questions = load_questions(args.questions)
-    rows = run_batch_experiment(
-        questions, args.batch_size, cfg, backend, seed=args.seed, group=args.group
-    )
+    with closing(_make_backend(args, cfg)) as backend:
+        questions = load_questions(args.questions)
+        rows = run_batch_experiment(
+            questions, args.batch_size, cfg, backend, seed=args.seed, group=args.group
+        )
     os.makedirs(args.out_dir, exist_ok=True)
     rows_path = os.path.join(args.out_dir, "experiment.jsonl")
     write_jsonl(rows_path, map(to_dict, rows))

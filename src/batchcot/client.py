@@ -8,6 +8,9 @@ import http.client
 import json
 import math
 import os
+import select
+import socket
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -31,6 +34,8 @@ from batchcot.records import naming
 API_KEY_ENV = "BATCHCOT_API_KEY"
 # Seconds before the first retry; each further retry waits twice as long.
 BACKOFF_BASE_S = 0.5
+# Linux only; None elsewhere (see HttpBackend)
+_TCP_QUICKACK = getattr(socket, "TCP_QUICKACK", None)
 
 
 class TransportError(Exception):
@@ -142,6 +147,9 @@ class MockBackend:
         return RawCompletion(response.text, response.tokens,
                              [{"attempt": 1, "status": 200}])
 
+    def close(self):
+        """Nothing to release: the engine holds no connections."""
+
 
 def _chat_completion_body(body: bytes):
     """(content, completion_tokens) of an HTTP 200 chat-completion response body.
@@ -169,10 +177,22 @@ def _chat_completion_body(body: bytes):
 class HttpBackend:
     """OpenAI-compatible chat-completions transport with retry and backoff.
 
-    Each attempt opens one fresh connection and closes it: reusing one
-    against a server that writes headers and body in separate sends stalls
-    every request on Nagle's algorithm and delayed ACK. The API key is read
-    once, when the backend is built.
+    Requests reuse keep-alive connections: `send` takes an idle one, or opens
+    a new one when none is idle, and puts it back after a 200 response whose
+    body it has read in full. An error, any other status or a response the
+    server will close closes the connection instead, and so does the server
+    closing an idle one. A connection opens only when none is idle, so no
+    more are ever open than the most requests in flight at once.
+    `close()` closes the idle connections; call it once the sends are done,
+    or use the backend as a context manager.
+
+    Once a response's headers are in, `send` sets TCP_QUICKACK on the
+    socket. That acknowledges the headers at once, so a server that writes
+    its headers and its body in separate sends does not hold the body back
+    (Nagle's algorithm) until the delayed ACK, about 40 ms later, on every
+    request of a reused connection. TCP_QUICKACK is Linux-only: elsewhere
+    such a server can stall a reused connection unless it sets TCP_NODELAY.
+    The API key is read once, when the backend is built.
     """
 
     def __init__(self, base_url: str, model: str):
@@ -193,6 +213,34 @@ class HttpBackend:
             if not (api_key.isascii() and api_key.isprintable()):
                 raise ValueError(f"{API_KEY_ENV} is not a valid HTTP header value")
             self._headers["Authorization"] = f"Bearer {api_key}"
+        self._idle = []
+        self._idle_lock = threading.Lock()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.close()
+
+    def close(self):
+        """Close the idle connections; a later send opens new ones."""
+        with self._idle_lock:
+            idle, self._idle = self._idle, []
+        for conn in idle:
+            conn.close()
+
+    def _connection(self, timeout: float):
+        """The most recently used idle connection still open, or a new one."""
+        while True:
+            with self._idle_lock:
+                conn = self._idle.pop() if self._idle else None
+            if conn is None:
+                return self._connection_class(self._host, self._port, timeout=timeout)
+            # readable while idle: the server has closed it
+            if not select.select([conn.sock], [], [], 0)[0]:
+                conn.sock.settimeout(timeout)
+                return conn
+            conn.close()
 
     def send(self, prompt_text: str, cfg: EndpointConfig) -> RawCompletion:
         payload = {
@@ -208,13 +256,19 @@ class HttpBackend:
         attempts = []
         total = cfg.max_retries + 1
         for attempt in range(1, total + 1):
-            conn = self._connection_class(self._host, self._port, timeout=cfg.timeout)
+            conn = self._connection(cfg.timeout)
+            reusable = False
             try:
                 conn.request("POST", self._path, body, self._headers)
                 # a response the server will close owns the socket, not conn
                 with conn.getresponse() as resp:
+                    # between the headers and the body, while their ACK is
+                    # pending; set once the request is sent, it races the reply
+                    if _TCP_QUICKACK is not None and conn.sock is not None:
+                        conn.sock.setsockopt(socket.IPPROTO_TCP, _TCP_QUICKACK, 1)
                     status = resp.status
                     data = resp.read() if status == 200 else None
+                    reusable = status == 200 and not resp.will_close
             except (OSError, http.client.HTTPException) as exc:
                 attempts.append({"attempt": attempt, "error": type(exc).__name__})
             else:
@@ -226,7 +280,11 @@ class HttpBackend:
                     raise RequestError(f"request rejected with HTTP {status}",
                                        status=status)
             finally:
-                conn.close()
+                if reusable:
+                    with self._idle_lock:
+                        self._idle.append(conn)
+                else:
+                    conn.close()
             if attempt < total:
                 time.sleep(BACKOFF_BASE_S * 2 ** (attempt - 1))
         raise TransportError(f"exhausted {total} attempts against {self.url}", attempts)

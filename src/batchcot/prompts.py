@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
+from functools import cached_property
 
 VANILLA = "vanilla"
 BATCH = "batch"
@@ -26,6 +27,14 @@ class Question:
     text: str
     gold_answer: str
     source: str = ""
+
+    @cached_property
+    def gold_number(self):
+        """verify.normalize_numeric of the gold answer, computed once per Question."""
+        # imported here: verify imports prompts
+        from batchcot.verify import normalize_numeric
+
+        return normalize_numeric(self.gold_answer)
 
 
 @dataclass(frozen=True)
@@ -102,9 +111,6 @@ def build_prompt(questions) -> PromptEnvelope:
 
 def load_questions(path, require_numeric: bool = True) -> list:
     """Read a Question corpus from JSONL, validating ids and gold answers."""
-    # imported here to keep prompts importable without the verifier and vice versa
-    from batchcot.verify import normalize_numeric
-
     questions = []
     seen = set()
     with open(path, encoding="utf-8") as fh:
@@ -129,15 +135,13 @@ def load_questions(path, require_numeric: bool = True) -> list:
             seen.add(qid)
             if not obj["text"]:
                 raise ValueError(f"{path}: line {lineno}: empty question text")
-            gold = str(obj["gold_answer"])
-            if require_numeric and normalize_numeric(gold) is None:
-                raise ValueError(
-                    f"{path}: line {lineno}: gold answer {gold!r} is not numeric"
-                )
-            questions.append(
-                Question(id=qid, text=obj["text"], gold_answer=gold,
+            q = Question(id=qid, text=obj["text"], gold_answer=str(obj["gold_answer"]),
                          source=obj.get("source", ""))
-            )
+            if require_numeric and q.gold_number is None:
+                raise ValueError(
+                    f"{path}: line {lineno}: gold answer {q.gold_answer!r} is not numeric"
+                )
+            questions.append(q)
     return questions
 
 

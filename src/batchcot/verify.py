@@ -125,7 +125,7 @@ def grade(chain: ReasoningChain, q: Question) -> str:
         raise ValueError(
             f"chain question id {chain.question_id!r} does not match {q.id!r}"
         )
-    gold = normalize_numeric(q.gold_answer)
+    gold = q.gold_number
     if gold is None:
         raise ValueError(f"gold answer {q.gold_answer!r} is not numeric")
     if chain.predicted_answer is None:

@@ -12,8 +12,9 @@ import pytest
 
 import batchcot
 import pipeline_fixtures as pf
+from http_fixtures import mock_http_server, open_sockets_to
 from batchcot import __version__, cli, parsing
-from batchcot.client import EndpointConfig, MockBackend, TransportError
+from batchcot.client import EndpointConfig, MockBackend, TransportError, fingerprint
 from batchcot.cli import build_parser, main, resolve_endpoint_config
 from batchcot.preference import PreferenceSample
 from batchcot.prompts import build_prompt
@@ -458,6 +459,64 @@ class TestEvalAndReport:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert "Traceback" not in err
+
+
+class TestKeepAliveEndpoint:
+    """gen, eval and batch-experiment over an HTTP/1.1 keep-alive endpoint.
+
+    The server drops the vanilla request of the first question and the
+    batch-3 request of the first three, so each command has a request that
+    raises; no command leaves a socket open, whether it succeeds or fails.
+    """
+
+    @pytest.fixture
+    def endpoint(self, workspace):
+        questions = pf.make_corpus()
+        dropped = {fingerprint(build_prompt(group).text)
+                   for group in (questions[:1], questions[:3])}
+        script = pf.build_script(questions, (1, 3), seed=0, group="sequential")
+        with mock_http_server(script, keep_alive=True, drop=dropped) as url:
+            yield url
+
+    @staticmethod
+    def run(argv, url):
+        code = main(argv + ["--base-url", url, "--max-retries", "0",
+                            "--max-concurrent", "2"])
+        assert open_sockets_to(url) == []
+        return code
+
+    def test_gen(self, workspace, endpoint, tmp_path, capsys):
+        assert self.run(["gen", "--questions", str(workspace["corpus"]),
+                         "--out-dir", str(tmp_path), "--batch-size", "1",
+                         "--batch-size", "3", "--group", "sequential"], endpoint) == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["exclusions"] == {"request_failures": 2}
+
+    def test_eval(self, workspace, endpoint, tmp_path, capsys):
+        assert self.run(["eval", "--benchmark", "gsm8k", "--corpus",
+                         str(workspace["corpus"]), "--out-dir", str(tmp_path)],
+                        endpoint) == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["exclusions"] == {"endpoint_failures": 1}
+
+    def test_batch_experiment(self, workspace, endpoint, tmp_path, capsys):
+        assert self.run(["batch-experiment", "--questions", str(workspace["corpus"]),
+                         "--out-dir", str(tmp_path), "--batch-size", "1",
+                         "--batch-size", "3", "--group", "sequential"], endpoint) == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["exclusions"] == {"request_failures": 2, "unsplittable": 0}
+
+    @pytest.mark.parametrize("command", ["eval", "batch-experiment"])
+    def test_command_failing_after_its_requests(self, workspace, endpoint, tmp_path,
+                                                capsys, command):
+        out = tmp_path / "taken"
+        out.write_text("a file where the out-dir should go")
+        corpus_flag = "--corpus" if command == "eval" else "--questions"
+        extra = (["--benchmark", "gsm8k"] if command == "eval"
+                 else ["--batch-size", "3", "--group", "sequential"])
+        assert self.run([command, corpus_flag, str(workspace["corpus"]),
+                         "--out-dir", str(out)] + extra, endpoint) == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestConfigResolution:

@@ -1,18 +1,18 @@
 import gc
 import json
 import socket
+import sys
 import threading
 import time
 import warnings
 from contextlib import contextmanager
 from types import SimpleNamespace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from urllib.parse import urlsplit
 
 import pytest
 
 import pipeline_fixtures as pf
-from http_fixtures import mock_http_server
+from http_fixtures import mock_http_server, open_sockets_to
 from batchcot import client
 from batchcot.client import (
     EndpointConfig,
@@ -136,9 +136,9 @@ def flaky_server():
 
 class TestHttpTransport:
     def test_retry_then_success(self, flaky_server):
-        backend = HttpBackend(flaky_server, "m")
         env = build_single_prompt(Question(id="a", text="x", gold_answer="1"))
-        raw = backend.send(env.text, cfg(max_retries=3))
+        with HttpBackend(flaky_server, "m") as backend:
+            raw = backend.send(env.text, cfg(max_retries=3))
         assert raw.text == "ok \\boxed{1}"
         assert raw.completion_tokens == 3
         assert len(raw.attempts) == 3
@@ -146,8 +146,8 @@ class TestHttpTransport:
 
     def test_exhausted_retries(self, flaky_server):
         _FlakyHandler.failures_left = 10
-        backend = HttpBackend(flaky_server, "m")
-        with pytest.raises(TransportError) as exc:
+        with HttpBackend(flaky_server, "m") as backend, \
+                pytest.raises(TransportError) as exc:
             backend.send("p", cfg(max_retries=1))
         assert len(exc.value.attempts) == 2
 
@@ -157,16 +157,17 @@ class TestHttpTransport:
         monkeypatch.setattr(client, "time", SimpleNamespace(sleep=delays.append))
         _FlakyHandler.failures_left = 10
         _FlakyHandler.status = 503
-        with pytest.raises(TransportError) as exc:
-            HttpBackend(flaky_server, "m").send("p", cfg(max_retries=3))
+        with HttpBackend(flaky_server, "m") as backend, \
+                pytest.raises(TransportError) as exc:
+            backend.send("p", cfg(max_retries=3))
         # three delays tell doubling (0.5, 1, 2) from linear growth (0.5, 1, 1.5)
         assert delays == [0.5, 1.0, 2.0]
         assert [a["status"] for a in exc.value.attempts] == [503] * 4
 
     def test_unreachable_host(self):
-        backend = HttpBackend("http://127.0.0.1:1/v1", "m")
         env = build_single_prompt(Question(id="a", text="x", gold_answer="1"))
-        with pytest.raises(TransportError):
+        with HttpBackend("http://127.0.0.1:1/v1", "m") as backend, \
+                pytest.raises(TransportError):
             complete(env, cfg(max_retries=1, timeout=0.5), backend)
 
     def test_non_retryable_4xx(self, flaky_server):
@@ -180,9 +181,8 @@ class TestHttpTransport:
                                   kwargs={"poll_interval": 0.05}, daemon=True)
         thread.start()
         try:
-            backend = HttpBackend(
-                f"http://127.0.0.1:{server.server_address[1]}/v1", "m")
-            with pytest.raises(RequestError):
+            with HttpBackend(f"http://127.0.0.1:{server.server_address[1]}/v1",
+                             "m") as backend, pytest.raises(RequestError):
                 backend.send("p", cfg())
         finally:
             server.shutdown()
@@ -193,8 +193,8 @@ class TestHttpTransport:
         script = MockBackend()
         script.add("hello prompt", "loopback \\boxed{9}", tokens=42)
         with mock_http_server(script) as base_url:
-            backend = HttpBackend(base_url, "mock-model")
-            raw = backend.send("hello prompt", cfg())
+            with HttpBackend(base_url, "mock-model") as backend:
+                raw = backend.send("hello prompt", cfg())
             assert raw.text == "loopback \\boxed{9}"
             assert raw.completion_tokens == 42
 
@@ -255,7 +255,8 @@ def _serve(handler):
 @contextmanager
 def _serve_malformed(body, base=_MalformedHandler):
     with _serve(type("Handler", (base,), {"body": body})) as root:
-        yield HttpBackend(root + "/v1", "m")
+        with HttpBackend(root + "/v1", "m") as backend:
+            yield backend
 
 
 class TestMalformedBody:
@@ -380,9 +381,9 @@ class TestStdlibTransport:
     def test_silent_server_times_out_each_attempt(self):
         # the kernel completes the handshake for the backlog; nothing ever replies
         with socket.create_server(("127.0.0.1", 0)) as listener:
-            backend = HttpBackend(f"http://127.0.0.1:{listener.getsockname()[1]}/v1", "m")
+            url = f"http://127.0.0.1:{listener.getsockname()[1]}/v1"
             start = time.perf_counter()
-            with pytest.raises(TransportError) as exc:
+            with HttpBackend(url, "m") as backend, pytest.raises(TransportError) as exc:
                 backend.send("p", cfg(max_retries=1, timeout=0.2))
             elapsed = time.perf_counter() - start
         assert exc.value.attempts == [{"attempt": n, "error": "TimeoutError"}
@@ -398,8 +399,8 @@ class TestStdlibTransport:
                 super().do_POST()
 
         with _serve(Recorder) as root:
-            backend = HttpBackend(root + "/api/v1/", "m")
-            assert backend.send("SERVE-VALID", cfg()).text == "ok \\boxed{1}"
+            with HttpBackend(root + "/api/v1/", "m") as backend:
+                assert backend.send("SERVE-VALID", cfg()).text == "ok \\boxed{1}"
         assert paths == ["/api/v1/chat/completions"]
 
     @pytest.mark.parametrize("base_url", ["127.0.0.1:8000/v1", "ftp://127.0.0.1/v1",
@@ -410,43 +411,137 @@ class TestStdlibTransport:
 
     def test_send_leaves_no_open_socket(self):
         # each raised error stays referenced, as a caller's would, and an
-        # HTTP/1.1 server keeps a connection open for another request, so only
-        # send's own closing releases a socket
+        # HTTP/1.1 server keeps a connection open for another request, so
+        # only the backend's own closing releases a socket
         keep_alive = type("KeepAlive", (_dropping(1),), {"protocol_version": "HTTP/1.1"})
         gc.collect()  # earlier tests' garbage warns outside the block below
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", ResourceWarning)
-            with _serve_malformed(b"{}", base=keep_alive) as backend:
-                backend.send("SERVE-VALID", cfg(max_retries=1))  # a drop, then a 200
-                with pytest.raises(RequestError) as malformed:
-                    backend.send("p", cfg())  # a malformed 200
-                assert _open_sockets_to(backend.url) == []
+            with _serve(keep_alive) as root:
+                with HttpBackend(root + "/v1", "m") as backend:
+                    backend.send("SERVE-VALID", cfg(max_retries=1))  # a drop, then a 200
+                    with pytest.raises(RequestError) as malformed:
+                        backend.send("p", cfg())  # a malformed 200
+                    assert len(open_sockets_to(root)) == 1  # kept for the next send
+                assert open_sockets_to(root) == []
             with _serve(type("Busy", (_FlakyHandler,), {"failures_left": 10})) as root:
-                with pytest.raises(TransportError) as busy:  # 429s, bodies unread
-                    HttpBackend(root, "m").send("p", cfg(max_retries=1))
-                assert _open_sockets_to(root) == []
+                with HttpBackend(root, "m") as backend, \
+                        pytest.raises(TransportError) as busy:  # 429s, bodies unread
+                    backend.send("p", cfg(max_retries=1))
+                assert open_sockets_to(root) == []
             with socket.create_server(("127.0.0.1", 0)) as listener:
                 url = f"http://127.0.0.1:{listener.getsockname()[1]}"
-                with pytest.raises(TransportError) as silent:
-                    HttpBackend(url, "m").send("p", cfg(max_retries=0, timeout=0.05))
-                assert _open_sockets_to(url) == []
+                with HttpBackend(url, "m") as backend, \
+                        pytest.raises(TransportError) as silent:
+                    backend.send("p", cfg(max_retries=0, timeout=0.05))
+                assert open_sockets_to(url) == []
             del malformed, busy, silent
             gc.collect()
         assert [str(w.message) for w in caught if w.category is ResourceWarning] == []
 
+    def test_complete_many_opens_at_most_max_concurrent_connections(self):
+        # more workers than cores, switching threads often, share the idle list
+        script, envelopes = MockBackend(), []
+        for i in range(96):
+            envelopes.append(build_single_prompt(
+                Question(id=f"q{i}", text=f"body {i}", gold_answer="1")))
+            script.add(envelopes[-1].text, f"answer \\boxed{{{i}}}")
+        accepted = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with mock_http_server(script, keep_alive=True,
+                                  accepted=accepted) as base_url:
+                with HttpBackend(base_url, "m") as backend:
+                    results = complete_many(envelopes, cfg(max_concurrent=8), backend)
+                    assert 1 <= len(open_sockets_to(base_url)) <= 8
+                assert open_sockets_to(base_url) == []
+        finally:
+            sys.setswitchinterval(interval)
+        assert [r.raw_text for r in results] == [f"answer \\boxed{{{i}}}"
+                                                 for i in range(96)]
+        assert 1 <= len(accepted) <= 8
 
-def _open_sockets_to(url):
-    """This process's open sockets connected to the port of `url`."""
-    port = urlsplit(url).port
-    found = []
-    for obj in gc.get_objects():
-        if isinstance(obj, socket.socket) and obj.fileno() != -1:
-            try:
-                if obj.getpeername()[1] == port:
-                    found.append(obj)
-            except OSError:
-                pass
-    return found
+    def test_idle_connection_the_server_closed_is_not_reused(self, monkeypatch):
+        closed = threading.Event()
+
+        class CloseWhenIdle(_MalformedHandler):
+            protocol_version = "HTTP/1.1"
+
+            def do_POST(self):
+                super().do_POST()  # no "Connection: close": the client keeps it
+                self.close_connection = True
+                self.request.shutdown(socket.SHUT_WR)
+                closed.set()
+
+        sleeps = []
+        monkeypatch.setattr(client, "time", SimpleNamespace(sleep=sleeps.append))
+        with _serve(CloseWhenIdle) as root, HttpBackend(root + "/v1", "m") as backend:
+            assert backend.send("SERVE-VALID", cfg()).attempts == [
+                {"attempt": 1, "status": 200}]
+            assert closed.wait(5)
+            raw = backend.send("SERVE-VALID", cfg())
+        assert raw.attempts == [{"attempt": 1, "status": 200}]
+        assert sleeps == []
+
+    def test_drop_on_a_reused_connection_is_a_logged_retry(self):
+        class DropSecond(_MalformedHandler):
+            protocol_version = "HTTP/1.1"
+            served = 0
+
+            def do_POST(self):
+                type(self).served += 1
+                if type(self).served == 2:  # on the first request's connection
+                    self.rfile.read(int(self.headers.get("Content-Length", 0)))
+                    self.close_connection = True
+                    return
+                super().do_POST()
+
+        with _serve(DropSecond) as root, HttpBackend(root + "/v1", "m") as backend:
+            backend.send("SERVE-VALID", cfg())
+            raw = backend.send("SERVE-VALID", cfg(max_retries=1))
+        assert raw.attempts == [{"attempt": 1, "error": "RemoteDisconnected"},
+                                {"attempt": 2, "status": 200}]
+
+    def test_retry_after_503_on_a_keep_alive_server(self):
+        class Unavailable(_MalformedHandler):
+            protocol_version = "HTTP/1.1"
+            failures_left = 1
+
+            def do_POST(self):
+                if type(self).failures_left > 0:
+                    type(self).failures_left -= 1
+                    self.rfile.read(int(self.headers.get("Content-Length", 0)))
+                    self.send_response(503)
+                    self.send_header("Content-Length", "0")
+                    self.end_headers()
+                    return
+                super().do_POST()
+
+        with _serve(Unavailable) as root:
+            with HttpBackend(root + "/v1", "m") as backend:
+                raw = backend.send("SERVE-VALID", cfg(max_retries=1))
+            assert open_sockets_to(root) == []
+        assert raw.attempts == [{"attempt": 1, "status": 503},
+                                {"attempt": 2, "status": 200}]
+
+    @pytest.mark.skipif(not hasattr(socket, "TCP_QUICKACK"),
+                        reason="TCP_QUICKACK is Linux-only")
+    def test_reused_connection_does_not_wait_on_delayed_ack(self):
+        # the server writes headers and body in separate sends without
+        # TCP_NODELAY; waiting on the client's delayed ACK every time, the
+        # 40 requests take about 1.8 s
+        script = MockBackend()
+        script.add("p", "answer \\boxed{1}")
+        accepted = []
+        with mock_http_server(script, keep_alive=True, accepted=accepted) as base_url:
+            with HttpBackend(base_url, "m") as backend:
+                start = time.perf_counter()
+                for _ in range(40):
+                    backend.send("p", cfg())
+                elapsed = time.perf_counter() - start
+        assert len(accepted) == 1
+        assert elapsed < 0.8
 
 
 class _ProbeBackend:

@@ -1,4 +1,5 @@
 import inspect
+import json
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from batchcot import verify
 from batchcot.parsing import ChainOrigin, ReasoningChain
-from batchcot.prompts import VANILLA, Question
+from batchcot.prompts import VANILLA, Question, load_questions
 from batchcot.verify import (
     CORRECT,
     DECIMAL,
@@ -179,3 +180,19 @@ class TestGrade:
         q = Question(id="q1", text="t", gold_answer="0.5")
         assert grade(make_chain("\\frac{1}{2}"), q) == CORRECT
         assert grade(make_chain("2/4"), q) == CORRECT
+
+    def test_non_numeric_gold_rejected(self):
+        q = Question(id="q1", text="t", gold_answer="forty-two")
+        with pytest.raises(ValueError, match="not numeric"):
+            grade(make_chain("42"), q)
+
+    def test_gold_normalized_once_per_question(self, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(verify, "normalize_numeric",
+                            lambda s, real=normalize_numeric: calls.append(s) or real(s))
+        corpus = tmp_path / "questions.jsonl"
+        corpus.write_text(json.dumps({"id": "q1", "text": "t", "gold_answer": "1/2"}))
+        q, = load_questions(corpus)  # validating the gold normalizes it
+        verdicts = [grade(make_chain(p), q) for p in ("0.5", "2/4", "3")]
+        assert verdicts == [CORRECT, CORRECT, INCORRECT]
+        assert calls == ["1/2", "0.5", "2/4", "3"]
