@@ -100,32 +100,56 @@ def _kl_and_logit_grad(p: np.ndarray, q: np.ndarray):
     return kl, p * logratio - p * kl[..., None]
 
 
+def _label_weights(group: RolloutGroup, objective_mode: str) -> np.ndarray:
+    """Each label's weight w_a in the objective's -sum_a w_a log pi_a.
+
+    SAMPLED weighs each label by its sampled actions' advantages over G;
+    PAPER_LITERAL weighs the gold label +1 and the others -1/2.
+    """
+    if objective_mode == SAMPLED:
+        action_idx = list(map(_LABEL_INDEX.__getitem__, group.actions))
+        return np.bincount(action_idx, group.advantages, len(LABELS)) / len(action_idx)
+    w = np.full(len(LABELS), -0.5)
+    w[_LABEL_INDEX[group.gold]] = 1.0
+    return w
+
+
+def _weighted_objective(policy: PolicyState, ref_policy: PolicyState,
+                        phi: np.ndarray, w: np.ndarray, beta):
+    """-sum_a w_a log pi_a + beta * KL(pi || pi_ref) and its gradient w.r.t. theta.
+
+    pi and pi_ref are the two policies' distributions at features phi; the
+    logit gradient of the first term is (sum_a w_a) pi - w. The logits are
+    phi @ theta, so stacks broadcast as matmul's do: feature rows (..., 1, F)
+    meet thetas (..., F, 3) row by row, w broadcasts against the
+    distributions (..., 3) and beta against the losses (...). Gradients have
+    the shape phi[..., :, None] * pi[..., None, :]; each row is bit for bit
+    what its operands alone give.
+    """
+    pi = policy.distribution(phi)
+    pi_ref = ref_policy.distribution(phi)
+    kl, kl_grad_logits = _kl_and_logit_grad(pi, pi_ref)
+    loss = -np.vecdot(w, np.log(pi)) + beta * kl
+    grad_logits = (w.sum(axis=-1, keepdims=True) * pi - w
+                   + np.asarray(beta)[..., None] * kl_grad_logits)
+    return loss, phi[..., :, None] * grad_logits[..., None, :]
+
+
 def grpo_loss(policy: PolicyState, ref_policy: PolicyState, group: RolloutGroup,
               cfg: GrpoConfig):
     """Negated group objective with its analytic gradient w.r.t. theta.
 
-    Both objective modes are one weighted log-likelihood over the labels,
-    -sum_a w_a log pi_a, whose logit gradient is (sum_a w_a) pi - w. SAMPLED
-    weighs each label by its sampled actions' advantages over G; PAPER_LITERAL
-    weighs the gold label +1 and the others -1/2. Both add
-    beta * KL(pi || pi_ref) against the frozen reference policy.
+    Both objective modes are one weighted log-likelihood over the labels
+    (see _label_weights), plus beta * KL(pi || pi_ref) against the frozen
+    reference policy.
 
     A policy whose theta is a stack of shape (..., F, 3) gives one loss per
     theta, as an array of shape (...), and gradients of theta's shape; each
     row is bit for bit what that theta alone gives. One theta gives a float.
     """
-    phi = np.asarray(group.features, dtype=float)
-    pi = policy.distribution(phi)
-    pi_ref = ref_policy.distribution(phi)
-    if cfg.objective_mode == SAMPLED:
-        action_idx = list(map(_LABEL_INDEX.__getitem__, group.actions))
-        w = np.bincount(action_idx, group.advantages, len(LABELS)) / len(action_idx)
-    else:
-        w = np.full(len(LABELS), -0.5)
-        w[_LABEL_INDEX[group.gold]] = 1.0
-    kl, kl_grad_logits = _kl_and_logit_grad(pi, pi_ref)
-    loss = -np.vecdot(w, np.log(pi)) + cfg.beta * kl
-    grad = phi[:, None] * (w.sum() * pi - w + cfg.beta * kl_grad_logits)[..., None, :]
+    loss, grad = _weighted_objective(
+        policy, ref_policy, np.asarray(group.features, dtype=float),
+        _label_weights(group, cfg.objective_mode), cfg.beta)
     return (float(loss) if loss.ndim == 0 else loss), grad
 
 
@@ -285,60 +309,89 @@ class CheckResult(NamedTuple):
 
 
 def finite_difference_grad(loss_fn: Callable[[np.ndarray], np.ndarray],
-                           theta: np.ndarray, step: float = 1e-5) -> np.ndarray:
+                           theta: np.ndarray, step: float = 1e-5,
+                           stack_ndim: int = 0) -> np.ndarray:
     """Central differences of loss_fn at theta, every coordinate from one call.
 
     loss_fn takes all 2n perturbed copies of theta at once, stacked along a
-    new first axis (theta + step e_i, then theta - step e_i, for i < n =
-    theta.size), and returns their 2n losses.
+    new axis (theta + step e_i, then theta - step e_i, for i < n =
+    theta.size), and returns their 2n losses. With stack_ndim leading axes,
+    theta is a stack of independent points: each is perturbed only in its
+    own n coordinates, the new axis follows the stack axes, and loss_fn
+    returns losses of shape (*stack, 2n).
     """
-    steps = step * np.eye(theta.size).reshape(theta.size, *theta.shape)
-    up, down = np.split(loss_fn(np.concatenate([theta + steps, theta - steps])), 2)
+    shape = theta.shape[stack_ndim:]
+    n = math.prod(shape)
+    steps = step * np.eye(n).reshape(n, *shape)
+    center = np.expand_dims(theta, stack_ndim)
+    up, down = np.split(
+        loss_fn(np.concatenate([center + steps, center - steps], axis=stack_ndim)),
+        2, axis=-1)
     return ((up - down) / (2 * step)).reshape(theta.shape)
 
 
-def _mixed_group(policy: PolicyState, features: np.ndarray, gold: str,
+def _mixed_group(pi: np.ndarray, features: np.ndarray, gold: str,
                  cfg: GrpoConfig, rng: np.random.Generator) -> RolloutGroup:
     """A group with both rewards, so its gradient is nontrivial, in one draw.
 
-    G-2 actions come from pi, plus the gold action and one non-gold action
-    drawn from pi restricted to the two non-gold labels, at random positions.
+    pi is the policy's distribution at features. G-2 actions come from pi,
+    plus the gold action and one non-gold action drawn from pi restricted to
+    the two non-gold labels, at random positions.
     """
-    pi = policy.distribution(features)
     gold_idx = _LABEL_INDEX[gold]
-    wrong = np.delete(np.arange(len(LABELS)), gold_idx)
-    wrong_pi = pi[wrong] / pi[wrong].sum()
+    wrong = [i for i in range(len(LABELS)) if i != gold_idx]
+    wrong_pi = pi[wrong]
     action_idx = np.concatenate([
         rng.choice(len(LABELS), size=cfg.group_size - 2, p=pi),
-        [gold_idx, rng.choice(wrong, p=wrong_pi)],
+        [gold_idx, rng.choice(wrong, p=wrong_pi / wrong_pi.sum())],
     ])
     return _rollout_group(features, rng.permutation(action_idx), gold, cfg)
 
 
 def gradient_check(n_configs: int = 100, seed: int = 0, step: float = 1e-5,
                    tolerance: float = 1e-6):
-    """Max relative error between analytic and central-difference gradients."""
+    """Max relative error between analytic and central-difference gradients.
+
+    Each of n_configs random configurations (theta, theta_ref, features,
+    beta) gets one mixed group per objective mode. All groups are drawn
+    first; then one stacked loss call gives every analytic gradient and one
+    more every finite-difference loss.
+    """
+    if n_configs < 1:
+        raise ValueError(f"n_configs must be >= 1, got {n_configs}")
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    # beta is drawn per configuration and given to the loss apart from cfg
+    cfgs = [GrpoConfig(group_size=8, objective_mode=mode) for mode in OBJECTIVE_MODES]
+    rows = []  # (theta, theta_ref, features, beta, label weights) per group
     for _ in range(n_configs):
         theta = rng.normal(scale=0.8, size=(FEATURE_DIM, len(LABELS)))
-        ref = PolicyState(theta=theta + rng.normal(scale=0.3, size=theta.shape))
+        ref_theta = theta + rng.normal(scale=0.3, size=theta.shape)
         features = rng.normal(scale=1.0, size=FEATURE_DIM)
         beta = float(rng.choice([0.0, 0.01, 0.1]))
-        policy = PolicyState(theta=theta)
-        for mode in OBJECTIVE_MODES:
-            cfg = GrpoConfig(beta=beta, group_size=8, objective_mode=mode)
+        pi = PolicyState(theta=theta).distribution(features)
+        for cfg in cfgs:
             gold = LABELS[int(rng.integers(len(LABELS)))]
-            group = _mixed_group(policy, features, gold, cfg, rng)
-            _, grad = grpo_loss(policy, ref, group, cfg)
+            group = _mixed_group(pi, features, gold, cfg, rng)
+            rows.append((theta, ref_theta, features, beta,
+                         _label_weights(group, cfg.objective_mode)))
 
-            def loss_at(t, _ref=ref, _group=group, _cfg=cfg):
-                return grpo_loss(PolicyState(theta=t), _ref, _group, _cfg)[0]
+    theta, ref_theta, phi, beta, w = map(np.array, zip(*rows))
+    # axes: group, the thetas its loss is taken at, phi as a one-row matrix
+    ref = PolicyState(theta=ref_theta[:, None])
+    phi, beta, w = phi[:, None, None], beta[:, None, None], w[:, None, None]
 
-            fd = finite_difference_grad(loss_at, theta, step)
-            denom = max(np.linalg.norm(grad), np.linalg.norm(fd))
-            err = 0.0 if denom < 1e-12 else np.linalg.norm(grad - fd) / denom
-            worst = max(worst, err)
+    def objective(thetas):
+        return _weighted_objective(PolicyState(theta=thetas), ref, phi, w, beta)
+
+    grad = objective(theta[:, None])[1].reshape(len(rows), -1)
+    fd = finite_difference_grad(lambda t: objective(t)[0][..., 0], theta, step,
+                                stack_ndim=1).reshape(len(rows), -1)
+    # sqrt(x . x) per row is np.linalg.norm's formula, bit for bit
+    vectors = np.stack([grad, fd, grad - fd])
+    grad_norm, fd_norm, diff_norm = np.sqrt(np.vecdot(vectors, vectors))
+    denom = np.maximum(grad_norm, fd_norm)
+    err = np.divide(diff_norm, denom, out=np.zeros(len(rows)), where=denom >= 1e-12)
+    worst = float(err.max())
     return worst, worst < tolerance
 
 
@@ -349,6 +402,8 @@ def _binary_vectors(length: int):
 
 def advantage_checks(max_length: int = 6):
     """Exhaustive zero-sum and sign checks over binary reward vectors."""
+    if max_length < 2:
+        raise ValueError(f"max_length must be >= 2, got {max_length}")
     for length in range(2, max_length + 1):
         for rewards in _binary_vectors(length):
             by_mode = {mode: group_advantages(rewards, mode)
@@ -382,6 +437,8 @@ def _random_distributions(rng: np.random.Generator, count: int,
 
 def kl_checks(n_pairs: int = 1000, seed: int = 0):
     """Properties of _kl_and_logit_grad, the KL that grpo_loss adds."""
+    if n_pairs < 1:
+        raise ValueError(f"n_pairs must be >= 1, got {n_pairs}")
     # closed form fixes the direction: KL(q || p) here is about 0.0566
     kl, _ = _kl_and_logit_grad(np.array([0.5, 0.25, 0.25]), np.full(3, 1 / 3))
     if abs(kl - (math.log(3) - 1.5 * math.log(2))) > 1e-12:

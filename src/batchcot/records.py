@@ -62,7 +62,8 @@ def from_dict(cls, d: dict):
         if not required and name not in d:
             continue
         value = d[name]
-        if not isinstance(value, accepts):
+        # exact types, so a JSON true or false is not taken for a number
+        if type(value) not in accepts:
             raise TypeError(f"{name} is {type(value).__name__}, not "
                             + " or ".join(t.__name__ for t in accepts))
         if convert is tuple:

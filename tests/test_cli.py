@@ -349,6 +349,12 @@ class TestGrpoCommands:
         assert "PASS" in out
         assert "FAIL" not in out
 
+    @pytest.mark.parametrize("seed, error", [("0", "6.40e-11"), ("8", "8.66e-11")])
+    def test_grpo_check_prints_max_relative_error(self, capsys, seed, error):
+        assert main(["grpo-check", "--seed", seed]) == 0
+        assert (f"PASS gradient_finite_difference: max relative error {error} "
+                "over 100 configs x 2 modes in ") in capsys.readouterr().out
+
     def test_grpo_train_toy(self, tmp_path, capsys):
         out = tmp_path / "toy"
         assert main(["grpo-train-toy", "--samples", "100", "--steps", "50",
@@ -656,7 +662,8 @@ class TestExitCodes:
         assert main(["split", "--in", str(bad), "--out", str(tmp_path / "c.jsonl")]) == 1
         assert capsys.readouterr().err.startswith(f"error: {bad}: line 1: {error}")
 
-    @pytest.mark.parametrize("key, value", [("predicted_answer", 42), ("question_id", ["a"])])
+    @pytest.mark.parametrize("key, value", [("predicted_answer", 42), ("question_id", ["a"]),
+                                            ("token_count", True)])
     def test_grade_on_wrongly_typed_chain(self, workspace, tmp_path, capsys, key, value):
         chain = {"question_id": "q000", "text": "t", "predicted_answer": "1",
                  "origin": {"kind": "vanilla", "size": 1, "position": 1}, key: value}
@@ -665,6 +672,17 @@ class TestExitCodes:
         assert main(["grade", "--in", str(bad), "--questions", str(workspace["corpus"]),
                      "--out", str(tmp_path / "graded.jsonl")]) == 1
         assert capsys.readouterr().err.startswith(f"error: {bad}: line 1: TypeError: {key}")
+
+    @pytest.mark.parametrize("key", ["size", "position"])
+    def test_grade_on_boolean_origin_number(self, workspace, tmp_path, capsys, key):
+        origin = {"kind": "batch", "size": 2, "position": 1, key: True}
+        bad = tmp_path / "chains.jsonl"
+        bad.write_text(json.dumps({"question_id": "q000", "text": "t", "origin": origin})
+                       + "\n")
+        assert main(["grade", "--in", str(bad), "--questions", str(workspace["corpus"]),
+                     "--out", str(tmp_path / "graded.jsonl")]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: {bad}: line 1: TypeError: {key} is bool, not int")
 
     def test_grade_on_negative_token_count(self, workspace, tmp_path, capsys):
         chain = {"question_id": "q000", "text": "t", "token_count": -1,

@@ -11,6 +11,7 @@ from batchcot.grpo import (
     FEATURE_DIM,
     MEAN_ONLY,
     MEAN_STD,
+    OBJECTIVE_MODES,
     PAPER_LITERAL,
     SAMPLED,
     GrpoConfig,
@@ -22,6 +23,7 @@ from batchcot.grpo import (
     group_advantages,
     grpo_loss,
     initial_policy,
+    advantage_checks,
     kl_checks,
     make_toy_dataset,
     reward,
@@ -103,6 +105,39 @@ def reference_finite_difference_grad(loss_fn, theta: np.ndarray,
         down[idx] -= step
         grad[idx] = (loss_fn(up) - loss_fn(down)) / (2 * step)
     return grad
+
+
+def reference_gradient_check(n_configs: int = 100, seed: int = 0, step: float = 1e-5,
+                             tolerance: float = 1e-6):
+    """Two grpo_loss calls per group, group by group: the oracle for
+    gradient_check, which must give its (worst, passed) bit for bit.
+
+    The checked code's loop before it was stacked; _mixed_group now takes the
+    policy's distribution, so it is computed here once per group, as before.
+    """
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(n_configs):
+        theta = rng.normal(scale=0.8, size=(FEATURE_DIM, len(LABELS)))
+        ref = PolicyState(theta=theta + rng.normal(scale=0.3, size=theta.shape))
+        features = rng.normal(scale=1.0, size=FEATURE_DIM)
+        beta = float(rng.choice([0.0, 0.01, 0.1]))
+        policy = PolicyState(theta=theta)
+        for mode in OBJECTIVE_MODES:
+            cfg = GrpoConfig(beta=beta, group_size=8, objective_mode=mode)
+            gold = LABELS[int(rng.integers(len(LABELS)))]
+            group = grpo._mixed_group(policy.distribution(features), features, gold,
+                                      cfg, rng)
+            _, grad = grpo_loss(policy, ref, group, cfg)
+
+            def loss_at(t, _ref=ref, _group=group, _cfg=cfg):
+                return grpo_loss(PolicyState(theta=t), _ref, _group, _cfg)[0]
+
+            fd = finite_difference_grad(loss_at, theta, step)
+            denom = max(np.linalg.norm(grad), np.linalg.norm(fd))
+            err = 0.0 if denom < 1e-12 else np.linalg.norm(grad - fd) / denom
+            worst = max(worst, err)
+    return worst, worst < tolerance
 
 
 def reference_mean_gold_prob(policy: PolicyState, features: np.ndarray,
@@ -422,6 +457,38 @@ class TestGrpoLoss:
                         finite_difference_grad(loss_at, theta, step),
                         reference_finite_difference_grad(loss_at, theta, step))
 
+    def test_stacked_finite_differences_match_reference_row_by_row(self):
+        # one stacked call over M groups, each with its own theta, reference
+        # policy, features, objective mode and beta, as gradient_check makes it
+        rng = np.random.default_rng(37)
+        m = 12
+        thetas = rng.normal(scale=0.8, size=(m, FEATURE_DIM, 3))
+        refs = thetas + rng.normal(scale=0.3, size=thetas.shape)
+        groups = [random_group(rng) for _ in range(m)]
+        cfgs = [GrpoConfig(beta=float(rng.choice([0.0, 0.01, 1.0])),
+                           objective_mode=OBJECTIVE_MODES[i % 2]) for i in range(m)]
+        # axes: group, perturbed thetas, phi as a one-row matrix
+        phi = np.array([g.features for g in groups])[:, None, None]
+        w = np.array([grpo._label_weights(g, c.objective_mode)
+                      for g, c in zip(groups, cfgs)])[:, None, None]
+        beta = np.array([c.beta for c in cfgs])[:, None, None]
+
+        def losses(t):
+            return grpo._weighted_objective(PolicyState(theta=t),
+                                            PolicyState(theta=refs[:, None]),
+                                            phi, w, beta)[0][..., 0]
+
+        for step in (1e-5, 1e-3):
+            stacked = finite_difference_grad(losses, thetas, step, stack_ndim=1)
+            assert stacked.shape == thetas.shape
+            for i in range(m):
+                def loss_at(t, _i=i):
+                    return grpo_loss(PolicyState(theta=t), PolicyState(theta=refs[_i]),
+                                     groups[_i], cfgs[_i])[0]
+
+                assert np.array_equal(
+                    stacked[i], reference_finite_difference_grad(loss_at, thetas[i], step))
+
     def test_matches_reference_loss(self):
         # None draws arbitrary advantages that need not sum to zero: only such
         # groups exercise the (sum_a w_a) * pi term of the gradient
@@ -669,3 +736,51 @@ class TestVerificationSuite:
         assert ok
         assert len(groups) == 200
         assert all(is_mixed(g) for g in groups)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_gradient_check_matches_reference(self, seed):
+        worst, ok = gradient_check(n_configs=100, seed=seed)
+        assert worst > 0.0 and ok
+        assert (worst, ok) == reference_gradient_check(n_configs=100, seed=seed)
+
+    @pytest.mark.parametrize("n_configs", [1, 2, 7])
+    def test_gradient_check_matches_reference_at_few_configs(self, n_configs):
+        for seed in (0, 8):
+            assert (gradient_check(n_configs=n_configs, seed=seed)
+                    == reference_gradient_check(n_configs=n_configs, seed=seed))
+
+    @pytest.mark.parametrize("row", [0, 5, 13])
+    def test_gradient_check_fails_on_one_wrong_gradient_row(self, monkeypatch, row):
+        # 7 configurations x 2 modes: rows 0..13, one per (configuration, mode)
+        objective = grpo._weighted_objective
+        calls = []
+
+        def wrong_in_one_row(policy, *args):
+            loss, grad = objective(policy, *args)
+            if policy.theta.shape[1] == 1:  # the analytic gradients, not the perturbed stack
+                calls.append(policy.theta.shape)
+                grad[row] *= 1 + 1e-4
+            return loss, grad
+
+        assert gradient_check(n_configs=7, seed=0)[1]
+        monkeypatch.setattr(grpo, "_weighted_objective", wrong_in_one_row)
+        worst, ok = gradient_check(n_configs=7, seed=0)
+        assert calls == [(14, 1, FEATURE_DIM, 3)]
+        assert not ok
+        assert worst == pytest.approx(1e-4, rel=1e-2)
+
+    @pytest.mark.parametrize("check, setting", [
+        (lambda: gradient_check(n_configs=0), "n_configs"),
+        (lambda: gradient_check(n_configs=-1), "n_configs"),
+        (lambda: advantage_checks(max_length=1), "max_length"),
+        (lambda: kl_checks(n_pairs=0), "n_pairs"),
+    ])
+    def test_check_that_would_check_nothing_is_error(self, check, setting):
+        with pytest.raises(ValueError, match=f"^{setting} must be"):
+            check()
+
+    def test_smallest_checks_still_check(self):
+        assert gradient_check(n_configs=1)[1]
+        assert advantage_checks(max_length=2) == (
+            True, "all binary reward vectors of length 2..2")
+        assert kl_checks(n_pairs=1) == (True, "closed form and 1 generated pairs")
