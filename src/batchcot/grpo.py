@@ -40,11 +40,15 @@ class PolicyState:
     theta: np.ndarray  # (feature_dim, 3) logit weights
 
     def distribution(self, features: np.ndarray) -> np.ndarray:
-        """Strictly positive softmax over the three labels, one per feature row."""
+        """Strictly positive softmax over the three labels, one per feature row.
+
+        The row max and sum are the ufunc reductions that .max and .sum call,
+        without their wrappers: the same bits.
+        """
         logits = features @ self.theta
-        logits = logits - logits.max(axis=-1, keepdims=True)
-        exp = np.exp(logits)
-        return exp / exp.sum(axis=-1, keepdims=True)
+        logits -= np.maximum.reduce(logits, axis=-1, keepdims=True)
+        exp = np.exp(logits, out=logits)
+        return exp / np.add.reduce(exp, axis=-1, keepdims=True)
 
 
 def initial_policy(feature_dim: int = FEATURE_DIM) -> PolicyState:
@@ -73,7 +77,9 @@ def group_advantages(rewards, mode: str = MEAN_STD) -> list:
 
     MEAN_ONLY is computed in exact rational arithmetic so the advantages sum
     to zero exactly; MEAN_STD uses the population standard deviation and
-    returns all zeros for degenerate (constant-reward) groups.
+    returns all zeros for degenerate (constant-reward) groups. Otherwise
+    MEAN_STD is bit for bit (arr - arr.mean()) / arr.std(), from the ufunc
+    calls np.mean and np.std make, without their wrappers.
     """
     rewards = list(rewards)
     if len(rewards) < 2:
@@ -85,8 +91,10 @@ def group_advantages(rewards, mode: str = MEAN_STD) -> list:
     if mode == MEAN_STD:
         if min(rewards) == max(rewards):
             return [0.0] * len(rewards)
+        n = len(rewards)
         arr = np.asarray(rewards, dtype=float)
-        return list((arr - arr.mean()) / arr.std())
+        dev = arr - np.add.reduce(arr) / n
+        return list(dev / np.sqrt(np.add.reduce(dev * dev) / n))
     raise ValueError(f"unknown advantage mode: {mode!r}")
 
 
@@ -130,7 +138,7 @@ def _weighted_objective(policy: PolicyState, ref_policy: PolicyState,
     pi_ref = ref_policy.distribution(phi)
     kl, kl_grad_logits = _kl_and_logit_grad(pi, pi_ref)
     loss = -np.vecdot(w, np.log(pi)) + beta * kl
-    grad_logits = (w.sum(axis=-1, keepdims=True) * pi - w
+    grad_logits = (np.add.reduce(w, axis=-1, keepdims=True) * pi - w
                    + np.asarray(beta)[..., None] * kl_grad_logits)
     return loss, phi[..., :, None] * grad_logits[..., None, :]
 
@@ -153,21 +161,38 @@ def grpo_loss(policy: PolicyState, ref_policy: PolicyState, group: RolloutGroup,
     return (float(loss) if loss.ndim == 0 else loss), grad
 
 
-def _rollout_group(features: np.ndarray, action_idx, gold: str,
+def _draw(p: np.ndarray, rng: np.random.Generator, size=None):
+    """Indices drawn from the distribution p by inverse CDF.
+
+    These are the draws rng.choice(len(p), size, p=p) makes, from the same
+    stream position and with one rng.random(size) call, as choice does. A
+    distribution that is not finite, or sums to zero, raises ValueError before
+    any draw; choice rejected it too.
+    """
+    cdf = p.cumsum()
+    total = cdf[-1]
+    if not 0.0 < total < math.inf:  # also false for NaN
+        raise ValueError(f"cannot draw from the distribution {p}: "
+                         "its entries must be finite with a positive sum")
+    cdf /= total
+    return cdf.searchsorted(rng.random(size), side="right")
+
+
+def _rollout_group(features: np.ndarray, action_idx: np.ndarray, gold: str,
                    cfg: GrpoConfig) -> RolloutGroup:
-    actions = tuple(LABELS[i] for i in action_idx)
-    advantages = tuple(group_advantages([reward(a, gold) for a in actions],
-                                        cfg.advantage_mode))
-    return RolloutGroup(features=features, actions=actions, advantages=advantages,
-                        gold=gold)
+    action_idx = action_idx.tolist()
+    gold_idx = _LABEL_INDEX[gold]
+    rewards = [1 if i == gold_idx else 0 for i in action_idx]  # reward()'s values
+    advantages = tuple(group_advantages(rewards, cfg.advantage_mode))
+    return RolloutGroup(features=features,
+                        actions=tuple(map(LABELS.__getitem__, action_idx)),
+                        advantages=advantages, gold=gold)
 
 
 def sample_group(policy: PolicyState, features: np.ndarray, gold: str,
                  cfg: GrpoConfig, rng: np.random.Generator) -> RolloutGroup:
     pi = policy.distribution(features)
-    return _rollout_group(
-        features, rng.choice(len(LABELS), size=cfg.group_size, p=pi), gold, cfg,
-    )
+    return _rollout_group(features, _draw(pi, rng, cfg.group_size), gold, cfg)
 
 
 # --- feature map and toy fixtures --------------------------------------------
@@ -236,20 +261,25 @@ class CurvePoint(NamedTuple):
 
 def _mean_gold_prob(policy: PolicyState, features: np.ndarray,
                     gold_flat: np.ndarray) -> float:
-    """Mean gold-label probability over the rows of features.
+    """Mean gold-label probability over the n rows of features.
 
     gold_flat holds each row's gold entry as an index into the flattened
-    (n, 3) probabilities. The result is bit for bit the mean of the gold
-    entries of policy.distribution(features): the same row max and exp,
-    and the denominator summed as (e0 + e1) + e2, the order of numpy's sum
-    over a 3-long axis (e0 + (e1 + e2) differs in the last bit), but only
-    the gold entries are divided.
+    (3, n) label-major probabilities, gold label * n + row. The result is bit
+    for bit the mean of the gold entries of policy.distribution(features):
+    the same row max and exp, and the denominator summed as (e0 + e1) + e2,
+    the order of numpy's sum over a 3-long axis (e0 + (e1 + e2) differs in
+    the last bit), but only the gold entries are divided. Label-major rows
+    keep every elementwise step contiguous; exp runs on one contiguous array
+    in either layout.
     """
-    logits = features @ policy.theta
-    c0, c1, c2 = logits.T
-    exp = np.exp(logits - np.maximum(np.maximum(c0, c1), c2)[:, None])
-    e0, e1, e2 = exp.T
-    return float((exp.take(gold_flat) / ((e0 + e1) + e2)).mean())
+    logits = (features @ policy.theta).T
+    c0, c1, c2 = logits
+    exp = np.subtract(logits, np.maximum(np.maximum(c0, c1), c2),
+                      out=np.empty(logits.shape))
+    np.exp(exp, out=exp)
+    e0, e1, e2 = exp
+    gold = exp.take(gold_flat) / ((e0 + e1) + e2)
+    return float(np.add.reduce(gold) / len(gold))  # .mean()'s ufunc calls
 
 
 def train_toy(dataset, cfg: GrpoConfig, seed: int = 0):
@@ -261,8 +291,8 @@ def train_toy(dataset, cfg: GrpoConfig, seed: int = 0):
     if not dataset:
         raise ValueError("training dataset must be nonempty")
     features = feature_matrix(dataset)
-    gold_flat = (np.arange(len(dataset)) * len(LABELS)
-                 + [_LABEL_INDEX[s.gold_label] for s in dataset])
+    n = len(dataset)
+    gold_flat = np.array([_LABEL_INDEX[s.gold_label] for s in dataset]) * n + np.arange(n)
     rng = np.random.default_rng(seed)
     ref = policy = initial_policy(features.shape[1])  # ref stays frozen
     curve = []
@@ -342,8 +372,8 @@ def _mixed_group(pi: np.ndarray, features: np.ndarray, gold: str,
     wrong = [i for i in range(len(LABELS)) if i != gold_idx]
     wrong_pi = pi[wrong]
     action_idx = np.concatenate([
-        rng.choice(len(LABELS), size=cfg.group_size - 2, p=pi),
-        [gold_idx, rng.choice(wrong, p=wrong_pi / wrong_pi.sum())],
+        _draw(pi, rng, cfg.group_size - 2),
+        [gold_idx, wrong[_draw(wrong_pi / wrong_pi.sum(), rng)]],
     ])
     return _rollout_group(features, rng.permutation(action_idx), gold, cfg)
 

@@ -630,6 +630,19 @@ class TestExitCodes:
             "(objective paper_literal)\n")
         assert [str(w.message) for w in recwarn] == []
 
+    def test_distribution_not_finite_is_named_error(self, tmp_path, capsys,
+                                                     monkeypatch):
+        # all-inf weights give a nan distribution at the first draw
+        import numpy as np
+        from batchcot import grpo
+
+        monkeypatch.setattr(grpo, "initial_policy", lambda feature_dim: grpo.PolicyState(
+            theta=np.full((feature_dim, 3), np.inf)))
+        assert main(["grpo-train-toy", "--samples", "20", "--steps", "5",
+                     "--out-dir", str(tmp_path / "toy")]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: cannot draw from the distribution [nan nan nan]: ")
+
     def test_missing_backend_is_validation_error(self, workspace, tmp_path):
         assert main(["gen", "--questions", str(workspace["corpus"]),
                      "--out-dir", str(tmp_path / "x"), "--batch-size", "1"]) == 1

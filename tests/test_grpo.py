@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from batchcot import grpo
 from batchcot.grpo import (
@@ -23,6 +25,7 @@ from batchcot.grpo import (
     group_advantages,
     grpo_loss,
     initial_policy,
+    CurvePoint,
     advantage_checks,
     kl_checks,
     make_toy_dataset,
@@ -196,6 +199,76 @@ def reference_make_toy_dataset(n: int, seed: int) -> list:
     return samples
 
 
+def reference_distribution(theta: np.ndarray, features: np.ndarray) -> np.ndarray:
+    """Softmax through ndarray.max and .sum: the oracle for
+    PolicyState.distribution, which calls their ufunc reductions directly."""
+    logits = features @ theta
+    logits = logits - logits.max(axis=-1, keepdims=True)
+    exp = np.exp(logits)
+    return exp / exp.sum(axis=-1, keepdims=True)
+
+
+def reference_train_toy(dataset, cfg: GrpoConfig, seed: int):
+    """The training loop with numpy's own draws and reductions, step by step:
+    the oracle for train_toy, which must give its curve and theta bit for bit.
+
+    Each step draws the group with rng.choice, takes MEAN_STD advantages
+    through np.mean and np.std, labels rewards by comparing label strings,
+    and takes the loss of one theta as the weighted log-likelihood plus
+    beta * KL; mean_gold_prob is the mean of the full softmax's gold column.
+    """
+    features = feature_matrix(dataset)
+    gold_idx = np.array([LABELS.index(s.gold_label) for s in dataset])
+    rng = np.random.default_rng(seed)
+    theta = ref_theta = np.zeros((features.shape[1], len(LABELS)))
+    curve = []
+    for step in range(cfg.steps):
+        idx = int(rng.integers(len(dataset)))
+        phi, gold = features[idx], dataset[idx].gold_label
+        pi = reference_distribution(theta, phi)
+        actions = [LABELS[i] for i in rng.choice(len(LABELS), size=cfg.group_size, p=pi)]
+        rewards = [reward(a, gold) for a in actions]
+        if cfg.advantage_mode == MEAN_ONLY:
+            mean = Fraction(sum(rewards), len(rewards))
+            advantages = [r - mean for r in rewards]
+        elif min(rewards) == max(rewards):
+            advantages = [0.0] * len(rewards)
+        else:
+            arr = np.asarray(rewards, dtype=float)
+            advantages = list((arr - np.mean(arr)) / np.std(arr))
+        if cfg.objective_mode == SAMPLED:
+            w = np.bincount([LABELS.index(a) for a in actions], advantages,
+                            len(LABELS)) / len(actions)
+        else:
+            w = np.full(len(LABELS), -0.5)
+            w[LABELS.index(gold)] = 1.0
+        logratio = np.log(pi) - np.log(reference_distribution(ref_theta, phi))
+        kl = np.dot(pi, logratio)
+        loss = float(-np.dot(w, np.log(pi)) + cfg.beta * kl)
+        grad_logits = w.sum() * pi - w + cfg.beta * (pi * logratio - pi * kl)
+        theta = theta - cfg.learning_rate * np.outer(phi, grad_logits)
+        probs = reference_distribution(theta, features)
+        curve.append(CurvePoint(step, loss,
+                                float(probs[np.arange(len(dataset)), gold_idx].mean())))
+    return theta, curve
+
+
+def reference_mixed_group(pi, features, gold: str, cfg: GrpoConfig,
+                          rng: np.random.Generator) -> RolloutGroup:
+    """A mixed group drawn through Generator.choice: the oracle for
+    grpo._mixed_group, which must give its actions and leave rng where
+    this leaves it."""
+    gold_idx = LABELS.index(gold)
+    wrong = [i for i in range(len(LABELS)) if i != gold_idx]
+    wrong_pi = pi[wrong]
+    action_idx = np.concatenate([
+        rng.choice(len(LABELS), size=cfg.group_size - 2, p=pi),
+        [gold_idx, rng.choice(wrong, p=wrong_pi / wrong_pi.sum())],
+    ])
+    return make_group([LABELS[i] for i in rng.permutation(action_idx)], gold,
+                      features, cfg.advantage_mode)
+
+
 def sequential_random_distribution(rng: np.random.Generator, size: int = 3):
     """One distribution per Dirichlet draw: the oracle for the rows of
     grpo._random_distributions."""
@@ -274,6 +347,25 @@ class TestAdvantages:
             assert adv == expected, rewards
             assert list(map(type, adv)) == list(map(type, expected)), rewards
 
+    # floats of one moderate range often make pairwise and sequential sums
+    # round apart; unbounded ones rarely do
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                              st.floats(-1e3, 1e3)),
+                    min_size=2, max_size=64))
+    def test_mean_std_is_numpy_mean_and_std_bit_for_bit(self, rewards):
+        assume(min(rewards) != max(rewards))  # constant groups get zeros
+        assert_numpy_mean_std_bits(rewards)
+
+    def test_mean_std_is_numpy_mean_and_std_on_every_binary_vector(self):
+        # no advantage of a mixed 0/1 group is zero, so == tells the bits apart
+        for length in range(2, 17):
+            for bits in range(1, 2 ** length - 1):  # all but the constant vectors
+                rewards = [(bits >> i) & 1 for i in range(length)]
+                arr = np.asarray(rewards, dtype=float)
+                assert (group_advantages(rewards, MEAN_STD)
+                        == list((arr - arr.mean()) / arr.std())), rewards
+
     def test_constant_float_rewards_zero(self):
         # numpy's mean of [0.1] * 3 is not 0.1, so a std-based test of
         # constancy would normalize rounding error to advantages of -1
@@ -290,6 +382,72 @@ class TestAdvantages:
                     for mode in (MEAN_ONLY, MEAN_STD):
                         for r, a in zip(rewards, group_advantages(rewards, mode)):
                             assert (a > 0) == (r == 1)
+
+
+def assert_numpy_mean_std_bits(rewards):
+    # huge rewards overflow to inf and nan in both forms alike
+    with np.errstate(all="ignore"):
+        arr = np.asarray(rewards, dtype=float)
+        expected = list((arr - arr.mean()) / arr.std())
+        adv = group_advantages(rewards, MEAN_STD)
+    assert np.array(adv).tobytes() == np.array(expected).tobytes(), rewards
+    assert list(map(type, adv)) == list(map(type, expected)), rewards
+
+
+class TestDraw:
+    """grpo._draw against Generator.choice on twin generators."""
+
+    @staticmethod
+    def distributions(seed):
+        dirichlet = np.random.default_rng(seed).dirichlet(np.ones(len(LABELS)), size=1000)
+        extremes = np.array([[1e-300, 0.5, 0.5], [0.5, 1e-300, 0.5], [1e-300, 1e-300, 1.0],
+                             [0.0, 0.3, 0.7], [0.3, 0.0, 0.7], [0.3, 0.7, 0.0],
+                             [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0],
+                             [1e-300, 0.0, 1.0]])
+        return np.concatenate([dirichlet, extremes])
+
+    @pytest.mark.parametrize("size", [2, 3, 16, 32])
+    def test_matches_generator_choice(self, size):
+        for seed, p in enumerate(self.distributions(size)):
+            ours, numpys = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert np.array_equal(grpo._draw(p, ours, size),
+                                  numpys.choice(len(LABELS), size=size, p=p)), p
+            assert ours.random() == numpys.random()  # the same stream position
+
+    def test_scalar_draw_over_non_gold_labels_matches_generator_choice(self):
+        # _mixed_group's draw of one non-gold action
+        for seed, pi in enumerate(self.distributions(0)):
+            for gold_idx in range(len(LABELS)):
+                wrong = [i for i in range(len(LABELS)) if i != gold_idx]
+                if pi[wrong].sum() == 0:
+                    continue  # all mass on gold: choice rejects 0 / 0 too
+                p = pi[wrong] / pi[wrong].sum()
+                ours, numpys = np.random.default_rng(seed), np.random.default_rng(seed)
+                assert wrong[grpo._draw(p, ours)] == numpys.choice(wrong, p=p), p
+                assert ours.random() == numpys.random()
+
+    @pytest.mark.parametrize("group_size", [2, 3, 8, 16])
+    def test_mixed_group_matches_reference(self, group_size):
+        cfg = GrpoConfig(group_size=group_size)
+        pis = np.random.default_rng(group_size).dirichlet(np.ones(len(LABELS)), size=300)
+        features = np.ones(FEATURE_DIM)
+        for seed, pi in enumerate(pis):
+            gold = LABELS[seed % len(LABELS)]
+            ours, numpys = np.random.default_rng(seed), np.random.default_rng(seed)
+            group = grpo._mixed_group(pi, features, gold, cfg, ours)
+            want = reference_mixed_group(pi, features, gold, cfg, numpys)
+            assert (group.actions, group.advantages) == (want.actions, want.advantages)
+            assert ours.random() == numpys.random()
+
+    @pytest.mark.parametrize("p", [[np.nan] * 3, [0.5, np.nan, 0.5], [np.inf, 0.0, 0.0],
+                                   [np.inf, -np.inf, 1.0], [0.0, 0.0, 0.0]])
+    @pytest.mark.parametrize("size", [None, 16])
+    def test_distribution_not_finite_is_named_error_before_any_draw(self, p, size):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match="^cannot draw from the distribution"), \
+                np.errstate(invalid="ignore"):  # inf - inf in the cumulative sum
+            grpo._draw(np.array(p), rng, size)
+        assert rng.random() == np.random.default_rng(0).random()
 
 
 class TestKl:
@@ -642,11 +800,47 @@ class TestTrainToy:
         monkeypatch.setattr(
             grpo, "_mean_gold_prob",
             lambda p, features, gold_flat: reference_mean_gold_prob(
-                p, features, gold_flat % len(LABELS)),
+                p, features, gold_flat // len(features)),
         )
         ref_policy, ref_curve = train_toy(dataset, cfg, seed=3)
         assert curve == ref_curve
         assert np.array_equal(policy.theta, ref_policy.theta)
+
+    @pytest.mark.parametrize("seed, settings", [
+        *((seed, {"objective_mode": objective_mode, "advantage_mode": advantage_mode})
+          for objective_mode, advantage_mode, seed in itertools.product(
+              OBJECTIVE_MODES, (MEAN_STD, MEAN_ONLY), (1, 2, 5))),
+        (0, {"group_size": 2, "beta": 0.0}),
+        (0, {"group_size": 3, "beta": 0.5}),
+        (0, {"group_size": 32}),
+    ])
+    def test_matches_reference_train_toy(self, seed, settings):
+        dataset = make_toy_dataset(200, seed=seed)
+        cfg = GrpoConfig(steps=300, **settings)
+        policy, curve = train_toy(dataset, cfg, seed=seed)
+        theta, ref_curve = reference_train_toy(dataset, cfg, seed=seed)
+        assert repr(curve) == repr(ref_curve)  # reprs tell -0.0 from 0.0
+        assert policy.theta.tobytes() == theta.tobytes()
+
+    def test_one_group_and_one_loss_per_step(self, monkeypatch):
+        calls = []
+        for name in ("sample_group", "grpo_loss"):
+            def counted(*args, _name=name, _fn=getattr(grpo, name)):
+                calls.append(_name)
+                return _fn(*args)
+
+            monkeypatch.setattr(grpo, name, counted)
+        train_toy(make_toy_dataset(50, seed=0), GrpoConfig(steps=30), seed=0)
+        assert calls == ["sample_group", "grpo_loss"] * 30
+
+    def test_distribution_not_finite_is_named_error(self, monkeypatch):
+        # all-inf weights give nan logits; the first draw names them instead
+        # of drawing label 0 sixteen times
+        monkeypatch.setattr(grpo, "initial_policy", lambda feature_dim: PolicyState(
+            theta=np.full((feature_dim, len(LABELS)), np.inf)))
+        with pytest.raises(ValueError, match="^cannot draw from the distribution "
+                                             r"\[nan nan nan\]"):
+            train_toy(make_toy_dataset(20, seed=0), GrpoConfig(steps=5), seed=0)
 
     @pytest.mark.parametrize("n", [1, 50, 1000])
     @pytest.mark.parametrize("seed", [0, 1, 7])
@@ -669,7 +863,7 @@ class TestMeanGoldProb:
     def toy(self):
         dataset = make_toy_dataset(1000, seed=0)
         gold_idx = np.array([LABELS.index(s.gold_label) for s in dataset])
-        return feature_matrix(dataset), gold_idx, np.arange(1000) * 3 + gold_idx
+        return feature_matrix(dataset), gold_idx, gold_idx * 1000 + np.arange(1000)
 
     def assert_matches_reference(self, toy, theta):
         features, gold_idx, gold_flat = toy
