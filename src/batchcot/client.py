@@ -17,13 +17,12 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 from urllib.parse import urlsplit
 
-from batchcot import verify
+from batchcot import parsing, verify
 from batchcot.parsing import (
     ChainOrigin,
     CompletionRecord,
     ReasoningChain,
     SamplingParams,
-    count_tokens,
     parse_final_answers,
     split_completions,
 )
@@ -297,7 +296,7 @@ def complete(envelope: PromptEnvelope, cfg: EndpointConfig,
     return CompletionRecord(
         envelope=envelope,
         raw_text=raw.text,
-        counted_tokens=count_tokens(raw.text),
+        counted_tokens=parsing.count_tokens(raw.text),
         reported_tokens=raw.completion_tokens,
         sampling=cfg.sampling(),
         endpoint=backend.name,

@@ -17,7 +17,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from batchcot import verify
+from batchcot import parsing, verify
 from batchcot.grpo_modes import (
     MEAN_ONLY,
     MEAN_STD,
@@ -26,7 +26,6 @@ from batchcot.grpo_modes import (
     SAMPLED,
     GrpoConfig,
 )
-from batchcot.parsing import count_tokens
 from batchcot.preference import LABELS, PreferenceSample, label_sample
 from batchcot.prompts import BATCH, VANILLA
 
@@ -68,10 +67,6 @@ class RolloutGroup:
             raise ValueError("actions and advantages must have equal length")
 
 
-def reward(action: str, gold: str) -> int:
-    return 1 if action == gold else 0
-
-
 def group_advantages(rewards, mode: str = MEAN_STD) -> list:
     """Group-relative advantages with a mean (optionally std-normalized) baseline.
 
@@ -91,56 +86,87 @@ def group_advantages(rewards, mode: str = MEAN_STD) -> list:
     if mode == MEAN_STD:
         if min(rewards) == max(rewards):
             return [0.0] * len(rewards)
-        n = len(rewards)
-        arr = np.asarray(rewards, dtype=float)
-        dev = arr - np.add.reduce(arr) / n
-        return list(dev / np.sqrt(np.add.reduce(dev * dev) / n))
+        return list(_mean_std(np.asarray(rewards, dtype=float)))
     raise ValueError(f"unknown advantage mode: {mode!r}")
 
 
-def _kl_and_logit_grad(p: np.ndarray, q: np.ndarray):
+def _mean_std(rewards: np.ndarray) -> np.ndarray:
+    """MEAN_STD advantages of nonconstant float rewards, as an array."""
+    n = len(rewards)
+    dev = rewards - np.add.reduce(rewards) / n
+    return dev / np.sqrt(np.add.reduce(dev * dev) / n)
+
+
+def _kl_and_logit_grad(p: np.ndarray, q: np.ndarray, loss_only: bool = False):
     """KL(p||q) and its gradient w.r.t. the logits producing p, row by row.
 
     p and q broadcast over leading axes; the last axis is the distribution.
+    With loss_only the gradient is None and is not computed.
     """
     logratio = np.log(p) - np.log(q)
     kl = np.vecdot(p, logratio)  # row-wise, bit for bit np.dot's sum
-    return kl, p * logratio - p * kl[..., None]
+    return kl, None if loss_only else p * logratio - p * kl[..., None]
 
 
-def _label_weights(group: RolloutGroup, objective_mode: str) -> np.ndarray:
+def _index_advantages(action_idx: np.ndarray, gold_idx: int, advantage_mode: str):
+    """group_advantages of drawn label indices, each rewarded 1 if it is gold.
+
+    MEAN_STD's come as an array, without the list of rewards.
+    """
+    rewards = (action_idx == gold_idx).astype(float)
+    if advantage_mode != MEAN_STD:
+        return group_advantages(rewards.tolist(), advantage_mode)
+    if not 0 < np.add.reduce(rewards) < len(rewards):  # constant rewards
+        return np.zeros(len(rewards))
+    return _mean_std(rewards)
+
+
+def _weights(action_idx, advantages, gold_idx: int, objective_mode: str) -> np.ndarray:
     """Each label's weight w_a in the objective's -sum_a w_a log pi_a.
 
-    SAMPLED weighs each label by its sampled actions' advantages over G;
+    SAMPLED weighs each label by its drawn indices' advantages over G;
     PAPER_LITERAL weighs the gold label +1 and the others -1/2.
     """
     if objective_mode == SAMPLED:
-        action_idx = list(map(_LABEL_INDEX.__getitem__, group.actions))
-        return np.bincount(action_idx, group.advantages, len(LABELS)) / len(action_idx)
+        return np.bincount(action_idx, advantages, len(LABELS)) / len(action_idx)
     w = np.full(len(LABELS), -0.5)
-    w[_LABEL_INDEX[group.gold]] = 1.0
+    w[gold_idx] = 1.0
     return w
 
 
-def _weighted_objective(policy: PolicyState, ref_policy: PolicyState,
-                        phi: np.ndarray, w: np.ndarray, beta):
-    """-sum_a w_a log pi_a + beta * KL(pi || pi_ref) and its gradient w.r.t. theta.
+def _label_weights(group: RolloutGroup, objective_mode: str) -> np.ndarray:
+    """_weights of a group, whose actions and gold are label strings."""
+    return _weights(list(map(_LABEL_INDEX.__getitem__, group.actions)),
+                    group.advantages, _LABEL_INDEX[group.gold], objective_mode)
 
-    pi and pi_ref are the two policies' distributions at features phi; the
-    logit gradient of the first term is (sum_a w_a) pi - w. The logits are
-    phi @ theta, so stacks broadcast as matmul's do: feature rows (..., 1, F)
-    meet thetas (..., F, 3) row by row, w broadcasts against the
-    distributions (..., 3) and beta against the losses (...). Gradients have
-    the shape phi[..., :, None] * pi[..., None, :]; each row is bit for bit
-    what its operands alone give.
+
+def _objective(pi: np.ndarray, pi_ref: np.ndarray, w: np.ndarray, beta,
+               loss_only: bool = False):
+    """-sum_a w_a log pi_a + beta * KL(pi || pi_ref) and its gradient w.r.t. the logits.
+
+    pi and pi_ref are the policy's and the frozen reference's distributions
+    at the same features; the logit gradient of the first term is
+    (sum_a w_a) pi - w. Stacks broadcast: w against the distributions
+    (..., 3) and beta against the losses (...); each row is bit for bit what
+    its operands alone give. With loss_only the gradient is None and is not
+    computed. _theta_grad turns the logit gradient into theta's.
     """
-    pi = policy.distribution(phi)
-    pi_ref = ref_policy.distribution(phi)
-    kl, kl_grad_logits = _kl_and_logit_grad(pi, pi_ref)
+    kl, kl_grad_logits = _kl_and_logit_grad(pi, pi_ref, loss_only)
     loss = -np.vecdot(w, np.log(pi)) + beta * kl
+    if loss_only:
+        return loss, None
     grad_logits = (np.add.reduce(w, axis=-1, keepdims=True) * pi - w
                    + np.asarray(beta)[..., None] * kl_grad_logits)
-    return loss, phi[..., :, None] * grad_logits[..., None, :]
+    return loss, grad_logits
+
+
+def _theta_grad(phi: np.ndarray, grad_logits: np.ndarray) -> np.ndarray:
+    """phi ⊗ grad_logits: the gradient w.r.t. theta of logits phi @ theta.
+
+    Features (..., F) and logit gradients (..., 3) broadcast into theta's
+    shape (..., F, 3).
+    """
+    return phi[..., :, None] * grad_logits[..., None, :]
 
 
 def grpo_loss(policy: PolicyState, ref_policy: PolicyState, group: RolloutGroup,
@@ -148,17 +174,18 @@ def grpo_loss(policy: PolicyState, ref_policy: PolicyState, group: RolloutGroup,
     """Negated group objective with its analytic gradient w.r.t. theta.
 
     Both objective modes are one weighted log-likelihood over the labels
-    (see _label_weights), plus beta * KL(pi || pi_ref) against the frozen
+    (see _weights), plus beta * KL(pi || pi_ref) against the frozen
     reference policy.
 
     A policy whose theta is a stack of shape (..., F, 3) gives one loss per
     theta, as an array of shape (...), and gradients of theta's shape; each
     row is bit for bit what that theta alone gives. One theta gives a float.
     """
-    loss, grad = _weighted_objective(
-        policy, ref_policy, np.asarray(group.features, dtype=float),
+    phi = np.asarray(group.features, dtype=float)
+    loss, grad_logits = _objective(
+        policy.distribution(phi), ref_policy.distribution(phi),
         _label_weights(group, cfg.objective_mode), cfg.beta)
-    return (float(loss) if loss.ndim == 0 else loss), grad
+    return (float(loss) if loss.ndim == 0 else loss), _theta_grad(phi, grad_logits)
 
 
 def _draw(p: np.ndarray, rng: np.random.Generator, size=None):
@@ -180,12 +207,10 @@ def _draw(p: np.ndarray, rng: np.random.Generator, size=None):
 
 def _rollout_group(features: np.ndarray, action_idx: np.ndarray, gold: str,
                    cfg: GrpoConfig) -> RolloutGroup:
-    action_idx = action_idx.tolist()
-    gold_idx = _LABEL_INDEX[gold]
-    rewards = [1 if i == gold_idx else 0 for i in action_idx]  # reward()'s values
-    advantages = tuple(group_advantages(rewards, cfg.advantage_mode))
+    advantages = tuple(_index_advantages(action_idx, _LABEL_INDEX[gold],
+                                         cfg.advantage_mode))
     return RolloutGroup(features=features,
-                        actions=tuple(map(LABELS.__getitem__, action_idx)),
+                        actions=tuple(map(LABELS.__getitem__, action_idx.tolist())),
                         advantages=advantages, gold=gold)
 
 
@@ -211,7 +236,7 @@ def feature_matrix(samples) -> np.ndarray:
     samples = list(samples)
     if not samples:
         raise ValueError("feature matrix needs a nonempty dataset")
-    counts = [count_tokens(s.cot) for s in samples]
+    counts = [parsing.count_tokens(s.cot) for s in samples]
     mean_tokens = sum(counts) / len(counts)
     return np.array([
         [
@@ -285,6 +310,12 @@ def _mean_gold_prob(policy: PolicyState, features: np.ndarray,
 def train_toy(dataset, cfg: GrpoConfig, seed: int = 0):
     """Sample-group-update loop on the toy policy; deterministic given seed.
 
+    Each step computes the policy's distribution at its row once, draws the
+    group from it and gives that same distribution to the objective. Rewards,
+    advantages and label weights come from the drawn label indices, and the
+    frozen reference's distribution is computed once per row the run visits.
+    A step is bit for bit grpo_loss on sample_group's group.
+
     Returns (final PolicyState, learning curve of CurvePoint).
     """
     dataset = list(dataset)
@@ -292,22 +323,36 @@ def train_toy(dataset, cfg: GrpoConfig, seed: int = 0):
         raise ValueError("training dataset must be nonempty")
     features = feature_matrix(dataset)
     n = len(dataset)
-    gold_flat = np.array([_LABEL_INDEX[s.gold_label] for s in dataset]) * n + np.arange(n)
+    gold_idx = [_LABEL_INDEX[s.gold_label] for s in dataset]
+    gold_flat = np.array(gold_idx) * n + np.arange(n)
     rng = np.random.default_rng(seed)
     ref = policy = initial_policy(features.shape[1])  # ref stays frozen
+    # row -> ref.distribution(features[row]); one 2-D call over all rows would
+    # differ from these 1-D calls in the last bits at a nonzero reference
+    ref_pis = {}
     curve = []
     # a diverging run's log(0) and 0 * inf are named by the finiteness check
     # below, not warned about; entered once, not once per step
     with np.errstate(divide="ignore", invalid="ignore"):
         for step in range(cfg.steps):
-            idx = int(rng.integers(len(dataset)))
+            idx = int(rng.integers(n))
             phi = features[idx]
-            group = sample_group(policy, phi, dataset[idx].gold_label, cfg, rng)
-            loss, grad = grpo_loss(policy, ref, group, cfg)
+            pi = policy.distribution(phi)
+            action_idx = _draw(pi, rng, cfg.group_size)
+            gold = gold_idx[idx]
+            pi_ref = ref_pis.get(idx)
+            if pi_ref is None:
+                pi_ref = ref_pis[idx] = ref.distribution(phi)
+            w = _weights(action_idx,
+                         _index_advantages(action_idx, gold, cfg.advantage_mode),
+                         gold, cfg.objective_mode)
+            loss, grad_logits = _objective(pi, pi_ref, w, cfg.beta)
+            loss = float(loss)
             if not math.isfinite(loss):
                 raise ValueError(f"training diverged at step {step}: loss is {loss} "
                                  f"(objective {cfg.objective_mode})")
-            policy = PolicyState(theta=policy.theta - cfg.learning_rate * grad)
+            policy = PolicyState(
+                theta=policy.theta - cfg.learning_rate * _theta_grad(phi, grad_logits))
             curve.append(
                 CurvePoint(step, loss, _mean_gold_prob(policy, features, gold_flat))
             )
@@ -384,8 +429,8 @@ def gradient_check(n_configs: int = 100, seed: int = 0, step: float = 1e-5,
 
     Each of n_configs random configurations (theta, theta_ref, features,
     beta) gets one mixed group per objective mode. All groups are drawn
-    first; then one stacked loss call gives every analytic gradient and one
-    more every finite-difference loss.
+    first; then one stacked objective call gives every analytic gradient and
+    one more, loss only, every finite-difference loss.
     """
     if n_configs < 1:
         raise ValueError(f"n_configs must be >= 1, got {n_configs}")
@@ -407,15 +452,16 @@ def gradient_check(n_configs: int = 100, seed: int = 0, step: float = 1e-5,
 
     theta, ref_theta, phi, beta, w = map(np.array, zip(*rows))
     # axes: group, the thetas its loss is taken at, phi as a one-row matrix
-    ref = PolicyState(theta=ref_theta[:, None])
     phi, beta, w = phi[:, None, None], beta[:, None, None], w[:, None, None]
+    pi_ref = PolicyState(theta=ref_theta[:, None]).distribution(phi)
 
-    def objective(thetas):
-        return _weighted_objective(PolicyState(theta=thetas), ref, phi, w, beta)
+    def objective(thetas, loss_only=False):
+        pi = PolicyState(theta=thetas).distribution(phi)
+        return _objective(pi, pi_ref, w, beta, loss_only)
 
-    grad = objective(theta[:, None])[1].reshape(len(rows), -1)
-    fd = finite_difference_grad(lambda t: objective(t)[0][..., 0], theta, step,
-                                stack_ndim=1).reshape(len(rows), -1)
+    grad = _theta_grad(phi, objective(theta[:, None])[1]).reshape(len(rows), -1)
+    fd = finite_difference_grad(lambda t: objective(t, loss_only=True)[0][..., 0],
+                                theta, step, stack_ndim=1).reshape(len(rows), -1)
     # sqrt(x . x) per row is np.linalg.norm's formula, bit for bit
     vectors = np.stack([grad, fd, grad - fd])
     grad_norm, fd_norm, diff_norm = np.sqrt(np.vecdot(vectors, vectors))

@@ -97,8 +97,20 @@ class ReasoningChain:
             raise ValueError("token_count must be >= 0")
 
 
+# Each byte as b" " where str.split() splits ASCII text (str.isspace: \t to \r,
+# \x1c to \x1f and space), else as b"x"; bytes past ASCII are never looked up
+_SPACE_OR_WORD = bytes(32 if chr(b).isspace() else 120 for b in range(256))
+
+
 def count_tokens(text: str) -> int:
-    """Whitespace-delimited word count, the WHITESPACE scheme chain rows name."""
+    """Whitespace-delimited word count, the WHITESPACE scheme chain rows name.
+
+    This is len(text.split()). ASCII text is counted without the word list:
+    each word starts at a b"x" that is first or follows a b" ".
+    """
+    if text.isascii():
+        marks = text.encode("ascii").translate(_SPACE_OR_WORD)
+        return marks.count(b" x") + marks.startswith(b"x")
     return len(text.split())
 
 

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -29,7 +30,6 @@ from batchcot.grpo import (
     advantage_checks,
     kl_checks,
     make_toy_dataset,
-    reward,
     run_verification_suite,
     sample_group,
     save_policy,
@@ -39,6 +39,11 @@ from batchcot.grpo import (
 from batchcot import verify
 from batchcot.preference import LABELS, PreferenceSample, label_sample
 from batchcot.prompts import BATCH, VANILLA
+
+
+def reward(action: str, gold: str) -> int:
+    """1 for the gold label, else 0: the reward train_toy gives drawn indices."""
+    return 1 if action == gold else 0
 
 
 def kl_categorical(p, q) -> float:
@@ -251,6 +256,25 @@ def reference_train_toy(dataset, cfg: GrpoConfig, seed: int):
         curve.append(CurvePoint(step, loss,
                                 float(probs[np.arange(len(dataset)), gold_idx].mean())))
     return theta, curve
+
+
+def per_group_train_toy(dataset, cfg: GrpoConfig, seed: int, ref: PolicyState):
+    """The training loop through the public per-group API, sample_group then
+    grpo_loss at every step: the oracle for train_toy, whose steps must give
+    its curve and theta bit for bit. ref is the reference and initial policy."""
+    features = feature_matrix(dataset)
+    n = len(dataset)
+    gold_flat = np.array([LABELS.index(s.gold_label) for s in dataset]) * n + np.arange(n)
+    rng = np.random.default_rng(seed)
+    policy = ref
+    curve = []
+    for step in range(cfg.steps):
+        idx = int(rng.integers(n))
+        group = sample_group(policy, features[idx], dataset[idx].gold_label, cfg, rng)
+        loss, grad = grpo_loss(policy, ref, group, cfg)
+        policy = PolicyState(theta=policy.theta - cfg.learning_rate * grad)
+        curve.append(CurvePoint(step, loss, grpo._mean_gold_prob(policy, features, gold_flat)))
+    return policy.theta, curve
 
 
 def reference_mixed_group(pi, features, gold: str, cfg: GrpoConfig,
@@ -631,10 +655,11 @@ class TestGrpoLoss:
                       for g, c in zip(groups, cfgs)])[:, None, None]
         beta = np.array([c.beta for c in cfgs])[:, None, None]
 
+        pi_ref = PolicyState(theta=refs[:, None]).distribution(phi)
+
         def losses(t):
-            return grpo._weighted_objective(PolicyState(theta=t),
-                                            PolicyState(theta=refs[:, None]),
-                                            phi, w, beta)[0][..., 0]
+            pi = PolicyState(theta=t).distribution(phi)
+            return grpo._objective(pi, pi_ref, w, beta, loss_only=True)[0][..., 0]
 
         for step in (1e-5, 1e-3):
             stacked = finite_difference_grad(losses, thetas, step, stack_ndim=1)
@@ -676,6 +701,16 @@ class TestGrpoLoss:
                     assert abs(loss - want_loss) <= 1e-12 * abs(want_loss)
                     assert (np.abs(grad - want_grad).max()
                             <= 1e-12 * np.abs(want_grad).max())
+
+    def test_loss_only_objective_gives_the_same_losses(self):
+        rng = np.random.default_rng(41)
+        pi, pi_ref = grpo._random_distributions(rng, 2 * 60).reshape(2, 60, 3)
+        w = rng.normal(size=(60, 3))
+        beta = rng.choice([0.0, 0.01, 1.0], size=60)
+        loss, grad_logits = grpo._objective(pi, pi_ref, w, beta)
+        loss_only, none = grpo._objective(pi, pi_ref, w, beta, loss_only=True)
+        assert none is None and grad_logits.shape == (60, 3)
+        assert loss_only.tobytes() == loss.tobytes()
 
     def test_stack_of_thetas_matches_each_theta_alone(self):
         rng = np.random.default_rng(23)
@@ -822,16 +857,94 @@ class TestTrainToy:
         assert repr(curve) == repr(ref_curve)  # reprs tell -0.0 from 0.0
         assert policy.theta.tobytes() == theta.tobytes()
 
-    def test_one_group_and_one_loss_per_step(self, monkeypatch):
-        calls = []
-        for name in ("sample_group", "grpo_loss"):
-            def counted(*args, _name=name, _fn=getattr(grpo, name)):
-                calls.append(_name)
-                return _fn(*args)
+    @pytest.mark.parametrize("settings", [
+        *({"objective_mode": objective_mode, "advantage_mode": advantage_mode}
+          for objective_mode, advantage_mode in itertools.product(
+              OBJECTIVE_MODES, (MEAN_STD, MEAN_ONLY))),
+        {"group_size": 2, "beta": 0.5},
+    ])
+    def test_matches_per_group_api_at_nonzero_reference(self, monkeypatch, settings):
+        ref = PolicyState(theta=np.random.default_rng(9).normal(
+            scale=0.5, size=(FEATURE_DIM, len(LABELS))))
+        monkeypatch.setattr(grpo, "initial_policy", lambda feature_dim: ref)
+        dataset = make_toy_dataset(100, seed=6)
+        cfg = GrpoConfig(steps=250, **settings)
+        policy, curve = train_toy(dataset, cfg, seed=6)
+        theta, want = per_group_train_toy(dataset, cfg, 6, ref)
+        assert repr(curve) == repr(want)
+        assert policy.theta.tobytes() == theta.tobytes()
 
-            monkeypatch.setattr(grpo, name, counted)
-        train_toy(make_toy_dataset(50, seed=0), GrpoConfig(steps=30), seed=0)
-        assert calls == ["sample_group", "grpo_loss"] * 30
+    def test_one_policy_distribution_per_step_and_one_reference_per_row(
+            self, monkeypatch):
+        # each step: the policy's distribution, the draw from it, and the
+        # reference's distribution only on the first visit to the row
+        events, refs = [], []
+        make_initial, distribution, draw = (grpo.initial_policy,
+                                            PolicyState.distribution, grpo._draw)
+
+        def initial(feature_dim):
+            refs.append(make_initial(feature_dim))
+            return refs[-1]
+
+        def counted_distribution(self, features):
+            events.append(("distribution", self, features.tobytes()))
+            return distribution(self, features)
+
+        def counted_draw(*args):
+            events.append(("draw",))
+            return draw(*args)
+
+        monkeypatch.setattr(grpo, "initial_policy", initial)
+        monkeypatch.setattr(PolicyState, "distribution", counted_distribution)
+        monkeypatch.setattr(grpo, "_draw", counted_draw)
+        for name in ("sample_group", "grpo_loss"):
+            monkeypatch.setattr(grpo, name, None)  # training calls neither
+        steps = 120
+        train_toy(make_toy_dataset(20, seed=0), GrpoConfig(steps=steps), seed=0)
+
+        kinds, rows, ref_rows = "", [], []
+        for event in events:
+            if event == ("draw",):
+                kinds += "D"
+            elif kinds.endswith("D") and event[1] is refs[0]:
+                # the policy is refs[0] only before its first update
+                assert event[2] == rows[-1]
+                kinds += "R"
+                ref_rows.append(event[2])
+            else:
+                kinds += "P"
+                rows.append(event[2])
+        assert re.fullmatch("(PDR?)*", kinds) and len(rows) == steps
+        assert ref_rows == list(dict.fromkeys(rows))  # at each row's first visit
+        assert len(refs) == 1 and len(ref_rows) < steps
+
+    def test_reference_distribution_is_each_rows_own_call(self, monkeypatch):
+        # rows of one 2-D call differ from 1-D calls in the last bits at a
+        # nonzero reference, so a zero reference could not tell them apart
+        ref = PolicyState(theta=np.random.default_rng(12).normal(
+            size=(FEATURE_DIM, len(LABELS))))
+        monkeypatch.setattr(grpo, "initial_policy", lambda feature_dim: ref)
+        pi_refs, phis = [], []
+        objective, theta_grad = grpo._objective, grpo._theta_grad
+
+        def recorded_objective(pi, pi_ref, *args):
+            pi_refs.append(pi_ref)
+            return objective(pi, pi_ref, *args)
+
+        def recorded_theta_grad(phi, grad_logits):
+            phis.append(phi)
+            return theta_grad(phi, grad_logits)
+
+        monkeypatch.setattr(grpo, "_objective", recorded_objective)
+        monkeypatch.setattr(grpo, "_theta_grad", recorded_theta_grad)
+        dataset = make_toy_dataset(200, seed=4)
+        train_toy(dataset, GrpoConfig(steps=300), seed=4)
+        features = feature_matrix(dataset)
+        rows = [int(np.flatnonzero((features == phi).all(axis=1))[0]) for phi in phis]
+        assert len(rows) == len(pi_refs) == 300
+        for i, pi_ref in zip(rows, pi_refs):
+            assert pi_ref.tobytes() == ref.distribution(features[i]).tobytes()
+        assert (ref.distribution(features)[rows] != np.array(pi_refs)).any()
 
     def test_distribution_not_finite_is_named_error(self, monkeypatch):
         # all-inf weights give nan logits; the first draw names them instead
@@ -946,20 +1059,20 @@ class TestVerificationSuite:
     @pytest.mark.parametrize("row", [0, 5, 13])
     def test_gradient_check_fails_on_one_wrong_gradient_row(self, monkeypatch, row):
         # 7 configurations x 2 modes: rows 0..13, one per (configuration, mode)
-        objective = grpo._weighted_objective
+        objective = grpo._objective
         calls = []
 
-        def wrong_in_one_row(policy, *args):
-            loss, grad = objective(policy, *args)
-            if policy.theta.shape[1] == 1:  # the analytic gradients, not the perturbed stack
-                calls.append(policy.theta.shape)
-                grad[row] *= 1 + 1e-4
-            return loss, grad
+        def wrong_in_one_row(pi, *args, **kwargs):
+            loss, grad_logits = objective(pi, *args, **kwargs)
+            calls.append((pi.shape, grad_logits is None))
+            if grad_logits is not None:  # the analytic gradients, not the perturbed losses
+                grad_logits[row] *= 1 + 1e-4
+            return loss, grad_logits
 
         assert gradient_check(n_configs=7, seed=0)[1]
-        monkeypatch.setattr(grpo, "_weighted_objective", wrong_in_one_row)
+        monkeypatch.setattr(grpo, "_objective", wrong_in_one_row)
         worst, ok = gradient_check(n_configs=7, seed=0)
-        assert calls == [(14, 1, FEATURE_DIM, 3)]
+        assert calls == [((14, 1, 1, 3), False), ((14, 2 * FEATURE_DIM * 3, 1, 3), True)]
         assert not ok
         assert worst == pytest.approx(1e-4, rel=1e-2)
 

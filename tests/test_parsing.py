@@ -371,6 +371,27 @@ class TestCountTokens:
     def test_empty(self):
         assert count_tokens("") == 0
 
+    SPACES = [chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace()]
+
+    def test_every_whitespace_code_point_splits(self):
+        assert {" ", "\x1c", "\x1f", "\x85", "\u3000"} <= set(self.SPACES)
+        for space in self.SPACES:
+            for text in (f"a{space}b", f"{space}a{space}{space}b{space}", space):
+                assert count_tokens(text) == len(text.split()), repr(text)
+
+    def test_every_other_ascii_byte_is_part_of_a_word(self):
+        for c in map(chr, range(128)):
+            if not c.isspace():
+                assert count_tokens(f"{c} a{c}b {c}{c}") == 3, repr(c)
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.text(alphabet=st.one_of(st.sampled_from(SPACES), st.characters(),
+                                      st.characters(max_codepoint=127)))
+           | st.text(alphabet=st.sampled_from([c for c in SPACES if c.isascii()]
+                                              + ["a", "\x00", "\x7f", "-"])))
+    def test_is_len_of_split(self, text):
+        assert count_tokens(text) == len(text.split())
+
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                          "perfbench")
