@@ -74,9 +74,9 @@ def write_run_manifest(args, argv, started, fields):
         "started": started,
         "finished": time.strftime(_TIMESTAMP),
     }
+    # one write: json.dump with an indent writes each token on its own
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 def _config_snapshot(cfg: EndpointConfig) -> dict:
@@ -326,26 +326,34 @@ COMMANDS = (
 )
 
 
-def build_parser(argv=None) -> argparse.ArgumentParser:
-    """The batchcot parser, with every subcommand.
+# the metavar the full parser's usage line derives from its choices
+_COMMANDS_METAVAR = "{" + ",".join(name for name, _, _, _ in COMMANDS) + "}"
 
-    Given the argv it will parse, only the subcommand argv[0] names gets its
-    arguments, which are all that parse can reach; when argv[0] names none,
-    every subcommand gets them. Either way the usage, --help and error
-    output are the same.
+
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The batchcot parser.
+
+    Given the argv it will parse, when argv[0] names a subcommand only that
+    subcommand's parser is built, which is all that parse can reach; otherwise
+    every subcommand's is. Either way the usage, --help and error output are
+    the same.
     """
     parser = argparse.ArgumentParser(
         prog="batchcot",
         description="Batch-inference reasoning-efficiency pipeline",
     )
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-    invoked = argv[0] if argv else None
-    every = invoked not in {name for name, _, _, _ in COMMANDS}
-    for name, help_text, add_args, func in COMMANDS:
+    invoked = [command for command in COMMANDS if argv and command[0] == argv[0]]
+    if invoked:
+        # Set only here: an error about the command argument names the
+        # metavar, not "command", and with argv[0] a command there is none.
+        sub = parser.add_subparsers(dest="command", required=True,
+                                    metavar=_COMMANDS_METAVAR)
+    else:
+        sub = parser.add_subparsers(dest="command", required=True)
+    for name, help_text, add_args, func in invoked or COMMANDS:
         p = sub.add_parser(name, help=help_text)
-        if every or name == invoked:
-            add_args(p)
+        add_args(p)
         p.set_defaults(func=func)
     return parser
 

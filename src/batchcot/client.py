@@ -27,7 +27,7 @@ from batchcot.parsing import (
     split_completions,
 )
 from batchcot.prompts import BATCH, PromptEnvelope, build_prompt, shuffle_and_group
-from batchcot.records import naming
+from batchcot.records import named_error, naming
 
 # Environment variable whose value HttpBackend sends as a bearer token.
 API_KEY_ENV = "BATCHCOT_API_KEY"
@@ -121,7 +121,12 @@ class MockBackend:
 
     @classmethod
     def from_dir(cls, path) -> "MockBackend":
-        """Load fingerprint-named .txt response files (optional .tokens sidecar)."""
+        """Load fingerprint-named .txt response files (optional .tokens sidecar).
+
+        A response is its file's text as text mode reads it: decoded as UTF-8,
+        with universal newlines. A file that is not UTF-8 fails as a
+        ValueError naming it.
+        """
         responses = {}
         names = sorted(os.listdir(path))
         listed = set(names)
@@ -129,8 +134,17 @@ class MockBackend:
             if not name.endswith(".txt"):
                 continue
             fp = name[:-len(".txt")]
-            with open(os.path.join(path, name), encoding="utf-8") as fh:
-                text = fh.read()
+            file = os.path.join(path, name)
+            # one unbuffered read, without text mode's wrapper and decoder
+            with open(file, "rb", buffering=0) as fh:
+                data = fh.read()
+            # as `with naming(file)` would, without a context manager per file
+            try:
+                text = data.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise named_error(file, exc) from exc
+            if "\r" in text:
+                text = text.replace("\r\n", "\n").replace("\r", "\n")
             tokens = None
             if fp + ".tokens" in listed:
                 sidecar = os.path.join(path, fp + ".tokens")
@@ -289,16 +303,20 @@ class HttpBackend:
         raise TransportError(f"exhausted {total} attempts against {self.url}", attempts)
 
 
-def complete(envelope: PromptEnvelope, cfg: EndpointConfig,
-             backend) -> CompletionRecord:
-    """One chat completion for a prompt envelope."""
+def complete(envelope: PromptEnvelope, cfg: EndpointConfig, backend,
+             sampling: Optional[SamplingParams] = None) -> CompletionRecord:
+    """One chat completion for a prompt envelope.
+
+    `sampling` is cfg.sampling(), which a caller completing many envelopes
+    passes in once built.
+    """
     raw = backend.send(envelope.text, cfg)
     return CompletionRecord(
         envelope=envelope,
         raw_text=raw.text,
         counted_tokens=parsing.count_tokens(raw.text),
         reported_tokens=raw.completion_tokens,
-        sampling=cfg.sampling(),
+        sampling=cfg.sampling() if sampling is None else sampling,
         endpoint=backend.name,
     )
 
@@ -311,9 +329,11 @@ def complete_many(envelopes, cfg: EndpointConfig, backend) -> list:
     a worker thread would only add a hand-off per request. Failures are
     returned in place as exception objects, never raised here.
     """
+    sampling = cfg.sampling()  # frozen, so every record can share it
+
     def one(envelope):
         try:
-            return complete(envelope, cfg, backend)
+            return complete(envelope, cfg, backend, sampling)
         except (TransportError, RequestError) as exc:
             return exc
 

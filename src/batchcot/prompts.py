@@ -7,6 +7,8 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 
+from batchcot.records import loads_line
+
 VANILLA = "vanilla"
 BATCH = "batch"
 
@@ -30,7 +32,10 @@ class Question:
 
     @cached_property
     def gold_number(self):
-        """verify.normalize_numeric of the gold answer, computed once per Question."""
+        """verify.normalize_numeric of the gold answer, computed once per Question.
+
+        load_questions sets it as it validates the gold answer.
+        """
         # imported here: verify imports prompts
         from batchcot.verify import normalize_numeric
 
@@ -110,7 +115,14 @@ def build_prompt(questions) -> PromptEnvelope:
 
 
 def load_questions(path, require_numeric: bool = True) -> list:
-    """Read a Question corpus from JSONL, validating ids and gold answers."""
+    """Read a Question corpus from JSONL, validating ids, texts and gold answers.
+
+    Each gold answer is normalized once, here: a loaded Question carries its
+    gold_number.
+    """
+    # imported here: verify imports prompts
+    from batchcot.verify import normalize_numeric
+
     questions = []
     seen = set()
     with open(path, encoding="utf-8") as fh:
@@ -119,7 +131,7 @@ def load_questions(path, require_numeric: bool = True) -> list:
             if not line:
                 continue
             try:
-                obj = json.loads(line)
+                obj = loads_line(line)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}: line {lineno}: invalid JSON: {exc}") from exc
             if not isinstance(obj, dict):
@@ -133,14 +145,23 @@ def load_questions(path, require_numeric: bool = True) -> list:
             if qid in seen:
                 raise ValueError(f"{path}: line {lineno}: duplicate question id {qid!r}")
             seen.add(qid)
-            if not obj["text"]:
+            text = obj["text"]
+            if type(text) is not str:
+                raise ValueError(
+                    f"{path}: line {lineno}: text is {type(text).__name__}, not str"
+                )
+            if not text:
                 raise ValueError(f"{path}: line {lineno}: empty question text")
-            q = Question(id=qid, text=obj["text"], gold_answer=str(obj["gold_answer"]),
+            q = Question(id=qid, text=text, gold_answer=str(obj["gold_answer"]),
                          source=obj.get("source", ""))
-            if require_numeric and q.gold_number is None:
+            gold = normalize_numeric(q.gold_answer)
+            if require_numeric and gold is None:
                 raise ValueError(
                     f"{path}: line {lineno}: gold answer {q.gold_answer!r} is not numeric"
                 )
+            # what the gold_number property would compute; a frozen dataclass
+            # takes it as dataclasses' own __init__ sets a field
+            object.__setattr__(q, "gold_number", gold)
             questions.append(q)
     return questions
 

@@ -57,6 +57,11 @@ def from_dict(cls, d: dict):
     take the field's default; a missing required key raises KeyError and a
     value of a type the field's hint does not take raises TypeError.
     """
+    return _decoder(cls)(d)
+
+
+def _checked_from_dict(cls, d):
+    """from_dict one field at a time, raising the first error in field order."""
     kwargs = {}
     for name, required, convert, accepts in _schema(cls)[0]:
         if not required and name not in d:
@@ -74,6 +79,48 @@ def from_dict(cls, d: dict):
     return cls(**kwargs)
 
 
+# what a missing key reads as: no field's hint takes type object
+_ABSENT = object()
+
+
+@functools.cache
+def _decoder(cls):
+    """from_dict for `cls`, compiled from its fields as dataclasses compiles __init__.
+
+    The generated function reads every field with one dict lookup, checks
+    every type in one condition and calls cls with the init fields as
+    positional arguments (no record class has keyword-only fields). It
+    falls back to _checked_from_dict, which raises the error, when a
+    required key is missing or a type is wrong; also when a key whose field
+    has a default factory is missing, which that call fills in.
+    """
+    by_name = {f.name: f for f in fields(cls)}
+    env = {"cls": cls, "checked": functools.partial(_checked_from_dict, cls)}
+    reads, checks, args = [], [], []
+    for i, (name, _, convert, accepts) in enumerate(_schema(cls)[0]):
+        default = by_name[name].default
+        env[f"default{i}"] = _ABSENT if default is MISSING else default
+        env[f"accepts{i}"] = accepts
+        reads.append(f"    v{i} = d.get({name!r}, default{i})\n")
+        checks.append(f"type(v{i}) not in accepts{i}")
+        if convert is tuple:
+            args.append(f"tuple(v{i})")
+        elif convert is not None:
+            env[f"convert{i}"] = _decoder(convert)
+            args.append(f"convert{i}(v{i})")
+        else:
+            args.append(f"v{i}")
+    source = ("def from_dict(d):\n"
+              "    if type(d) is not dict:\n"
+              "        return checked(d)\n"
+              + "".join(reads)
+              + f"    if {' or '.join(checks) or 'False'}:\n"
+              "        return checked(d)\n"
+              f"    return cls({', '.join(args)})\n")
+    exec(source, env)
+    return env["from_dict"]
+
+
 # json.dumps(row, sort_keys=True) without building an encoder per row
 _encode = json.JSONEncoder(sort_keys=True).encode
 
@@ -86,16 +133,38 @@ def write_jsonl(path, rows):
             fh.write("\n")
 
 
-def load(cls, d, where: str):
-    """from_dict(cls, d), with any error from the data a ValueError naming `where`.
+_raw_decode = json.JSONDecoder().raw_decode
 
-    A str `d` is first decoded as JSON.
+
+def loads_line(line: str):
+    """json.loads(line), for a line read from a text file.
+
+    A line that is one JSON value and at most its newline, as every writer
+    here writes one, takes a single raw_decode call, without json.loads's
+    type and whitespace checks around the same scan. Any other line goes to
+    json.loads, which decodes it or raises its error.
     """
-    # not `with naming(where)`, which costs twice as much once per record line
     try:
-        return from_dict(cls, json.loads(d) if isinstance(d, str) else d)
+        value, end = _raw_decode(line)
+    except ValueError:
+        return json.loads(line)
+    if line[end:] in ("", "\n"):
+        return value
+    return json.loads(line)
+
+
+def named_error(where: str, exc: Exception) -> ValueError:
+    """`exc`, raised by the data read at `where`, as a ValueError naming `where`."""
+    return ValueError(f"{where}: {type(exc).__name__}: {exc}")
+
+
+def load(cls, d: dict, where: str):
+    """from_dict(cls, d), with any error from the data a ValueError naming `where`."""
+    # not `with naming(where)`, which costs twice as much once per record
+    try:
+        return from_dict(cls, d)
     except (TypeError, KeyError, ValueError) as exc:
-        raise ValueError(f"{where}: {type(exc).__name__}: {exc}") from exc
+        raise named_error(where, exc) from exc
 
 
 @contextlib.contextmanager
@@ -104,11 +173,22 @@ def naming(where: str):
     try:
         yield
     except (TypeError, KeyError, ValueError) as exc:
-        raise ValueError(f"{where}: {type(exc).__name__}: {exc}") from exc
+        raise named_error(where, exc) from exc
 
 
 def read_jsonl(path, cls) -> list:
-    """Every non-blank line of a JSONL file as a `cls` record."""
+    """Every non-blank line of a JSONL file as a `cls` record.
+
+    An error from a line's data is a ValueError naming the path and line.
+    """
+    decode = _decoder(cls)
+    records = []
     with open(path, encoding="utf-8") as fh:
-        return [load(cls, line, f"{path}: line {n}")
-                for n, line in enumerate(fh, 1) if line.strip()]
+        # a line from a file is never "", so isspace() is `not line.strip()`
+        for n, line in enumerate(fh, 1):
+            if not line.isspace():
+                try:
+                    records.append(decode(loads_line(line)))
+                except (TypeError, KeyError, ValueError) as exc:
+                    raise named_error(f"{path}: line {n}", exc) from exc
+    return records

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import io
 import json
 import os
 import re
@@ -189,6 +190,15 @@ class TestManifests:
         assert manifest.pop("started") <= manifest.pop("finished")
         assert manifest == {"argv": argv, "command": command,
                             "tool_version": __version__, **expected}
+
+    def test_manifest_bytes_are_those_json_dump_writes(self, tmp_path):
+        args = argparse.Namespace(command="split", out=str(tmp_path / "c.jsonl"))
+        cli.write_run_manifest(args, ["split", "--in", "caf\u00e9"], "T0",
+                               {"exclusions": {"unsplittable": 2}, "outputs": []})
+        text = (tmp_path / "c.jsonl.manifest.json").read_text(encoding="utf-8")
+        reference = io.StringIO()
+        json.dump(json.loads(text), reference, indent=2, sort_keys=True)
+        assert text == reference.getvalue() + "\n"
 
 
 @pytest.fixture(scope="module")
@@ -598,7 +608,7 @@ class TestParser:
         assert invoked_only == every
         assert invoked_only[0] in (None, 0, 2)
 
-    def test_invoked_only_build_leaves_the_other_commands_bare(self):
+    def test_invoked_only_build_has_no_other_command(self):
         def arguments(parser):
             sub, = (a for a in parser._actions
                     if isinstance(a, argparse._SubParsersAction))
@@ -606,8 +616,9 @@ class TestParser:
 
         invoked_only = arguments(build_parser(["split", "--in", "x"]))
         every = arguments(build_parser())
+        assert list(invoked_only) == ["split"]
         assert invoked_only["split"] == every["split"] > 1
-        assert all(n == 1 for name, n in invoked_only.items() if name != "split")
+        assert len(every) == len(cli.COMMANDS)
 
 
 class TestExitCodes:
@@ -748,6 +759,19 @@ class TestExitCodes:
                      "--out-dir", str(tmp_path / "x"), "--batch-size", "1",
                      "--mock", str(tmp_path / "mock")]) == 1
         assert capsys.readouterr().err.startswith(f"error: {sidecar}: ValueError")
+
+    def test_gen_on_response_file_that_is_not_utf8(self, workspace, tmp_path, capsys):
+        script = MockBackend()
+        script.add("any prompt", "\\boxed{1}")
+        pf.write_script_dir(script, tmp_path / "mock")
+        response, = (tmp_path / "mock").glob("*.txt")
+        response.write_bytes(b"\\boxed{1} \xff")
+        assert main(["gen", "--questions", str(workspace["corpus"]),
+                     "--out-dir", str(tmp_path / "x"), "--batch-size", "1",
+                     "--mock", str(tmp_path / "mock")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {response}: UnicodeDecodeError: 'utf-8' codec can't decode "
+            "byte 0xff in position 10: invalid start byte\n")
 
     def test_transport_error_maps_to_2(self, workspace, tmp_path, monkeypatch):
         def explode(*args, **kwargs):

@@ -80,9 +80,35 @@ class TestMockEngine:
         assert loaded.lookup("prompt one") == ("resp one", 5)
         assert loaded.lookup("prompt two") == ("resp two", None)
 
+    def test_dir_read_is_text_mode_read(self, tmp_path):
+        # UTF-8 with a BOM, non-ASCII text, every newline convention and
+        # line separators that universal newlines leave alone
+        bodies = ["caf\u00e9 \\boxed{1}\r\nnext\rlast\n", "\ufeffbom\r\r\n\n\r",
+                  "x\r\n\u2028y\x85z", "", "no newline"]
+        (tmp_path / "m").mkdir()
+        for i, body in enumerate(bodies):
+            (tmp_path / "m" / f"fp{i}.txt").write_bytes(body.encode("utf-8"))
+        loaded = MockBackend.from_dir(tmp_path / "m")
+        for i in range(len(bodies)):
+            with open(tmp_path / "m" / f"fp{i}.txt", encoding="utf-8") as fh:
+                assert loaded.responses[f"fp{i}"].text == fh.read()
+
     def test_fingerprint_stability(self):
         assert fingerprint("abc") == fingerprint("abc")
         assert fingerprint("abc") != fingerprint("abd")
+
+    def test_records_of_one_call_share_one_sampling(self, monkeypatch):
+        backend = MockBackend()
+        envs = [build_single_prompt(Question(id=str(i), text="x", gold_answer="1"))
+                for i in range(3)]
+        built = []
+        real = EndpointConfig.sampling
+        monkeypatch.setattr(EndpointConfig, "sampling",
+                            lambda self: built.append(real(self)) or built[-1])
+        records = complete_many(envs, cfg(seed=5), backend)
+        assert len(built) == 1
+        assert all(r.sampling is built[0] for r in records)
+        assert built[0] == real(cfg(seed=5))
 
     def test_record_provenance(self):
         backend = MockBackend()

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from batchcot import verify
 from batchcot.prompts import (
     BATCH,
     VANILLA,
@@ -125,6 +126,41 @@ class TestLoadQuestions:
             path.write_text('{"id": "a", "text": "t", "gold_answer": "1"}\n' + line + "\n")
             with pytest.raises(ValueError, match=f"line 2: {message}"):
                 load_questions(path)
+
+    @pytest.mark.parametrize("text, kind", [(["x", "y"], "list"), (7, "int"),
+                                            ({"t": "x"}, "dict"), (True, "bool")])
+    def test_text_that_is_not_a_string_rejected(self, tmp_path, text, kind):
+        path = tmp_path / "q.jsonl"
+        self.write(path, [{"id": "a", "text": "t", "gold_answer": "1"},
+                          {"id": 2, "text": text, "gold_answer": 3}])
+        with pytest.raises(ValueError) as info:
+            load_questions(path)
+        assert str(info.value) == f"{path}: line 2: text is {kind}, not str"
+
+    def test_id_and_gold_answer_are_coerced_to_str(self, tmp_path):
+        path = tmp_path / "q.jsonl"
+        self.write(path, [{"id": 2, "text": "t", "gold_answer": 3}])
+        question, = load_questions(path)
+        assert (question.id, question.gold_answer) == ("2", "3")
+
+    @pytest.mark.parametrize("require_numeric", [True, False])
+    def test_gold_normalized_once_per_question_per_load(self, tmp_path, monkeypatch,
+                                                        require_numeric):
+        calls = []
+        real = verify.normalize_numeric
+        monkeypatch.setattr(verify, "normalize_numeric",
+                            lambda s: calls.append(s) or real(s))
+        golds = ["1/2", "0.50", "\\frac{3}{4}", "1,000", "7"]
+        if not require_numeric:
+            golds.append("B")
+        path = tmp_path / "q.jsonl"
+        self.write(path, [{"id": f"q{i}", "text": "t", "gold_answer": g}
+                          for i, g in enumerate(golds)])
+        for n in (1, 2):
+            questions = load_questions(path, require_numeric=require_numeric)
+            # what the gold_number property computes for a Question built directly
+            assert [q.gold_number for q in questions] == list(map(real, golds))
+            assert calls == golds * n
 
 
 class TestGrouping:
