@@ -55,18 +55,6 @@ def initial_policy(feature_dim: int = FEATURE_DIM) -> PolicyState:
     return PolicyState(theta=np.zeros((feature_dim, len(LABELS))))
 
 
-@dataclass(frozen=True)
-class RolloutGroup:
-    features: np.ndarray
-    actions: tuple  # G sampled labels
-    advantages: tuple
-    gold: str
-
-    def __post_init__(self):
-        if len(self.actions) != len(self.advantages):
-            raise ValueError("actions and advantages must have equal length")
-
-
 def group_advantages(rewards, mode: str = MEAN_STD) -> list:
     """Group-relative advantages with a mean (optionally std-normalized) baseline.
 
@@ -134,22 +122,19 @@ def _weights(action_idx, advantages, gold_idx: int, objective_mode: str) -> np.n
     return w
 
 
-def _label_weights(group: RolloutGroup, objective_mode: str) -> np.ndarray:
-    """_weights of a group, whose actions and gold are label strings."""
-    return _weights(list(map(_LABEL_INDEX.__getitem__, group.actions)),
-                    group.advantages, _LABEL_INDEX[group.gold], objective_mode)
+def grpo_loss(pi: np.ndarray, pi_ref: np.ndarray, w: np.ndarray, beta,
+              loss_only: bool = False):
+    """The negated GRPO objective of a group and its gradient w.r.t. the logits.
 
-
-def _objective(pi: np.ndarray, pi_ref: np.ndarray, w: np.ndarray, beta,
-               loss_only: bool = False):
-    """-sum_a w_a log pi_a + beta * KL(pi || pi_ref) and its gradient w.r.t. the logits.
-
-    pi and pi_ref are the policy's and the frozen reference's distributions
-    at the same features; the logit gradient of the first term is
-    (sum_a w_a) pi - w. Stacks broadcast: w against the distributions
-    (..., 3) and beta against the losses (...); each row is bit for bit what
-    its operands alone give. With loss_only the gradient is None and is not
-    computed. _theta_grad turns the logit gradient into theta's.
+    The loss is -sum_a w_a log pi_a + beta * KL(pi || pi_ref): both objective
+    modes are this one weighted log-likelihood over the labels, with w from
+    _weights of the group's drawn label indices. pi and pi_ref are the
+    policy's and the frozen reference's distributions at the same features;
+    the logit gradient of the first term is (sum_a w_a) pi - w. Stacks
+    broadcast: w against the distributions (..., 3) and beta against the
+    losses (...); each row is bit for bit what its operands alone give. With
+    loss_only the gradient is None and is not computed. _theta_grad turns the
+    logit gradient into theta's.
     """
     kl, kl_grad_logits = _kl_and_logit_grad(pi, pi_ref, loss_only)
     loss = -np.vecdot(w, np.log(pi)) + beta * kl
@@ -169,25 +154,6 @@ def _theta_grad(phi: np.ndarray, grad_logits: np.ndarray) -> np.ndarray:
     return phi[..., :, None] * grad_logits[..., None, :]
 
 
-def grpo_loss(policy: PolicyState, ref_policy: PolicyState, group: RolloutGroup,
-              cfg: GrpoConfig):
-    """Negated group objective with its analytic gradient w.r.t. theta.
-
-    Both objective modes are one weighted log-likelihood over the labels
-    (see _weights), plus beta * KL(pi || pi_ref) against the frozen
-    reference policy.
-
-    A policy whose theta is a stack of shape (..., F, 3) gives one loss per
-    theta, as an array of shape (...), and gradients of theta's shape; each
-    row is bit for bit what that theta alone gives. One theta gives a float.
-    """
-    phi = np.asarray(group.features, dtype=float)
-    loss, grad_logits = _objective(
-        policy.distribution(phi), ref_policy.distribution(phi),
-        _label_weights(group, cfg.objective_mode), cfg.beta)
-    return (float(loss) if loss.ndim == 0 else loss), _theta_grad(phi, grad_logits)
-
-
 def _draw(p: np.ndarray, rng: np.random.Generator, size=None):
     """Indices drawn from the distribution p by inverse CDF.
 
@@ -203,21 +169,6 @@ def _draw(p: np.ndarray, rng: np.random.Generator, size=None):
                          "its entries must be finite with a positive sum")
     cdf /= total
     return cdf.searchsorted(rng.random(size), side="right")
-
-
-def _rollout_group(features: np.ndarray, action_idx: np.ndarray, gold: str,
-                   cfg: GrpoConfig) -> RolloutGroup:
-    advantages = tuple(_index_advantages(action_idx, _LABEL_INDEX[gold],
-                                         cfg.advantage_mode))
-    return RolloutGroup(features=features,
-                        actions=tuple(map(LABELS.__getitem__, action_idx.tolist())),
-                        advantages=advantages, gold=gold)
-
-
-def sample_group(policy: PolicyState, features: np.ndarray, gold: str,
-                 cfg: GrpoConfig, rng: np.random.Generator) -> RolloutGroup:
-    pi = policy.distribution(features)
-    return _rollout_group(features, _draw(pi, rng, cfg.group_size), gold, cfg)
 
 
 # --- feature map and toy fixtures --------------------------------------------
@@ -311,10 +262,10 @@ def train_toy(dataset, cfg: GrpoConfig, seed: int = 0):
     """Sample-group-update loop on the toy policy; deterministic given seed.
 
     Each step computes the policy's distribution at its row once, draws the
-    group from it and gives that same distribution to the objective. Rewards,
-    advantages and label weights come from the drawn label indices, and the
-    frozen reference's distribution is computed once per row the run visits.
-    A step is bit for bit grpo_loss on sample_group's group.
+    group's label indices from it and gives that same distribution to one
+    grpo_loss call. Rewards, advantages and label weights come from the drawn
+    indices, and the frozen reference's distribution is computed once per row
+    the run visits.
 
     Returns (final PolicyState, learning curve of CurvePoint).
     """
@@ -346,7 +297,7 @@ def train_toy(dataset, cfg: GrpoConfig, seed: int = 0):
             w = _weights(action_idx,
                          _index_advantages(action_idx, gold, cfg.advantage_mode),
                          gold, cfg.objective_mode)
-            loss, grad_logits = _objective(pi, pi_ref, w, cfg.beta)
+            loss, grad_logits = grpo_loss(pi, pi_ref, w, cfg.beta)
             loss = float(loss)
             if not math.isfinite(loss):
                 raise ValueError(f"training diverged at step {step}: loss is {loss} "
@@ -405,22 +356,22 @@ def finite_difference_grad(loss_fn: Callable[[np.ndarray], np.ndarray],
     return ((up - down) / (2 * step)).reshape(theta.shape)
 
 
-def _mixed_group(pi: np.ndarray, features: np.ndarray, gold: str,
-                 cfg: GrpoConfig, rng: np.random.Generator) -> RolloutGroup:
-    """A group with both rewards, so its gradient is nontrivial, in one draw.
+def _mixed_group(pi: np.ndarray, gold_idx: int, group_size: int,
+                 rng: np.random.Generator) -> np.ndarray:
+    """The label indices of a group with both rewards, so its gradient is
+    nontrivial, in one draw.
 
-    pi is the policy's distribution at features. G-2 actions come from pi,
-    plus the gold action and one non-gold action drawn from pi restricted to
-    the two non-gold labels, at random positions.
+    pi is the policy's distribution. group_size - 2 labels come from pi, plus
+    the gold label and one non-gold label drawn from pi restricted to the two
+    non-gold labels, at random positions.
     """
-    gold_idx = _LABEL_INDEX[gold]
     wrong = [i for i in range(len(LABELS)) if i != gold_idx]
     wrong_pi = pi[wrong]
     action_idx = np.concatenate([
-        _draw(pi, rng, cfg.group_size - 2),
+        _draw(pi, rng, group_size - 2),
         [gold_idx, wrong[_draw(wrong_pi / wrong_pi.sum(), rng)]],
     ])
-    return _rollout_group(features, rng.permutation(action_idx), gold, cfg)
+    return rng.permutation(action_idx)
 
 
 def gradient_check(n_configs: int = 100, seed: int = 0, step: float = 1e-5,
@@ -428,15 +379,14 @@ def gradient_check(n_configs: int = 100, seed: int = 0, step: float = 1e-5,
     """Max relative error between analytic and central-difference gradients.
 
     Each of n_configs random configurations (theta, theta_ref, features,
-    beta) gets one mixed group per objective mode. All groups are drawn
-    first; then one stacked objective call gives every analytic gradient and
-    one more, loss only, every finite-difference loss.
+    beta) gets one mixed group of 8 per objective mode, with MEAN_STD
+    advantages. All groups are drawn first; then one stacked grpo_loss call
+    gives every analytic gradient and one more, loss only, every
+    finite-difference loss.
     """
     if n_configs < 1:
         raise ValueError(f"n_configs must be >= 1, got {n_configs}")
     rng = np.random.default_rng(seed)
-    # beta is drawn per configuration and given to the loss apart from cfg
-    cfgs = [GrpoConfig(group_size=8, objective_mode=mode) for mode in OBJECTIVE_MODES]
     rows = []  # (theta, theta_ref, features, beta, label weights) per group
     for _ in range(n_configs):
         theta = rng.normal(scale=0.8, size=(FEATURE_DIM, len(LABELS)))
@@ -444,11 +394,12 @@ def gradient_check(n_configs: int = 100, seed: int = 0, step: float = 1e-5,
         features = rng.normal(scale=1.0, size=FEATURE_DIM)
         beta = float(rng.choice([0.0, 0.01, 0.1]))
         pi = PolicyState(theta=theta).distribution(features)
-        for cfg in cfgs:
-            gold = LABELS[int(rng.integers(len(LABELS)))]
-            group = _mixed_group(pi, features, gold, cfg, rng)
+        for mode in OBJECTIVE_MODES:
+            gold_idx = int(rng.integers(len(LABELS)))
+            idx = _mixed_group(pi, gold_idx, 8, rng)
             rows.append((theta, ref_theta, features, beta,
-                         _label_weights(group, cfg.objective_mode)))
+                         _weights(idx, _index_advantages(idx, gold_idx, MEAN_STD),
+                                  gold_idx, mode)))
 
     theta, ref_theta, phi, beta, w = map(np.array, zip(*rows))
     # axes: group, the thetas its loss is taken at, phi as a one-row matrix
@@ -457,7 +408,7 @@ def gradient_check(n_configs: int = 100, seed: int = 0, step: float = 1e-5,
 
     def objective(thetas, loss_only=False):
         pi = PolicyState(theta=thetas).distribution(phi)
-        return _objective(pi, pi_ref, w, beta, loss_only)
+        return grpo_loss(pi, pi_ref, w, beta, loss_only)
 
     grad = _theta_grad(phi, objective(theta[:, None])[1]).reshape(len(rows), -1)
     fd = finite_difference_grad(lambda t: objective(t, loss_only=True)[0][..., 0],
@@ -512,7 +463,7 @@ def _random_distributions(rng: np.random.Generator, count: int,
 
 
 def kl_checks(n_pairs: int = 1000, seed: int = 0):
-    """Properties of _kl_and_logit_grad, the KL that grpo_loss adds."""
+    """Properties of _kl_and_logit_grad, grpo_loss's beta-weighted KL term."""
     if n_pairs < 1:
         raise ValueError(f"n_pairs must be >= 1, got {n_pairs}")
     # closed form fixes the direction: KL(q || p) here is about 0.0566

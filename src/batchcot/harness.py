@@ -9,7 +9,7 @@ from batchcot import verify
 from batchcot.client import EndpointConfig, complete_many
 from batchcot.parsing import extract_boxed, split_completions
 from batchcot.prompts import build_single_prompt, load_questions
-from batchcot.records import load, naming, to_dict
+from batchcot.records import from_dict, naming, to_dict
 
 NUMERIC = "numeric"
 CHOICE_LETTER = "choice-letter"
@@ -190,8 +190,11 @@ def aggregates_to_csv(aggregates) -> str:
 def read_aggregates(path) -> list:
     with open(path, encoding="utf-8") as fh, naming(path):
         entries = json.load(fh)
-    return [load(EvalAggregate, d, f"{path}: entry {n}")
-            for n, d in enumerate(entries, 1)]
+    aggregates = []
+    for n, d in enumerate(entries, 1):
+        with naming(f"{path}: entry {n}"):
+            aggregates.append(from_dict(EvalAggregate, d))
+    return aggregates
 
 
 def write_aggregates(path, aggregates):

@@ -115,7 +115,7 @@ def build_prompt(questions) -> PromptEnvelope:
 
 
 def load_questions(path, require_numeric: bool = True) -> list:
-    """Read a Question corpus from JSONL, validating ids, texts and gold answers.
+    """Read a Question corpus from JSONL, validating each question's fields.
 
     Each gold answer is normalized once, here: a loaded Question carries its
     gold_number.
@@ -152,8 +152,13 @@ def load_questions(path, require_numeric: bool = True) -> list:
                 )
             if not text:
                 raise ValueError(f"{path}: line {lineno}: empty question text")
+            source = obj.get("source", "")
+            if type(source) is not str:
+                raise ValueError(
+                    f"{path}: line {lineno}: source is {type(source).__name__}, not str"
+                )
             q = Question(id=qid, text=text, gold_answer=str(obj["gold_answer"]),
-                         source=obj.get("source", ""))
+                         source=source)
             gold = normalize_numeric(q.gold_answer)
             if require_numeric and gold is None:
                 raise ValueError(

@@ -158,18 +158,9 @@ def named_error(where: str, exc: Exception) -> ValueError:
     return ValueError(f"{where}: {type(exc).__name__}: {exc}")
 
 
-def load(cls, d: dict, where: str):
-    """from_dict(cls, d), with any error from the data a ValueError naming `where`."""
-    # not `with naming(where)`, which costs twice as much once per record
-    try:
-        return from_dict(cls, d)
-    except (TypeError, KeyError, ValueError) as exc:
-        raise named_error(where, exc) from exc
-
-
 @contextlib.contextmanager
 def naming(where: str):
-    """Re-raise an error from the data read inside as `load` does, naming `where`."""
+    """Re-raise an error from the data read inside as a ValueError naming `where`."""
     try:
         yield
     except (TypeError, KeyError, ValueError) as exc:

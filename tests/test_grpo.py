@@ -3,6 +3,7 @@ import math
 import random
 import re
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -19,7 +20,6 @@ from batchcot.grpo import (
     SAMPLED,
     GrpoConfig,
     PolicyState,
-    RolloutGroup,
     feature_matrix,
     finite_difference_grad,
     gradient_check,
@@ -31,7 +31,6 @@ from batchcot.grpo import (
     kl_checks,
     make_toy_dataset,
     run_verification_suite,
-    sample_group,
     save_policy,
     train_toy,
     write_curve_csv,
@@ -63,8 +62,36 @@ def kl_categorical(p, q) -> float:
     return sum(pi * math.log(pi / qi) for pi, qi in zip(p, q))
 
 
+class Group(NamedTuple):
+    """One rollout group in label strings, as the oracles take it."""
+    features: np.ndarray
+    actions: tuple  # G sampled labels
+    advantages: tuple
+    gold: str
+
+
+def label_weights(group: Group, objective_mode: str) -> np.ndarray:
+    """grpo._weights of a label-string group, on its label indices."""
+    return grpo._weights([LABELS.index(a) for a in group.actions], group.advantages,
+                         LABELS.index(group.gold), objective_mode)
+
+
+def group_loss(policy: PolicyState, ref_policy: PolicyState, group: Group,
+               cfg: GrpoConfig):
+    """grpo_loss of a label-string group at policy's theta, with the gradient
+    w.r.t. theta: the checked path that reference_grpo_loss is the oracle for.
+
+    A theta stacked as (..., F, 3) gives losses of shape (...) and gradients
+    of theta's shape.
+    """
+    phi = np.asarray(group.features, dtype=float)
+    loss, grad_logits = grpo_loss(policy.distribution(phi), ref_policy.distribution(phi),
+                                  label_weights(group, cfg.objective_mode), cfg.beta)
+    return loss, grpo._theta_grad(phi, grad_logits)
+
+
 def reference_grpo_loss(policy: PolicyState, ref_policy: PolicyState,
-                        group: RolloutGroup, cfg: GrpoConfig):
+                        group: Group, cfg: GrpoConfig):
     """grpo_loss derived once per objective mode: the oracle for grpo_loss.
 
     SAMPLED sums each sampled action's advantage-weighted log-probability and
@@ -120,8 +147,8 @@ def reference_gradient_check(n_configs: int = 100, seed: int = 0, step: float = 
     """Two grpo_loss calls per group, group by group: the oracle for
     gradient_check, which must give its (worst, passed) bit for bit.
 
-    The checked code's loop before it was stacked; _mixed_group now takes the
-    policy's distribution, so it is computed here once per group, as before.
+    The checked code's loop before it was stacked, on label-string groups
+    drawn through Generator.choice, with advantages from group_advantages.
     """
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -133,13 +160,14 @@ def reference_gradient_check(n_configs: int = 100, seed: int = 0, step: float = 
         policy = PolicyState(theta=theta)
         for mode in OBJECTIVE_MODES:
             cfg = GrpoConfig(beta=beta, group_size=8, objective_mode=mode)
-            gold = LABELS[int(rng.integers(len(LABELS)))]
-            group = grpo._mixed_group(policy.distribution(features), features, gold,
-                                      cfg, rng)
-            _, grad = grpo_loss(policy, ref, group, cfg)
+            gold_idx = int(rng.integers(len(LABELS)))
+            idx = reference_mixed_group(policy.distribution(features), gold_idx,
+                                        cfg.group_size, rng)
+            group = make_group([LABELS[i] for i in idx], LABELS[gold_idx], features)
+            _, grad = group_loss(policy, ref, group, cfg)
 
             def loss_at(t, _ref=ref, _group=group, _cfg=cfg):
-                return grpo_loss(PolicyState(theta=t), _ref, _group, _cfg)[0]
+                return group_loss(PolicyState(theta=t), _ref, _group, _cfg)[0]
 
             fd = finite_difference_grad(loss_at, theta, step)
             denom = max(np.linalg.norm(grad), np.linalg.norm(fd))
@@ -213,7 +241,7 @@ def reference_distribution(theta: np.ndarray, features: np.ndarray) -> np.ndarra
     return exp / exp.sum(axis=-1, keepdims=True)
 
 
-def reference_train_toy(dataset, cfg: GrpoConfig, seed: int):
+def reference_train_toy(dataset, cfg: GrpoConfig, seed: int, ref_theta=None):
     """The training loop with numpy's own draws and reductions, step by step:
     the oracle for train_toy, which must give its curve and theta bit for bit.
 
@@ -221,11 +249,15 @@ def reference_train_toy(dataset, cfg: GrpoConfig, seed: int):
     through np.mean and np.std, labels rewards by comparing label strings,
     and takes the loss of one theta as the weighted log-likelihood plus
     beta * KL; mean_gold_prob is the mean of the full softmax's gold column.
+    ref_theta is the reference and initial policy's theta, zero by default
+    as initial_policy's.
     """
     features = feature_matrix(dataset)
     gold_idx = np.array([LABELS.index(s.gold_label) for s in dataset])
     rng = np.random.default_rng(seed)
-    theta = ref_theta = np.zeros((features.shape[1], len(LABELS)))
+    if ref_theta is None:
+        ref_theta = np.zeros((features.shape[1], len(LABELS)))
+    theta = ref_theta
     curve = []
     for step in range(cfg.steps):
         idx = int(rng.integers(len(dataset)))
@@ -258,39 +290,18 @@ def reference_train_toy(dataset, cfg: GrpoConfig, seed: int):
     return theta, curve
 
 
-def per_group_train_toy(dataset, cfg: GrpoConfig, seed: int, ref: PolicyState):
-    """The training loop through the public per-group API, sample_group then
-    grpo_loss at every step: the oracle for train_toy, whose steps must give
-    its curve and theta bit for bit. ref is the reference and initial policy."""
-    features = feature_matrix(dataset)
-    n = len(dataset)
-    gold_flat = np.array([LABELS.index(s.gold_label) for s in dataset]) * n + np.arange(n)
-    rng = np.random.default_rng(seed)
-    policy = ref
-    curve = []
-    for step in range(cfg.steps):
-        idx = int(rng.integers(n))
-        group = sample_group(policy, features[idx], dataset[idx].gold_label, cfg, rng)
-        loss, grad = grpo_loss(policy, ref, group, cfg)
-        policy = PolicyState(theta=policy.theta - cfg.learning_rate * grad)
-        curve.append(CurvePoint(step, loss, grpo._mean_gold_prob(policy, features, gold_flat)))
-    return policy.theta, curve
-
-
-def reference_mixed_group(pi, features, gold: str, cfg: GrpoConfig,
-                          rng: np.random.Generator) -> RolloutGroup:
-    """A mixed group drawn through Generator.choice: the oracle for
-    grpo._mixed_group, which must give its actions and leave rng where
-    this leaves it."""
-    gold_idx = LABELS.index(gold)
+def reference_mixed_group(pi, gold_idx: int, group_size: int,
+                          rng: np.random.Generator) -> np.ndarray:
+    """A mixed group's label indices drawn through Generator.choice: the
+    oracle for grpo._mixed_group, which must give its indices and leave rng
+    where this leaves it."""
     wrong = [i for i in range(len(LABELS)) if i != gold_idx]
     wrong_pi = pi[wrong]
     action_idx = np.concatenate([
-        rng.choice(len(LABELS), size=cfg.group_size - 2, p=pi),
+        rng.choice(len(LABELS), size=group_size - 2, p=pi),
         [gold_idx, rng.choice(wrong, p=wrong_pi / wrong_pi.sum())],
     ])
-    return make_group([LABELS[i] for i in rng.permutation(action_idx)], gold,
-                      features, cfg.advantage_mode)
+    return rng.permutation(action_idx)
 
 
 def sequential_random_distribution(rng: np.random.Generator, size: int = 3):
@@ -301,7 +312,7 @@ def sequential_random_distribution(rng: np.random.Generator, size: int = 3):
     return x / x.sum()
 
 
-def random_group(rng) -> RolloutGroup:
+def random_group(rng) -> Group:
     """A MEAN_STD group of 2 to 16 uniformly drawn actions."""
     actions = [LABELS[i] for i in rng.integers(3, size=rng.integers(2, 17))]
     gold = LABELS[int(rng.integers(3))]
@@ -324,9 +335,9 @@ def load_policy(path) -> PolicyState:
     return PolicyState(theta=np.array(rows))
 
 
-def is_mixed(group) -> bool:
-    """Whether the group holds both a rewarded and an unrewarded action."""
-    rewards = [reward(a, group.gold) for a in group.actions]
+def is_mixed(actions, gold) -> bool:
+    """Whether the actions hold both a rewarded and an unrewarded one."""
+    rewards = [reward(a, gold) for a in actions]
     return 0 < sum(rewards) < len(rewards)
 
 
@@ -452,15 +463,13 @@ class TestDraw:
 
     @pytest.mark.parametrize("group_size", [2, 3, 8, 16])
     def test_mixed_group_matches_reference(self, group_size):
-        cfg = GrpoConfig(group_size=group_size)
         pis = np.random.default_rng(group_size).dirichlet(np.ones(len(LABELS)), size=300)
-        features = np.ones(FEATURE_DIM)
         for seed, pi in enumerate(pis):
-            gold = LABELS[seed % len(LABELS)]
+            gold_idx = seed % len(LABELS)
             ours, numpys = np.random.default_rng(seed), np.random.default_rng(seed)
-            group = grpo._mixed_group(pi, features, gold, cfg, ours)
-            want = reference_mixed_group(pi, features, gold, cfg, numpys)
-            assert (group.actions, group.advantages) == (want.actions, want.advantages)
+            idx = grpo._mixed_group(pi, gold_idx, group_size, ours)
+            want = reference_mixed_group(pi, gold_idx, group_size, numpys)
+            assert idx.dtype == want.dtype and np.array_equal(idx, want)
             assert ours.random() == numpys.random()
 
     @pytest.mark.parametrize("p", [[np.nan] * 3, [0.5, np.nan, 0.5], [np.inf, 0.0, 0.0],
@@ -565,13 +574,11 @@ class TestKl:
         assert kl_checks(n_pairs=1000, seed=0) == (False, detail)
 
 
-def make_group(actions, gold, features=None, mode=MEAN_STD):
+def make_group(actions, gold, features=None, mode=MEAN_STD) -> Group:
     features = features if features is not None else np.ones(FEATURE_DIM)
     rewards = [reward(a, gold) for a in actions]
-    return RolloutGroup(
-        features=features, actions=tuple(actions),
-        advantages=tuple(group_advantages(rewards, mode)), gold=gold,
-    )
+    return Group(features=features, actions=tuple(actions),
+                 advantages=tuple(group_advantages(rewards, mode)), gold=gold)
 
 
 class TestGrpoLoss:
@@ -579,7 +586,7 @@ class TestGrpoLoss:
         cfg = GrpoConfig(beta=0.0)
         policy = initial_policy()
         group = make_group(["A", "A", "A"], "A")  # degenerate, advantages all 0
-        loss, grad = grpo_loss(policy, policy, group, cfg)
+        loss, grad = group_loss(policy, policy, group, cfg)
         assert loss == 0.0
         assert np.all(grad == 0.0)
 
@@ -591,8 +598,8 @@ class TestGrpoLoss:
         cfg1 = GrpoConfig(beta=0.7)
         group = make_group(["A", "B", "C", "A"], "A",
                            features=rng.normal(size=FEATURE_DIM))
-        loss0, _ = grpo_loss(policy, policy, group, cfg0)
-        loss1, _ = grpo_loss(policy, policy, group, cfg1)
+        loss0, _ = group_loss(policy, policy, group, cfg0)
+        loss1, _ = group_loss(policy, policy, group, cfg1)
         assert loss0 == pytest.approx(loss1, abs=1e-15)
 
     def test_kl_gradient_vanishes_at_old_policy(self):
@@ -601,7 +608,7 @@ class TestGrpoLoss:
         policy = PolicyState(theta=theta)
         features = rng.normal(size=FEATURE_DIM)
         group = make_group(["A", "A", "A"], "A", features=features)  # adv = 0
-        _, grad = grpo_loss(policy, policy, group, GrpoConfig(beta=1.0))
+        _, grad = group_loss(policy, policy, group, GrpoConfig(beta=1.0))
         assert np.abs(grad).max() < 1e-10
 
     @pytest.mark.parametrize("mode", [SAMPLED, PAPER_LITERAL])
@@ -613,10 +620,10 @@ class TestGrpoLoss:
         features = rng.normal(size=FEATURE_DIM)
         cfg = GrpoConfig(beta=beta, objective_mode=mode)
         group = make_group(["A", "B", "C", "A", "B", "A"], "B", features=features)
-        _, grad = grpo_loss(PolicyState(theta=theta), ref, group, cfg)
+        _, grad = group_loss(PolicyState(theta=theta), ref, group, cfg)
 
         def loss_at(t):
-            return grpo_loss(PolicyState(theta=t), ref, group, cfg)[0]
+            return group_loss(PolicyState(theta=t), ref, group, cfg)[0]
 
         fd = finite_difference_grad(loss_at, theta, step=1e-5)
         denom = max(np.linalg.norm(grad), np.linalg.norm(fd))
@@ -632,7 +639,7 @@ class TestGrpoLoss:
                 group = random_group(rng)
 
                 def loss_at(t, _ref=ref, _group=group, _cfg=cfg):
-                    return grpo_loss(PolicyState(theta=t), _ref, _group, _cfg)[0]
+                    return group_loss(PolicyState(theta=t), _ref, _group, _cfg)[0]
 
                 for step in (1e-5, 1e-3):
                     assert np.array_equal(
@@ -651,7 +658,7 @@ class TestGrpoLoss:
                            objective_mode=OBJECTIVE_MODES[i % 2]) for i in range(m)]
         # axes: group, perturbed thetas, phi as a one-row matrix
         phi = np.array([g.features for g in groups])[:, None, None]
-        w = np.array([grpo._label_weights(g, c.objective_mode)
+        w = np.array([label_weights(g, c.objective_mode)
                       for g, c in zip(groups, cfgs)])[:, None, None]
         beta = np.array([c.beta for c in cfgs])[:, None, None]
 
@@ -659,15 +666,15 @@ class TestGrpoLoss:
 
         def losses(t):
             pi = PolicyState(theta=t).distribution(phi)
-            return grpo._objective(pi, pi_ref, w, beta, loss_only=True)[0][..., 0]
+            return grpo_loss(pi, pi_ref, w, beta, loss_only=True)[0][..., 0]
 
         for step in (1e-5, 1e-3):
             stacked = finite_difference_grad(losses, thetas, step, stack_ndim=1)
             assert stacked.shape == thetas.shape
             for i in range(m):
                 def loss_at(t, _i=i):
-                    return grpo_loss(PolicyState(theta=t), PolicyState(theta=refs[_i]),
-                                     groups[_i], cfgs[_i])[0]
+                    return group_loss(PolicyState(theta=t), PolicyState(theta=refs[_i]),
+                                      groups[_i], cfgs[_i])[0]
 
                 assert np.array_equal(
                     stacked[i], reference_finite_difference_grad(loss_at, thetas[i], step))
@@ -687,12 +694,12 @@ class TestGrpoLoss:
                 gold = LABELS[int(rng.integers(3))]
                 features = rng.normal(size=FEATURE_DIM)
                 if adv_mode is None:
-                    group = RolloutGroup(
+                    group = Group(
                         features=features, actions=tuple(actions), gold=gold,
                         advantages=tuple(rng.normal(loc=0.5, size=len(actions))))
                 else:
                     group = make_group(actions, gold, features, adv_mode)
-                loss, grad = grpo_loss(policy, ref, group, cfg)
+                loss, grad = group_loss(policy, ref, group, cfg)
                 want_loss, want_grad = reference_grpo_loss(policy, ref, group, cfg)
                 if mode == PAPER_LITERAL:
                     assert loss == want_loss
@@ -707,8 +714,8 @@ class TestGrpoLoss:
         pi, pi_ref = grpo._random_distributions(rng, 2 * 60).reshape(2, 60, 3)
         w = rng.normal(size=(60, 3))
         beta = rng.choice([0.0, 0.01, 1.0], size=60)
-        loss, grad_logits = grpo._objective(pi, pi_ref, w, beta)
-        loss_only, none = grpo._objective(pi, pi_ref, w, beta, loss_only=True)
+        loss, grad_logits = grpo_loss(pi, pi_ref, w, beta)
+        loss_only, none = grpo_loss(pi, pi_ref, w, beta, loss_only=True)
         assert none is None and grad_logits.shape == (60, 3)
         assert loss_only.tobytes() == loss.tobytes()
 
@@ -720,14 +727,13 @@ class TestGrpoLoss:
                 thetas = rng.normal(scale=0.8, size=(2, 5, FEATURE_DIM, 3))
                 ref = PolicyState(theta=rng.normal(scale=0.8, size=(FEATURE_DIM, 3)))
                 group = random_group(rng)
-                losses, grads = grpo_loss(PolicyState(theta=thetas), ref, group, cfg)
+                losses, grads = group_loss(PolicyState(theta=thetas), ref, group, cfg)
                 assert losses.shape == (2, 5)
                 assert grads.shape == thetas.shape
                 for idx in np.ndindex(losses.shape):
-                    loss, grad = grpo_loss(PolicyState(theta=thetas[idx]), ref,
-                                           group, cfg)
-                    assert type(loss) is float
-                    assert loss == losses[idx]
+                    loss, grad = group_loss(PolicyState(theta=thetas[idx]), ref,
+                                            group, cfg)
+                    assert loss.shape == () and loss == losses[idx]
                     assert np.array_equal(grad, grads[idx])
 
     def test_paper_literal_advantage_scheme(self):
@@ -735,7 +741,7 @@ class TestGrpoLoss:
         policy = initial_policy()
         cfg = GrpoConfig(beta=0.0, objective_mode=PAPER_LITERAL)
         group = make_group(["A", "B"], "B")
-        loss, _ = grpo_loss(policy, policy, group, cfg)
+        loss, _ = group_loss(policy, policy, group, cfg)
         expected = -(1.0 * np.log(1 / 3) - 0.5 * np.log(1 / 3) - 0.5 * np.log(1 / 3))
         assert loss == pytest.approx(expected)
 
@@ -748,11 +754,12 @@ class TestGrpoLoss:
             policy = PolicyState(theta=theta)
             cfg = GrpoConfig(beta=0.0, group_size=8)
             gold = "B"
-            group = sample_group(policy, features, gold, cfg,
-                                 np.random.default_rng(17))
-            if not is_mixed(group):
+            drawn = np.random.default_rng(17).choice(
+                len(LABELS), size=cfg.group_size, p=policy.distribution(features))
+            group = make_group([LABELS[i] for i in drawn], gold, features)
+            if not is_mixed(group.actions, gold):
                 continue
-            _, grad = grpo_loss(policy, policy, group, cfg)
+            _, grad = group_loss(policy, policy, group, cfg)
             for lr in (1e-4, 1e-3):
                 stepped = PolicyState(theta=theta - lr * grad)
                 before = policy.distribution(features)[LABELS.index(gold)]
@@ -864,23 +871,27 @@ class TestTrainToy:
         {"group_size": 2, "beta": 0.5},
     ])
     def test_matches_per_group_api_at_nonzero_reference(self, monkeypatch, settings):
+        # reference_train_toy's group-by-group steps, started from and held
+        # to a nonzero reference policy
         ref = PolicyState(theta=np.random.default_rng(9).normal(
             scale=0.5, size=(FEATURE_DIM, len(LABELS))))
         monkeypatch.setattr(grpo, "initial_policy", lambda feature_dim: ref)
         dataset = make_toy_dataset(100, seed=6)
         cfg = GrpoConfig(steps=250, **settings)
         policy, curve = train_toy(dataset, cfg, seed=6)
-        theta, want = per_group_train_toy(dataset, cfg, 6, ref)
+        theta, want = reference_train_toy(dataset, cfg, 6, ref_theta=ref.theta)
         assert repr(curve) == repr(want)
         assert policy.theta.tobytes() == theta.tobytes()
 
     def test_one_policy_distribution_per_step_and_one_reference_per_row(
             self, monkeypatch):
-        # each step: the policy's distribution, the draw from it, and the
-        # reference's distribution only on the first visit to the row
+        # each step: the policy's distribution, the draw from it, the
+        # reference's distribution only on the first visit to the row, and
+        # one grpo_loss call
         events, refs = [], []
-        make_initial, distribution, draw = (grpo.initial_policy,
-                                            PolicyState.distribution, grpo._draw)
+        make_initial, distribution, draw, loss = (grpo.initial_policy,
+                                                  PolicyState.distribution, grpo._draw,
+                                                  grpo.grpo_loss)
 
         def initial(feature_dim):
             refs.append(make_initial(feature_dim))
@@ -894,11 +905,14 @@ class TestTrainToy:
             events.append(("draw",))
             return draw(*args)
 
+        def counted_loss(*args):
+            events.append(("loss",))
+            return loss(*args)
+
         monkeypatch.setattr(grpo, "initial_policy", initial)
         monkeypatch.setattr(PolicyState, "distribution", counted_distribution)
         monkeypatch.setattr(grpo, "_draw", counted_draw)
-        for name in ("sample_group", "grpo_loss"):
-            monkeypatch.setattr(grpo, name, None)  # training calls neither
+        monkeypatch.setattr(grpo, "grpo_loss", counted_loss)
         steps = 120
         train_toy(make_toy_dataset(20, seed=0), GrpoConfig(steps=steps), seed=0)
 
@@ -906,6 +920,8 @@ class TestTrainToy:
         for event in events:
             if event == ("draw",):
                 kinds += "D"
+            elif event == ("loss",):
+                kinds += "L"
             elif kinds.endswith("D") and event[1] is refs[0]:
                 # the policy is refs[0] only before its first update
                 assert event[2] == rows[-1]
@@ -914,7 +930,7 @@ class TestTrainToy:
             else:
                 kinds += "P"
                 rows.append(event[2])
-        assert re.fullmatch("(PDR?)*", kinds) and len(rows) == steps
+        assert re.fullmatch("(PDR?L)*", kinds) and len(rows) == steps
         assert ref_rows == list(dict.fromkeys(rows))  # at each row's first visit
         assert len(refs) == 1 and len(ref_rows) < steps
 
@@ -925,17 +941,17 @@ class TestTrainToy:
             size=(FEATURE_DIM, len(LABELS))))
         monkeypatch.setattr(grpo, "initial_policy", lambda feature_dim: ref)
         pi_refs, phis = [], []
-        objective, theta_grad = grpo._objective, grpo._theta_grad
+        loss, theta_grad = grpo.grpo_loss, grpo._theta_grad
 
-        def recorded_objective(pi, pi_ref, *args):
+        def recorded_loss(pi, pi_ref, *args):
             pi_refs.append(pi_ref)
-            return objective(pi, pi_ref, *args)
+            return loss(pi, pi_ref, *args)
 
         def recorded_theta_grad(phi, grad_logits):
             phis.append(phi)
             return theta_grad(phi, grad_logits)
 
-        monkeypatch.setattr(grpo, "_objective", recorded_objective)
+        monkeypatch.setattr(grpo, "grpo_loss", recorded_loss)
         monkeypatch.setattr(grpo, "_theta_grad", recorded_theta_grad)
         dataset = make_toy_dataset(200, seed=4)
         train_toy(dataset, GrpoConfig(steps=300), seed=4)
@@ -1034,15 +1050,17 @@ class TestVerificationSuite:
         groups = []
         draw = grpo._mixed_group
 
-        def counted(*args):
-            groups.append(draw(*args))
-            return groups[-1]
+        def counted(pi, gold_idx, group_size, rng):
+            idx = draw(pi, gold_idx, group_size, rng)
+            groups.append((idx, gold_idx, group_size))
+            return idx
 
         monkeypatch.setattr(grpo, "_mixed_group", counted)
         _, ok = gradient_check(n_configs=100, seed=seed)
         assert ok
         assert len(groups) == 200
-        assert all(is_mixed(g) for g in groups)
+        assert all(len(idx) == size == 8 and is_mixed(idx, gold)
+                   for idx, gold, size in groups)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_gradient_check_matches_reference(self, seed):
@@ -1059,7 +1077,7 @@ class TestVerificationSuite:
     @pytest.mark.parametrize("row", [0, 5, 13])
     def test_gradient_check_fails_on_one_wrong_gradient_row(self, monkeypatch, row):
         # 7 configurations x 2 modes: rows 0..13, one per (configuration, mode)
-        objective = grpo._objective
+        objective = grpo.grpo_loss
         calls = []
 
         def wrong_in_one_row(pi, *args, **kwargs):
@@ -1070,7 +1088,7 @@ class TestVerificationSuite:
             return loss, grad_logits
 
         assert gradient_check(n_configs=7, seed=0)[1]
-        monkeypatch.setattr(grpo, "_objective", wrong_in_one_row)
+        monkeypatch.setattr(grpo, "grpo_loss", wrong_in_one_row)
         worst, ok = gradient_check(n_configs=7, seed=0)
         assert calls == [((14, 1, 1, 3), False), ((14, 2 * FEATURE_DIM * 3, 1, 3), True)]
         assert not ok

@@ -86,3 +86,25 @@ def test_traced_split_and_experiment_record_their_layers(perfbench_modules, tmp_
     assert {"parsing.split_batch_chains", "parsing.vanilla_chain",
             "client.run_batch_experiment", "verify.grade"} <= {s.name for s in tracer.spans}
     assert layers.span_metrics(tracer.spans, tracer.counts)["parsing.split_s"] > 0
+
+
+def test_traced_grpo_commands_count_each_loss_evaluation(perfbench_modules, tmp_path):
+    # grpo-check's gradient check makes 2 grpo_loss calls, one stacked for the
+    # analytic gradients and one for the finite-difference losses; training
+    # makes 1 per step
+    layers, tracing = perfbench_modules
+    from batchcot import cli
+
+    steps = 7
+    before = snapshot()
+    tracer = tracing.Tracer()
+    layers.install(tracer)
+    try:
+        assert cli.main(["grpo-check", "--seed", "8"]) == 0
+        assert cli.main(["grpo-train-toy", "--samples", "20", "--steps", str(steps),
+                         "--seed", "1", "--out-dir", str(tmp_path / "toy")]) == 0
+    finally:
+        tracer.unpatch()
+    assert snapshot() == before
+    assert tracer.counts["grpo.loss_evals"] == 2 + steps
+    assert layers.span_metrics(tracer.spans, tracer.counts)["grpo.loss_evals"] == 2 + steps

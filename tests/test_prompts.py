@@ -137,6 +137,17 @@ class TestLoadQuestions:
             load_questions(path)
         assert str(info.value) == f"{path}: line 2: text is {kind}, not str"
 
+    @pytest.mark.parametrize("source, kind", [(["x", 1], "list"), (7, "int"),
+                                              ({"s": "x"}, "dict"), (None, "NoneType")])
+    def test_source_that_is_not_a_string_rejected(self, tmp_path, source, kind):
+        # a list would load as a Question that cannot be hashed
+        path = tmp_path / "q.jsonl"
+        self.write(path, [{"id": "a", "text": "t", "gold_answer": "1", "source": "s"},
+                          {"id": "b", "text": "t", "gold_answer": "1", "source": source}])
+        with pytest.raises(ValueError) as info:
+            load_questions(path)
+        assert str(info.value) == f"{path}: line 2: source is {kind}, not str"
+
     def test_id_and_gold_answer_are_coerced_to_str(self, tmp_path):
         path = tmp_path / "q.jsonl"
         self.write(path, [{"id": 2, "text": "t", "gold_answer": 3}])
