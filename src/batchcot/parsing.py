@@ -188,9 +188,7 @@ def _marker_spans(pattern, text: str) -> list:
 def _final_answers(text: str, k: int, finals: list) -> dict:
     """{position: answer} after the last of the final-answer marker spans `finals`."""
     if not finals:
-        # With fewer than k boxes their positions are unknown: guess none.
-        boxes = extract_boxed(text)
-        return dict(enumerate(boxes[-k:], 1)) if len(boxes) >= k else {}
+        return {}
     tail = text[finals[-1][1]:]
     entries = {}
     last = 0
@@ -208,9 +206,8 @@ def _final_answers(text: str, k: int, finals: list) -> dict:
 def parse_final_answers(record: CompletionRecord) -> dict:
     """{position: answer} from the last final-answer block of a batch response.
 
-    Positions increase in text order. Falls back to the last k boxed
-    occurrences anywhere in the text when no marker is present; with fewer
-    than k boxes that fallback has no entries.
+    Positions increase in text order. With no final-answer marker there are
+    no entries: no box outside a block is taken by its position.
     """
     if record.envelope.mode != BATCH:
         raise ValueError("parse_final_answers requires a batch completion")
@@ -222,8 +219,10 @@ def parse_final_answers(record: CompletionRecord) -> dict:
 def split_batch_chains(record: CompletionRecord) -> list:
     """Partition the solution-process region into one chain per question.
 
-    Raises UnsplittableError when the numbering-heading scan does not find
-    exactly batch_size headings in strictly increasing order 1..k.
+    Chain i's answer is entry i of the last final-answer block, else the last
+    box of its own segment, else None. Raises UnsplittableError when the
+    numbering-heading scan does not find exactly batch_size headings in
+    strictly increasing order 1..k.
     """
     if record.envelope.mode != BATCH:
         raise ValueError("split_batch_chains requires a batch completion")

@@ -14,7 +14,7 @@ import pytest
 import batchcot
 import pipeline_fixtures as pf
 from http_fixtures import mock_http_server, open_sockets_to
-from batchcot import __version__, cli, parsing
+from batchcot import __version__, cli, client, parsing, verify
 from batchcot.client import EndpointConfig, MockBackend, TransportError, fingerprint
 from batchcot.cli import build_parser, main, resolve_endpoint_config
 from batchcot.preference import PreferenceSample
@@ -350,6 +350,23 @@ class TestExperimentAgreesWithSplitGrade:
         assert [g["verdict"] for g in graded] == ["correct"] * 2
         assert (row["n_graded"], row["accuracy"]) == (4, 3 / 4)
         assert row["mean_tokens_split"] == sum(g["token_count"] for g in graded) / 2
+
+    def test_unsplittable_response_without_block_is_unparseable(self, tmp_path):
+        questions = pf.make_corpus(2)
+        golds = [q.gold_answer for q in questions]
+        script = MockBackend()
+        # no numbered headings and no block: its k boxes are the right
+        # answers in order, but no box is taken by its position
+        script.add(build_prompt(questions).text,
+                   f"I solved both: \\boxed{{{golds[0]}}} and \\boxed{{{golds[1]}}}.")
+        row, graded, unsplittable = run_split_grade_and_experiment(
+            tmp_path, questions, script, 2)
+        assert row["n_unsplittable"] == unsplittable == 1
+        assert graded == []
+        assert (row["n_graded"], row["accuracy"]) == (2, 0.0)
+        (record,) = parsing.read_completions(tmp_path / "gen" / "completions_k2.jsonl")
+        assert [verify.grade(c, q) for c, q in zip(client._block_chains(record), questions)] \
+            == [verify.UNPARSEABLE] * 2
 
 
 class TestGrpoCommands:

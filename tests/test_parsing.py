@@ -152,12 +152,12 @@ class TestParseFinalAnswers:
         rec = batch_record(text)
         assert parse_final_answers(rec) == {1: "3", 2: "9"}
 
-    def test_fallback_to_last_k_boxed(self):
+    def test_no_marker_no_entries(self):
         rec = batch_record("a \\boxed{7} b \\boxed{1} c \\boxed{2}", k=2)
-        assert parse_final_answers(rec) == {1: "1", 2: "2"}
+        assert parse_final_answers(rec) == {}
 
     def test_fewer_boxes_than_k_without_block_guess_nothing(self):
-        # Boxes only in segments 1 and 3: the last-k fallback would shift
+        # Boxes only in segments 1 and 3: taking the last k boxes would shift
         # question 3's answer onto question 2.
         text = ("[Solution Process]\n1. first, so \\boxed{11}\n"
                 "2. second, no box\n3. third, so \\boxed{33}")
@@ -239,15 +239,63 @@ class TestSplitBatchChains:
         assert chains[0].predicted_answer == "11"
         assert chains[1].predicted_answer == "22"
 
+    def test_blockless_answers_come_from_each_segment(self):
+        # with no block, question 1 keeps its own box, not the whole text's
+        # second-to-last one
+        text = "1. final \\boxed{3}\n2. intermediate \\boxed{9}, so final \\boxed{4}"
+        chains = split_batch_chains(batch_record(text))
+        assert [c.predicted_answer for c in chains] == ["3", "4"]
+
     def test_requires_batch_mode(self):
         with pytest.raises(ValueError):
             split_batch_chains(vanilla_record("text"))
 
 
-class TestOpenSplitterDefects:
-    """The splitter's two known defects, each as the behaviour it should have.
+_FINAL_BLOCK_MARKERS = ["[Final Answer]", "[Final Answers]", "**[Final Answers]**",
+                        "[final answer]"]
 
-    Each test fails today (strict xfail); the fix removes its marker. The
+
+@st.composite
+def _answered_batch(draw):
+    """(k, text, expected answers): headings 1..k over segments of 0..3 boxes,
+    then no block or one block with some of the k entries.
+
+    Every box value is unique (segment i's boxes are s<i>b<j>, block entry
+    i is f<i>), so an answer equal to the expected one came from the right
+    place and never from another segment's box.
+    """
+    k = draw(st.integers(2, 16))
+    parts = [draw(st.sampled_from(["", "[Solution Process]\n"]))]
+    last_boxes = []
+    for i in range(1, k + 1):
+        words = ["work"] + [f"so \\boxed{{s{i}b{j}}}" for j in range(draw(st.integers(0, 3)))]
+        parts.append(f"{i}. " + draw(st.sampled_from([" ", "\n"])).join(words) + "\n")
+        last_boxes.append(f"s{i}b{len(words) - 2}" if len(words) > 1 else None)
+    block = {}
+    if draw(st.booleans()):
+        block = {i: f"f{i}" for i in sorted(draw(st.sets(st.integers(1, k))))}
+        parts.append(draw(st.sampled_from(_FINAL_BLOCK_MARKERS)))
+        parts += [f"\n{i}. \\boxed{{{answer}}}" for i, answer in block.items()]
+    expected = [block.get(i, box) for i, box in enumerate(last_boxes, 1)]
+    return k, "".join(parts), expected
+
+
+class TestAnswerRule:
+    """Chain i's answer is its block entry, else its own segment's last box,
+    else None."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_answered_batch())
+    def test_block_entry_else_own_last_box(self, case):
+        k, text, expected = case
+        chains = split_batch_chains(batch_record(text, k=k))
+        assert [c.predicted_answer for c in chains] == expected
+
+
+class TestOpenSplitterDefects:
+    """The splitter's known defect, as the behaviour it should have.
+
+    The test fails today (strict xfail); the fix removes its marker. The
     splitter must either give chain i exactly question i's span and answer,
     or refuse the response as unsplittable.
     """
@@ -265,17 +313,6 @@ class TestOpenSplitterDefects:
             return
         assert [c.text for c in chains] == ["\n1. First:\n1. add\n2. multiply \\boxed{3}\n",
                                             "2. Second \\boxed{4}\n"]
-
-    @pytest.mark.xfail(strict=True, reason=(
-        "positional guess: with no answer block, question 1 is given 9, "
-        "the second-to-last box of the whole text"))
-    def test_blockless_answers_come_from_each_segment(self):
-        text = "1. final \\boxed{3}\n2. intermediate \\boxed{9}, so final \\boxed{4}"
-        try:
-            chains = split_batch_chains(batch_record(text))
-        except UnsplittableError:
-            return
-        assert [c.predicted_answer for c in chains] == ["3", "4"]
 
 
 def _two_problem_text(solution_marker, final_marker):
@@ -334,10 +371,7 @@ _ORACLE_HEADING_RE = re.compile(
 def _oracle_final_answers(text, k):
     matches = list(_ORACLE_FINAL_RE.finditer(text))
     if not matches:
-        boxes = extract_boxed(text)
-        if len(boxes) < k:
-            return {}
-        return dict(enumerate(boxes[-k:], 1))
+        return {}
     tail = text[matches[-1].end():]
     entries = {}
     last = 0
