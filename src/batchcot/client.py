@@ -4,12 +4,10 @@ batch-compression experiment protocol."""
 from __future__ import annotations
 
 import hashlib
-import http.client
 import json
 import math
 import os
 import select
-import socket
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -18,6 +16,7 @@ from typing import NamedTuple, Optional
 from urllib.parse import urlsplit
 
 from batchcot import parsing, verify
+from batchcot.http1 import Connection, ProtocolError
 from batchcot.parsing import (
     ChainOrigin,
     CompletionRecord,
@@ -33,8 +32,6 @@ from batchcot.records import named_error, naming
 API_KEY_ENV = "BATCHCOT_API_KEY"
 # Seconds before the first retry; each further retry waits twice as long.
 BACKOFF_BASE_S = 0.5
-# Linux only; None elsewhere (see HttpBackend)
-_TCP_QUICKACK = getattr(socket, "TCP_QUICKACK", None)
 
 
 class TransportError(Exception):
@@ -190,14 +187,24 @@ def _chat_completion_body(body: bytes):
 class HttpBackend:
     """OpenAI-compatible chat-completions transport with retry and backoff.
 
+    The backend speaks HTTP/1.1 itself, over `socket`, and over `ssl` for an
+    https base URL, verified against the system trust store. A request is
+    one send: the header block built when the backend is, its
+    Content-Length, then the JSON body. Each connection keeps one receive
+    buffer for every response it carries. A 200's body is read by its
+    Content-Length, by chunked coding, or to EOF when the response gives
+    neither; 1xx interim responses are skipped.
+
     Requests reuse keep-alive connections: `send` takes an idle one, or opens
-    a new one when none is idle, and puts it back after a 200 response whose
-    body it has read in full. An error, any other status or a response the
-    server will close closes the connection instead, and so does the server
+    a new one when none is idle. A connection goes back to the idle list
+    only after an HTTP/1.1 200 response without `Connection: close`, whose
+    body was framed by length or chunks and read in full, with no bytes
+    left over in its buffer. An error or any other response (a non-200's
+    body unread) closes the connection instead, and so does the server
     closing an idle one. A connection opens only when none is idle, so no
-    more are ever open than the most requests in flight at once.
-    `close()` closes the idle connections; call it once the sends are done,
-    or use the backend as a context manager.
+    more are ever open than the most requests in flight at once. `close()`
+    closes the idle connections; call it once the sends are done, or use
+    the backend as a context manager.
 
     Once a response's headers are in, `send` sets TCP_QUICKACK on the
     socket. That acknowledges the headers at once, so a server that writes
@@ -214,18 +221,31 @@ class HttpBackend:
         self.name = f"{self.base_url}#{model}"
         self.url = self.base_url + "/chat/completions"
         url = urlsplit(self.url)
-        if url.scheme not in ("http", "https") or not url.hostname:
+        # a name that IDNA cannot encode fails as UnicodeError, a ValueError
+        host = url.hostname and url.hostname.encode("idna").decode("ascii")
+        if (url.scheme not in ("http", "https") or not host
+                or not _header_text(host) or not _header_text(url.path)):
             raise ValueError(f"base URL {base_url!r} is not an http(s) URL")
-        self._connection_class = (http.client.HTTPSConnection if url.scheme == "https"
-                                  else http.client.HTTPConnection)
-        self._host, self._port, self._path = url.hostname, url.port, url.path
-        self._headers = {"Content-Type": "application/json"}
+        default_port = 443 if url.scheme == "https" else 80
+        self._address = (host, url.port or default_port)
+        authority = f"[{host}]" if ":" in host else host
+        if url.port not in (None, default_port):
+            authority += f":{url.port}"
+        lines = [f"POST {url.path} HTTP/1.1", f"Host: {authority}",
+                 "Accept-Encoding: identity", "Content-Type: application/json"]
         api_key = os.environ.get(API_KEY_ENV)
         if api_key:
-            # http.client's own error would print the key
+            # checked here, so the error names the variable, never the key
             if not (api_key.isascii() and api_key.isprintable()):
                 raise ValueError(f"{API_KEY_ENV} is not a valid HTTP header value")
-            self._headers["Authorization"] = f"Bearer {api_key}"
+            lines.append(f"Authorization: Bearer {api_key}")
+        lines.append("Content-Length: ")
+        self._head = "\r\n".join(lines).encode("ascii")
+        self._tls = None
+        if url.scheme == "https":
+            import ssl  # only an https backend pays for the import
+
+            self._tls = ssl.create_default_context()
         self._idle = []
         self._idle_lock = threading.Lock()
 
@@ -242,18 +262,19 @@ class HttpBackend:
         for conn in idle:
             conn.close()
 
-    def _connection(self, timeout: float):
+    def _connection(self, timeout: float) -> Connection:
         """The most recently used idle connection still open, or a new one."""
         while True:
             with self._idle_lock:
                 conn = self._idle.pop() if self._idle else None
             if conn is None:
-                return self._connection_class(self._host, self._port, timeout=timeout)
+                break
             # readable while idle: the server has closed it
             if not select.select([conn.sock], [], [], 0)[0]:
                 conn.sock.settimeout(timeout)
                 return conn
             conn.close()
+        return Connection.open(self._address, timeout, self._tls)
 
     def send(self, prompt_text: str, cfg: EndpointConfig) -> RawCompletion:
         payload = {
@@ -265,24 +286,18 @@ class HttpBackend:
         if cfg.seed is not None:
             payload["seed"] = cfg.seed
         body = json.dumps(payload).encode("utf-8")
+        request = b"%s%d\r\n\r\n%s" % (self._head, len(body), body)
 
         attempts = []
         total = cfg.max_retries + 1
         for attempt in range(1, total + 1):
-            conn = self._connection(cfg.timeout)
+            conn = None
             reusable = False
             try:
-                conn.request("POST", self._path, body, self._headers)
-                # a response the server will close owns the socket, not conn
-                with conn.getresponse() as resp:
-                    # between the headers and the body, while their ACK is
-                    # pending; set once the request is sent, it races the reply
-                    if _TCP_QUICKACK is not None and conn.sock is not None:
-                        conn.sock.setsockopt(socket.IPPROTO_TCP, _TCP_QUICKACK, 1)
-                    status = resp.status
-                    data = resp.read() if status == 200 else None
-                    reusable = status == 200 and not resp.will_close
-            except (OSError, http.client.HTTPException) as exc:
+                conn = self._connection(cfg.timeout)
+                conn.sock.sendall(request)
+                status, data, reusable = conn.response()
+            except (OSError, ProtocolError) as exc:
                 attempts.append({"attempt": attempt, "error": type(exc).__name__})
             else:
                 attempts.append({"attempt": attempt, "status": status})
@@ -296,11 +311,16 @@ class HttpBackend:
                 if reusable:
                     with self._idle_lock:
                         self._idle.append(conn)
-                else:
+                elif conn is not None:
                     conn.close()
             if attempt < total:
                 time.sleep(BACKOFF_BASE_S * 2 ** (attempt - 1))
         raise TransportError(f"exhausted {total} attempts against {self.url}", attempts)
+
+
+def _header_text(text: str) -> bool:
+    """Whether `text` can stand in a request line or header as it is."""
+    return text.isascii() and text.isprintable() and " " not in text
 
 
 def complete(envelope: PromptEnvelope, cfg: EndpointConfig, backend,

@@ -121,8 +121,25 @@ def _decoder(cls):
     return env["from_dict"]
 
 
-# json.dumps(row, sort_keys=True) without building an encoder per row
-_encode = json.JSONEncoder(sort_keys=True).encode
+def _row_encoder():
+    """json.dumps(row, sort_keys=True), with one encoder built for every row.
+
+    JSONEncoder.encode builds a new C encoder on every call; this builds one
+    here and calls it directly. It checks no circular references: a row is
+    a tree of to_dict's output, and a cycle would raise RecursionError, not
+    ValueError. Without the C encoder it is JSONEncoder.encode.
+    """
+    c_make_encoder = json.encoder.c_make_encoder
+    if c_make_encoder is None:
+        return json.JSONEncoder(sort_keys=True).encode
+    # the arguments JSONEncoder.iterencode passes for sort_keys=True
+    encoder = c_make_encoder(None, json.JSONEncoder().default,
+                             json.encoder.encode_basestring_ascii, None, ": ", ", ",
+                             True, False, True)
+    return lambda row: "".join(encoder(row, 0))
+
+
+_encode = _row_encoder()
 
 
 def write_jsonl(path, rows):

@@ -429,6 +429,20 @@ class TestGrpoCommands:
         assert result.returncode == 0, result.stderr
         assert (tmp_path / "toy" / "policy.txt").exists()
 
+    def test_cli_import_loads_no_http_client_email_or_ssl(self):
+        # the client speaks HTTP itself, and imports ssl for an https URL only
+        script = ("import sys, batchcot.cli\n"
+                  "print(sorted(m for m in sys.modules\n"
+                  "             if m in ('http.client', 'ssl', '_ssl', 'email')\n"
+                  "             or m.startswith('email.')))\n")
+        src = str(Path(batchcot.__file__).parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        result = subprocess.run([sys.executable, "-c", script], env=env,
+                                capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "[]\n"
+
 
 class TestEvalAndReport:
     def test_eval_with_mock(self, workspace, tmp_path):

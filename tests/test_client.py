@@ -1,6 +1,9 @@
 import gc
 import json
+import shutil
 import socket
+import ssl
+import subprocess
 import sys
 import threading
 import time
@@ -263,9 +266,9 @@ class _MalformedHandler(BaseHTTPRequestHandler):
 
 
 @contextmanager
-def _serve(handler):
+def _serve(handler, server_class=ThreadingHTTPServer):
     """Serve `handler` on a loopback port; yields the server's root URL."""
-    server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
+    server = server_class(("127.0.0.1", 0), handler)
     thread = threading.Thread(target=server.serve_forever,
                               kwargs={"poll_interval": 0.05}, daemon=True)
     thread.start()
@@ -568,6 +571,183 @@ class TestStdlibTransport:
                 elapsed = time.perf_counter() - start
         assert len(accepted) == 1
         assert elapsed < 0.8
+
+
+def _ok(body=_VALID_BODY, head=b"HTTP/1.1 200 OK\r\n"):
+    return head + b"Content-Length: %d\r\n\r\n%s" % (len(body), body)
+
+
+_CHUNKED = (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+            b"a;name=value\r\n" + _VALID_BODY[:10] + b"\r\n"
+            + b"%x ; last-but-one\r\n" % (len(_VALID_BODY) - 10) + _VALID_BODY[10:] + b"\r\n"
+            b"0\r\nX-Checksum: none\r\n\r\n")
+
+
+class _RawHandler(BaseHTTPRequestHandler):
+    """Answers request n, counted from 1, with `reply(n)`: (parts, close).
+
+    Each byte string in parts goes out in its own send, and the server
+    closes the connection after them when close is true. `accepted` counts
+    the connections the server accepts.
+    """
+
+    protocol_version = "HTTP/1.1"
+    served = accepted = 0
+
+    def setup(self):
+        super().setup()
+        type(self).accepted += 1
+
+    def do_POST(self):
+        self.rfile.read(int(self.headers.get("Content-Length", 0)))
+        type(self).served += 1
+        parts, self.close_connection = self.reply(type(self).served)
+        try:
+            for part in parts:
+                self.wfile.write(part)
+        except OSError:  # the client closed a connection it got no use of
+            self.close_connection = True
+
+    def log_message(self, *args):
+        pass
+
+
+def _raw(reply):
+    return type("Raw", (_RawHandler,), {"reply": staticmethod(reply)})
+
+
+class TestFraming:
+    @pytest.mark.parametrize("parts, close, connections", [
+        ([_CHUNKED], False, 1),
+        ([bytes([b]) for b in _ok()], False, 1),
+        ([b"HTTP/1.1 100 Continue\r\n\r\n", _ok()], False, 1),
+        # the server would serve a next request; the client must not send it
+        ([_ok(head=b"HTTP/1.1 200 OK\r\nConnection: close\r\n")], False, 2),
+        ([_ok(head=b"HTTP/1.0 200 OK\r\n")], False, 2),
+        ([_ok() + b"HTTP/1.1 200 OK\r\n"], False, 2),
+        ([b"HTTP/1.0 200 OK\r\n\r\n" + _VALID_BODY], True, 2),
+    ], ids=["chunked", "byte-per-send", "100-continue", "connection-close",
+            "http-1.0", "bytes-after-body", "http-1.0-to-eof"])
+    def test_framing(self, parts, close, connections):
+        handler = _raw(lambda n: (parts, close))
+        with _serve(handler) as root, HttpBackend(root + "/v1", "m") as backend:
+            for _ in range(2):
+                raw = backend.send("p", cfg(max_retries=0))
+                assert raw.text == "ok \\boxed{1}"
+                assert raw.attempts == [{"attempt": 1, "status": 200}]
+        assert handler.accepted == connections
+
+    @pytest.mark.parametrize("bad, close, error", [
+        ([b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n" % (len(_VALID_BODY) + 10),
+          _VALID_BODY], True, "IncompleteRead"),
+        ([b"ICY 200 OK\r\n\r\n" + _VALID_BODY], True, "BadStatusLine"),
+        # the server keeps sending and keeps the connection open: only a
+        # bounded read fails at once, where waiting for the end times out
+        ([b"HTTP/1.1 200 OK\r\nX-Long: " + b"a" * (1 << 20)], False, "LineTooLong"),
+        ([b"HTTP/1.1 200 OK\r\n" + b"X-Many: 1\r\n" * 1000], False, "TooManyHeaders"),
+    ], ids=["short-body", "not-http", "long-line", "many-headers"])
+    def test_broken_response_is_a_logged_retry(self, bad, close, error):
+        handler = _raw(lambda n: (bad, close) if n == 1 else ([_ok()], False))
+        start = time.perf_counter()
+        with _serve(handler) as root, HttpBackend(root + "/v1", "m") as backend:
+            raw = backend.send("p", cfg(max_retries=1, timeout=5))
+        assert time.perf_counter() - start < 2.5
+        assert raw.text == "ok \\boxed{1}"
+        assert raw.attempts == [{"attempt": 1, "error": error},
+                                {"attempt": 2, "status": 200}]
+        assert handler.accepted == 2
+
+    def test_request_head(self):
+        seen = []
+
+        class Recorder(_MalformedHandler):
+            def do_POST(self):
+                seen.append((self.request_version, self.path, dict(self.headers)))
+                super().do_POST()
+
+        with _serve(Recorder) as root, HttpBackend(root + "/v1", "m") as backend:
+            backend.send("SERVE-VALID", cfg(seed=3))
+        (version, path, headers), = seen
+        assert (version, path) == ("HTTP/1.1", "/v1/chat/completions")
+        length = len(json.dumps({
+            "model": "m", "messages": [{"role": "user", "content": "SERVE-VALID"}],
+            "temperature": 0.6, "max_tokens": 32768, "seed": 3}))
+        assert headers == {"Host": root[len("http://"):], "Accept-Encoding": "identity",
+                           "Content-Type": "application/json",
+                           "Content-Length": str(length)}
+
+    @pytest.mark.parametrize("base_url", ["http://h/a b", "http://h/café",
+                                          "http://a b/v1", "http://a..b/v1"])
+    def test_base_url_that_is_no_request_target_is_rejected(self, base_url):
+        with pytest.raises(ValueError):
+            HttpBackend(base_url, "m")
+
+
+@pytest.fixture(scope="module")
+def certificates(tmp_path_factory):
+    """(cert, key) paths of self-signed certificates for 127.0.0.1 and for
+    example.invalid, written by the openssl command."""
+    if shutil.which("openssl") is None:
+        pytest.skip("the openssl command is not installed")
+    made = {}
+    for name, san in (("loopback", "IP:127.0.0.1"), ("other", "DNS:example.invalid")):
+        cert, key = (tmp_path_factory.mktemp(name) / f for f in ("cert.pem", "key.pem"))
+        subprocess.run(["openssl", "req", "-x509", "-newkey", "ec", "-pkeyopt",
+                        "ec_paramgen_curve:prime256v1", "-nodes", "-days", "1",
+                        "-subj", f"/CN={name}", "-addext", f"subjectAltName={san}",
+                        "-keyout", str(key), "-out", str(cert)],
+                       check=True, capture_output=True, timeout=60)
+        made[name] = (cert, key)
+    return made
+
+
+@contextmanager
+def _serve_tls(cert, key, handler):
+    """`_serve` over TLS with the certificate `cert`; yields the https root URL."""
+    context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+    context.load_cert_chain(cert, key)
+
+    class TlsServer(ThreadingHTTPServer):
+        def server_bind(self):
+            super().server_bind()
+            self.socket = context.wrap_socket(self.socket, server_side=True)
+
+    with _serve(handler, server_class=TlsServer) as root:
+        yield root.replace("http://", "https://")
+
+
+class TestHttps:
+    @staticmethod
+    def trust(monkeypatch, cert):
+        real = ssl.create_default_context
+        monkeypatch.setattr(ssl, "create_default_context", lambda: real(cafile=str(cert)))
+
+    def test_untrusted_certificate_is_refused(self, certificates):
+        with _serve_tls(*certificates["loopback"], _raw(lambda n: ([_ok()], False))) as root:
+            with HttpBackend(root + "/v1", "m") as backend, \
+                    pytest.raises(TransportError) as exc:
+                backend.send("p", cfg(max_retries=1))
+        assert exc.value.attempts == [{"attempt": n, "error": "SSLCertVerificationError"}
+                                      for n in (1, 2)]
+
+    def test_trusted_certificate_one_connection(self, certificates, monkeypatch):
+        self.trust(monkeypatch, certificates["loopback"][0])
+        handler = _raw(lambda n: ([_ok()], False))
+        with _serve_tls(*certificates["loopback"], handler) as root:
+            with HttpBackend(root + "/v1", "m") as backend:
+                for _ in range(5):
+                    assert backend.send("p", cfg(max_retries=0)).attempts == [
+                        {"attempt": 1, "status": 200}]
+        assert handler.served == 5
+        assert handler.accepted == 1
+
+    def test_hostname_mismatch_is_refused(self, certificates, monkeypatch):
+        self.trust(monkeypatch, certificates["other"][0])
+        with _serve_tls(*certificates["other"], _raw(lambda n: ([_ok()], False))) as root:
+            with HttpBackend(root + "/v1", "m") as backend, \
+                    pytest.raises(TransportError) as exc:
+                backend.send("p", cfg(max_retries=0))
+        assert exc.value.attempts == [{"attempt": 1, "error": "SSLCertVerificationError"}]
 
 
 class _ProbeBackend:

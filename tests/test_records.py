@@ -1,4 +1,5 @@
-"""records' fast paths against the code they replaced: from_dict and loads_line.
+"""records' fast paths against the code they replaced: from_dict, loads_line and
+write_jsonl's encoder.
 
 A fast path must give the reference's value, or raise the reference's
 exception with the same message, on every input.
@@ -168,6 +169,37 @@ class TestLoadsLine:
         line = json.dumps(to_dict(RECORDS[2]), sort_keys=True)
         for text in (line, line + "\n"):
             assert loads_line(text) == json.loads(text)
+
+
+# rows as write_jsonl gets them: nested dicts with every JSON type, and
+# the tuples, non-ASCII text and non-finite floats a record can hold
+ROWS = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: (st.lists(inner, max_size=3) | st.lists(inner, max_size=3).map(tuple)
+                   | st.dictionaries(st.text(max_size=5), inner, max_size=4)),
+    max_leaves=12).map(lambda value: {"row": value})
+
+
+class TestWriteJsonl:
+    @settings(max_examples=300, deadline=None)
+    @given(ROWS)
+    def test_line_is_json_dumps_sort_keys(self, row):
+        assert records._encode(row) == json.dumps(row, sort_keys=True)
+
+    @pytest.mark.parametrize("c_encoder", [True, False], ids=["c", "python"])
+    def test_file_bytes(self, tmp_path, monkeypatch, c_encoder):
+        if not c_encoder:
+            monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+        monkeypatch.setattr(records, "_encode", records._row_encoder())
+        rows = [to_dict(r) for r in RECORDS] + [{"z": float("nan"), "a": [1.5, -0.0]}]
+        write_jsonl(tmp_path / "rows.jsonl", rows)
+        assert (tmp_path / "rows.jsonl").read_bytes() == "".join(
+            json.dumps(row, sort_keys=True) + "\n" for row in rows).encode("utf-8")
+
+    def test_unserializable_value_fails_and_later_rows_still_encode(self):
+        with pytest.raises(TypeError):
+            records._encode({"a": {"b": object()}})
+        assert records._encode({"a": {"b": 1}}) == '{"a": {"b": 1}}'
 
 
 class TestReadJsonl:
