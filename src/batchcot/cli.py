@@ -141,17 +141,10 @@ def cmd_split(args):
 
 
 def cmd_grade(args):
-    questions = {q.id: q for q in load_questions(args.questions)}
+    questions = load_questions(args.questions)
     chains = read_chains(args.infile)
-    missing = sorted({c.question_id for c in chains if c.question_id not in questions})
-    if missing:
-        raise ValueError(f"chains reference unknown question ids: {missing}")
-    for chain in chains:
-        chain.verdict = verify.grade(chain, questions[chain.question_id])
+    counts = verify.grade_chains(chains, questions)
     write_chains(args.out, chains)
-    counts = {}
-    for chain in chains:
-        counts[chain.verdict] = counts.get(chain.verdict, 0) + 1
     print(f"graded {len(chains)} chains: " +
           ", ".join(f"{k}={v}" for k, v in sorted(counts.items())))
     return {"inputs": [args.infile, args.questions], "outputs": [args.out],

@@ -419,14 +419,12 @@ def run_batch_experiment(questions, batch_sizes, cfg: EndpointConfig, backend,
         raise ValueError("experiment needs a nonempty corpus")
     if any(k < 1 for k in batch_sizes):
         raise ValueError("batch sizes must all be >= 1")
-    qmap = {q.id: q for q in questions}
     rows = []
     for k in batch_sizes:
         records, n_failures = complete_groups(questions, k, cfg, backend, seed, group)
         chains, unsplittable = split_completions(records)
         graded = chains + [c for r in unsplittable for c in _block_chains(r)]
-        n_correct = sum(verify.grade(c, qmap[c.question_id]) == verify.CORRECT
-                        for c in graded)
+        n_correct = verify.grade_chains(graded, questions)[verify.CORRECT]
         split_tokens = [c.token_count for c in chains]
         rows.append(ExperimentRow(
             batch_size=k,

@@ -7,12 +7,10 @@ from dataclasses import dataclass, fields, replace
 
 from batchcot import verify
 from batchcot.client import EndpointConfig, complete_many
-from batchcot.parsing import extract_boxed, split_completions
+from batchcot.parsing import split_completions
 from batchcot.prompts import build_single_prompt, load_questions
 from batchcot.records import from_dict, naming, to_dict
-
-NUMERIC = "numeric"
-CHOICE_LETTER = "choice-letter"
+from batchcot.verify import ANSWER_KINDS, CHOICE_LETTER, NUMERIC
 
 
 @dataclass(frozen=True)
@@ -25,7 +23,7 @@ class BenchmarkSpec:
     def __post_init__(self):
         if self.samples_per_question < 1:
             raise ValueError("samples_per_question must be >= 1")
-        if self.answer_kind not in (NUMERIC, CHOICE_LETTER):
+        if self.answer_kind not in ANSWER_KINDS:
             raise ValueError(f"unknown answer kind: {self.answer_kind!r}")
 
 
@@ -70,32 +68,9 @@ class EvalAggregate:
             raise ValueError("mean_tokens must be >= 0")
 
 
-def _normalize_letter(s):
-    if s is None:
-        return None
-    s = s.strip()
-    boxes = extract_boxed(s)
-    if boxes:
-        s = boxes[-1].strip()
-    s = s.strip("()[].: ").upper()
-    return s if len(s) == 1 and s.isalpha() else None
-
-
-def grade_choice_letter(predicted, gold) -> str:
-    p = _normalize_letter(predicted)
-    if p is None:
-        return verify.UNPARSEABLE
-    g = _normalize_letter(gold)
-    if g is None:
-        raise ValueError(f"gold choice letter {gold!r} is not a single letter")
-    return verify.CORRECT if p == g else verify.INCORRECT
-
-
 def evaluate(spec: BenchmarkSpec, cfg: EndpointConfig, backend):
     """Repeat-sampled single-question evaluation: (records, EvalAggregate)."""
-    questions = load_questions(
-        spec.corpus_path, require_numeric=spec.answer_kind == NUMERIC
-    )
+    questions = load_questions(spec.corpus_path, spec.answer_kind)
     if not questions:
         raise ValueError(f"{spec.corpus_path}: corpus is empty")
 
@@ -104,23 +79,12 @@ def evaluate(spec: BenchmarkSpec, cfg: EndpointConfig, backend):
     completions = [r for r in complete_many(envelopes, cfg, backend)
                    if not isinstance(r, Exception)]
     chains, _ = split_completions(completions)
-    by_id = {q.id: q for q in questions}
-    records = []
-    for chain, completion in zip(chains, completions):
-        q = by_id[chain.question_id]
-        if spec.answer_kind == NUMERIC:
-            verdict = verify.grade(chain, q)
-        else:
-            verdict = grade_choice_letter(chain.predicted_answer, q.gold_answer)
-        records.append({
-            "question_id": q.id,
-            "predicted_answer": chain.predicted_answer,
-            "verdict": verdict,
-            "tokens": completion.effective_tokens,
-        })
+    n_correct = verify.grade_chains(chains, questions, spec.answer_kind)[verify.CORRECT]
+    records = [{"question_id": c.question_id, "predicted_answer": c.predicted_answer,
+                "verdict": c.verdict, "tokens": completion.effective_tokens}
+               for c, completion in zip(chains, completions)]
 
     n_samples = len(records)
-    n_correct = sum(r["verdict"] == verify.CORRECT for r in records)
     aggregate = EvalAggregate(
         benchmark=spec.name,
         accuracy=n_correct / n_samples if n_samples else 0.0,

@@ -54,25 +54,17 @@ def label_sample(origin_kind: str, verdict: str) -> str:
     return LABEL_C
 
 
-def _resolve_verdict(chain, qmap):
-    if chain.verdict is not None:
-        return chain.verdict
-    return verify.grade(chain, qmap[chain.question_id])
-
-
 def build_dataset(chains, questions, seed: int = 0, mode: str = PER_CHAIN):
     """One labeled sample per graded chain, shuffled with a recorded seed.
 
     Returns (samples, manifest). In PAIRED mode only questions with at least
-    one vanilla and one batch chain contribute, one chain of each kind.
+    one vanilla and one batch chain contribute, one chain of each kind. A
+    contributing chain without a verdict is graded here, and keeps it.
     """
     if mode not in (PER_CHAIN, PAIRED):
         raise ValueError(f"unknown dataset mode: {mode!r}")
-    qmap = {q.id: q for q in questions}
     chains = list(chains)
-    unresolved = sorted({c.question_id for c in chains if c.question_id not in qmap})
-    if unresolved:
-        raise ValueError(f"chains reference unknown question ids: {unresolved}")
+    qmap = verify.question_map(chains, questions)
 
     chains.sort(key=lambda c: (c.question_id, c.origin.kind, c.origin.position))
     if mode == PAIRED:
@@ -85,15 +77,15 @@ def build_dataset(chains, questions, seed: int = 0, mode: str = PER_CHAIN):
         ]
         chains.sort(key=lambda c: (c.question_id, c.origin.kind, c.origin.position))
 
+    verify.grade_chains([c for c in chains if c.verdict is None], qmap.values())
     samples = []
     for chain in chains:
         q = qmap[chain.question_id]
-        verdict = _resolve_verdict(chain, qmap)
         samples.append(
             PreferenceSample(
                 question=q.text,
                 cot=chain.text,
-                gold_label=label_sample(chain.origin.kind, verdict),
+                gold_label=label_sample(chain.origin.kind, chain.verdict),
                 provenance={
                     "origin_kind": chain.origin.kind,
                     "batch_size": chain.origin.size,

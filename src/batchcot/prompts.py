@@ -114,14 +114,14 @@ def build_prompt(questions) -> PromptEnvelope:
     return build_batch_prompt(questions)
 
 
-def load_questions(path, require_numeric: bool = True) -> list:
+def load_questions(path, answer_kind: str = "numeric") -> list:
     """Read a Question corpus from JSONL, validating each question's fields.
 
-    Each gold answer is normalized once, here: a loaded Question carries its
-    gold_number.
+    Each gold answer is checked by the rule of `answer_kind`, verify.NUMERIC or
+    CHOICE_LETTER, and normalized once: a loaded Question carries its gold_number.
     """
     # imported here: verify imports prompts
-    from batchcot.verify import normalize_numeric
+    from batchcot.verify import NUMERIC, normalize_letter, normalize_numeric
 
     questions = []
     seen = set()
@@ -160,10 +160,12 @@ def load_questions(path, require_numeric: bool = True) -> list:
             q = Question(id=qid, text=text, gold_answer=str(obj["gold_answer"]),
                          source=source)
             gold = normalize_numeric(q.gold_answer)
-            if require_numeric and gold is None:
-                raise ValueError(
-                    f"{path}: line {lineno}: gold answer {q.gold_answer!r} is not numeric"
-                )
+            if answer_kind == NUMERIC and gold is None:
+                raise ValueError(f"{path}: line {lineno}: gold answer "
+                                 f"{q.gold_answer!r} is not numeric")
+            if answer_kind != NUMERIC and normalize_letter(q.gold_answer) is None:
+                raise ValueError(f"{path}: line {lineno}: gold answer "
+                                 f"{q.gold_answer!r} is not a choice letter")
             # what the gold_number property would compute; a frozen dataclass
             # takes it as dataclasses' own __init__ sets a field
             object.__setattr__(q, "gold_number", gold)

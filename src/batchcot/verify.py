@@ -1,19 +1,24 @@
-"""Exact numeric answer verification: normalization, equality, grading.
+"""Answer verification: both answer rules, and `grade_chains`, the grade stage.
 
-Equality is decided with exact integer/rational arithmetic only; no
-floating-point value ever enters the comparison path, so verdicts are
-platform-deterministic.
+A numeric answer is compared with exact integer/rational arithmetic only, so
+verdicts are platform-deterministic; a choice-letter answer (GPQA-Diamond) is
+one letter, compared case-blind. Every command's verdicts come from grade_chains.
 """
 
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from batchcot.parsing import ReasoningChain, _boxed_content_at
+from batchcot.parsing import ReasoningChain, _boxed_content_at, extract_boxed
 from batchcot.prompts import Question
+
+NUMERIC = "numeric"
+CHOICE_LETTER = "choice-letter"
+ANSWER_KINDS = (NUMERIC, CHOICE_LETTER)
 
 INTEGER = "integer"
 RATIONAL = "rational"
@@ -134,3 +139,47 @@ def grade(chain: ReasoningChain, q: Question) -> str:
     if predicted is None:
         return UNPARSEABLE
     return CORRECT if answers_equal(predicted, gold) else INCORRECT
+
+
+def normalize_letter(s) -> Optional[str]:
+    """The one upper-case choice letter `s` names, boxed or decorated, or None."""
+    if s is None:
+        return None
+    s = s.strip()
+    boxes = extract_boxed(s)
+    if boxes:
+        s = boxes[-1].strip()
+    s = s.strip("()[].: ").upper()
+    return s if len(s) == 1 and s.isalpha() else None
+
+
+def grade_choice_letter(predicted, gold) -> str:
+    p = normalize_letter(predicted)
+    if p is None:
+        return UNPARSEABLE
+    g = normalize_letter(gold)
+    if g is None:
+        raise ValueError(f"gold choice letter {gold!r} is not a single letter")
+    return CORRECT if p == g else INCORRECT
+
+
+def question_map(chains, questions) -> dict:
+    """Questions by id, checked to hold the question of every chain."""
+    qmap = {q.id: q for q in questions}
+    unknown = sorted({c.question_id for c in chains if c.question_id not in qmap})
+    if unknown:
+        raise ValueError(f"chains reference unknown question ids: {unknown}")
+    return qmap
+
+
+def grade_chains(chains, questions, answer_kind: str = NUMERIC) -> Counter:
+    """Set each chain's verdict by the rule of `answer_kind`, once every chain's
+    question is known; the verdict counts."""
+    if answer_kind not in ANSWER_KINDS:
+        raise ValueError(f"unknown answer kind: {answer_kind!r}")
+    qmap = question_map(chains, questions)
+    for chain in chains:
+        q = qmap[chain.question_id]
+        chain.verdict = (grade(chain, q) if answer_kind == NUMERIC else
+                         grade_choice_letter(chain.predicted_answer, q.gold_answer))
+    return Counter(chain.verdict for chain in chains)

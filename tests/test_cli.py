@@ -588,6 +588,18 @@ class TestConfigResolution:
                  if re.search(r"environ|getenv", line)]
         assert reads == [("client.py", "api_key = os.environ.get(API_KEY_ENV)")]
 
+    def test_every_verdict_comes_from_verify(self):
+        # one grade stage: verify.grade_chains is the only caller of the
+        # numeric rule, and the unknown-id check is written once
+        src = Path(batchcot.__file__).parent
+        texts = {path.name: path.read_text(encoding="utf-8")
+                 for path in sorted(src.glob("*.py"))}
+        assert [name for name, text in texts.items()
+                if re.search(r"\bgrade\(", text)] == ["verify.py"]
+        assert [(name, text.count("chains reference unknown question ids"))
+                for name, text in texts.items()
+                if "chains reference unknown question ids" in text] == [("verify.py", 1)]
+
 
 def parse_outcome(parser, argv, capsys):
     """(exit code, stdout, stderr) of parser.parse_args(argv); code None on success."""

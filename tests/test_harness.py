@@ -6,12 +6,10 @@ import pytest
 from batchcot.client import EndpointConfig, MockBackend, RawCompletion, TransportError
 from batchcot.harness import (
     BENCHMARKS,
-    CHOICE_LETTER,
     BenchmarkSpec,
     EvalAggregate,
     aggregates_to_csv,
     evaluate,
-    grade_choice_letter,
     overall_mean,
     overall_weighted,
     read_aggregates,
@@ -22,7 +20,7 @@ from batchcot.harness import (
 )
 from batchcot.prompts import Question, build_single_prompt
 from batchcot.records import from_dict, to_dict
-from batchcot import verify
+from batchcot.verify import CHOICE_LETTER
 
 
 def write_corpus(path, questions):
@@ -59,26 +57,6 @@ class TestRegistry:
             BenchmarkSpec(name="x", samples_per_question=0)
         with pytest.raises(ValueError):
             BenchmarkSpec(name="x", answer_kind="freeform")
-
-
-class TestChoiceLetterGrading:
-    def test_plain_letter(self):
-        assert grade_choice_letter("B", "b") == verify.CORRECT
-
-    def test_boxed_and_decorated(self):
-        assert grade_choice_letter("\\boxed{(C)}", "C") == verify.CORRECT
-        assert grade_choice_letter("(a).", "A") == verify.CORRECT
-
-    def test_wrong_letter(self):
-        assert grade_choice_letter("A", "D") == verify.INCORRECT
-
-    def test_unparseable(self):
-        assert grade_choice_letter("maybe 42", "A") == verify.UNPARSEABLE
-        assert grade_choice_letter(None, "A") == verify.UNPARSEABLE
-
-    def test_bad_gold_rejected(self):
-        with pytest.raises(ValueError):
-            grade_choice_letter("A", "not-a-letter")
 
 
 class _PerPromptBackend:
@@ -194,6 +172,30 @@ class TestEvaluate:
         acc_w, tok_w = overall_weighted(halves)
         assert acc_w == pytest.approx(whole.accuracy)
         assert tok_w == pytest.approx(whole.mean_tokens)
+
+    @pytest.mark.parametrize("answer", ["\\boxed{B}", "maybe 42"])
+    def test_bad_letter_gold_fails_at_load(self, tmp_path, answer):
+        # a bad gold is named by its line before any request is sent, whether
+        # or not the answers parse as letters
+        corpus = tmp_path / "gpqa.jsonl"
+        write_corpus(corpus, [Question(id=f"g{i}", text=f"pick {i}",
+                                       gold_answer="not-a-letter" if i == 1 else "A")
+                              for i in range(6)])
+
+        class CountingBackend:
+            name = "counting"
+            requests = 0
+
+            def send(self, prompt_text, c):
+                CountingBackend.requests += 1
+                return RawCompletion(answer, 5, [])
+
+        spec = registry_spec("gpqa_diamond", str(corpus))
+        with pytest.raises(ValueError) as info:
+            evaluate(spec, cfg(), CountingBackend())
+        assert str(info.value) == (f"{corpus}: line 2: gold answer 'not-a-letter' "
+                                   "is not a choice letter")
+        assert CountingBackend.requests == 0
 
     def test_choice_letter_eval(self, tmp_path):
         questions = [Question(id="g1", text="pick one", gold_answer="C")]

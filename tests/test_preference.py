@@ -126,6 +126,24 @@ class TestBuildDataset:
         samples, _ = build_dataset([pre], self.questions)
         assert samples[0].gold_label == "A"
 
+    def test_grades_only_chains_without_a_verdict(self, monkeypatch):
+        graded = []
+        real = verify.grade
+        monkeypatch.setattr(verify, "grade",
+                            lambda c, q: graded.append(c.question_id) or real(c, q))
+        pre = chain("q1", VANILLA, "999", verdict=verify.INCORRECT)
+        fresh = chain("q2", BATCH, "2")
+        samples, _ = build_dataset([pre, fresh], self.questions)
+        assert graded == ["q2"]
+        assert (pre.verdict, fresh.verdict) == (verify.INCORRECT, verify.CORRECT)
+        assert sorted(s.gold_label for s in samples) == ["B", "C"]
+
+    def test_unresolved_id_of_a_graded_chain_rejected(self):
+        with pytest.raises(ValueError, match="unknown question ids: \\['ghost'\\]"):
+            build_dataset([chain("q0", VANILLA, "0"),
+                           chain("ghost", VANILLA, "1", verdict=verify.CORRECT)],
+                          self.questions)
+
     def test_paired_mode(self):
         vanilla = [chain(f"q{i}", VANILLA, str(i)) for i in range(4)]
         batch = [chain(f"q{i}", BATCH, str(i)) for i in range(2)] + \

@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from batchcot import verify
+from batchcot.verify import CHOICE_LETTER, NUMERIC
 from batchcot.prompts import (
     BATCH,
     VANILLA,
@@ -113,10 +114,18 @@ class TestLoadQuestions:
         with pytest.raises(ValueError, match="not numeric"):
             load_questions(path)
 
+    def test_non_letter_gold_rejected(self, tmp_path):
+        path = tmp_path / "q.jsonl"
+        self.write(path, [{"id": "a", "text": "t", "gold_answer": "B"},
+                          {"id": "b", "text": "t", "gold_answer": "42"}])
+        with pytest.raises(ValueError) as info:
+            load_questions(path, answer_kind=CHOICE_LETTER)
+        assert str(info.value) == f"{path}: line 2: gold answer '42' is not a choice letter"
+
     def test_non_numeric_allowed_when_disabled(self, tmp_path):
         path = tmp_path / "q.jsonl"
         self.write(path, [{"id": "a", "text": "t", "gold_answer": "B"}])
-        assert len(load_questions(path, require_numeric=False)) == 1
+        assert len(load_questions(path, answer_kind=CHOICE_LETTER)) == 1
 
     def test_bad_json_line_diagnostic(self, tmp_path):
         path = tmp_path / "q.jsonl"
@@ -154,21 +163,21 @@ class TestLoadQuestions:
         question, = load_questions(path)
         assert (question.id, question.gold_answer) == ("2", "3")
 
-    @pytest.mark.parametrize("require_numeric", [True, False])
+    @pytest.mark.parametrize("numeric", [True, False])
     def test_gold_normalized_once_per_question_per_load(self, tmp_path, monkeypatch,
-                                                        require_numeric):
+                                                        numeric):
         calls = []
         real = verify.normalize_numeric
         monkeypatch.setattr(verify, "normalize_numeric",
                             lambda s: calls.append(s) or real(s))
-        golds = ["1/2", "0.50", "\\frac{3}{4}", "1,000", "7"]
-        if not require_numeric:
-            golds.append("B")
+        golds = (["1/2", "0.50", "\\frac{3}{4}", "1,000", "7"] if numeric
+                 else ["A", "b", "(C)", "\\boxed{D}"])
         path = tmp_path / "q.jsonl"
         self.write(path, [{"id": f"q{i}", "text": "t", "gold_answer": g}
                           for i, g in enumerate(golds)])
         for n in (1, 2):
-            questions = load_questions(path, require_numeric=require_numeric)
+            questions = load_questions(path, answer_kind=NUMERIC if numeric
+                                       else CHOICE_LETTER)
             # what the gold_number property computes for a Question built directly
             assert [q.gold_number for q in questions] == list(map(real, golds))
             assert calls == golds * n

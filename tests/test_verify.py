@@ -1,5 +1,6 @@
 import inspect
 import json
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -10,15 +11,19 @@ from batchcot import verify
 from batchcot.parsing import ChainOrigin, ReasoningChain
 from batchcot.prompts import VANILLA, Question, load_questions
 from batchcot.verify import (
+    CHOICE_LETTER,
     CORRECT,
     DECIMAL,
     INCORRECT,
     INTEGER,
+    NUMERIC,
     RATIONAL,
     UNPARSEABLE,
     CanonicalNumber,
     answers_equal,
     grade,
+    grade_chains,
+    grade_choice_letter,
     normalize_numeric,
     render,
 )
@@ -196,3 +201,60 @@ class TestGrade:
         verdicts = [grade(make_chain(p), q) for p in ("0.5", "2/4", "3")]
         assert verdicts == [CORRECT, CORRECT, INCORRECT]
         assert calls == ["1/2", "0.5", "2/4", "3"]
+
+
+class TestChoiceLetterGrading:
+    def test_plain_letter(self):
+        assert grade_choice_letter("B", "b") == CORRECT
+
+    def test_boxed_and_decorated(self):
+        assert grade_choice_letter("\\boxed{(C)}", "C") == CORRECT
+        assert grade_choice_letter("(a).", "A") == CORRECT
+
+    def test_wrong_letter(self):
+        assert grade_choice_letter("A", "D") == INCORRECT
+
+    def test_unparseable(self):
+        assert grade_choice_letter("maybe 42", "A") == UNPARSEABLE
+        assert grade_choice_letter(None, "A") == UNPARSEABLE
+
+    def test_bad_gold_rejected(self):
+        with pytest.raises(ValueError):
+            grade_choice_letter("A", "not-a-letter")
+
+
+# questions q0..q3 with numeric and letter golds; a chain may name the unknown q9
+GOLDS = {NUMERIC: ("42", "1/2", "0.75", "-3"), CHOICE_LETTER: ("A", "b", "(C)", "D")}
+PREDICTIONS = st.one_of(st.none(), st.sampled_from(
+    ["42", "0.5", "3/4", "-3", "7", "A", "B", "\\boxed{c}", "(d).", "x", ""]))
+
+
+class TestGradeChains:
+    @given(kind=st.sampled_from([NUMERIC, CHOICE_LETTER]),
+           picks=st.lists(st.tuples(st.sampled_from(["q0", "q1", "q2", "q3", "q9"]),
+                                    PREDICTIONS,
+                                    st.sampled_from([None, CORRECT, INCORRECT]))))
+    def test_verdicts_follow_the_rule_of_the_kind(self, kind, picks):
+        questions = [Question(id=f"q{i}", text="t", gold_answer=g)
+                     for i, g in enumerate(GOLDS[kind])]
+        chains = [ReasoningChain(question_id=qid, text="...",
+                                 origin=ChainOrigin(kind=VANILLA),
+                                 predicted_answer=predicted, verdict=verdict)
+                  for qid, predicted, verdict in picks]
+        before = [c.verdict for c in chains]
+        if any(c.question_id == "q9" for c in chains):
+            with pytest.raises(ValueError, match="unknown question ids: \\['q9'\\]"):
+                grade_chains(chains, questions, kind)
+            assert [c.verdict for c in chains] == before
+            return
+        counts = grade_chains(chains, questions, kind)
+        qmap = {q.id: q for q in questions}
+        for c in chains:
+            q = qmap[c.question_id]
+            assert c.verdict == (grade(c, q) if kind == NUMERIC else
+                                 grade_choice_letter(c.predicted_answer, q.gold_answer))
+        assert counts == Counter(c.verdict for c in chains)
+
+    def test_unknown_answer_kind_rejected(self):
+        with pytest.raises(ValueError, match="unknown answer kind"):
+            grade_chains([], [], "freeform")
