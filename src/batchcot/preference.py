@@ -75,7 +75,6 @@ def build_dataset(chains, questions, seed: int = 0, mode: str = PER_CHAIN):
             c for (qid, kind), c in sorted(first.items())
             if (qid, VANILLA) in first and (qid, BATCH) in first
         ]
-        chains.sort(key=lambda c: (c.question_id, c.origin.kind, c.origin.position))
 
     verify.grade_chains([c for c in chains if c.verdict is None], qmap.values())
     samples = []

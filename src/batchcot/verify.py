@@ -1,15 +1,16 @@
-"""Answer verification: both answer rules, and `grade_chains`, the grade stage.
+"""Answer verification: one verdict rule, `grade`, and `grade_chains`, the grade stage.
 
-A numeric answer is compared with exact integer/rational arithmetic only, so
-verdicts are platform-deterministic; a choice-letter answer (GPQA-Diamond) is
-one letter, compared case-blind. Every command's verdicts come from grade_chains.
+An answer normalizes to a plain value: a numeric answer to its exact
+`Fraction` (no float anywhere, so verdicts are platform-deterministic), a
+choice-letter answer (GPQA-Diamond) to its upper-case letter. `grade` compares
+the two values with `==` for both kinds, and every command's verdicts come from
+grade_chains.
 """
 
 from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -19,10 +20,6 @@ from batchcot.prompts import Question
 NUMERIC = "numeric"
 CHOICE_LETTER = "choice-letter"
 ANSWER_KINDS = (NUMERIC, CHOICE_LETTER)
-
-INTEGER = "integer"
-RATIONAL = "rational"
-DECIMAL = "decimal"
 
 CORRECT = "correct"
 INCORRECT = "incorrect"
@@ -35,19 +32,6 @@ _FRAC_RE = re.compile(r"^([+-]?)\\[dt]?frac\{([+-]?\d+)\}\{([+-]?\d+)\}$")
 _THOUSANDS_RE = re.compile(r"(?<=\d),(?=\d)")
 
 
-@dataclass(frozen=True)
-class CanonicalNumber:
-    kind: str  # INTEGER, RATIONAL or DECIMAL
-    value: Fraction
-    scale: int = 0  # digits after the point; meaningful for DECIMAL only
-
-    def __post_init__(self):
-        if self.kind not in (INTEGER, RATIONAL, DECIMAL):
-            raise ValueError(f"unknown number kind: {self.kind!r}")
-        if self.scale < 0:
-            raise ValueError("decimal scale must be >= 0")
-
-
 def _strip_boxed(s: str) -> str:
     """Remove one enclosing \\boxed{...} wrapper if it spans the whole string."""
     if s.startswith("\\boxed{"):
@@ -57,8 +41,8 @@ def _strip_boxed(s: str) -> str:
     return s
 
 
-def normalize_numeric(s: str) -> Optional[CanonicalNumber]:
-    """Parse a string into a canonical exact number, or None on failure."""
+def normalize_numeric(s: str) -> Optional[Fraction]:
+    """The exact number `s` names, or None on failure."""
     if s is None:
         return None
     s = s.strip()
@@ -71,25 +55,22 @@ def normalize_numeric(s: str) -> Optional[CanonicalNumber]:
     s = _THOUSANDS_RE.sub("", s)
 
     if _INT_RE.match(s):
-        return CanonicalNumber(kind=INTEGER, value=Fraction(int(s)))
+        return Fraction(int(s))
 
     m = _DEC_RE.match(s)
     if m:
         sign, whole, frac = m.groups()
-        scale = len(frac)
         unscaled = int((whole or "0") + frac)
         if sign == "-":
             unscaled = -unscaled
-        return CanonicalNumber(
-            kind=DECIMAL, value=Fraction(unscaled, 10 ** scale), scale=scale
-        )
+        return Fraction(unscaled, 10 ** len(frac))
 
     m = _SLASH_RE.match(s)
     if m:
         num, den = int(m.group(1)), int(m.group(2))
         if den == 0:
             return None
-        return CanonicalNumber(kind=RATIONAL, value=Fraction(num, den))
+        return Fraction(num, den)
 
     m = _FRAC_RE.match(s)
     if m:
@@ -100,45 +81,9 @@ def normalize_numeric(s: str) -> Optional[CanonicalNumber]:
         value = Fraction(num, den)
         if sign == "-":
             value = -value
-        return CanonicalNumber(kind=RATIONAL, value=value)
+        return value
 
     return None
-
-
-def render(c: CanonicalNumber) -> str:
-    """Canonical text rendering; normalize_numeric(render(c)) reproduces c's value."""
-    if c.kind == INTEGER:
-        return str(c.value.numerator)
-    if c.kind == RATIONAL:
-        return f"{c.value.numerator}/{c.value.denominator}"
-    sign = "-" if c.value < 0 else ""
-    unscaled = abs(c.value.numerator) * (10 ** c.scale) // c.value.denominator
-    digits = str(unscaled).rjust(c.scale + 1, "0")
-    if c.scale == 0:
-        return sign + digits
-    return f"{sign}{digits[:-c.scale]}.{digits[-c.scale:]}"
-
-
-def answers_equal(a: CanonicalNumber, b: CanonicalNumber) -> bool:
-    """Exact equality under integer/rational/decimal unification."""
-    return a.value == b.value
-
-
-def grade(chain: ReasoningChain, q: Question) -> str:
-    """Correctness verdict for a chain's predicted answer against the gold."""
-    if chain.question_id != q.id:
-        raise ValueError(
-            f"chain question id {chain.question_id!r} does not match {q.id!r}"
-        )
-    gold = q.gold_number
-    if gold is None:
-        raise ValueError(f"gold answer {q.gold_answer!r} is not numeric")
-    if chain.predicted_answer is None:
-        return UNPARSEABLE
-    predicted = normalize_numeric(chain.predicted_answer)
-    if predicted is None:
-        return UNPARSEABLE
-    return CORRECT if answers_equal(predicted, gold) else INCORRECT
 
 
 def normalize_letter(s) -> Optional[str]:
@@ -153,14 +98,24 @@ def normalize_letter(s) -> Optional[str]:
     return s if len(s) == 1 and s.isalpha() else None
 
 
-def grade_choice_letter(predicted, gold) -> str:
-    p = normalize_letter(predicted)
-    if p is None:
+def grade(chain: ReasoningChain, q: Question, answer_kind: str = NUMERIC) -> str:
+    """Correctness verdict for a chain's predicted answer against the gold:
+    both normalize by the rule of `answer_kind`, and are compared with ==."""
+    if chain.question_id != q.id:
+        raise ValueError(
+            f"chain question id {chain.question_id!r} does not match {q.id!r}"
+        )
+    if answer_kind == NUMERIC:
+        normalize, gold, what = normalize_numeric, q.gold_number, "numeric"
+    else:
+        normalize, what = normalize_letter, "a choice letter"
+        gold = normalize_letter(q.gold_answer)
+    if gold is None:
+        raise ValueError(f"gold answer {q.gold_answer!r} is not {what}")
+    predicted = normalize(chain.predicted_answer)
+    if predicted is None:
         return UNPARSEABLE
-    g = normalize_letter(gold)
-    if g is None:
-        raise ValueError(f"gold choice letter {gold!r} is not a single letter")
-    return CORRECT if p == g else INCORRECT
+    return CORRECT if predicted == gold else INCORRECT
 
 
 def question_map(chains, questions) -> dict:
@@ -179,7 +134,5 @@ def grade_chains(chains, questions, answer_kind: str = NUMERIC) -> Counter:
         raise ValueError(f"unknown answer kind: {answer_kind!r}")
     qmap = question_map(chains, questions)
     for chain in chains:
-        q = qmap[chain.question_id]
-        chain.verdict = (grade(chain, q) if answer_kind == NUMERIC else
-                         grade_choice_letter(chain.predicted_answer, q.gold_answer))
+        chain.verdict = grade(chain, qmap[chain.question_id], answer_kind)
     return Counter(chain.verdict for chain in chains)

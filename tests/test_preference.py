@@ -130,7 +130,7 @@ class TestBuildDataset:
         graded = []
         real = verify.grade
         monkeypatch.setattr(verify, "grade",
-                            lambda c, q: graded.append(c.question_id) or real(c, q))
+                            lambda c, q, kind: graded.append(c.question_id) or real(c, q, kind))
         pre = chain("q1", VANILLA, "999", verdict=verify.INCORRECT)
         fresh = chain("q2", BATCH, "2")
         samples, _ = build_dataset([pre, fresh], self.questions)

@@ -13,57 +13,42 @@ from batchcot.prompts import VANILLA, Question, load_questions
 from batchcot.verify import (
     CHOICE_LETTER,
     CORRECT,
-    DECIMAL,
     INCORRECT,
-    INTEGER,
     NUMERIC,
-    RATIONAL,
     UNPARSEABLE,
-    CanonicalNumber,
-    answers_equal,
     grade,
     grade_chains,
-    grade_choice_letter,
+    normalize_letter,
     normalize_numeric,
-    render,
 )
-
-
-def norm(s):
-    c = normalize_numeric(s)
-    assert c is not None, f"expected {s!r} to parse"
-    return c
 
 
 class TestNormalize:
     def test_frac(self):
-        c = norm("\\frac{1}{2}")
-        assert c.kind == RATIONAL and c.value == Fraction(1, 2)
+        assert normalize_numeric("\\frac{1}{2}") == Fraction(1, 2)
 
     def test_thousands_commas(self):
-        c = norm("1,234")
-        assert c.kind == INTEGER and c.value == 1234
+        assert normalize_numeric("1,234") == 1234
 
     def test_non_numeric(self):
         assert normalize_numeric("half") is None
 
     def test_decimal(self):
-        c = norm("0.50")
-        assert c.kind == DECIMAL and c.value == Fraction(1, 2) and c.scale == 2
+        assert normalize_numeric("0.50") == Fraction(1, 2)
 
     def test_slash(self):
-        assert norm("3/4").value == Fraction(3, 4)
+        assert normalize_numeric("3/4") == Fraction(3, 4)
 
     def test_negative_frac(self):
-        assert norm("-\\frac{3}{4}").value == Fraction(-3, 4)
+        assert normalize_numeric("-\\frac{3}{4}") == Fraction(-3, 4)
 
     def test_dollar_percent_period(self):
-        assert norm("$42.").value == 42
-        assert norm("15%").value == 15
+        assert normalize_numeric("$42.") == 42
+        assert normalize_numeric("15%") == 15
 
     def test_boxed_wrapper(self):
-        assert norm("\\boxed{7}").value == 7
-        assert norm("\\boxed{\\frac{1}{2}}").value == Fraction(1, 2)
+        assert normalize_numeric("\\boxed{7}") == 7
+        assert normalize_numeric("\\boxed{\\frac{1}{2}}") == Fraction(1, 2)
 
     @pytest.mark.parametrize("text", ["\\boxed {7}", "\\boxed{7}{8}", "\\boxed{{7}",
                                       "\\boxed{7}}", "\\boxed{7"])
@@ -71,10 +56,10 @@ class TestNormalize:
         assert normalize_numeric(text) is None
 
     def test_leading_plus(self):
-        assert norm("+5").value == 5
+        assert normalize_numeric("+5") == 5
 
     def test_negative_decimal(self):
-        assert norm("-0.25").value == Fraction(-1, 4)
+        assert normalize_numeric("-0.25") == Fraction(-1, 4)
 
     def test_scientific_rejected(self):
         assert normalize_numeric("1e5") is None
@@ -85,75 +70,70 @@ class TestNormalize:
         assert normalize_numeric("\\frac{1}{0}") is None
 
     def test_rational_lowest_terms_positive_denominator(self):
-        c = norm("14/-4")
-        assert c.value.denominator == 2 and c.value.numerator == -7
+        c = normalize_numeric("14/-4")
+        assert type(c) is Fraction and (c.numerator, c.denominator) == (-7, 2)
 
     def test_idempotent_on_rendering(self):
+        # a Fraction's own str is a surface form normalize_numeric reads back
         for s in ("\\frac{6}{8}", "1,234", "0.500", "-17", "2/4"):
-            c = norm(s)
-            again = norm(render(c))
-            assert answers_equal(c, again)
+            c = normalize_numeric(s)
+            assert normalize_numeric(str(c)) == c
 
 
 class TestAnswersEqual:
     def test_decimal_vs_rational(self):
-        assert answers_equal(norm("0.5"), norm("\\frac{1}{2}"))
+        assert normalize_numeric("0.5") == normalize_numeric("\\frac{1}{2}")
 
     def test_integer_vs_unreduced_rational(self):
-        assert answers_equal(norm("7"), norm("14/2"))
+        assert normalize_numeric("7") == normalize_numeric("14/2")
 
     def test_exactness(self):
-        assert not answers_equal(norm("0.3333"), norm("\\frac{1}{3}"))
+        assert normalize_numeric("0.3333") != normalize_numeric("\\frac{1}{3}")
 
     def test_no_float_in_equality_path(self):
         # grading must stay exact: no float conversion anywhere in the path
-        for fn in (answers_equal, normalize_numeric, grade, render):
+        for fn in (normalize_numeric, grade):
             source = inspect.getsource(fn)
             assert "float(" not in source
             assert "math." not in source
 
-    def test_canonical_number_validation(self):
-        with pytest.raises(ValueError):
-            CanonicalNumber(kind="complex", value=Fraction(1))
-        with pytest.raises(ValueError):
-            CanonicalNumber(kind=DECIMAL, value=Fraction(1), scale=-1)
-
-
-rationals = st.fractions(
-    min_value=Fraction(-10 ** 6), max_value=Fraction(10 ** 6), max_denominator=1000
-)
-
 
 @st.composite
-def canonical_numbers(draw):
+def exact_values(draw):
+    """An integer, a terminating decimal or a rational, as a Fraction."""
     choice = draw(st.integers(0, 2))
     if choice == 0:
-        return CanonicalNumber(kind=INTEGER, value=Fraction(draw(st.integers(-10 ** 9, 10 ** 9))))
+        return Fraction(draw(st.integers(-10 ** 9, 10 ** 9)))
     if choice == 1:
-        return CanonicalNumber(kind=RATIONAL, value=draw(rationals))
-    scale = draw(st.integers(0, 6))
-    unscaled = draw(st.integers(-10 ** 9, 10 ** 9))
-    return CanonicalNumber(kind=DECIMAL, value=Fraction(unscaled, 10 ** scale), scale=scale)
+        return Fraction(draw(st.integers(-10 ** 9, 10 ** 9)), 10 ** draw(st.integers(0, 6)))
+    return draw(st.fractions(min_value=Fraction(-10 ** 6), max_value=Fraction(10 ** 6),
+                             max_denominator=1000))
 
 
-class TestEquivalenceRelation:
-    @given(canonical_numbers())
-    def test_reflexive(self, a):
-        assert answers_equal(a, a)
+def surface_forms(v, trailing_zeros):
+    """Every way the suite writes `v`: n/d, \\frac, -\\frac, a comma-grouped
+    integer, and a terminating decimal padded with `trailing_zeros` zeros."""
+    n, d = v.numerator, v.denominator
+    forms = [f"{n}/{d}", f"\\frac{{{n}}}{{{d}}}", f"-\\frac{{{-n}}}{{{d}}}"]
+    if d == 1:
+        forms.append(f"{n:,}")
+    scale = next((k for k in range(12) if 10 ** k % d == 0), None)
+    if scale is not None:
+        scale += trailing_zeros
+        digits = str(abs(n) * 10 ** scale // d).rjust(scale + 1, "0")
+        forms.append(f"{'-' if n < 0 else ''}{digits[:-scale]}.{digits[-scale:]}")
+    return forms
 
-    @given(canonical_numbers(), canonical_numbers())
-    def test_symmetric(self, a, b):
-        assert answers_equal(a, b) == answers_equal(b, a)
 
-    @given(canonical_numbers(), canonical_numbers(), canonical_numbers())
-    def test_transitive(self, a, b, c):
-        if answers_equal(a, b) and answers_equal(b, c):
-            assert answers_equal(a, c)
+WRAPPERS = (lambda s: s, lambda s: f"\\boxed{{{s}}}", lambda s: f"${s}$", lambda s: f"{s}%")
 
-    @given(canonical_numbers())
-    def test_render_roundtrip(self, a):
-        back = normalize_numeric(render(a))
-        assert back is not None and answers_equal(a, back)
+
+class TestSurfaceForms:
+    @given(exact_values(), st.integers(1, 3), st.sampled_from(WRAPPERS))
+    def test_every_surface_form_normalizes_to_its_value(self, v, trailing_zeros, wrap):
+        for form in surface_forms(v, trailing_zeros):
+            got = normalize_numeric(wrap(form))
+            assert type(got) is Fraction and got == v, wrap(form)
 
 
 def make_chain(predicted, qid="q1"):
@@ -203,24 +183,34 @@ class TestGrade:
         assert calls == ["1/2", "0.5", "2/4", "3"]
 
 
+def grade_letter(predicted, gold):
+    return grade(make_chain(predicted), Question(id="q1", text="t", gold_answer=gold),
+                 CHOICE_LETTER)
+
+
 class TestChoiceLetterGrading:
     def test_plain_letter(self):
-        assert grade_choice_letter("B", "b") == CORRECT
+        assert grade_letter("B", "b") == CORRECT
 
     def test_boxed_and_decorated(self):
-        assert grade_choice_letter("\\boxed{(C)}", "C") == CORRECT
-        assert grade_choice_letter("(a).", "A") == CORRECT
+        assert grade_letter("\\boxed{(C)}", "C") == CORRECT
+        assert grade_letter("(a).", "A") == CORRECT
 
     def test_wrong_letter(self):
-        assert grade_choice_letter("A", "D") == INCORRECT
+        assert grade_letter("A", "D") == INCORRECT
 
     def test_unparseable(self):
-        assert grade_choice_letter("maybe 42", "A") == UNPARSEABLE
-        assert grade_choice_letter(None, "A") == UNPARSEABLE
+        assert grade_letter("maybe 42", "A") == UNPARSEABLE
+        assert grade_letter(None, "A") == UNPARSEABLE
 
     def test_bad_gold_rejected(self):
-        with pytest.raises(ValueError):
-            grade_choice_letter("A", "not-a-letter")
+        with pytest.raises(ValueError, match="'not-a-letter' is not a choice letter"):
+            grade_letter("A", "not-a-letter")
+
+    def test_mismatched_id_rejected(self):
+        q = Question(id="q1", text="t", gold_answer="A")
+        with pytest.raises(ValueError, match="does not match"):
+            grade(make_chain("A", qid="other"), q, CHOICE_LETTER)
 
 
 # questions q0..q3 with numeric and letter golds; a chain may name the unknown q9
@@ -248,12 +238,23 @@ class TestGradeChains:
             assert [c.verdict for c in chains] == before
             return
         counts = grade_chains(chains, questions, kind)
-        qmap = {q.id: q for q in questions}
+        # the oracle: both sides normalize by the rule of the kind, then ==
+        normalize = normalize_numeric if kind == NUMERIC else normalize_letter
+        golds = {q.id: normalize(q.gold_answer) for q in questions}
         for c in chains:
-            q = qmap[c.question_id]
-            assert c.verdict == (grade(c, q) if kind == NUMERIC else
-                                 grade_choice_letter(c.predicted_answer, q.gold_answer))
+            predicted = normalize(c.predicted_answer)
+            assert c.verdict == (UNPARSEABLE if predicted is None else
+                                 CORRECT if predicted == golds[c.question_id] else
+                                 INCORRECT)
         assert counts == Counter(c.verdict for c in chains)
+
+    @pytest.mark.parametrize("predicted", [None, "maybe 42", "B"])
+    def test_bad_letter_gold_raises_whatever_the_prediction(self, predicted):
+        # a gold that is no letter is a corpus fault, as a non-numeric gold
+        # is, even when the prediction is unparseable
+        q = Question(id="q1", text="t", gold_answer="not-a-letter")
+        with pytest.raises(ValueError, match="'not-a-letter' is not a choice letter"):
+            grade_chains([make_chain(predicted)], [q], CHOICE_LETTER)
 
     def test_unknown_answer_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown answer kind"):
