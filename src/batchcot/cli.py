@@ -115,16 +115,18 @@ def cmd_gen(args):
         for k in args.batch_size:
             records, failures = complete_groups(questions, k, cfg, backend,
                                                 args.seed, args.group)
-            request_failures += failures
+            request_failures += len(failures)
             out_path = os.path.join(args.out_dir, f"completions_k{k}.jsonl")
             write_completions(out_path, records)
             outputs.append(out_path)
             mode = "vanilla" if k == 1 else f"batch-{k}"
             print(f"{mode}: {len(records)} completions, "
                   f"mean tokens/question = {tokens_per_question(records):.2f}, "
-                  f"failures = {failures}")
+                  f"failures = {len(failures)}")
     return {"config": _config_snapshot(cfg), "inputs": [args.questions],
-            "outputs": outputs, "exclusions": {"request_failures": request_failures},
+            "outputs": outputs,
+            "exclusions": {"request_failures": request_failures,
+                           "ungrouped": sum(len(questions) % k for k in args.batch_size)},
             "group": args.group, "batch_sizes": args.batch_size}
 
 
@@ -245,7 +247,8 @@ def cmd_batch_experiment(args):
     return {"config": _config_snapshot(cfg), "inputs": [args.questions],
             "outputs": [rows_path, table_path],
             "exclusions": {"request_failures": sum(r.n_failures for r in rows),
-                           "unsplittable": sum(r.n_unsplittable for r in rows)},
+                           "unsplittable": sum(r.n_unsplittable for r in rows),
+                           "ungrouped": sum(len(questions) % k for k in args.batch_size)},
             "group": args.group, "batch_sizes": args.batch_size}
 
 

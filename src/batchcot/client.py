@@ -12,7 +12,8 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from functools import cached_property
+from typing import NamedTuple, Optional, Sequence
 from urllib.parse import urlsplit
 
 from batchcot import parsing, verify
@@ -57,9 +58,9 @@ class EndpointConfig:
     timeout: float = 120.0
     max_retries: int = 3
     max_concurrent: int = 4
-    temperature: float = 0.6
-    max_tokens: int = 32768
-    seed: Optional[int] = None
+    temperature: float = SamplingParams.temperature
+    max_tokens: int = SamplingParams.max_tokens
+    seed: Optional[int] = SamplingParams.seed
 
     def __post_init__(self):
         if self.max_concurrent < 1:
@@ -73,16 +74,20 @@ class EndpointConfig:
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
 
+    @cached_property
     def sampling(self) -> SamplingParams:
+        """Built on first use and kept: the records of this config share it."""
         return SamplingParams(
             temperature=self.temperature, max_tokens=self.max_tokens, seed=self.seed
         )
 
 
 class RawCompletion(NamedTuple):
+    """A backend's answer to one prompt, with its per-attempt log."""
+
     text: str
     completion_tokens: Optional[int]
-    attempts: list
+    attempts: Sequence[dict]
 
 
 def fingerprint(prompt_text: str) -> str:
@@ -90,19 +95,16 @@ def fingerprint(prompt_text: str) -> str:
     return hashlib.sha256(prompt_text.encode("utf-8")).hexdigest()[:32]
 
 
-class MockResponse(NamedTuple):
-    text: str
-    tokens: Optional[int] = None
-
-
-_UNMATCHED = MockResponse("\\boxed{0}")
+# The attempt log of every mock response: one successful attempt.
+_MOCK_ATTEMPTS = ({"attempt": 1, "status": 200},)
+_UNMATCHED = RawCompletion("\\boxed{0}", None, _MOCK_ATTEMPTS)
 
 
 class MockBackend:
     """In-process scripted engine keyed by prompt fingerprint; no network involved.
 
     Unmatched prompts get `\\boxed{0}`; the same fingerprint always yields the
-    same response.
+    same stored RawCompletion object.
     """
 
     name = "mock"
@@ -111,9 +113,10 @@ class MockBackend:
         self.responses = dict(responses or {})
 
     def add(self, prompt_text: str, text: str, tokens: Optional[int] = None):
-        self.responses[fingerprint(prompt_text)] = MockResponse(text, tokens)
+        self.responses[fingerprint(prompt_text)] = RawCompletion(text, tokens,
+                                                                 _MOCK_ATTEMPTS)
 
-    def lookup(self, prompt_text: str) -> MockResponse:
+    def lookup(self, prompt_text: str) -> RawCompletion:
         return self.responses.get(fingerprint(prompt_text), _UNMATCHED)
 
     @classmethod
@@ -149,13 +152,11 @@ class MockBackend:
                     tokens = int(fh.read().strip())
                     if tokens < 0:
                         raise ValueError(f"token count {tokens} is negative")
-            responses[fp] = MockResponse(text, tokens)
+            responses[fp] = RawCompletion(text, tokens, _MOCK_ATTEMPTS)
         return cls(responses=responses)
 
     def send(self, prompt_text: str, cfg: EndpointConfig) -> RawCompletion:
-        response = self.lookup(prompt_text)
-        return RawCompletion(response.text, response.tokens,
-                             [{"attempt": 1, "status": 200}])
+        return self.lookup(prompt_text)
 
     def close(self):
         """Nothing to release: the engine holds no connections."""
@@ -323,56 +324,50 @@ def _header_text(text: str) -> bool:
     return text.isascii() and text.isprintable() and " " not in text
 
 
-def complete(envelope: PromptEnvelope, cfg: EndpointConfig, backend,
-             sampling: Optional[SamplingParams] = None) -> CompletionRecord:
-    """One chat completion for a prompt envelope.
-
-    `sampling` is cfg.sampling(), which a caller completing many envelopes
-    passes in once built.
-    """
+def complete(envelope: PromptEnvelope, cfg: EndpointConfig, backend) -> CompletionRecord:
+    """One chat completion for a prompt envelope."""
     raw = backend.send(envelope.text, cfg)
     return CompletionRecord(
         envelope=envelope,
         raw_text=raw.text,
         counted_tokens=parsing.count_tokens(raw.text),
         reported_tokens=raw.completion_tokens,
-        sampling=cfg.sampling() if sampling is None else sampling,
+        sampling=cfg.sampling,
         endpoint=backend.name,
     )
 
 
-def complete_many(envelopes, cfg: EndpointConfig, backend) -> list:
-    """Completions of every envelope, in input order.
+def complete_many(envelopes, cfg: EndpointConfig, backend):
+    """(records, failures) of every envelope, each list in input order.
 
-    Up to cfg.max_concurrent requests are in flight at once, except on a
-    MockBackend: it does no I/O, so it answers in the calling thread, where
-    a worker thread would only add a hand-off per request. Failures are
-    returned in place as exception objects, never raised here.
+    A request that fails gives its TransportError or RequestError to
+    `failures`; none is raised here. Up to cfg.max_concurrent requests are
+    in flight at once, except on a MockBackend: it does no I/O, so it
+    answers in the calling thread, where a worker thread would only add a
+    hand-off per request.
     """
-    sampling = cfg.sampling()  # frozen, so every record can share it
-
     def one(envelope):
         try:
-            return complete(envelope, cfg, backend, sampling)
+            return complete(envelope, cfg, backend)
         except (TransportError, RequestError) as exc:
             return exc
 
     if isinstance(backend, MockBackend):
-        return [one(envelope) for envelope in envelopes]
-    with ThreadPoolExecutor(max_workers=cfg.max_concurrent) as pool:
-        return list(pool.map(one, envelopes))
+        results = [one(envelope) for envelope in envelopes]
+    else:
+        with ThreadPoolExecutor(max_workers=cfg.max_concurrent) as pool:
+            results = list(pool.map(one, envelopes))
+    records, failures = [], []
+    for result in results:
+        (failures if isinstance(result, Exception) else records).append(result)
+    return records, failures
 
 
 def complete_groups(questions, k: int, cfg: EndpointConfig, backend,
                     seed: int = 0, group: str = "random"):
-    """Completions of every batch-k group of the corpus, in group order.
-
-    Returns (records, n_failures): failed requests are counted, not kept.
-    """
+    """(records, failures) of every batch-k group of the corpus, in group order."""
     groups = shuffle_and_group(questions, k, seed=seed, group=group)
-    results = complete_many([build_prompt(g) for g in groups], cfg, backend)
-    records = [r for r in results if not isinstance(r, Exception)]
-    return records, len(results) - len(records)
+    return complete_many([build_prompt(g) for g in groups], cfg, backend)
 
 
 def tokens_per_question(records) -> float:
@@ -421,14 +416,14 @@ def run_batch_experiment(questions, batch_sizes, cfg: EndpointConfig, backend,
         raise ValueError("batch sizes must all be >= 1")
     rows = []
     for k in batch_sizes:
-        records, n_failures = complete_groups(questions, k, cfg, backend, seed, group)
+        records, failures = complete_groups(questions, k, cfg, backend, seed, group)
         chains, unsplittable = split_completions(records)
         graded = chains + [c for r in unsplittable for c in _block_chains(r)]
         n_correct = verify.grade_chains(graded, questions)[verify.CORRECT]
         split_tokens = [c.token_count for c in chains]
         rows.append(ExperimentRow(
             batch_size=k,
-            n_groups=len(records) + n_failures,
+            n_groups=len(records) + len(failures),
             n_questions=len(questions),
             n_graded=len(graded),
             accuracy=n_correct / len(graded) if graded else 0.0,
@@ -436,7 +431,7 @@ def run_batch_experiment(questions, batch_sizes, cfg: EndpointConfig, backend,
             mean_tokens_split=(
                 sum(split_tokens) / len(split_tokens) if split_tokens else None
             ),
-            n_failures=n_failures,
+            n_failures=len(failures),
             n_unsplittable=len(unsplittable),
         ))
     return rows

@@ -76,8 +76,7 @@ def evaluate(spec: BenchmarkSpec, cfg: EndpointConfig, backend):
 
     envelopes = [build_single_prompt(q) for q in questions
                  for _ in range(spec.samples_per_question)]
-    completions = [r for r in complete_many(envelopes, cfg, backend)
-                   if not isinstance(r, Exception)]
+    completions, failures = complete_many(envelopes, cfg, backend)
     chains, _ = split_completions(completions)
     n_correct = verify.grade_chains(chains, questions, spec.answer_kind)[verify.CORRECT]
     records = [{"question_id": c.question_id, "predicted_answer": c.predicted_answer,
@@ -91,7 +90,7 @@ def evaluate(spec: BenchmarkSpec, cfg: EndpointConfig, backend):
         mean_tokens=sum(r["tokens"] for r in records) / n_samples if n_samples else 0.0,
         n_questions=len(questions),
         n_samples=n_samples,
-        exclusions=len(envelopes) - n_samples,
+        exclusions=len(failures),
     )
     return records, aggregate
 

@@ -34,7 +34,7 @@ class Question:
     def gold_number(self):
         """verify.normalize_numeric of the gold answer, computed once per Question.
 
-        load_questions sets it as it validates the gold answer.
+        load_questions computes it as it validates a numeric gold answer.
         """
         # imported here: verify imports prompts
         from batchcot.verify import normalize_numeric
@@ -118,10 +118,10 @@ def load_questions(path, answer_kind: str = "numeric") -> list:
     """Read a Question corpus from JSONL, validating each question's fields.
 
     Each gold answer is checked by the rule of `answer_kind`, verify.NUMERIC or
-    CHOICE_LETTER, and normalized once: a loaded Question carries its gold_number.
+    CHOICE_LETTER; a numeric gold is normalized once, into its gold_number.
     """
     # imported here: verify imports prompts
-    from batchcot.verify import NUMERIC, normalize_letter, normalize_numeric
+    from batchcot.verify import NUMERIC, normalize_letter
 
     questions = []
     seen = set()
@@ -159,22 +159,22 @@ def load_questions(path, answer_kind: str = "numeric") -> list:
                 )
             q = Question(id=qid, text=text, gold_answer=str(obj["gold_answer"]),
                          source=source)
-            gold = normalize_numeric(q.gold_answer)
-            if answer_kind == NUMERIC and gold is None:
+            if answer_kind == NUMERIC and q.gold_number is None:
                 raise ValueError(f"{path}: line {lineno}: gold answer "
                                  f"{q.gold_answer!r} is not numeric")
             if answer_kind != NUMERIC and normalize_letter(q.gold_answer) is None:
                 raise ValueError(f"{path}: line {lineno}: gold answer "
                                  f"{q.gold_answer!r} is not a choice letter")
-            # what the gold_number property would compute; a frozen dataclass
-            # takes it as dataclasses' own __init__ sets a field
-            object.__setattr__(q, "gold_number", gold)
             questions.append(q)
     return questions
 
 
 def shuffle_and_group(questions, k: int, seed: int = 0, group: str = "random"):
-    """Partition a corpus into groups of k; leftovers form a final smaller group."""
+    """The full groups of k questions of a corpus.
+
+    The len(questions) % k questions left over (the last ones, after any
+    shuffle) form no group, so a batch-k run does not send them.
+    """
     if k < 1:
         raise ValueError("group size must be >= 1")
     if group not in ("random", "sequential"):
@@ -182,4 +182,4 @@ def shuffle_and_group(questions, k: int, seed: int = 0, group: str = "random"):
     qs = list(questions)
     if group == "random":
         random.Random(seed).shuffle(qs)
-    return [qs[i:i + k] for i in range(0, len(qs), k)]
+    return [qs[i:i + k] for i in range(0, len(qs) - k + 1, k)]

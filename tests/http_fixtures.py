@@ -45,7 +45,7 @@ def mock_http_server(script: MockBackend, host: str = "127.0.0.1", port: int = 0
                 self.close_connection = True
                 return
             response = script.lookup(prompt_text)
-            tokens = (response.tokens if response.tokens is not None
+            tokens = (response.completion_tokens if response.completion_tokens is not None
                       else count_tokens(response.text))
             payload = json.dumps({
                 "choices": [{"message": {"role": "assistant",

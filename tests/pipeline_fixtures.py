@@ -80,9 +80,9 @@ def write_script_dir(script, path):
     for fp, response in script.responses.items():
         with open(os.path.join(path, fp + ".txt"), "w", encoding="utf-8") as fh:
             fh.write(response.text)
-        if response.tokens is not None:
+        if response.completion_tokens is not None:
             with open(os.path.join(path, fp + ".tokens"), "w", encoding="utf-8") as fh:
-                fh.write(str(response.tokens))
+                fh.write(str(response.completion_tokens))
 
 
 def expected_label_counts(n=N_QUESTIONS, batch_sizes=(1, 2, 3)):

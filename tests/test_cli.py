@@ -54,7 +54,7 @@ class TestGen:
             path = workspace["gen"] / f"completions_k{k}.jsonl"
             assert path.exists()
             lines = path.read_text().splitlines()
-            expected = pf.N_QUESTIONS if k == 1 else -(-pf.N_QUESTIONS // k)
+            expected = pf.N_QUESTIONS // k
             assert len(lines) == expected
         assert (workspace["gen"] / "manifest.json").exists()
 
@@ -69,6 +69,20 @@ class TestGen:
             after = (workspace["gen"] / f"completions_k{k}.jsonl").read_bytes()
             assert after == before[k]
 
+    def test_leftover_questions_not_sent(self, tmp_path, capsys):
+        # 9 questions at k=4: two batches, and the ninth question goes nowhere,
+        # not into a one-question vanilla prompt
+        corpus, mock, out = tmp_path / "questions.jsonl", tmp_path / "mock", tmp_path / "gen"
+        write_corpus(corpus, pf.make_corpus(9))
+        mock.mkdir()
+        assert main(["gen", "--questions", str(corpus), "--out-dir", str(out),
+                     "--batch-size", "4", "--mock", str(mock)]) == 0
+        rows = [json.loads(line)
+                for line in (out / "completions_k4.jsonl").read_text().splitlines()]
+        assert [row["envelope"]["mode"] for row in rows] == ["batch", "batch"]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["exclusions"] == {"request_failures": 0, "ungrouped": 1}
+
     def test_manifest_contents(self, workspace):
         manifest = json.loads((workspace["gen"] / "manifest.json").read_text())
         assert manifest["command"] == "gen"
@@ -76,7 +90,7 @@ class TestGen:
         assert manifest["batch_sizes"] == [1, 2, 3]
         assert str(workspace["corpus"]) in manifest["inputs"]
         assert manifest["tool_version"]
-        assert manifest["exclusions"] == {"request_failures": 0}
+        assert manifest["exclusions"] == {"request_failures": 0, "ungrouped": 0}
 
     def test_manifest_counts_request_failures(self, workspace, tmp_path, capsys):
         with socket.socket() as sock:
@@ -89,8 +103,8 @@ class TestGen:
                      "--max-retries", "0"]) == 0
         capsys.readouterr()
         manifest = json.loads((out / "manifest.json").read_text())
-        n_envelopes = pf.N_QUESTIONS + -(-pf.N_QUESTIONS // 3)
-        assert manifest["exclusions"] == {"request_failures": n_envelopes}
+        n_envelopes = pf.N_QUESTIONS + pf.N_QUESTIONS // 3
+        assert manifest["exclusions"] == {"request_failures": n_envelopes, "ungrouped": 0}
 
 
 ENDPOINT_CONFIG = {"base_url": "", "max_concurrent": 4, "max_retries": 3,
@@ -105,7 +119,7 @@ MANIFEST_RUNS = {
          "--batch-size", "1", "--batch-size", "2", "--seed", "4", "--mock", "mock"],
         "gen/manifest.json",
         {"batch_sizes": [1, 2], "config": ENDPOINT_CONFIG,
-         "exclusions": {"request_failures": 0}, "group": "random",
+         "exclusions": {"request_failures": 0, "ungrouped": 0}, "group": "random",
          "inputs": ["questions.jsonl"],
          "outputs": ["gen/completions_k1.jsonl", "gen/completions_k2.jsonl"], "seed": 4},
     ),
@@ -157,7 +171,8 @@ MANIFEST_RUNS = {
          "--batch-size", "1", "--batch-size", "2", "--seed", "4", "--mock", "mock"],
         "exp/manifest.json",
         {"batch_sizes": [1, 2], "config": ENDPOINT_CONFIG,
-         "exclusions": {"request_failures": 0, "unsplittable": 0}, "group": "random",
+         "exclusions": {"request_failures": 0, "ungrouped": 0, "unsplittable": 0},
+         "group": "random",
          "inputs": ["questions.jsonl"],
          "outputs": ["exp/experiment.jsonl", "exp/experiment.txt"], "seed": 4},
     ),
@@ -273,6 +288,18 @@ class TestBatchExperiment:
         assert tokens[0] > tokens[1] > tokens[2]
         assert (out / "experiment.txt").exists()
         assert "Vanilla" in capsys.readouterr().out
+
+    def test_ungrouped_summed_over_batch_sizes(self, tmp_path, capsys):
+        corpus, mock, out = tmp_path / "questions.jsonl", tmp_path / "mock", tmp_path / "exp"
+        write_corpus(corpus, pf.make_corpus(9))
+        mock.mkdir()
+        assert main(["batch-experiment", "--questions", str(corpus), "--out-dir", str(out),
+                     "--batch-size", "2", "--batch-size", "4", "--mock", str(mock)]) == 0
+        rows = [json.loads(line)
+                for line in (out / "experiment.jsonl").read_text().splitlines()]
+        assert [(r["n_groups"], r["n_graded"]) for r in rows] == [(4, 8), (2, 8)]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["exclusions"]["ungrouped"] == 1 + 1
 
 
 def run_split_grade_and_experiment(tmp_path, questions, script, k):
@@ -537,7 +564,7 @@ class TestKeepAliveEndpoint:
                          "--out-dir", str(tmp_path), "--batch-size", "1",
                          "--batch-size", "3", "--group", "sequential"], endpoint) == 0
         manifest = json.loads((tmp_path / "manifest.json").read_text())
-        assert manifest["exclusions"] == {"request_failures": 2}
+        assert manifest["exclusions"] == {"request_failures": 2, "ungrouped": 0}
 
     def test_eval(self, workspace, endpoint, tmp_path, capsys):
         assert self.run(["eval", "--benchmark", "gsm8k", "--corpus",
@@ -551,7 +578,8 @@ class TestKeepAliveEndpoint:
                          "--out-dir", str(tmp_path), "--batch-size", "1",
                          "--batch-size", "3", "--group", "sequential"], endpoint) == 0
         manifest = json.loads((tmp_path / "manifest.json").read_text())
-        assert manifest["exclusions"] == {"request_failures": 2, "unsplittable": 0}
+        assert manifest["exclusions"] == {"request_failures": 2, "ungrouped": 0,
+                                          "unsplittable": 0}
 
     @pytest.mark.parametrize("command", ["eval", "batch-experiment"])
     def test_command_failing_after_its_requests(self, workspace, endpoint, tmp_path,

@@ -32,6 +32,7 @@ from batchcot.client import (
 )
 from batchcot.cli import main
 from batchcot.harness import BenchmarkSpec, evaluate
+from batchcot.parsing import SamplingParams
 from batchcot.prompts import Question, build_prompt, build_single_prompt, shuffle_and_group
 
 
@@ -53,6 +54,7 @@ class TestEndpointConfig:
         c = EndpointConfig()
         assert c.temperature == 0.6
         assert c.max_tokens == 32768
+        assert c.sampling == SamplingParams()
 
 
 class TestMockEngine:
@@ -80,8 +82,15 @@ class TestMockEngine:
         script.add("prompt two", "resp two")
         pf.write_script_dir(script, tmp_path / "m")
         loaded = MockBackend.from_dir(tmp_path / "m")
-        assert loaded.lookup("prompt one") == ("resp one", 5)
-        assert loaded.lookup("prompt two") == ("resp two", None)
+        assert loaded.lookup("prompt one")[:2] == ("resp one", 5)
+        assert loaded.lookup("prompt two")[:2] == ("resp two", None)
+
+    def test_send_returns_the_stored_completion(self):
+        backend = MockBackend()
+        backend.add("prompt", "stored \\boxed{1}", tokens=3)
+        first = backend.send("prompt", cfg())
+        assert first is backend.send("prompt", cfg()) is backend.lookup("prompt")
+        assert first == ("stored \\boxed{1}", 3, ({"attempt": 1, "status": 200},))
 
     def test_dir_read_is_text_mode_read(self, tmp_path):
         # UTF-8 with a BOM, non-ASCII text, every newline convention and
@@ -100,18 +109,15 @@ class TestMockEngine:
         assert fingerprint("abc") == fingerprint("abc")
         assert fingerprint("abc") != fingerprint("abd")
 
-    def test_records_of_one_call_share_one_sampling(self, monkeypatch):
+    def test_records_of_one_call_share_one_sampling(self):
         backend = MockBackend()
         envs = [build_single_prompt(Question(id=str(i), text="x", gold_answer="1"))
                 for i in range(3)]
-        built = []
-        real = EndpointConfig.sampling
-        monkeypatch.setattr(EndpointConfig, "sampling",
-                            lambda self: built.append(real(self)) or built[-1])
-        records = complete_many(envs, cfg(seed=5), backend)
-        assert len(built) == 1
-        assert all(r.sampling is built[0] for r in records)
-        assert built[0] == real(cfg(seed=5))
+        c = cfg(seed=5)
+        records, failures = complete_many(envs, c, backend)
+        assert len(records) == 3 and failures == []
+        assert all(r.sampling is c.sampling for r in records)
+        assert c.sampling == SamplingParams(temperature=0.6, max_tokens=32768, seed=5)
 
     def test_record_provenance(self):
         backend = MockBackend()
@@ -296,13 +302,15 @@ class TestMalformedBody:
                 backend.send("p", cfg(max_retries=2))
         assert exc.value.status == 200
 
-    def test_complete_many_returns_error_in_place(self):
+    def test_complete_many_returns_error_apart(self):
         envelopes = [build_single_prompt(Question(id=qid, text=text, gold_answer="1"))
                      for qid, text in (("a", "SERVE-VALID"), ("b", "x"), ("c", "SERVE-VALID"))]
         with _serve_malformed(b'{"choices": []}') as backend:
-            results = complete_many(envelopes, cfg(max_concurrent=2), backend)
-        assert [r.raw_text for r in (results[0], results[2])] == ["ok \\boxed{1}"] * 2
-        assert isinstance(results[1], RequestError)
+            records, failures = complete_many(envelopes, cfg(max_concurrent=2), backend)
+        assert [r.envelope.question_ids for r in records] == [("a",), ("c",)]
+        assert [r.raw_text for r in records] == ["ok \\boxed{1}"] * 2
+        failure, = failures
+        assert isinstance(failure, RequestError) and failure.status == 200
 
     def test_eval_counts_malformed_body_as_exclusion(self, tmp_path):
         corpus = tmp_path / "corpus.jsonl"
@@ -482,12 +490,14 @@ class TestStdlibTransport:
             with mock_http_server(script, keep_alive=True,
                                   accepted=accepted) as base_url:
                 with HttpBackend(base_url, "m") as backend:
-                    results = complete_many(envelopes, cfg(max_concurrent=8), backend)
+                    records, failures = complete_many(envelopes, cfg(max_concurrent=8),
+                                                      backend)
                     assert 1 <= len(open_sockets_to(base_url)) <= 8
                 assert open_sockets_to(base_url) == []
         finally:
             sys.setswitchinterval(interval)
-        assert [r.raw_text for r in results] == [f"answer \\boxed{{{i}}}"
+        assert failures == []
+        assert [r.raw_text for r in records] == [f"answer \\boxed{{{i}}}"
                                                  for i in range(96)]
         assert 1 <= len(accepted) <= 8
 
@@ -775,8 +785,8 @@ class TestConcurrency:
         probe = _ProbeBackend()
         envs = [build_single_prompt(Question(id=f"q{i}", text=f"t{i}", gold_answer="1"))
                 for i in range(20)]
-        results = complete_many(envs, cfg(max_concurrent=3), probe)
-        assert len(results) == 20
+        records, failures = complete_many(envs, cfg(max_concurrent=3), probe)
+        assert len(records) == 20 and failures == []
         # a backend that waits on I/O still gets concurrent requests
         assert 1 < probe.max_in_flight <= 3
 
@@ -797,9 +807,9 @@ class TestConcurrency:
                 Question(id=f"q{i}", text=f"body {i}", gold_answer="1"))
             script.add(env.text, f"answer {i} \\boxed{{{i}}}")
             envs.append(env)
-        results = complete_many(envs, cfg(max_concurrent=4), script)
+        records, _ = complete_many(envs, cfg(max_concurrent=4), script)
         assert script.threads == [threading.get_ident()] * 10
-        assert [r.raw_text.split()[1] for r in results] == [str(i) for i in range(10)]
+        assert [r.raw_text.split()[1] for r in records] == [str(i) for i in range(10)]
 
     def test_results_in_input_order(self):
         script = MockBackend()
@@ -809,8 +819,41 @@ class TestConcurrency:
                 Question(id=f"q{i}", text=f"body {i}", gold_answer="1"))
             script.add(env.text, f"answer {i} \\boxed{{{i}}}")
             envs.append(env)
-        results = complete_many(envs, cfg(max_concurrent=4), script)
-        assert [r.raw_text.split()[1] for r in results] == [str(i) for i in range(10)]
+        records, failures = complete_many(envs, cfg(max_concurrent=4), script)
+        assert failures == []
+        assert [r.raw_text.split()[1] for r in records] == [str(i) for i in range(10)]
+
+    def test_failures_handed_back_apart_in_input_order(self, monkeypatch):
+        monkeypatch.setattr(client, "BACKOFF_BASE_S", 0)
+
+        class Handler(BaseHTTPRequestHandler):
+            def do_POST(self):
+                length = int(self.headers.get("Content-Length", 0))
+                prompt = json.loads(self.rfile.read(length))["messages"][0]["content"]
+                status = 400 if "REJECT" in prompt else 503 if "BUSY" in prompt else 200
+                payload = json.dumps({"choices": [{"message": {
+                    "content": prompt.split()[0] + " \\boxed{1}"}}]}).encode()
+                self.send_response(status)
+                self.send_header("Content-Length", str(len(payload)))
+                self.end_headers()
+                self.wfile.write(payload)
+
+            def log_message(self, *args):
+                pass
+
+        texts = ["q0", "q1 REJECT", "q2", "q3", "q4 BUSY", "q5"]
+        envs = [build_single_prompt(Question(id=t.split()[0], text=t, gold_answer="1"))
+                for t in texts]
+        c = cfg(max_concurrent=3, max_retries=2)
+        with _serve(Handler) as root, HttpBackend(root + "/v1", "m") as backend:
+            records, failures = complete_many(envs, c, backend)
+        assert [r.raw_text for r in records] == [
+            f"{qid} \\boxed{{1}}" for qid in ("q0", "q2", "q3", "q5")]
+        rejected, exhausted = failures
+        assert isinstance(rejected, RequestError) and rejected.status == 400
+        assert isinstance(exhausted, TransportError)
+        assert exhausted.attempts == [{"attempt": n, "status": 503}
+                                      for n in range(1, c.max_retries + 2)]
 
 
 class TestBatchExperiment:
@@ -861,12 +904,13 @@ class TestBatchExperiment:
         assert rows[0].accuracy == pytest.approx(
             (60 - len(pf.WRONG[3])) / 60)
 
-    def test_leftover_group_kept(self):
+    def test_leftover_questions_not_sent(self):
         questions = pf.make_corpus(5)
         backend = pf.build_script(questions, (2,), seed=1, group="random")
         rows = run_batch_experiment(questions, [2], cfg(), backend, seed=1)
         row = rows[0]
-        assert row.n_groups == 3
+        assert row.n_groups == 2
+        assert row.n_graded == 4
         assert row.n_questions == 5
 
     def test_invalid_batch_size(self):

@@ -86,8 +86,8 @@ EXPERIMENT_K1_LINE = (
     '"n_questions": 5, "n_unsplittable": 0}'
 )
 EXPERIMENT_K2_LINE = (
-    '{"accuracy": 0.8, "batch_size": 2, "mean_tokens_per_question": 72.0, '
-    '"mean_tokens_split": 68.8, "n_failures": 0, "n_graded": 5, "n_groups": 3, '
+    '{"accuracy": 0.75, "batch_size": 2, "mean_tokens_per_question": 59.0, '
+    '"mean_tokens_split": 55.0, "n_failures": 0, "n_graded": 4, "n_groups": 2, '
     '"n_questions": 5, "n_unsplittable": 0}'
 )
 

@@ -178,6 +178,10 @@ class TestLoadQuestions:
         for n in (1, 2):
             questions = load_questions(path, answer_kind=NUMERIC if numeric
                                        else CHOICE_LETTER)
+            if not numeric:
+                # a letter corpus has no numbers to normalize
+                assert calls == []
+                continue
             # what the gold_number property computes for a Question built directly
             assert [q.gold_number for q in questions] == list(map(real, golds))
             assert calls == golds * n
@@ -187,7 +191,7 @@ class TestGrouping:
     def test_sequential_chunks(self):
         qs = [q(i) for i in range(7)]
         groups = shuffle_and_group(qs, 3, group="sequential")
-        assert [len(g) for g in groups] == [3, 3, 1]
+        assert [len(g) for g in groups] == [3, 3]
         assert groups[0][0].id == "q0"
 
     def test_random_is_seed_deterministic(self):
@@ -197,10 +201,12 @@ class TestGrouping:
         assert [[x.id for x in g] for g in a] == [[x.id for x in g] for g in b]
 
     def test_random_covers_corpus(self):
+        # all but the n % k questions left over, each once
         qs = [q(i) for i in range(11)]
         groups = shuffle_and_group(qs, 4, seed=1)
-        ids = sorted(x.id for g in groups for x in g)
-        assert ids == sorted(x.id for x in qs)
+        assert [len(g) for g in groups] == [4, 4]
+        ids = [x.id for g in groups for x in g]
+        assert len(set(ids)) == 8 and set(ids) <= {x.id for x in qs}
 
     def test_invalid_k(self):
         with pytest.raises(ValueError):
