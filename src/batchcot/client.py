@@ -385,9 +385,9 @@ class ExperimentRow:
     n_groups: int
     n_questions: int
     n_graded: int
-    accuracy: float
-    mean_tokens_per_question: float
-    mean_tokens_split: Optional[float]
+    accuracy: Optional[float]  # None: no chain graded
+    mean_tokens_per_question: Optional[float]  # None: no response
+    mean_tokens_split: Optional[float]  # None: no chain split
     n_failures: int
     n_unsplittable: int
 
@@ -407,7 +407,8 @@ def run_batch_experiment(questions, batch_sizes, cfg: EndpointConfig, backend,
     """Vanilla vs Batch-k token/accuracy rows over a question corpus.
 
     Each row grades the chains that `split` would write; only responses that
-    cannot be split are graded from their final-answer block.
+    cannot be split are graded from their final-answer block. A mean with
+    nothing to average over is None, not a measured zero.
     """
     questions = list(questions)
     if not questions:
@@ -426,8 +427,8 @@ def run_batch_experiment(questions, batch_sizes, cfg: EndpointConfig, backend,
             n_groups=len(records) + len(failures),
             n_questions=len(questions),
             n_graded=len(graded),
-            accuracy=n_correct / len(graded) if graded else 0.0,
-            mean_tokens_per_question=tokens_per_question(records),
+            accuracy=n_correct / len(graded) if graded else None,
+            mean_tokens_per_question=tokens_per_question(records) if records else None,
             mean_tokens_split=(
                 sum(split_tokens) / len(split_tokens) if split_tokens else None
             ),
@@ -437,6 +438,11 @@ def run_batch_experiment(questions, batch_sizes, cfg: EndpointConfig, backend,
     return rows
 
 
+def _cell(value, scale=1, unit="") -> str:
+    """value * scale to two places, or "-" for a mean with nothing to average."""
+    return "-" if value is None else f"{value * scale:.2f}{unit}"
+
+
 def render_experiment_table(rows) -> str:
     lines = [
         f"{'Mode':<10} {'Acc':>8} {'Tokens/Q':>12} {'Tokens/Q(split)':>16} "
@@ -444,10 +450,9 @@ def render_experiment_table(rows) -> str:
     ]
     for row in rows:
         mode = "Vanilla" if row.batch_size == 1 else f"Batch-{row.batch_size}"
-        split = f"{row.mean_tokens_split:.2f}" if row.mean_tokens_split is not None else "-"
         lines.append(
-            f"{mode:<10} {row.accuracy * 100:>7.2f}% "
-            f"{row.mean_tokens_per_question:>12.2f} {split:>16} "
+            f"{mode:<10} {_cell(row.accuracy, 100, '%'):>8} "
+            f"{_cell(row.mean_tokens_per_question):>12} {_cell(row.mean_tokens_split):>16} "
             f"{row.n_graded:>8} {row.n_failures:>6} {row.n_unsplittable:>8}"
         )
     return "\n".join(lines)

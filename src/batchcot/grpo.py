@@ -235,27 +235,49 @@ class CurvePoint(NamedTuple):
     mean_gold_prob: float
 
 
-def _mean_gold_prob(policy: PolicyState, features: np.ndarray,
-                    gold_flat: np.ndarray) -> float:
-    """Mean gold-label probability over the n rows of features.
+# steps x rows per block of _mean_gold_probs: about 16 steps of 1000 rows, so
+# its buffers stay near 640 KB, reused for every block
+_CURVE_BLOCK_ENTRIES = 16_000
 
-    gold_flat holds each row's gold entry as an index into the flattened
-    (3, n) label-major probabilities, gold label * n + row. The result is bit
-    for bit the mean of the gold entries of policy.distribution(features):
-    the same row max and exp, and the denominator summed as (e0 + e1) + e2,
-    the order of numpy's sum over a 3-long axis (e0 + (e1 + e2) differs in
-    the last bit), but only the gold entries are divided. Label-major rows
-    keep every elementwise step contiguous; exp runs on one contiguous array
-    in either layout.
+
+def _mean_gold_probs(thetas: np.ndarray, features: np.ndarray,
+                     gold_flat: np.ndarray) -> np.ndarray:
+    """Mean gold-label probability over the n rows of features, one per theta.
+
+    thetas is a (steps, F, 3) stack; gold_flat holds each row's gold entry as
+    an index into the flattened (3, n) label-major probabilities, gold label
+    * n + row. Each entry is bit for bit the mean of the gold entries of
+    PolicyState(theta).distribution(features): the same row max and exp, and
+    the denominator summed as (e0 + e1) + e2, the order of numpy's sum over a
+    3-long axis (e0 + (e1 + e2) differs in the last bit), but only the gold
+    entries are divided. Label-major rows keep every elementwise step
+    contiguous; exp runs on one contiguous array in either layout.
+
+    The steps go in blocks of _CURVE_BLOCK_ENTRIES // n, through buffers
+    allocated once: fresh block-sized temporaries each come from a new
+    mapping and page-fault, which costs what the blocking saves.
     """
-    logits = (features @ policy.theta).T
-    c0, c1, c2 = logits
-    exp = np.subtract(logits, np.maximum(np.maximum(c0, c1), c2),
-                      out=np.empty(logits.shape))
-    np.exp(exp, out=exp)
-    e0, e1, e2 = exp
-    gold = exp.take(gold_flat) / ((e0 + e1) + e2)
-    return float(np.add.reduce(gold) / len(gold))  # .mean()'s ufunc calls
+    steps, n = len(thetas), len(features)
+    block = max(1, _CURVE_BLOCK_ENTRIES // n)
+    logits = np.empty((min(block, steps), len(LABELS), n))
+    row_max = np.empty((len(logits), n))  # then each row's denominator
+    gold_probs = np.empty((len(logits), n))
+    means = np.empty(steps)
+    labels_major = thetas.transpose(0, 2, 1)
+    for start in range(0, steps, block):
+        b = min(block, steps - start)
+        exp, den, gold = logits[:b], row_max[:b], gold_probs[:b]
+        np.matmul(labels_major[start:start + b], features.T, out=exp)
+        c0, c1, c2 = exp.transpose(1, 0, 2)
+        np.maximum(np.maximum(c0, c1, out=den), c2, out=den)
+        np.subtract(exp, den[:, None], out=exp)
+        np.exp(exp, out=exp)
+        e0, e1, e2 = exp.transpose(1, 0, 2)
+        np.add(np.add(e0, e1, out=den), e2, out=den)
+        exp.reshape(b, -1).take(gold_flat, axis=1, out=gold, mode="clip")
+        np.divide(gold, den, out=gold)
+        np.add.reduce(gold, axis=1, out=means[start:start + b])  # .mean()'s
+    return np.divide(means, n, out=means)                          # ufunc calls
 
 
 def train_toy(dataset, cfg: GrpoConfig, seed: int = 0):
@@ -265,7 +287,8 @@ def train_toy(dataset, cfg: GrpoConfig, seed: int = 0):
     group's label indices from it and gives that same distribution to one
     grpo_loss call. Rewards, advantages and label weights come from the drawn
     indices, and the frozen reference's distribution is computed once per row
-    the run visits.
+    the run visits. The loop keeps every step's theta; the curve's mean gold
+    probabilities are computed from them once, after the last step.
 
     Returns (final PolicyState, learning curve of CurvePoint).
     """
@@ -281,7 +304,8 @@ def train_toy(dataset, cfg: GrpoConfig, seed: int = 0):
     # row -> ref.distribution(features[row]); one 2-D call over all rows would
     # differ from these 1-D calls in the last bits at a nonzero reference
     ref_pis = {}
-    curve = []
+    thetas = np.empty((cfg.steps, *policy.theta.shape))
+    losses = []
     # a diverging run's log(0) and 0 * inf are named by the finiteness check
     # below, not warned about; entered once, not once per step
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -302,12 +326,13 @@ def train_toy(dataset, cfg: GrpoConfig, seed: int = 0):
             if not math.isfinite(loss):
                 raise ValueError(f"training diverged at step {step}: loss is {loss} "
                                  f"(objective {cfg.objective_mode})")
-            policy = PolicyState(
-                theta=policy.theta - cfg.learning_rate * _theta_grad(phi, grad_logits))
-            curve.append(
-                CurvePoint(step, loss, _mean_gold_prob(policy, features, gold_flat))
-            )
-    return policy, curve
+            losses.append(loss)
+            policy = PolicyState(theta=np.subtract(
+                policy.theta, cfg.learning_rate * _theta_grad(phi, grad_logits),
+                out=thetas[step]))
+        means = _mean_gold_probs(thetas, features, gold_flat).tolist()
+    return policy, [CurvePoint(step, loss, mean)
+                    for step, (loss, mean) in enumerate(zip(losses, means))]
 
 
 def write_curve_csv(path, curve):

@@ -302,6 +302,25 @@ class TestBatchExperiment:
         assert manifest["exclusions"]["ungrouped"] == 1 + 1
 
 
+    def test_row_with_nothing_graded_is_no_data(self, tmp_path, capsys):
+        # 3 questions at k=4 make no group: the row has no accuracy and no
+        # tokens to report, which must not read as a measured 0.00%
+        corpus, mock, out = tmp_path / "questions.jsonl", tmp_path / "mock", tmp_path / "exp"
+        write_corpus(corpus, pf.make_corpus(3))
+        mock.mkdir()
+        assert main(["batch-experiment", "--questions", str(corpus), "--out-dir", str(out),
+                     "--batch-size", "4", "--mock", str(mock)]) == 0
+        printed = capsys.readouterr().out
+        assert "0.00" not in printed
+        assert printed.splitlines()[1].split() == ["Batch-4", "-", "-", "-", "0", "0", "0"]
+        assert (out / "experiment.txt").read_text() == printed
+        [row] = [json.loads(line)
+                 for line in (out / "experiment.jsonl").read_text().splitlines()]
+        assert row["n_graded"] == 0
+        assert (row["accuracy"], row["mean_tokens_per_question"],
+                row["mean_tokens_split"]) == (None, None, None)
+
+
 def run_split_grade_and_experiment(tmp_path, questions, script, k):
     """gen, split and grade one batch size, then batch-experiment on the same script.
 

@@ -930,6 +930,11 @@ class TestBatchExperiment:
         row = rows[0]
         assert row.n_failures == 2
         assert row.n_graded == 0
+        # nothing to average over: no data, not a measured zero
+        assert (row.accuracy, row.mean_tokens_per_question, row.mean_tokens_split) == (
+            None, None, None)
+        assert render_experiment_table(rows).splitlines()[1].split() == [
+            "Batch-2", "-", "-", "-", "0", "2", "0"]
 
     def test_render_table(self):
         questions = pf.make_corpus(6)

@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import re
+import tracemalloc
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -179,7 +180,7 @@ def reference_gradient_check(n_configs: int = 100, seed: int = 0, step: float = 
 def reference_mean_gold_prob(policy: PolicyState, features: np.ndarray,
                              gold_idx: np.ndarray) -> float:
     """Mean of the gold column of policy.distribution(features): the oracle
-    for grpo._mean_gold_prob, which must give its bits."""
+    for each entry of grpo._mean_gold_probs, which must give its bits."""
     probs = policy.distribution(features)
     return float(probs[np.arange(len(gold_idx)), gold_idx].mean())
 
@@ -830,23 +831,36 @@ class TestTrainToy:
         with pytest.raises(ValueError):
             train_toy([], GrpoConfig(), seed=0)
 
+    @staticmethod
+    def assert_curve_matches_reference(objective_mode, advantage_mode, ref_theta=None):
+        # the curve is computed after the loop in blocks of steps; every step
+        # count on either side of a block boundary gives the reference's
+        # curve, which takes each step's full softmax as it goes
+        dataset = make_toy_dataset(200, seed=3)
+        block = grpo._CURVE_BLOCK_ENTRIES // len(dataset)
+        for steps in (0, 1, block - 1, block, block + 1, 2 * block + 3):
+            cfg = GrpoConfig(steps=steps, objective_mode=objective_mode,
+                             advantage_mode=advantage_mode)
+            policy, curve = train_toy(dataset, cfg, seed=3)
+            theta, want = reference_train_toy(dataset, cfg, 3, ref_theta=ref_theta)
+            assert repr(curve) == repr(want), steps  # floats, not np.float64s
+            assert policy.theta.tobytes() == theta.tobytes(), steps
+
     @pytest.mark.parametrize("objective_mode, advantage_mode", [
         (SAMPLED, MEAN_STD), (SAMPLED, MEAN_ONLY), (PAPER_LITERAL, MEAN_STD),
     ])
-    def test_matches_reference_gold_prob(self, monkeypatch, objective_mode,
-                                         advantage_mode):
-        dataset = make_toy_dataset(200, seed=3)
-        cfg = GrpoConfig(steps=150, objective_mode=objective_mode,
-                         advantage_mode=advantage_mode)
-        policy, curve = train_toy(dataset, cfg, seed=3)
-        monkeypatch.setattr(
-            grpo, "_mean_gold_prob",
-            lambda p, features, gold_flat: reference_mean_gold_prob(
-                p, features, gold_flat // len(features)),
-        )
-        ref_policy, ref_curve = train_toy(dataset, cfg, seed=3)
-        assert curve == ref_curve
-        assert np.array_equal(policy.theta, ref_policy.theta)
+    def test_matches_reference_gold_prob(self, objective_mode, advantage_mode):
+        self.assert_curve_matches_reference(objective_mode, advantage_mode)
+
+    @pytest.mark.parametrize("objective_mode, advantage_mode", [
+        (SAMPLED, MEAN_STD), (SAMPLED, MEAN_ONLY), (PAPER_LITERAL, MEAN_STD),
+    ])
+    def test_matches_reference_gold_prob_at_nonzero_reference(
+            self, monkeypatch, objective_mode, advantage_mode):
+        ref = PolicyState(theta=np.random.default_rng(9).normal(
+            scale=0.5, size=(FEATURE_DIM, len(LABELS))))
+        monkeypatch.setattr(grpo, "initial_policy", lambda feature_dim: ref)
+        self.assert_curve_matches_reference(objective_mode, advantage_mode, ref.theta)
 
     @pytest.mark.parametrize("seed, settings", [
         *((seed, {"objective_mode": objective_mode, "advantage_mode": advantage_mode})
@@ -987,37 +1001,77 @@ class TestTrainToy:
         assert np.all(feats[:, 0] == 1.0)
 
 
+def gold_fixture(n: int, seed: int = 0):
+    """Features, gold label indices and _mean_gold_probs's gold_flat of a toy
+    dataset of n rows."""
+    dataset = make_toy_dataset(n, seed=seed)
+    gold_idx = np.array([LABELS.index(s.gold_label) for s in dataset])
+    return feature_matrix(dataset), gold_idx, gold_idx * n + np.arange(n)
+
+
 class TestMeanGoldProb:
     @pytest.fixture(scope="class")
     def toy(self):
-        dataset = make_toy_dataset(1000, seed=0)
-        gold_idx = np.array([LABELS.index(s.gold_label) for s in dataset])
-        return feature_matrix(dataset), gold_idx, gold_idx * 1000 + np.arange(1000)
+        return gold_fixture(1000)
 
-    def assert_matches_reference(self, toy, theta):
+    @staticmethod
+    def stack_lengths(n):
+        """Stack lengths around _mean_gold_probs's block boundaries at n rows."""
+        block = max(1, grpo._CURVE_BLOCK_ENTRIES // n)
+        return sorted({0, 1, block - 1, block, block + 1, 2 * block + 3})
+
+    def assert_matches_reference(self, toy, thetas):
         features, gold_idx, gold_flat = toy
-        policy = PolicyState(theta=theta)
-        assert (grpo._mean_gold_prob(policy, features, gold_flat)
-                == reference_mean_gold_prob(policy, features, gold_idx)), theta
+        means = grpo._mean_gold_probs(thetas, features, gold_flat)
+        assert means.shape == (len(thetas),)
+        for theta, mean in zip(thetas, means.tolist()):
+            assert mean == reference_mean_gold_prob(
+                PolicyState(theta=theta), features, gold_idx), theta
 
     @pytest.mark.parametrize("scale", [0.1, 0.3, 1.0, 3.0, 10.0, 30.0])
     def test_random_thetas_match_reference_bit_for_bit(self, toy, scale):
         rng = np.random.default_rng(int(scale * 10))
-        for _ in range(200):
+        for length in self.stack_lengths(1000):
             self.assert_matches_reference(
-                toy, rng.normal(scale=scale, size=(FEATURE_DIM, len(LABELS))))
+                toy, rng.normal(scale=scale, size=(length, FEATURE_DIM, len(LABELS))))
+
+    @pytest.mark.parametrize("n", [1, 37, 5000, 20000])
+    def test_other_row_counts_match_reference_bit_for_bit(self, n):
+        # the block shrinks with n, to one step above _CURVE_BLOCK_ENTRIES rows
+        toy = gold_fixture(n, seed=n)
+        rng = np.random.default_rng(n)
+        for length in self.stack_lengths(n):
+            self.assert_matches_reference(
+                toy, rng.normal(scale=3.0, size=(length, FEATURE_DIM, len(LABELS))))
 
     def test_zero_theta_is_one_third(self, toy):
-        self.assert_matches_reference(toy, np.zeros((FEATURE_DIM, len(LABELS))))
+        self.assert_matches_reference(toy, np.zeros((3, FEATURE_DIM, len(LABELS))))
 
     @pytest.mark.parametrize("tied", [(0, 1), (0, 2), (1, 2)])
     def test_tied_logits_match_reference(self, toy, tied):
         rng = np.random.default_rng(sum(tied))
         for scale in (0.1, 1.0, 30.0):
-            for _ in range(20):
-                theta = rng.normal(scale=scale, size=(FEATURE_DIM, len(LABELS)))
-                theta[:, tied[1]] = theta[:, tied[0]]
-                self.assert_matches_reference(toy, theta)
+            thetas = rng.normal(scale=scale, size=(20, FEATURE_DIM, len(LABELS)))
+            thetas[..., tied[1]] = thetas[..., tied[0]]
+            self.assert_matches_reference(toy, thetas)
+
+    def test_working_set_is_a_few_blocks(self):
+        # 2000 steps x 1000 rows: all (steps, 3, n) logits at once would be
+        # 48 MB; blocks through reused buffers peak near 0.8 MB. tracemalloc
+        # sees numpy's data allocations, as the calibration shows.
+        features, _, gold_flat = gold_fixture(1000)
+        thetas = np.random.default_rng(5).normal(size=(2000, FEATURE_DIM, len(LABELS)))
+
+        def peak_bytes(fn):
+            tracemalloc.start()
+            try:
+                fn()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak_bytes(lambda: np.empty((2000, len(LABELS), 1000))) >= 48e6
+        assert peak_bytes(lambda: grpo._mean_gold_probs(thetas, features, gold_flat)) < 4e6
 
 
 class TestCheckpointAndCurve:
