@@ -30,7 +30,7 @@ from batchcot.parsing import (
     write_completions,
 )
 from batchcot.prompts import load_questions
-from batchcot.records import to_dict, write_jsonl
+from batchcot.records import mean, show, to_dict, write_jsonl
 
 # The EndpointConfig fields a flag sets; each flag takes its field's type and
 # default from EndpointConfig().
@@ -121,7 +121,7 @@ def cmd_gen(args):
             outputs.append(out_path)
             mode = "vanilla" if k == 1 else f"batch-{k}"
             print(f"{mode}: {len(records)} completions, "
-                  f"mean tokens/question = {tokens_per_question(records):.2f}, "
+                  f"mean tokens/question = {show(tokens_per_question(records))}, "
                   f"failures = {len(failures)}")
     return {"config": _config_snapshot(cfg), "inputs": [args.questions],
             "outputs": outputs,
@@ -135,9 +135,9 @@ def cmd_split(args):
     chains, unsplit_records = split_completions(records)
     unsplittable = len(unsplit_records)
     write_chains(args.out, chains)
-    rate = unsplittable / len(records) if records else 0.0
+    rate = show(mean(unsplittable, len(records)), ".1%")
     print(f"{len(chains)} chains from {len(records)} completions; "
-          f"unsplittable = {unsplittable} ({rate:.1%})")
+          f"unsplittable = {unsplittable} ({rate})")
     return {"inputs": [args.infile], "outputs": [args.out],
             "exclusions": {"unsplittable": unsplittable}}
 

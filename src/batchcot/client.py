@@ -27,7 +27,7 @@ from batchcot.parsing import (
     split_completions,
 )
 from batchcot.prompts import BATCH, PromptEnvelope, build_prompt, shuffle_and_group
-from batchcot.records import named_error, naming
+from batchcot.records import mean, named_error, naming, show
 
 # Environment variable whose value HttpBackend sends as a bearer token.
 API_KEY_ENV = "BATCHCOT_API_KEY"
@@ -97,14 +97,13 @@ def fingerprint(prompt_text: str) -> str:
 
 # The attempt log of every mock response: one successful attempt.
 _MOCK_ATTEMPTS = ({"attempt": 1, "status": 200},)
-_UNMATCHED = RawCompletion("\\boxed{0}", None, _MOCK_ATTEMPTS)
 
 
 class MockBackend:
     """In-process scripted engine keyed by prompt fingerprint; no network involved.
 
-    Unmatched prompts get `\\boxed{0}`; the same fingerprint always yields the
-    same stored RawCompletion object.
+    The same fingerprint always yields the same stored RawCompletion object;
+    a prompt with no stored response is a RequestError, as a refused request is.
     """
 
     name = "mock"
@@ -117,7 +116,10 @@ class MockBackend:
                                                                  _MOCK_ATTEMPTS)
 
     def lookup(self, prompt_text: str) -> RawCompletion:
-        return self.responses.get(fingerprint(prompt_text), _UNMATCHED)
+        fp = fingerprint(prompt_text)
+        if fp not in self.responses:
+            raise RequestError(f"no mock response for prompt {fp}")
+        return self.responses[fp]
 
     @classmethod
     def from_dir(cls, path) -> "MockBackend":
@@ -370,11 +372,11 @@ def complete_groups(questions, k: int, cfg: EndpointConfig, backend,
     return complete_many([build_prompt(g) for g in groups], cfg, backend)
 
 
-def tokens_per_question(records) -> float:
+def tokens_per_question(records) -> Optional[float]:
     """Mean effective tokens per question, each response's split evenly."""
     per_q = [r.effective_tokens / r.envelope.batch_size for r in records
              for _ in range(r.envelope.batch_size)]
-    return sum(per_q) / len(per_q) if per_q else 0.0
+    return mean(sum(per_q), len(per_q))
 
 
 # --- batch-compression experiment ---------------------------------------------
@@ -407,8 +409,7 @@ def run_batch_experiment(questions, batch_sizes, cfg: EndpointConfig, backend,
     """Vanilla vs Batch-k token/accuracy rows over a question corpus.
 
     Each row grades the chains that `split` would write; only responses that
-    cannot be split are graded from their final-answer block. A mean with
-    nothing to average over is None, not a measured zero.
+    cannot be split are graded from their final-answer block.
     """
     questions = list(questions)
     if not questions:
@@ -427,20 +428,13 @@ def run_batch_experiment(questions, batch_sizes, cfg: EndpointConfig, backend,
             n_groups=len(records) + len(failures),
             n_questions=len(questions),
             n_graded=len(graded),
-            accuracy=n_correct / len(graded) if graded else None,
-            mean_tokens_per_question=tokens_per_question(records) if records else None,
-            mean_tokens_split=(
-                sum(split_tokens) / len(split_tokens) if split_tokens else None
-            ),
+            accuracy=mean(n_correct, len(graded)),
+            mean_tokens_per_question=tokens_per_question(records),
+            mean_tokens_split=mean(sum(split_tokens), len(split_tokens)),
             n_failures=len(failures),
             n_unsplittable=len(unsplittable),
         ))
     return rows
-
-
-def _cell(value, scale=1, unit="") -> str:
-    """value * scale to two places, or "-" for a mean with nothing to average."""
-    return "-" if value is None else f"{value * scale:.2f}{unit}"
 
 
 def render_experiment_table(rows) -> str:
@@ -451,8 +445,8 @@ def render_experiment_table(rows) -> str:
     for row in rows:
         mode = "Vanilla" if row.batch_size == 1 else f"Batch-{row.batch_size}"
         lines.append(
-            f"{mode:<10} {_cell(row.accuracy, 100, '%'):>8} "
-            f"{_cell(row.mean_tokens_per_question):>12} {_cell(row.mean_tokens_split):>16} "
+            f"{mode:<10} {show(row.accuracy, '.2%'):>8} "
+            f"{show(row.mean_tokens_per_question):>12} {show(row.mean_tokens_split):>16} "
             f"{row.n_graded:>8} {row.n_failures:>6} {row.n_unsplittable:>8}"
         )
     return "\n".join(lines)

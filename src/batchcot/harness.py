@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, fields, replace
+from typing import Optional
 
 from batchcot import verify
 from batchcot.client import EndpointConfig, complete_many
 from batchcot.parsing import split_completions
 from batchcot.prompts import build_single_prompt, load_questions
-from batchcot.records import from_dict, naming, to_dict
+from batchcot.records import from_dict, mean, naming, show, to_dict
 from batchcot.verify import ANSWER_KINDS, CHOICE_LETTER, NUMERIC
 
 
@@ -55,16 +56,20 @@ def registry_spec(key: str, corpus_path: str,
 @dataclass(frozen=True)
 class EvalAggregate:
     benchmark: str
-    accuracy: float
-    mean_tokens: float
+    accuracy: Optional[float]  # None: no sample
+    mean_tokens: Optional[float]  # None: no sample
     n_questions: int
     n_samples: int
     exclusions: int = 0
 
     def __post_init__(self):
-        if not 0.0 <= self.accuracy <= 1.0:
+        empty = self.n_samples == 0
+        if (self.accuracy is None) != empty or (self.mean_tokens is None) != empty:
+            raise ValueError("accuracy and mean_tokens must be None exactly when "
+                             "n_samples is 0")
+        if not empty and not 0.0 <= self.accuracy <= 1.0:
             raise ValueError("accuracy must lie in [0, 1]")
-        if self.mean_tokens < 0:
+        if not empty and self.mean_tokens < 0:
             raise ValueError("mean_tokens must be >= 0")
 
 
@@ -86,8 +91,8 @@ def evaluate(spec: BenchmarkSpec, cfg: EndpointConfig, backend):
     n_samples = len(records)
     aggregate = EvalAggregate(
         benchmark=spec.name,
-        accuracy=n_correct / n_samples if n_samples else 0.0,
-        mean_tokens=sum(r["tokens"] for r in records) / n_samples if n_samples else 0.0,
+        accuracy=mean(n_correct, n_samples),
+        mean_tokens=mean(sum(r["tokens"] for r in records), n_samples),
         n_questions=len(questions),
         n_samples=n_samples,
         exclusions=len(failures),
@@ -96,24 +101,23 @@ def evaluate(spec: BenchmarkSpec, cfg: EndpointConfig, backend):
 
 
 def overall_mean(aggregates):
-    """Plain mean over benchmarks: (accuracy, mean_tokens)."""
-    n = len(aggregates)
-    if n == 0:
+    """Plain mean over the benchmarks with samples: (accuracy, mean_tokens)."""
+    if not aggregates:
         raise ValueError("no benchmark aggregates to average")
+    measured = [a for a in aggregates if a.n_samples]
     return (
-        sum(a.accuracy for a in aggregates) / n,
-        sum(a.mean_tokens for a in aggregates) / n,
+        mean(sum(a.accuracy for a in measured), len(measured)),
+        mean(sum(a.mean_tokens for a in measured), len(measured)),
     )
 
 
 def overall_weighted(aggregates):
     """Sample-weighted mean over benchmarks: (accuracy, mean_tokens)."""
-    total = sum(a.n_samples for a in aggregates)
-    if total == 0:
-        return 0.0, 0.0
+    measured = [a for a in aggregates if a.n_samples]
+    total = sum(a.n_samples for a in measured)
     return (
-        sum(a.accuracy * a.n_samples for a in aggregates) / total,
-        sum(a.mean_tokens * a.n_samples for a in aggregates) / total,
+        mean(sum(a.accuracy * a.n_samples for a in measured), total),
+        mean(sum(a.mean_tokens * a.n_samples for a in measured), total),
     )
 
 
@@ -126,27 +130,29 @@ def token_delta_percent(baseline_tokens: float, method_tokens: float) -> float:
 def render_report(aggregates, baseline=None) -> str:
     """Plain-text table: Acc (percent, 2 decimals) and Tokens (2 decimals)."""
     aggregates = list(aggregates)
-    lines = [f"{'Benchmark':<18} {'Acc':>8} {'Tokens':>12}"]
-    for a in aggregates:
-        lines.append(f"{a.benchmark:<18} {a.accuracy * 100:>7.2f}% {a.mean_tokens:>12.2f}")
     acc_m, tok_m = overall_mean(aggregates)
-    acc_w, tok_w = overall_weighted(aggregates)
-    lines.append(f"{'Overall (mean)':<18} {acc_m * 100:>7.2f}% {tok_m:>12.2f}")
-    lines.append(f"{'Overall (weighted)':<18} {acc_w * 100:>7.2f}% {tok_w:>12.2f}")
+    rows = [(a.benchmark, a.accuracy, a.mean_tokens) for a in aggregates]
+    rows += [("Overall (mean)", acc_m, tok_m),
+             ("Overall (weighted)", *overall_weighted(aggregates))]
+    lines = [f"{'Benchmark':<18} {'Acc':>8} {'Tokens':>12}"]
+    lines += [f"{name:<18} {show(acc, '.2%'):>8} {show(tok):>12}" for name, acc, tok in rows]
+    skipped = [a.benchmark for a in aggregates if not a.n_samples]
+    if skipped:
+        lines.append("Overall skips (no samples): " + ", ".join(skipped))
     if baseline is not None:
         base_acc, base_tok = overall_mean(list(baseline))
-        acc_delta = (acc_m - base_acc) * 100.0
-        tok_delta = token_delta_percent(base_tok, tok_m)
-        lines.append(
-            f"Delta vs baseline (overall mean): "
-            f"Acc {acc_delta:+.2f} pts, Tokens {tok_delta:+.2f}%"
-        )
+        delta = "no data"
+        if acc_m is not None and base_acc is not None:
+            delta = (f"Acc {(acc_m - base_acc) * 100.0:+.2f} pts, "
+                     f"Tokens {token_delta_percent(base_tok, tok_m):+.2f}%")
+        lines.append(f"Delta vs baseline (overall mean): {delta}")
     return "\n".join(lines)
 
 
 def aggregates_to_csv(aggregates) -> str:
     lines = [",".join(f.name for f in fields(EvalAggregate))]
-    lines += [",".join(map(str, vars(a).values())) for a in aggregates]
+    lines += [",".join("" if v is None else str(v) for v in vars(a).values())
+              for a in aggregates]
     return "\n".join(lines) + "\n"
 
 

@@ -107,18 +107,5 @@ def build_dataset(chains, questions, seed: int = 0, mode: str = PER_CHAIN):
     return samples, manifest
 
 
-def render_judge_prompt(sample: PreferenceSample) -> str:
-    """Canonical single-prompt rendering of a sample for a judge model."""
-    return (
-        f"{sample.question}\n\n"
-        f"{sample.cot}\n\n"
-        "Evaluate the reasoning above and choose exactly one option:\n"
-        f"A. {OPTION_A}\n"
-        f"B. {OPTION_B}\n"
-        f"C. {OPTION_C}\n\n"
-        "Answer with a single letter: A, B, or C."
-    )
-
-
 def write_samples(path, samples):
     write_jsonl(path, map(to_dict, samples))

@@ -1,4 +1,4 @@
-"""Generic JSON (de)serialization of the pipeline's record dataclasses."""
+"""Generic JSON (de)serialization of record dataclasses, and the empty-mean rule."""
 
 from __future__ import annotations
 
@@ -200,3 +200,16 @@ def read_jsonl(path, cls) -> list:
                 except (TypeError, KeyError, ValueError) as exc:
                     raise named_error(f"{path}: line {n}", exc) from exc
     return records
+
+
+def mean(total, count: int) -> typing.Optional[float]:
+    """total / count, the mean of `count` values summing to `total`.
+
+    None when count is 0, never a measured 0: JSON writes null, `show` "-".
+    """
+    return total / count if count else None
+
+
+def show(value: typing.Optional[float], spec: str = ".2f") -> str:
+    """A mean formatted by `spec`, or "-" for a mean over nothing."""
+    return "-" if value is None else format(value, spec)

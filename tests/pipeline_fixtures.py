@@ -16,10 +16,11 @@ WRONG = {
     1: {i for i in range(N_QUESTIONS) if i % 6 == 0},   # vanilla: 10 wrong
     2: {i for i in range(N_QUESTIONS) if i % 4 == 0},   # batch-2: 15 wrong
     3: {i for i in range(N_QUESTIONS) if i % 3 == 0},   # batch-3: 20 wrong
+    4: {i for i in range(N_QUESTIONS) if i % 2 == 0},   # batch-4: 30 wrong
 }
 
 # filler words per question; decreasing in batch size by construction
-FILLER_WORDS = {1: 120, 2: 50, 3: 30}
+FILLER_WORDS = {1: 120, 2: 50, 3: 30, 4: 20}
 
 
 def make_corpus(n=N_QUESTIONS):

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import csv
 import io
 import json
 import os
@@ -73,8 +74,9 @@ class TestGen:
         # 9 questions at k=4: two batches, and the ninth question goes nowhere,
         # not into a one-question vanilla prompt
         corpus, mock, out = tmp_path / "questions.jsonl", tmp_path / "mock", tmp_path / "gen"
-        write_corpus(corpus, pf.make_corpus(9))
-        mock.mkdir()
+        questions = pf.make_corpus(9)
+        write_corpus(corpus, questions)
+        pf.write_script_dir(pf.build_script(questions, (4,), group="random"), mock)
         assert main(["gen", "--questions", str(corpus), "--out-dir", str(out),
                      "--batch-size", "4", "--mock", str(mock)]) == 0
         rows = [json.loads(line)
@@ -291,8 +293,9 @@ class TestBatchExperiment:
 
     def test_ungrouped_summed_over_batch_sizes(self, tmp_path, capsys):
         corpus, mock, out = tmp_path / "questions.jsonl", tmp_path / "mock", tmp_path / "exp"
-        write_corpus(corpus, pf.make_corpus(9))
-        mock.mkdir()
+        questions = pf.make_corpus(9)
+        write_corpus(corpus, questions)
+        pf.write_script_dir(pf.build_script(questions, (2, 4), group="random"), mock)
         assert main(["batch-experiment", "--questions", str(corpus), "--out-dir", str(out),
                      "--batch-size", "2", "--batch-size", "4", "--mock", str(mock)]) == 0
         rows = [json.loads(line)
@@ -552,6 +555,102 @@ class TestEvalAndReport:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert "Traceback" not in err
+
+
+# the fields that hold a mean in what the commands write
+MEAN_KEYS = {"accuracy", "mean_tokens", "mean_tokens_per_question", "mean_tokens_split"}
+# what each command prints for a mean over nothing, whitespace collapsed
+NO_DATA_PRINTS = {
+    "gen": ["mean tokens/question = -"],
+    "split": ["unsplittable = 0 (-)"],
+    "eval": ["GSM8K - -", "Overall (mean) - -", "Overall (weighted) - -",
+             "Overall skips (no samples): GSM8K"],
+    "batch-experiment": ["- - -"],
+}
+NO_DATA_PRINTS["report"] = NO_DATA_PRINTS["report-csv"] = NO_DATA_PRINTS["eval"]
+NO_DATA_PRINTS["report-baseline"] = NO_DATA_PRINTS["eval"] + [
+    "Delta vs baseline (overall mean): no data"]
+# the manifest count of refused requests: 3 questions at batch sizes 1 and 3
+# are 4 requests, and eval sends one per question
+REFUSED = {"gen": ("request_failures", 4), "batch-experiment": ("request_failures", 4),
+           "eval": ("endpoint_failures", 3)}
+
+
+def written_means(value):
+    """Every value under a MEAN_KEYS key in a decoded JSON document."""
+    if isinstance(value, list):
+        return [m for item in value for m in written_means(item)]
+    if isinstance(value, dict):
+        return [m for key, item in value.items()
+                for m in ([item] if key in MEAN_KEYS else written_means(item))]
+    return []
+
+
+class TestMeansOverNothing:
+    """Every command that reports a mean, run with nothing to average.
+
+    Three ways: every request refused, by an empty mock dir or by a closed
+    port; or a 3-question corpus at batch size 4, which makes no group. eval
+    has no batch size, so it, and report on eval's aggregate.json, run the
+    first two ways only.
+    """
+
+    @pytest.mark.parametrize("command, way", [
+        (command, way)
+        for command in ("gen", "split", "eval", "batch-experiment", "report",
+                        "report-baseline", "report-csv")
+        for way in ("empty-mock", "closed-port", "batch-4")
+        if not (way == "batch-4" and command.startswith(("eval", "report")))])
+    def test_no_mean_is_a_number(self, tmp_path, capsys, command, way):
+        corpus, mock, out = tmp_path / "questions.jsonl", tmp_path / "mock", tmp_path / "out"
+        write_corpus(corpus, pf.make_corpus(3))
+        mock.mkdir()
+        endpoint = ["--mock", str(mock)]
+        if way == "closed-port":
+            with socket.socket() as sock:
+                sock.bind(("127.0.0.1", 0))
+                port = sock.getsockname()[1]
+            endpoint = ["--base-url", f"http://127.0.0.1:{port}/v1", "--max-retries", "0"]
+        sizes = ["--batch-size", "4"] if way == "batch-4" else [
+            "--batch-size", "1", "--batch-size", "3"]
+        batch_run = ["--questions", str(corpus), "--out-dir", str(out)] + sizes + endpoint
+        if command in ("gen", "split"):
+            assert main(["gen"] + batch_run) == 0
+        elif command == "batch-experiment":
+            assert main([command] + batch_run) == 0
+        else:
+            assert main(["eval", "--benchmark", "gsm8k", "--corpus", str(corpus),
+                         "--out-dir", str(out)] + endpoint) == 0
+        if command == "split":
+            capsys.readouterr()
+            for completions in sorted(out.glob("completions_k*.jsonl")):
+                assert main(["split", "--in", str(completions),
+                             "--out", str(tmp_path / (completions.stem + ".chains"))]) == 0
+        elif command.startswith("report"):
+            capsys.readouterr()
+            aggregates = str(out / "aggregate.json")
+            extra = {"report": [], "report-baseline": ["--baseline", aggregates],
+                     "report-csv": ["--csv", str(tmp_path / "agg.csv")]}[command]
+            assert main(["report", "--aggregates", aggregates] + extra) == 0
+        if command in REFUSED and way != "batch-4":
+            key, n = REFUSED[command]
+            assert json.loads((out / "manifest.json").read_text())["exclusions"][key] == n
+        printed = " ".join(capsys.readouterr().out.split())
+        assert "0.00" not in printed and "0.0%" not in printed
+        for line in NO_DATA_PRINTS[command]:
+            assert line in printed
+        means = []
+        for path in tmp_path.rglob("*.json*"):
+            text = path.read_text()
+            docs = ([json.loads(line) for line in text.splitlines()]
+                    if path.suffix == ".jsonl" else [json.loads(text)])
+            means += written_means(docs)
+        assert all(m is None for m in means)
+        if command in ("eval", "batch-experiment"):
+            assert means
+        if command == "report-csv":
+            [row] = csv.DictReader(io.StringIO((tmp_path / "agg.csv").read_text()))
+            assert (row["accuracy"], row["mean_tokens"], row["n_samples"]) == ("", "", "0")
 
 
 class TestKeepAliveEndpoint:

@@ -68,13 +68,19 @@ class TestMockEngine:
         assert rec1.reported_tokens == 11
         assert rec1.effective_tokens == 11
 
-    def test_default_generator_for_unmatched(self):
+    def test_unmatched_prompt_is_a_request_failure(self):
+        # nothing is made up for a prompt with no stored response: it fails
+        # as a refused request does, and complete_many counts it as one failure
         backend = MockBackend()
-        env = build_single_prompt(Question(id="a", text="anything", gold_answer="1"))
-        rec = complete(env, cfg(), backend)
-        assert rec.raw_text == "\\boxed{0}"
-        assert rec.reported_tokens is None
-        assert rec.counted_tokens == 1
+        known, unknown = (build_single_prompt(Question(id=i, text=text, gold_answer="1"))
+                          for i, text in (("a", "scripted"), ("b", "anything")))
+        backend.add(known.text, "\\boxed{1}")
+        with pytest.raises(RequestError, match=fingerprint(unknown.text)):
+            complete(unknown, cfg(), backend)
+        records, failures = complete_many([unknown, known], cfg(), backend)
+        assert [r.envelope for r in records] == [known]
+        assert len(failures) == 1 and isinstance(failures[0], RequestError)
+        assert fingerprint(unknown.text) in str(failures[0])
 
     def test_dir_roundtrip(self, tmp_path):
         script = MockBackend()
@@ -113,6 +119,8 @@ class TestMockEngine:
         backend = MockBackend()
         envs = [build_single_prompt(Question(id=str(i), text="x", gold_answer="1"))
                 for i in range(3)]
+        for env in envs:
+            backend.add(env.text, "\\boxed{1}")
         c = cfg(seed=5)
         records, failures = complete_many(envs, c, backend)
         assert len(records) == 3 and failures == []
@@ -122,6 +130,7 @@ class TestMockEngine:
     def test_record_provenance(self):
         backend = MockBackend()
         env = build_single_prompt(Question(id="a", text="x", gold_answer="1"))
+        backend.add(env.text, "\\boxed{1}")
         rec = complete(env, cfg(temperature=0.3, seed=99), backend)
         assert rec.sampling.temperature == 0.3
         assert rec.sampling.seed == 99

@@ -228,6 +228,24 @@ class TestOverallAndReport:
         assert acc == pytest.approx(0.875)
         assert tok == pytest.approx(325.0)
 
+    def test_overall_skips_benchmark_without_samples(self):
+        rows = [agg("X", 0.5, 100.0, n_samples=10), agg("Y", 1.0, 400.0, n_samples=30)]
+        empty = EvalAggregate("Z", None, None, n_questions=4, n_samples=0, exclusions=4)
+        assert overall_mean(rows + [empty]) == overall_mean(rows)
+        assert overall_weighted(rows + [empty]) == overall_weighted(rows)
+        assert overall_mean([empty]) == overall_weighted([empty]) == (None, None)
+        assert "Overall skips" not in render_report(rows)
+        lines = render_report(rows + [empty]).splitlines()
+        assert lines[3].split() == ["Z", "-", "-"]
+        assert lines[-1] == "Overall skips (no samples): Z"
+
+    def test_report_baseline_without_samples_is_no_data(self):
+        rows = [agg("X", 0.5, 100.0)]
+        empty = [EvalAggregate("X", None, None, n_questions=4, n_samples=0)]
+        for method, baseline in ((rows, empty), (empty, rows), (empty, empty)):
+            last = render_report(method, baseline=baseline).splitlines()[-1]
+            assert last == "Delta vs baseline (overall mean): no data"
+
     def test_token_delta_percent(self):
         assert token_delta_percent(100.0, 80.0) == pytest.approx(-20.0)
         assert token_delta_percent(9661.68, 6362.89) == pytest.approx(-34.14, abs=0.01)
@@ -264,10 +282,12 @@ class TestOverallAndReport:
         assert render_report(rows) == render_report(rows)
 
     def test_csv(self):
-        text = aggregates_to_csv([agg("X", 0.5, 100.0)])
+        text = aggregates_to_csv([agg("X", 0.5, 100.0),
+                                  EvalAggregate("Y", None, None, 4, 0, 4)])
         lines = text.splitlines()
         assert lines[0].startswith("benchmark,accuracy")
         assert lines[1].startswith("X,0.5,100.0,")
+        assert lines[2] == "Y,,,4,0,4"
 
 
 class TestAggregateIo:
@@ -276,13 +296,29 @@ class TestAggregateIo:
         assert from_dict(EvalAggregate, to_dict(a)) == a
 
     def test_file_roundtrip(self, tmp_path):
-        rows = [agg("X", 0.5, 100.0), agg("Y", 0.9, 42.0)]
+        rows = [agg("X", 0.5, 100.0), agg("Y", 0.9, 42.0),
+                EvalAggregate("Z", None, None, n_questions=4, n_samples=0, exclusions=4)]
         path = tmp_path / "aggregates.json"
         write_aggregates(path, rows)
+        assert json.loads(path.read_text())[2]["accuracy"] is None
         assert read_aggregates(path) == rows
+
+    def test_zero_mean_without_samples_fails_at_load(self, tmp_path):
+        # an aggregate.json written before a mean over nothing became null
+        path = tmp_path / "aggregates.json"
+        path.write_text(json.dumps([
+            to_dict(agg("X", 0.5, 100.0)),
+            {"benchmark": "Y", "accuracy": 0.0, "mean_tokens": 0.0,
+             "n_questions": 4, "n_samples": 0, "exclusions": 4}]))
+        with pytest.raises(ValueError, match="entry 2: .*None exactly when n_samples is 0"):
+            read_aggregates(path)
 
     def test_invalid_aggregate(self):
         with pytest.raises(ValueError):
             agg("X", 1.5, 10.0)
         with pytest.raises(ValueError):
             agg("X", 0.5, -1.0)
+        for accuracy, tokens, n_samples in ((0.0, 0.0, 0), (None, 1.0, 0), (0.5, None, 3),
+                                            (None, None, 3)):
+            with pytest.raises(ValueError, match="None exactly when n_samples is 0"):
+                agg("X", accuracy, tokens, n_samples=n_samples)

@@ -15,11 +15,23 @@ from batchcot.preference import (
     PreferenceSample,
     build_dataset,
     label_sample,
-    render_judge_prompt,
     write_samples,
 )
 from batchcot.prompts import BATCH, VANILLA, Question
 from batchcot.records import from_dict, read_jsonl, to_dict
+
+
+def render_judge_prompt(sample: PreferenceSample) -> str:
+    """Canonical single-prompt rendering of a sample for a judge model."""
+    return (
+        f"{sample.question}\n\n"
+        f"{sample.cot}\n\n"
+        "Evaluate the reasoning above and choose exactly one option:\n"
+        f"A. {OPTION_A}\n"
+        f"B. {OPTION_B}\n"
+        f"C. {OPTION_C}\n\n"
+        "Answer with a single letter: A, B, or C."
+    )
 
 
 def chain(qid, kind, predicted, position=1, size=2, verdict=None):
