@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
@@ -30,7 +29,7 @@ from batchcot.parsing import (
     write_completions,
 )
 from batchcot.prompts import load_questions
-from batchcot.records import mean, show, to_dict, write_jsonl
+from batchcot.records import mean, show, to_dict, write_json, write_jsonl
 
 # The EndpointConfig fields a flag sets; each flag takes its field's type and
 # default from EndpointConfig().
@@ -63,7 +62,7 @@ def write_run_manifest(args, argv, started, fields):
     out_dir = getattr(args, "out_dir", None)
     path = (os.path.join(out_dir, "manifest.json") if out_dir
             else args.out + ".manifest.json")
-    manifest = {
+    write_json(path, {
         "command": args.command,
         "argv": list(argv),
         "config": {},
@@ -73,10 +72,7 @@ def write_run_manifest(args, argv, started, fields):
         "tool_version": __version__,
         "started": started,
         "finished": time.strftime(_TIMESTAMP),
-    }
-    # one write: json.dump with an indent writes each token on its own
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    })
 
 
 def _config_snapshot(cfg: EndpointConfig) -> dict:
@@ -215,7 +211,7 @@ def cmd_eval(args):
     print(report)
     return {"config": _config_snapshot(cfg), "inputs": [args.corpus],
             "outputs": [results_path, agg_path, report_path],
-            "exclusions": {"endpoint_failures": aggregate.exclusions}}
+            "exclusions": {"request_failures": aggregate.exclusions}}
 
 
 def cmd_report(args):

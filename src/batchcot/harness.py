@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 from dataclasses import dataclass, fields, replace
 from typing import Optional
@@ -10,7 +12,7 @@ from batchcot import verify
 from batchcot.client import EndpointConfig, complete_many
 from batchcot.parsing import split_completions
 from batchcot.prompts import build_single_prompt, load_questions
-from batchcot.records import from_dict, mean, naming, show, to_dict
+from batchcot.records import from_dict, mean, naming, show, to_dict, write_json
 from batchcot.verify import ANSWER_KINDS, CHOICE_LETTER, NUMERIC
 
 
@@ -150,15 +152,18 @@ def render_report(aggregates, baseline=None) -> str:
 
 
 def aggregates_to_csv(aggregates) -> str:
-    lines = [",".join(f.name for f in fields(EvalAggregate))]
-    lines += [",".join("" if v is None else str(v) for v in vars(a).values())
-              for a in aggregates]
-    return "\n".join(lines) + "\n"
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(f.name for f in fields(EvalAggregate))
+    writer.writerows(vars(a).values() for a in aggregates)  # None: an empty cell
+    return out.getvalue()
 
 
 def read_aggregates(path) -> list:
     with open(path, encoding="utf-8") as fh, naming(path):
         entries = json.load(fh)
+        if type(entries) is not list:
+            raise TypeError(f"{type(entries).__name__} is not a JSON list")
     aggregates = []
     for n, d in enumerate(entries, 1):
         with naming(f"{path}: entry {n}"):
@@ -167,6 +172,4 @@ def read_aggregates(path) -> list:
 
 
 def write_aggregates(path, aggregates):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump([to_dict(a) for a in aggregates], fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, [to_dict(a) for a in aggregates])

@@ -88,12 +88,13 @@ class ReasoningChain:
     origin: ChainOrigin
     predicted_answer: Optional[str] = None
     verdict: Optional[str] = None
-    # count_tokens(text): set when the chain is split from a completion or
-    # read from a chain file; None only for a chain built some other way
+    # count_tokens(text), counted here when the chain is built without one
     token_count: Optional[int] = field(default=None, compare=False)
 
     def __post_init__(self):
-        if self.token_count is not None and self.token_count < 0:
+        if self.token_count is None:
+            self.token_count = count_tokens(self.text)
+        elif self.token_count < 0:
             raise ValueError("token_count must be >= 0")
 
 
@@ -308,16 +309,10 @@ def split_completions(records):
 # --- JSONL (de)serialization -------------------------------------------------
 
 def _chain_row(chain: ReasoningChain) -> dict:
-    """A chain's fields plus its whitespace token count; verdict once graded.
-
-    A chain keeps the count it was split or read with; only a chain that has
-    none is counted.
-    """
+    """A chain's fields plus its token scheme; verdict once graded."""
     d = to_dict(chain)
     if chain.verdict is None:
         del d["verdict"]
-    if chain.token_count is None:
-        d["token_count"] = count_tokens(chain.text)
     d["token_scheme"] = WHITESPACE
     return d
 

@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Union
 
-from batchcot.records import loads_line
+from batchcot.records import from_dict, loads_line, named_error
 
 VANILLA = "vanilla"
 BATCH = "batch"
@@ -25,10 +25,18 @@ FINAL_ANSWER_MARKER = "[Final Answer]"
 
 @dataclass(frozen=True)
 class Question:
-    id: str
+    # a number (JSON's, too) is kept as its str()
+    id: Union[str, float]
     text: str
-    gold_answer: str
+    gold_answer: Union[str, float]
     source: str = ""
+
+    def __post_init__(self):
+        for name in ("id", "gold_answer"):
+            if type(getattr(self, name)) is not str:
+                object.__setattr__(self, name, str(getattr(self, name)))
+        if not self.text:
+            raise ValueError("empty question text")
 
     @cached_property
     def gold_number(self):
@@ -66,8 +74,6 @@ class PromptEnvelope:
 
 def build_single_prompt(q: Question) -> PromptEnvelope:
     """Question text followed by the step-by-step boxed-answer instruction."""
-    if not q.text:
-        raise ValueError("question text must be nonempty")
     text = f"{q.text}\n\n{SINGLE_INSTRUCTION}"
     return PromptEnvelope(
         text=text, mode=VANILLA, batch_size=1, question_ids=(q.id,)
@@ -115,55 +121,32 @@ def build_prompt(questions) -> PromptEnvelope:
 
 
 def load_questions(path, answer_kind: str = "numeric") -> list:
-    """Read a Question corpus from JSONL, validating each question's fields.
+    """Read a Question corpus from JSONL, as records.read_jsonl reads records.
 
-    Each gold answer is checked by the rule of `answer_kind`, verify.NUMERIC or
-    CHOICE_LETTER; a numeric gold is normalized once, into its gold_number.
+    Blank lines are skipped and an id may occur once. Each gold answer is
+    checked by the rule of `answer_kind`, verify.NUMERIC or CHOICE_LETTER; a
+    numeric gold is normalized once, into its gold_number.
     """
     # imported here: verify imports prompts
     from batchcot.verify import NUMERIC, normalize_letter
 
-    questions = []
-    seen = set()
+    questions, seen = [], set()
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
+            if line.isspace():
                 continue
+            where = f"{path}: line {lineno}"
             try:
-                obj = loads_line(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}: line {lineno}: invalid JSON: {exc}") from exc
-            if not isinstance(obj, dict):
-                raise ValueError(f"{path}: line {lineno}: not a JSON object")
-            missing = [k for k in ("id", "text", "gold_answer") if k not in obj]
-            if missing:
-                raise ValueError(
-                    f"{path}: line {lineno}: missing keys {missing}"
-                )
-            qid = str(obj["id"])
-            if qid in seen:
-                raise ValueError(f"{path}: line {lineno}: duplicate question id {qid!r}")
-            seen.add(qid)
-            text = obj["text"]
-            if type(text) is not str:
-                raise ValueError(
-                    f"{path}: line {lineno}: text is {type(text).__name__}, not str"
-                )
-            if not text:
-                raise ValueError(f"{path}: line {lineno}: empty question text")
-            source = obj.get("source", "")
-            if type(source) is not str:
-                raise ValueError(
-                    f"{path}: line {lineno}: source is {type(source).__name__}, not str"
-                )
-            q = Question(id=qid, text=text, gold_answer=str(obj["gold_answer"]),
-                         source=source)
+                q = from_dict(Question, loads_line(line))
+            except (TypeError, KeyError, ValueError) as exc:
+                raise named_error(where, exc) from exc
+            if q.id in seen:
+                raise ValueError(f"{where}: duplicate question id {q.id!r}")
+            seen.add(q.id)
             if answer_kind == NUMERIC and q.gold_number is None:
-                raise ValueError(f"{path}: line {lineno}: gold answer "
-                                 f"{q.gold_answer!r} is not numeric")
+                raise ValueError(f"{where}: gold answer {q.gold_answer!r} is not numeric")
             if answer_kind != NUMERIC and normalize_letter(q.gold_answer) is None:
-                raise ValueError(f"{path}: line {lineno}: gold answer "
+                raise ValueError(f"{where}: gold answer "
                                  f"{q.gold_answer!r} is not a choice letter")
             questions.append(q)
     return questions

@@ -54,14 +54,16 @@ def from_dict(cls, d: dict):
     """Rebuild a dataclass from to_dict's output.
 
     Keys the class does not declare are ignored and missing optional keys
-    take the field's default; a missing required key raises KeyError and a
-    value of a type the field's hint does not take raises TypeError.
+    take the field's default; a missing required key raises KeyError, and a
+    non-dict `d` or a value its field's hint does not take raises TypeError.
     """
     return _decoder(cls)(d)
 
 
 def _checked_from_dict(cls, d):
     """from_dict one field at a time, raising the first error in field order."""
+    if type(d) is not dict:
+        raise TypeError(f"{type(d).__name__} is not a JSON object")
     kwargs = {}
     for name, required, convert, accepts in _schema(cls)[0]:
         if not required and name not in d:
@@ -140,6 +142,12 @@ def _row_encoder():
 
 
 _encode = _row_encoder()
+
+
+def write_json(path, doc):
+    """json.dump(doc, fh, indent=2, sort_keys=True) and a newline, in one write."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def write_jsonl(path, rows):

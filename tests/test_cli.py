@@ -163,7 +163,7 @@ MANIFEST_RUNS = {
         ["eval", "--benchmark", "gsm8k", "--corpus", "questions.jsonl",
          "--out-dir", "eval", "--seed", "7", "--mock", "mock"],
         "eval/manifest.json",
-        {"config": ENDPOINT_CONFIG, "exclusions": {"endpoint_failures": 0},
+        {"config": ENDPOINT_CONFIG, "exclusions": {"request_failures": 0},
          "inputs": ["questions.jsonl"],
          "outputs": ["eval/results.jsonl", "eval/aggregate.json", "eval/report.txt"],
          "seed": 7},
@@ -570,10 +570,9 @@ NO_DATA_PRINTS = {
 NO_DATA_PRINTS["report"] = NO_DATA_PRINTS["report-csv"] = NO_DATA_PRINTS["eval"]
 NO_DATA_PRINTS["report-baseline"] = NO_DATA_PRINTS["eval"] + [
     "Delta vs baseline (overall mean): no data"]
-# the manifest count of refused requests: 3 questions at batch sizes 1 and 3
-# are 4 requests, and eval sends one per question
-REFUSED = {"gen": ("request_failures", 4), "batch-experiment": ("request_failures", 4),
-           "eval": ("endpoint_failures", 3)}
+# the manifest's request_failures: 3 questions at batch sizes 1 and 3 are 4
+# requests, and eval sends one per question
+REFUSED = {"gen": 4, "batch-experiment": 4, "eval": 3}
 
 
 def written_means(value):
@@ -633,8 +632,8 @@ class TestMeansOverNothing:
                      "report-csv": ["--csv", str(tmp_path / "agg.csv")]}[command]
             assert main(["report", "--aggregates", aggregates] + extra) == 0
         if command in REFUSED and way != "batch-4":
-            key, n = REFUSED[command]
-            assert json.loads((out / "manifest.json").read_text())["exclusions"][key] == n
+            exclusions = json.loads((out / "manifest.json").read_text())["exclusions"]
+            assert exclusions["request_failures"] == REFUSED[command]
         printed = " ".join(capsys.readouterr().out.split())
         assert "0.00" not in printed and "0.0%" not in printed
         for line in NO_DATA_PRINTS[command]:
@@ -689,7 +688,7 @@ class TestKeepAliveEndpoint:
                          str(workspace["corpus"]), "--out-dir", str(tmp_path)],
                         endpoint) == 0
         manifest = json.loads((tmp_path / "manifest.json").read_text())
-        assert manifest["exclusions"] == {"endpoint_failures": 1}
+        assert manifest["exclusions"] == {"request_failures": 1}
 
     def test_batch_experiment(self, workspace, endpoint, tmp_path, capsys):
         assert self.run(["batch-experiment", "--questions", str(workspace["corpus"]),

@@ -350,7 +350,7 @@ class TestMalformedBody:
         assert aggregate["exclusions"] == 1
         assert aggregate["n_samples"] == 1
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["exclusions"] == {"endpoint_failures": 1}
+        assert manifest["exclusions"] == {"request_failures": 1}
 
 
 class TestApiKey:

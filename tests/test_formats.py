@@ -3,10 +3,13 @@
 Each golden line is what the writer must produce for a fixed record; each
 round trip is what the reader must give back. A change to a serializer that
 moves one byte of a completion, chain, preference sample, experiment row or
-aggregate file fails here.
+aggregate file fails here. Every reader names an entry that is not a JSON
+object in one form.
 """
 
 import json
+
+import pytest
 
 import pipeline_fixtures as pf
 from batchcot.cli import main
@@ -22,7 +25,7 @@ from batchcot.parsing import (
     write_completions,
 )
 from batchcot.preference import PreferenceSample, write_samples
-from batchcot.prompts import BATCH, VANILLA, PromptEnvelope
+from batchcot.prompts import BATCH, VANILLA, PromptEnvelope, load_questions
 from batchcot.records import read_jsonl, write_jsonl
 
 COMPLETION = CompletionRecord(
@@ -181,3 +184,39 @@ class TestRoundTrip:
         del row["exclusions"]
         path.write_text(json.dumps([row]))
         assert read_aggregates(path)[0].exclusions == 0
+
+
+# an entry that is JSON but no object: every reader names it the same way
+NOT_OBJECTS = {"5": "int", '"s"': "str", "[1]": "list"}
+
+
+class TestEntryThatIsNotAnObject:
+    @pytest.mark.parametrize("entry", NOT_OBJECTS)
+    @pytest.mark.parametrize("reader", [read_completions, read_chains, load_questions])
+    def test_jsonl_line(self, tmp_path, reader, entry):
+        path = tmp_path / "rows.jsonl"
+        path.write_text("\n" + entry + "\n", encoding="utf-8")
+        with pytest.raises(ValueError) as info:
+            reader(path)
+        assert str(info.value) == (f"{path}: line 2: TypeError: "
+                                   f"{NOT_OBJECTS[entry]} is not a JSON object")
+
+    @pytest.mark.parametrize("entry", NOT_OBJECTS)
+    def test_aggregate_entry(self, tmp_path, capsys, entry):
+        path = tmp_path / "aggregate.json"
+        path.write_text(f"[{AGGREGATE_FILE.strip()[1:-1]}, {entry}]", encoding="utf-8")
+        assert main(["report", "--aggregates", str(path)]) == 1
+        assert capsys.readouterr().err == (f"error: {path}: entry 2: TypeError: "
+                                           f"{NOT_OBJECTS[entry]} is not a JSON object\n")
+
+    @pytest.mark.parametrize("document, kind", [("5", "int"), ('{"a": 1}', "dict")])
+    def test_aggregate_file_that_is_no_list(self, tmp_path, capsys, document, kind):
+        path = tmp_path / "aggregate.json"
+        path.write_text(document, encoding="utf-8")
+        assert main(["report", "--aggregates", str(path)]) == 1
+        assert capsys.readouterr().err == (f"error: {path}: TypeError: "
+                                           f"{kind} is not a JSON list\n")
+
+
+def test_chain_built_without_a_count_is_counted():
+    assert (CHAIN.token_count, GRADED_CHAIN.token_count) == (3, 2)

@@ -1,3 +1,4 @@
+import csv
 import json
 import threading
 
@@ -283,11 +284,15 @@ class TestOverallAndReport:
 
     def test_csv(self):
         text = aggregates_to_csv([agg("X", 0.5, 100.0),
-                                  EvalAggregate("Y", None, None, 4, 0, 4)])
+                                  EvalAggregate("Y", None, None, 4, 0, 4),
+                                  agg('A, "B"', 0.25, 8.0)])
         lines = text.splitlines()
         assert lines[0].startswith("benchmark,accuracy")
         assert lines[1].startswith("X,0.5,100.0,")
         assert lines[2] == "Y,,,4,0,4"
+        # a name with a comma or a quote is one quoted cell
+        assert lines[3] == '"A, ""B""",0.25,8.0,10,10,0'
+        assert [len(row) for row in csv.reader(lines)] == [6] * 4
 
 
 class TestAggregateIo:

@@ -21,6 +21,12 @@ def q(i, text=None, gold="1"):
     return Question(id=f"q{i}", text=text or f"question {i}", gold_answer=gold)
 
 
+class TestQuestion:
+    def test_number_is_kept_as_its_str(self):
+        question = Question(id=2, text="t", gold_answer=1.5)
+        assert (question.id, question.gold_answer) == ("2", "1.5")
+
+
 class TestSinglePrompt:
     def test_ends_with_boxed_instruction(self):
         env = build_single_prompt(q(0, "What is 2+3?"))
@@ -64,6 +70,11 @@ class TestBatchPrompt:
     def test_single_question_rejected(self):
         with pytest.raises(ValueError):
             build_batch_prompt([q(0)])
+
+    def test_empty_question_rejected(self):
+        # the Question refuses empty text itself, so no batch is built around it
+        with pytest.raises(ValueError, match="empty question text"):
+            build_batch_prompt([q(0), Question(id="x", text="", gold_answer="1")])
 
     def test_mode_and_ids(self):
         env = build_batch_prompt([q(0), q(1)])
@@ -130,8 +141,9 @@ class TestLoadQuestions:
     def test_bad_json_line_diagnostic(self, tmp_path):
         path = tmp_path / "q.jsonl"
         # the string holds every required key, so only its type is wrong
-        for line, message in (("not json", "invalid JSON"), ("5", "not a JSON object"),
-                              ('"id text gold_answer"', "not a JSON object")):
+        for line, message in (("not json", "JSONDecodeError: Expecting value"),
+                              ("5", "TypeError: int is not a JSON object"),
+                              ('"id text gold_answer"', "TypeError: str is not a JSON object")):
             path.write_text('{"id": "a", "text": "t", "gold_answer": "1"}\n' + line + "\n")
             with pytest.raises(ValueError, match=f"line 2: {message}"):
                 load_questions(path)
@@ -144,7 +156,7 @@ class TestLoadQuestions:
                           {"id": 2, "text": text, "gold_answer": 3}])
         with pytest.raises(ValueError) as info:
             load_questions(path)
-        assert str(info.value) == f"{path}: line 2: text is {kind}, not str"
+        assert str(info.value) == f"{path}: line 2: TypeError: text is {kind}, not str"
 
     @pytest.mark.parametrize("source, kind", [(["x", 1], "list"), (7, "int"),
                                               ({"s": "x"}, "dict"), (None, "NoneType")])
@@ -155,13 +167,33 @@ class TestLoadQuestions:
                           {"id": "b", "text": "t", "gold_answer": "1", "source": source}])
         with pytest.raises(ValueError) as info:
             load_questions(path)
-        assert str(info.value) == f"{path}: line 2: source is {kind}, not str"
+        assert str(info.value) == f"{path}: line 2: TypeError: source is {kind}, not str"
 
     def test_id_and_gold_answer_are_coerced_to_str(self, tmp_path):
         path = tmp_path / "q.jsonl"
         self.write(path, [{"id": 2, "text": "t", "gold_answer": 3}])
         question, = load_questions(path)
         assert (question.id, question.gold_answer) == ("2", "3")
+
+    @pytest.mark.parametrize("field, value, kind", [
+        ("id", None, "NoneType"), ("id", True, "bool"),
+        ("gold_answer", None, "NoneType"), ("gold_answer", [1], "list")])
+    def test_id_and_gold_answer_that_are_no_string_or_number_rejected(
+            self, tmp_path, field, value, kind):
+        path = tmp_path / "q.jsonl"
+        self.write(path, [{"id": "a", "text": "t", "gold_answer": "1", field: value}])
+        with pytest.raises(ValueError) as info:
+            load_questions(path)
+        assert str(info.value) == (f"{path}: line 1: TypeError: "
+                                   f"{field} is {kind}, not str or int or float")
+
+    def test_empty_text_names_its_line(self, tmp_path):
+        path = tmp_path / "q.jsonl"
+        self.write(path, [{"id": "a", "text": "t", "gold_answer": "1"},
+                          {"id": "b", "text": "", "gold_answer": "1"}])
+        with pytest.raises(ValueError) as info:
+            load_questions(path)
+        assert str(info.value) == f"{path}: line 2: ValueError: empty question text"
 
     @pytest.mark.parametrize("numeric", [True, False])
     def test_gold_normalized_once_per_question_per_load(self, tmp_path, monkeypatch,

@@ -22,6 +22,8 @@ from batchcot.records import from_dict, loads_line, read_jsonl, to_dict, write_j
 
 def reference_from_dict(cls, d):
     """from_dict as one loop over the fields, checking each in turn."""
+    if not isinstance(d, dict):
+        raise TypeError(f"{type(d).__name__} is not a JSON object")
     kwargs = {}
     for name, required, convert, accepts in records._schema(cls)[0]:
         if not required and name not in d:
