@@ -7,10 +7,8 @@ import hashlib
 import json
 import math
 import os
-import select
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple, Optional, Sequence
@@ -193,7 +191,9 @@ class HttpBackend:
     The backend speaks HTTP/1.1 itself, over `socket`, and over `ssl` for an
     https base URL, verified against the system trust store. A request is
     one send: the header block built when the backend is, its
-    Content-Length, then the JSON body. Each connection keeps one receive
+    Content-Length, then the JSON body: the prompt's JSON string spliced
+    between a head and a tail built once per config, the same bytes as
+    json.dumps of the whole payload. Each connection keeps one receive
     buffer for every response it carries. A 200's body is read by its
     Content-Length, by chunked coding, or to EOF when the response gives
     neither; 1xx interim responses are skipped.
@@ -204,8 +204,10 @@ class HttpBackend:
     body was framed by length or chunks and read in full, with no bytes
     left over in its buffer. An error or any other response (a non-200's
     body unread) closes the connection instead, and so does the server
-    closing an idle one. A connection opens only when none is idle, so no
-    more are ever open than the most requests in flight at once. `close()`
+    closing an idle one, which `poll` sees on any descriptor. A connection
+    opens only when none is idle, so no more are ever open than the most
+    requests in flight at once: with `complete_many`, no more than its
+    min(max_concurrent, number of requests) worker threads. `close()`
     closes the idle connections; call it once the sends are done, or use
     the backend as a context manager.
 
@@ -251,6 +253,7 @@ class HttpBackend:
             self._tls = ssl.create_default_context()
         self._idle = []
         self._idle_lock = threading.Lock()
+        self._template = (None, b"", b"")
 
     def __enter__(self):
         return self
@@ -272,23 +275,37 @@ class HttpBackend:
                 conn = self._idle.pop() if self._idle else None
             if conn is None:
                 break
-            # readable while idle: the server has closed it
-            if not select.select([conn.sock], [], [], 0)[0]:
+            if not conn.readable():
                 conn.sock.settimeout(timeout)
                 return conn
             conn.close()
         return Connection.open(self._address, timeout, self._tls)
 
+    def _body_template(self, cfg: EndpointConfig):
+        """(head, tail) of the JSON body of every request under `cfg`.
+
+        head + json.dumps(prompt_text).encode() + tail is, byte for byte,
+        json.dumps of the request's payload. The template is dumped with an
+        empty prompt; the prompt is the payload's last string value, and
+        no key after it is empty, so the last "" in the dump is the prompt.
+        """
+        template = self._template
+        if template[0] is not cfg:  # one config per run: built once
+            payload = {
+                "model": self.model,
+                "messages": [{"role": "user", "content": ""}],
+                "temperature": cfg.temperature,
+                "max_tokens": cfg.max_tokens,
+            }
+            if cfg.seed is not None:
+                payload["seed"] = cfg.seed
+            head, _, tail = json.dumps(payload).encode("ascii").rpartition(b'""')
+            template = self._template = (cfg, head, tail)
+        return template[1:]
+
     def send(self, prompt_text: str, cfg: EndpointConfig) -> RawCompletion:
-        payload = {
-            "model": self.model,
-            "messages": [{"role": "user", "content": prompt_text}],
-            "temperature": cfg.temperature,
-            "max_tokens": cfg.max_tokens,
-        }
-        if cfg.seed is not None:
-            payload["seed"] = cfg.seed
-        body = json.dumps(payload).encode("utf-8")
+        head, tail = self._body_template(cfg)
+        body = head + json.dumps(prompt_text).encode("ascii") + tail
         request = b"%s%d\r\n\r\n%s" % (self._head, len(body), body)
 
         attempts = []
@@ -343,10 +360,16 @@ def complete_many(envelopes, cfg: EndpointConfig, backend):
     """(records, failures) of every envelope, each list in input order.
 
     A request that fails gives its TransportError or RequestError to
-    `failures`; none is raised here. Up to cfg.max_concurrent requests are
-    in flight at once, except on a MockBackend: it does no I/O, so it
+    `failures`; none is raised here. A MockBackend does no I/O, so it
     answers in the calling thread, where a worker thread would only add a
-    hand-off per request.
+    hand-off per request. Any other backend's requests run on
+    min(cfg.max_concurrent, len(envelopes)) worker threads, so no more are
+    in flight at once and no thread is started for nothing: each worker
+    takes the next envelope's index from one shared counter and writes its
+    result into that index's slot, and the caller joins the workers once.
+    Any other exception in a worker, or an interrupt of the caller, starts
+    no further request and is raised here once the requests in flight have
+    ended.
     """
     def one(envelope):
         try:
@@ -357,12 +380,51 @@ def complete_many(envelopes, cfg: EndpointConfig, backend):
     if isinstance(backend, MockBackend):
         results = [one(envelope) for envelope in envelopes]
     else:
-        with ThreadPoolExecutor(max_workers=cfg.max_concurrent) as pool:
-            results = list(pool.map(one, envelopes))
+        results = _on_workers(one, list(envelopes), cfg.max_concurrent)
     records, failures = [], []
     for result in results:
         (failures if isinstance(result, Exception) else records).append(result)
     return records, failures
+
+
+def _on_workers(fn, items: list, workers: int) -> list:
+    """[fn(item) for item in items], on min(workers, len(items)) threads."""
+    results = [None] * len(items)
+    lock = threading.Lock()
+    taken = 0  # indexes handed out so far, each to one worker
+    stopped = []  # the exceptions that stopped the run, in the order raised
+
+    def work():
+        nonlocal taken
+        while True:
+            with lock:
+                i = taken
+                if i == len(items) or stopped:
+                    return
+                taken += 1
+            try:
+                results[i] = fn(items[i])
+            except BaseException as exc:
+                stopped.append(exc)
+                return
+
+    threads = [threading.Thread(target=work) for _ in range(min(workers, len(items)))]
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+    except BaseException as exc:
+        stopped.append(exc)
+        # a thread that is not alive has ended, or has yet to take an index
+        # and now takes none
+        for thread in threads:
+            if thread.is_alive():
+                thread.join()
+        raise
+    if stopped:
+        raise stopped[0]
+    return results
 
 
 def complete_groups(questions, k: int, cfg: EndpointConfig, backend,

@@ -8,6 +8,7 @@ and never makes it wait for bytes that the framing does not promise.
 
 from __future__ import annotations
 
+import select
 import socket
 
 # Linux only; None elsewhere (see client.HttpBackend)
@@ -53,11 +54,17 @@ class Connection:
     the end of a line or body stays there for the next read.
     """
 
-    __slots__ = ("sock", "buf")
+    __slots__ = ("sock", "buf", "_poller")
 
     def __init__(self, sock):
         self.sock = sock
         self.buf = bytearray()
+        # poll takes any descriptor, where select takes only those below
+        # FD_SETSIZE (1024); select is left for systems without poll
+        self._poller = None
+        if hasattr(select, "poll"):
+            self._poller = select.poll()
+            self._poller.register(sock, select.POLLIN)
 
     @classmethod
     def open(cls, address, timeout: float, tls) -> "Connection":
@@ -76,6 +83,13 @@ class Connection:
 
     def close(self):
         self.sock.close()
+
+    def readable(self) -> bool:
+        """Whether a read would not wait: on an idle connection, the server
+        has closed it (or sent what no request asked for)."""
+        if self._poller is None:
+            return bool(select.select([self.sock], [], [], 0)[0])
+        return bool(self._poller.poll(0))
 
     def _fill(self) -> bool:
         """Append one receive to the buffer; False once the server has closed."""

@@ -479,11 +479,13 @@ class TestGrpoCommands:
         assert (tmp_path / "toy" / "policy.txt").exists()
 
     def test_cli_import_loads_no_http_client_email_or_ssl(self):
-        # the client speaks HTTP itself, and imports ssl for an https URL only
+        # the client speaks HTTP itself, imports ssl for an https URL only,
+        # and runs its requests on plain threads, without concurrent.futures
         script = ("import sys, batchcot.cli\n"
                   "print(sorted(m for m in sys.modules\n"
-                  "             if m in ('http.client', 'ssl', '_ssl', 'email')\n"
-                  "             or m.startswith('email.')))\n")
+                  "             if m in ('http.client', 'ssl', '_ssl', 'email',\n"
+                  "                      'concurrent', 'concurrent.futures')\n"
+                  "             or m.startswith(('email.', 'concurrent.'))))\n")
         src = str(Path(batchcot.__file__).parents[1])
         env = {**os.environ,
                "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}

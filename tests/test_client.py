@@ -1,6 +1,11 @@
+import fcntl
 import gc
 import json
+import random
+import resource
+import select
 import shutil
+import signal
 import socket
 import ssl
 import subprocess
@@ -31,6 +36,7 @@ from batchcot.client import (
     run_batch_experiment,
 )
 from batchcot.cli import main
+from batchcot.http1 import Connection
 from batchcot.harness import BenchmarkSpec, evaluate
 from batchcot.parsing import SamplingParams
 from batchcot.prompts import Question, build_prompt, build_single_prompt, shuffle_and_group
@@ -695,11 +701,79 @@ class TestFraming:
                            "Content-Type": "application/json",
                            "Content-Length": str(length)}
 
+    @pytest.mark.parametrize("model", ["m", 'deep"seek-r1-é中'])
+    def test_request_body_is_json_dumps_of_the_payload(self, model):
+        bodies = []
+
+        class Recorder(_RawHandler):
+            def do_POST(self):
+                bodies.append(self.rfile.read(int(self.headers["Content-Length"])))
+                self.wfile.write(_ok())
+
+        prompts = ["plain", 'say "hi"', "back\\slash", "line\nbreak", "tab\there",
+                   "nul\x00byte", "café ∑ \U0001d400", "", '""']
+        configs = [cfg(seed=seed, temperature=temperature)
+                   for seed in (None, 7) for temperature in (0, 0.6)]
+        expected = []
+        with _serve(Recorder) as root, HttpBackend(root + "/v1", model) as backend:
+            # each config in turn, then back to the first
+            for c in configs + configs[:1]:
+                for prompt in prompts:
+                    backend.send(prompt, c)
+                    payload = {"model": model,
+                               "messages": [{"role": "user", "content": prompt}],
+                               "temperature": c.temperature, "max_tokens": c.max_tokens}
+                    if c.seed is not None:
+                        payload["seed"] = c.seed
+                    expected.append(json.dumps(payload).encode("utf-8"))
+        assert bodies == expected
+
     @pytest.mark.parametrize("base_url", ["http://h/a b", "http://h/café",
                                           "http://a b/v1", "http://a..b/v1"])
     def test_base_url_that_is_no_request_target_is_rejected(self, base_url):
         with pytest.raises(ValueError):
             HttpBackend(base_url, "m")
+
+
+_HIGH_FD = 1500
+_SOFT_NOFILE = resource.getrlimit(resource.RLIMIT_NOFILE)[0]
+
+
+def _move_idle_connection_to_a_high_fd(backend) -> int:
+    """Put the backend's one idle connection on a descriptor >= _HIGH_FD."""
+    conn, = backend._idle
+    fd = fcntl.fcntl(conn.sock.fileno(), fcntl.F_DUPFD_CLOEXEC, _HIGH_FD)
+    conn.close()
+    backend._idle[:] = [Connection(socket.socket(fileno=fd))]
+    return fd
+
+
+@pytest.mark.skipif(_SOFT_NOFILE != resource.RLIM_INFINITY and _SOFT_NOFILE <= _HIGH_FD,
+                    reason=f"the soft limit on open files is not above {_HIGH_FD}")
+class TestHighDescriptor:
+    # select() takes only descriptors below 1024; a process with many open
+    # files hands the client higher ones
+    def test_idle_connection_is_reused(self):
+        handler = _raw(lambda n: ([_ok()], False))
+        with _serve(handler) as root, HttpBackend(root + "/v1", "m") as backend:
+            backend.send("p", cfg())
+            fd = _move_idle_connection_to_a_high_fd(backend)
+            raw = backend.send("p", cfg(max_retries=0))
+            assert [conn.sock.fileno() for conn in backend._idle] == [fd]
+        assert raw.attempts == [{"attempt": 1, "status": 200}]
+        assert handler.accepted == 1
+
+    def test_idle_connection_the_server_closed_is_not_reused(self):
+        handler = _raw(lambda n: ([_ok()], n == 1))
+        with _serve(handler) as root, HttpBackend(root + "/v1", "m") as backend:
+            backend.send("p", cfg())
+            fd = _move_idle_connection_to_a_high_fd(backend)
+            poller = select.poll()
+            poller.register(fd, select.POLLIN)
+            assert poller.poll(5000)  # the server's close has arrived
+            raw = backend.send("p", cfg(max_retries=0))
+        assert raw.attempts == [{"attempt": 1, "status": 200}]
+        assert handler.accepted == 2
 
 
 @pytest.fixture(scope="module")
@@ -787,6 +861,149 @@ class _ProbeBackend:
         with self.lock:
             self.in_flight -= 1
         return RawCompletion("\\boxed{0}", 1, [])
+
+
+class _RecordingBackend:
+    """Answers each prompt with itself after `reply(prompt)`, which may sleep
+    or raise; logs ("start", prompt, thread) and ("end", prompt) around each
+    send."""
+
+    name = "recording"
+
+    def __init__(self, reply=lambda prompt: None):
+        self.reply = reply
+        self.lock = threading.Lock()
+        self.log = []
+
+    def note(self, *event):
+        with self.lock:
+            self.log.append(event)
+
+    def send(self, prompt_text, cfg):
+        self.note("start", prompt_text, threading.get_ident())
+        try:
+            self.reply(prompt_text)
+        finally:
+            self.note("end", prompt_text)
+        return RawCompletion(prompt_text, 1, [])
+
+    def starts(self):
+        return [event[1:] for event in self.log if event[0] == "start"]
+
+
+def _envelopes(n):
+    return [build_single_prompt(Question(id=f"q{i}", text=f"t{i}", gold_answer="1"))
+            for i in range(n)]
+
+
+class TestFanOut:
+    @pytest.mark.parametrize("n", [3, 4, 9])
+    def test_each_envelope_sent_once_on_at_most_n_workers(self, n):
+        backend = _RecordingBackend(lambda prompt: time.sleep(0.005))
+        envs = _envelopes(n)
+        records, failures = complete_many(envs, cfg(max_concurrent=4), backend)
+        assert failures == []
+        assert [r.raw_text for r in records] == [env.text for env in envs]
+        prompts = [prompt for prompt, _ in backend.starts()]
+        assert sorted(prompts) == sorted(env.text for env in envs)
+        threads = {thread for _, thread in backend.starts()}
+        assert 1 <= len(threads) <= min(4, n)
+        assert threading.get_ident() not in threads
+
+    def test_each_envelope_sent_once_under_frequent_thread_switches(self):
+        # more workers than cores share the counter of taken indexes
+        envs = _envelopes(300)
+        backend = _RecordingBackend()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            records, failures = complete_many(envs, cfg(max_concurrent=8), backend)
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(prompt for prompt, _ in backend.starts()) == sorted(
+            env.text for env in envs)
+        assert [r.raw_text for r in records] == [env.text for env in envs]
+        assert failures == []
+
+    def test_no_envelopes_start_no_thread(self, monkeypatch):
+        started = []
+        start = threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start",
+                            lambda thread: (started.append(thread), start(thread)))
+        backend = _RecordingBackend()
+        assert complete_many([], cfg(max_concurrent=4), backend) == ([], [])
+        assert started == [] and backend.log == []
+
+    def test_other_exception_starts_no_further_send(self):
+        envs = _envelopes(12)
+        fourth_started, raised = threading.Event(), threading.Event()
+
+        def reply(prompt):
+            if prompt == envs[2].text:
+                # raised while the other worker sends the fourth prompt
+                assert fourth_started.wait(5)
+                backend.note("raise", prompt)
+                raised.set()
+                raise ValueError("no answer for the third prompt")
+            if prompt == envs[3].text:
+                fourth_started.set()
+                assert raised.wait(5)
+                time.sleep(0.05)  # the ValueError reaches its worker meanwhile
+
+        backend = _RecordingBackend(reply)
+        with pytest.raises(ValueError, match="no answer for the third prompt"):
+            complete_many(envs, cfg(max_concurrent=2), backend)
+        raised_at = backend.log.index(("raise", envs[2].text))
+        assert [event for event in backend.log[raised_at:] if event[0] == "start"] == []
+        # the send in flight when the third prompt raised was the last to start
+        assert sorted(prompt for prompt, _ in backend.starts()) == sorted(
+            env.text for env in envs[:4])
+
+    @pytest.mark.skipif(threading.current_thread() is not threading.main_thread()
+                        or signal.getsignal(signal.SIGINT) is not signal.default_int_handler,
+                        reason="SIGINT does not raise KeyboardInterrupt in this thread")
+    def test_interrupt_starts_no_further_send(self):
+        caller = threading.get_ident()
+        envs = _envelopes(12)
+
+        def reply(prompt):
+            if prompt == envs[0].text:
+                signal.pthread_kill(caller, signal.SIGINT)
+            time.sleep(0.05)
+
+        backend = _RecordingBackend(reply)
+        with pytest.raises(KeyboardInterrupt):
+            complete_many(envs, cfg(max_concurrent=2), backend)
+        # only the sends already in flight were made, and they have ended
+        log = list(backend.log)
+        assert 1 <= len(backend.starts()) <= 2
+        assert sorted(e[1] for e in log if e[0] == "end") == sorted(
+            prompt for prompt, _ in backend.starts())
+        time.sleep(0.1)
+        assert backend.log == log
+
+    def test_results_in_input_order_under_random_delays(self):
+        rng = random.Random(5)
+        envs = _envelopes(40)
+        number = {env.text: i for i, env in enumerate(envs)}
+        delays = [rng.uniform(0, 0.01) for _ in envs]
+
+        def reply(prompt):
+            i = number[prompt]
+            time.sleep(delays[i])
+            if i % 7 == 3:
+                raise RequestError(prompt, status=400)
+            if i % 11 == 5:
+                raise TransportError(prompt, attempts=[])
+
+        records, failures = complete_many(envs, cfg(max_concurrent=4),
+                                          _RecordingBackend(reply))
+        failing = [i for i in range(40) if i % 7 == 3 or i % 11 == 5]
+        assert [r.raw_text for r in records] == [envs[i].text for i in range(40)
+                                                 if i not in failing]
+        assert [str(f) for f in failures] == [envs[i].text for i in failing]
+        assert [type(f) for f in failures] == [
+            RequestError if i % 7 == 3 else TransportError for i in failing]
 
 
 class TestConcurrency:
