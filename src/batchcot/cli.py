@@ -13,9 +13,7 @@ from batchcot.client import (
     EndpointConfig,
     HttpBackend,
     MockBackend,
-    RequestError,
-    TransportError,
-    complete_groups,
+    complete_many,
     render_experiment_table,
     run_batch_experiment,
     tokens_per_question,
@@ -28,7 +26,7 @@ from batchcot.parsing import (
     write_chains,
     write_completions,
 )
-from batchcot.prompts import load_questions
+from batchcot.prompts import build_prompt, load_questions, shuffle_and_group
 from batchcot.records import mean, show, to_dict, write_json, write_jsonl
 
 # The EndpointConfig fields a flag sets; each flag takes its field's type and
@@ -97,33 +95,52 @@ def _add_batch_run_args(p):
     _add_endpoint_flags(p)
 
 
-# --- subcommands ----------------------------------------------------------------
-# A command returns its own manifest fields, which main writes, or an exit code
-# when it writes no manifest.
+def _send_batch_runs(args, take):
+    """Send every batch run of gen or batch-experiment, one --batch-size at a time.
 
-def cmd_gen(args):
+    Each size must be at least 1 and given once, which is checked before
+    --out-dir is made or any request is sent. Once a size's requests are
+    done, take(questions, k, records, failures) gets its completions and
+    failed requests. Returns the manifest fields both commands write.
+    """
+    for i, k in enumerate(args.batch_size):
+        if k < 1 or k in args.batch_size[:i]:
+            problem = "must be at least 1" if k < 1 else "is given more than once"
+            raise ValueError(f"--batch-size {k} {problem}")
     cfg = resolve_endpoint_config(args)
-    outputs = []
     request_failures = 0
     with closing(_make_backend(args, cfg)) as backend:
         questions = load_questions(args.questions)
         os.makedirs(args.out_dir, exist_ok=True)
         for k in args.batch_size:
-            records, failures = complete_groups(questions, k, cfg, backend,
-                                                args.seed, args.group)
+            groups = shuffle_and_group(questions, k, seed=args.seed, group=args.group)
+            records, failures = complete_many([build_prompt(g) for g in groups], cfg,
+                                              backend)
             request_failures += len(failures)
-            out_path = os.path.join(args.out_dir, f"completions_k{k}.jsonl")
-            write_completions(out_path, records)
-            outputs.append(out_path)
-            mode = "vanilla" if k == 1 else f"batch-{k}"
-            print(f"{mode}: {len(records)} completions, "
-                  f"mean tokens/question = {show(tokens_per_question(records))}, "
-                  f"failures = {len(failures)}")
+            take(questions, k, records, failures)
     return {"config": _config_snapshot(cfg), "inputs": [args.questions],
-            "outputs": outputs,
             "exclusions": {"request_failures": request_failures,
                            "ungrouped": sum(len(questions) % k for k in args.batch_size)},
             "group": args.group, "batch_sizes": args.batch_size}
+
+
+# --- subcommands ----------------------------------------------------------------
+# A command returns its own manifest fields, which main writes, or an exit code
+# when it writes no manifest.
+
+def cmd_gen(args):
+    outputs = []
+
+    def write(questions, k, records, failures):
+        out_path = os.path.join(args.out_dir, f"completions_k{k}.jsonl")
+        write_completions(out_path, records)
+        outputs.append(out_path)
+        mode = "vanilla" if k == 1 else f"batch-{k}"
+        print(f"{mode}: {len(records)} completions, "
+              f"mean tokens/question = {show(tokens_per_question(records))}, "
+              f"failures = {len(failures)}")
+
+    return {**_send_batch_runs(args, write), "outputs": outputs}
 
 
 def cmd_split(args):
@@ -150,6 +167,10 @@ def cmd_grade(args):
 
 
 def cmd_label(args):
+    real = [os.path.realpath(path) for path in args.infile]
+    for i, path in enumerate(args.infile):
+        if real[i] in real[:i]:
+            raise ValueError(f"--in {path} is given more than once")
     questions = load_questions(args.questions)
     chains = [c for path in args.infile for c in read_chains(path)]
     mode = preference.PAIRED if args.paired else preference.PER_CHAIN
@@ -198,8 +219,8 @@ def cmd_eval(args):
         spec = harness.registry_spec(
             args.benchmark, args.corpus, samples_per_question=args.samples_per_question
         )
+        os.makedirs(args.out_dir, exist_ok=True)
         records, aggregate = harness.evaluate(spec, cfg, backend)
-    os.makedirs(args.out_dir, exist_ok=True)
     results_path = os.path.join(args.out_dir, "results.jsonl")
     write_jsonl(results_path, records)
     agg_path = os.path.join(args.out_dir, "aggregate.json")
@@ -226,13 +247,8 @@ def cmd_report(args):
 
 
 def cmd_batch_experiment(args):
-    cfg = resolve_endpoint_config(args)
-    with closing(_make_backend(args, cfg)) as backend:
-        questions = load_questions(args.questions)
-        rows = run_batch_experiment(
-            questions, args.batch_size, cfg, backend, seed=args.seed, group=args.group
-        )
-    os.makedirs(args.out_dir, exist_ok=True)
+    rows = []
+    fields = _send_batch_runs(args, lambda *run: rows.append(run_batch_experiment(*run)))
     rows_path = os.path.join(args.out_dir, "experiment.jsonl")
     write_jsonl(rows_path, map(to_dict, rows))
     table = render_experiment_table(rows)
@@ -240,12 +256,8 @@ def cmd_batch_experiment(args):
     with open(table_path, "w", encoding="utf-8") as fh:
         fh.write(table + "\n")
     print(table)
-    return {"config": _config_snapshot(cfg), "inputs": [args.questions],
-            "outputs": [rows_path, table_path],
-            "exclusions": {"request_failures": sum(r.n_failures for r in rows),
-                           "unsplittable": sum(r.n_unsplittable for r in rows),
-                           "ungrouped": sum(len(questions) % k for k in args.batch_size)},
-            "group": args.group, "batch_sizes": args.batch_size}
+    fields["exclusions"]["unsplittable"] = sum(r.n_unsplittable for r in rows)
+    return {**fields, "outputs": [rows_path, table_path]}
 
 
 def _add_split_args(p):
@@ -365,9 +377,6 @@ def main(argv=None) -> int:
             return fields
         write_run_manifest(args, argv, started, fields)
         return 0
-    except (TransportError, RequestError) as exc:
-        print(f"transport error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

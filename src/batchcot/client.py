@@ -24,7 +24,7 @@ from batchcot.parsing import (
     parse_final_answers,
     split_completions,
 )
-from batchcot.prompts import BATCH, PromptEnvelope, build_prompt, shuffle_and_group
+from batchcot.prompts import BATCH, PromptEnvelope
 from batchcot.records import mean, named_error, naming, show
 
 # Environment variable whose value HttpBackend sends as a bearer token.
@@ -427,13 +427,6 @@ def _on_workers(fn, items: list, workers: int) -> list:
     return results
 
 
-def complete_groups(questions, k: int, cfg: EndpointConfig, backend,
-                    seed: int = 0, group: str = "random"):
-    """(records, failures) of every batch-k group of the corpus, in group order."""
-    groups = shuffle_and_group(questions, k, seed=seed, group=group)
-    return complete_many([build_prompt(g) for g in groups], cfg, backend)
-
-
 def tokens_per_question(records) -> Optional[float]:
     """Mean effective tokens per question, each response's split evenly."""
     per_q = [r.effective_tokens / r.envelope.batch_size for r in records
@@ -466,37 +459,30 @@ def _block_chains(record: CompletionRecord) -> list:
             for pos, qid in enumerate(record.envelope.question_ids, 1)]
 
 
-def run_batch_experiment(questions, batch_sizes, cfg: EndpointConfig, backend,
-                         seed: int = 0, group: str = "random") -> list:
-    """Vanilla vs Batch-k token/accuracy rows over a question corpus.
+def run_batch_experiment(questions, k: int, records, failures) -> ExperimentRow:
+    """The row of batch size k over a question corpus, from the batch-k run's
+    completions (`records`) and failed requests (`failures`).
 
-    Each row grades the chains that `split` would write; only responses that
-    cannot be split are graded from their final-answer block.
+    It sends nothing: `records` are the completions `gen` writes to
+    completions_k<k>.jsonl. The row grades the chains that `split` would
+    write; only responses that cannot be split are graded from their
+    final-answer block.
     """
-    questions = list(questions)
-    if not questions:
-        raise ValueError("experiment needs a nonempty corpus")
-    if any(k < 1 for k in batch_sizes):
-        raise ValueError("batch sizes must all be >= 1")
-    rows = []
-    for k in batch_sizes:
-        records, failures = complete_groups(questions, k, cfg, backend, seed, group)
-        chains, unsplittable = split_completions(records)
-        graded = chains + [c for r in unsplittable for c in _block_chains(r)]
-        n_correct = verify.grade_chains(graded, questions)[verify.CORRECT]
-        split_tokens = [c.token_count for c in chains]
-        rows.append(ExperimentRow(
-            batch_size=k,
-            n_groups=len(records) + len(failures),
-            n_questions=len(questions),
-            n_graded=len(graded),
-            accuracy=mean(n_correct, len(graded)),
-            mean_tokens_per_question=tokens_per_question(records),
-            mean_tokens_split=mean(sum(split_tokens), len(split_tokens)),
-            n_failures=len(failures),
-            n_unsplittable=len(unsplittable),
-        ))
-    return rows
+    chains, unsplittable = split_completions(records)
+    graded = chains + [c for r in unsplittable for c in _block_chains(r)]
+    n_correct = verify.grade_chains(graded, questions)[verify.CORRECT]
+    split_tokens = [c.token_count for c in chains]
+    return ExperimentRow(
+        batch_size=k,
+        n_groups=len(records) + len(failures),
+        n_questions=len(questions),
+        n_graded=len(graded),
+        accuracy=mean(n_correct, len(graded)),
+        mean_tokens_per_question=tokens_per_question(records),
+        mean_tokens_split=mean(sum(split_tokens), len(split_tokens)),
+        n_failures=len(failures),
+        n_unsplittable=len(unsplittable),
+    )
 
 
 def render_experiment_table(rows) -> str:

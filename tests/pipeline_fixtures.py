@@ -6,7 +6,7 @@ distributions and per-mode token means are computable in closed form.
 
 import os
 
-from batchcot.client import MockBackend
+from batchcot.client import MockBackend, complete_many, run_batch_experiment
 from batchcot.prompts import Question, build_prompt, shuffle_and_group
 
 N_QUESTIONS = 60
@@ -73,6 +73,20 @@ def build_script(questions, batch_sizes=(1, 2, 3), seed=0, group="sequential"):
             else:
                 script.add(envelope.text, batch_response(grp, k))
     return script
+
+
+def send_groups(questions, k, cfg, backend, seed=0, group="random"):
+    """(records, failures) of every batch-k group, sent as gen and batch-experiment
+    send them."""
+    groups = shuffle_and_group(questions, k, seed=seed, group=group)
+    return complete_many([build_prompt(g) for g in groups], cfg, backend)
+
+
+def experiment_rows(questions, batch_sizes, cfg, backend, seed=0, group="random"):
+    """batch-experiment's rows: each size's groups sent, then summarized."""
+    return [run_batch_experiment(questions, k,
+                                 *send_groups(questions, k, cfg, backend, seed, group))
+            for k in batch_sizes]
 
 
 def write_script_dir(script, path):

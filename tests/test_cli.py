@@ -16,11 +16,16 @@ import batchcot
 import pipeline_fixtures as pf
 from http_fixtures import mock_http_server, open_sockets_to
 from batchcot import __version__, cli, client, parsing, verify
-from batchcot.client import EndpointConfig, MockBackend, TransportError, fingerprint
+from batchcot.client import (
+    EndpointConfig,
+    MockBackend,
+    fingerprint,
+    run_batch_experiment,
+)
 from batchcot.cli import build_parser, main, resolve_endpoint_config
 from batchcot.preference import PreferenceSample
-from batchcot.prompts import build_prompt
-from batchcot.records import read_jsonl
+from batchcot.prompts import build_prompt, load_questions, shuffle_and_group
+from batchcot.records import read_jsonl, to_dict
 
 
 def write_corpus(path, questions):
@@ -324,6 +329,46 @@ class TestBatchExperiment:
                 row["mean_tokens_split"]) == (None, None, None)
 
 
+# bad input to gen and batch-experiment: (flags, what the error names)
+BAD_BATCH_RUNS = {
+    "size-0": (["--batch-size", "1", "--batch-size", "0"], "--batch-size 0 "),
+    "size-twice": (["--batch-size", "2", "--batch-size", "2"], "--batch-size 2 "),
+    "out-dir-taken": (["--batch-size", "1", "--batch-size", "2"], "File exists"),
+}
+
+
+class TestBadInputSendsNothing:
+    """A command that sends requests checks its input first: on bad input it
+    exits 1 with no request sent, counted at client.complete, which every
+    request goes through, and no output file written."""
+
+    @pytest.mark.parametrize("command, case", [
+        (command, case) for command in ("gen", "batch-experiment") for case in BAD_BATCH_RUNS
+    ] + [("eval", "out-dir-taken")])
+    def test_exits_1_before_any_request(self, workspace, tmp_path, monkeypatch, capsys,
+                                        command, case):
+        sent = []
+        complete = client.complete
+        monkeypatch.setattr(client, "complete",
+                            lambda *args: sent.append(args) or complete(*args))
+        out = tmp_path / "out"
+        if case == "out-dir-taken":
+            out.write_text("a file where the out-dir should go")
+        flags, named = BAD_BATCH_RUNS[case]
+        if command == "eval":
+            flags = ["--benchmark", "gsm8k", "--corpus", str(workspace["corpus"])]
+        else:
+            flags = flags + ["--questions", str(workspace["corpus"])]
+        assert main([command, "--out-dir", str(out), "--mock", str(workspace["mock"])]
+                    + flags) == 1
+        assert sent == []
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err
+        # no out-dir made: only the file that blocks one is there
+        assert [p.name for p in tmp_path.iterdir()] == (
+            ["out"] if case == "out-dir-taken" else [])
+
+
 def run_split_grade_and_experiment(tmp_path, questions, script, k):
     """gen, split and grade one batch size, then batch-experiment on the same script.
 
@@ -359,6 +404,32 @@ def batch_text(segments, block):
 
 class TestExperimentAgreesWithSplitGrade:
     """batch-experiment grades the chains split and grade write, on one script."""
+
+    def test_row_is_a_function_of_gens_completions(self, tmp_path):
+        # each row is run_batch_experiment over the completions gen writes
+        # for the same flags; one batch-2 response lacks its second heading,
+        # so that row also grades a response from its block
+        questions = pf.make_corpus(7)
+        script = pf.build_script(questions, (1, 2, 3), seed=3, group="random")
+        first = shuffle_and_group(questions, 2, seed=3)[0]
+        script.add(build_prompt(first).text,
+                   pf.batch_response(first, 2).replace("\n2. ", "\n", 1))
+        corpus, mock = tmp_path / "questions.jsonl", tmp_path / "mock"
+        write_corpus(corpus, questions)
+        pf.write_script_dir(script, mock)
+        common = ["--questions", str(corpus), "--batch-size", "2", "--batch-size", "1",
+                  "--batch-size", "3", "--seed", "3", "--mock", str(mock)]
+        assert main(["gen", "--out-dir", str(tmp_path / "gen")] + common) == 0
+        assert main(["batch-experiment", "--out-dir", str(tmp_path / "exp")] + common) == 0
+        rows = [json.loads(line) for line in
+                (tmp_path / "exp" / "experiment.jsonl").read_text().splitlines()]
+        assert [(r["batch_size"], r["n_unsplittable"]) for r in rows] == [
+            (2, 1), (1, 0), (3, 0)]
+        corpus_questions = load_questions(str(corpus))
+        assert rows == [to_dict(run_batch_experiment(
+            corpus_questions, k,
+            parsing.read_completions(tmp_path / "gen" / f"completions_k{k}.jsonl"), []))
+            for k in (2, 1, 3)]
 
     def test_block_skipping_a_boxed_position(self, tmp_path):
         questions = pf.make_corpus(3)
@@ -703,8 +774,11 @@ class TestKeepAliveEndpoint:
     @pytest.mark.parametrize("command", ["eval", "batch-experiment"])
     def test_command_failing_after_its_requests(self, workspace, endpoint, tmp_path,
                                                 capsys, command):
-        out = tmp_path / "taken"
-        out.write_text("a file where the out-dir should go")
+        # the out-dir is made before any request, so the command fails on
+        # its first output file, which a directory blocks
+        out = tmp_path / "out"
+        first = "results.jsonl" if command == "eval" else "experiment.jsonl"
+        (out / first).mkdir(parents=True)
         corpus_flag = "--corpus" if command == "eval" else "--questions"
         extra = (["--benchmark", "gsm8k"] if command == "eval"
                  else ["--batch-size", "3", "--group", "sequential"])
@@ -746,6 +820,15 @@ class TestConfigResolution:
         assert [(name, text.count("chains reference unknown question ids"))
                 for name, text in texts.items()
                 if "chains reference unknown question ids" in text] == [("verify.py", 1)]
+
+    def test_only_the_batch_loop_groups_the_corpus(self):
+        # gen and batch-experiment send from one loop, the one caller of
+        # shuffle_and_group
+        src = Path(batchcot.__file__).parent
+        calls = {path.name: len(re.findall(r"(?<!def )\bshuffle_and_group\(",
+                                           path.read_text(encoding="utf-8")))
+                 for path in sorted(src.glob("*.py"))}
+        assert {name: n for name, n in calls.items() if n} == {"cli.py": 1}
 
 
 def parse_outcome(parser, argv, capsys):
@@ -918,6 +1001,21 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {bad}: line 1: ValueError") and "'judge'" in err
 
+    def test_label_on_chain_file_given_twice(self, workspace, tmp_path, capsys):
+        chains, twin = tmp_path / "chains.jsonl", tmp_path / "twin.jsonl"
+        assert main(["split", "--in", str(workspace["gen"] / "completions_k2.jsonl"),
+                     "--out", str(chains)]) == 0
+        twin.write_text(chains.read_text())
+        label = ["label", "--questions", str(workspace["corpus"]),
+                 "--out", str(tmp_path / "prefs.jsonl")]
+        again = f"{tmp_path}/./chains.jsonl"  # the same file by another path
+        capsys.readouterr()
+        assert main(label + ["--in", str(chains), "--in", again]) == 1
+        assert capsys.readouterr().err == f"error: --in {again} is given more than once\n"
+        assert not (tmp_path / "prefs.jsonl").exists()
+        # two files whose chains share question ids, as two seeds' runs do
+        assert main(label + ["--in", str(chains), "--in", str(twin)]) == 0
+
     def test_split_on_line_that_is_not_json(self, tmp_path, capsys):
         bad = tmp_path / "completions.jsonl"
         bad.write_text("not json\n")
@@ -962,12 +1060,3 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             f"error: {response}: UnicodeDecodeError: 'utf-8' codec can't decode "
             "byte 0xff in position 10: invalid start byte\n")
-
-    def test_transport_error_maps_to_2(self, workspace, tmp_path, monkeypatch):
-        def explode(*args, **kwargs):
-            raise TransportError("endpoint unreachable", [])
-
-        monkeypatch.setattr("batchcot.cli.run_batch_experiment", explode)
-        assert main(["batch-experiment", "--questions", str(workspace["corpus"]),
-                     "--out-dir", str(tmp_path / "x"), "--batch-size", "1",
-                     "--mock", str(workspace["mock"])]) == 2

