@@ -219,8 +219,9 @@ def cmd_eval(args):
         spec = harness.registry_spec(
             args.benchmark, args.corpus, samples_per_question=args.samples_per_question
         )
+        questions = harness.load_corpus(spec)
         os.makedirs(args.out_dir, exist_ok=True)
-        records, aggregate = harness.evaluate(spec, cfg, backend)
+        records, aggregate = harness.evaluate(spec, cfg, backend, questions)
     results_path = os.path.join(args.out_dir, "results.jsonl")
     write_jsonl(results_path, records)
     agg_path = os.path.join(args.out_dir, "aggregate.json")

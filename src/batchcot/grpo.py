@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
 import random
 import time
 from dataclasses import dataclass
@@ -28,6 +29,7 @@ from batchcot.grpo_modes import (
 )
 from batchcot.preference import LABELS, PreferenceSample, label_sample
 from batchcot.prompts import BATCH, VANILLA
+from batchcot.workers import on_workers
 
 FEATURE_DIM = 4
 
@@ -79,19 +81,25 @@ def group_advantages(rewards, mode: str = MEAN_STD) -> list:
 
 
 def _mean_std(rewards: np.ndarray) -> np.ndarray:
-    """MEAN_STD advantages of nonconstant float rewards, as an array."""
+    """MEAN_STD advantages of nonconstant float rewards, as an array.
+
+    The mean and the std are Python floats: IEEE division and the correctly
+    rounded math.sqrt give numpy's scalar bits, without its scalar calls.
+    """
     n = len(rewards)
-    dev = rewards - np.add.reduce(rewards) / n
-    return dev / np.sqrt(np.add.reduce(dev * dev) / n)
+    dev = rewards - float(np.add.reduce(rewards)) / n
+    return dev / math.sqrt(float(np.add.reduce(dev * dev)) / n)
 
 
-def _kl_and_logit_grad(p: np.ndarray, q: np.ndarray, loss_only: bool = False):
+def _kl_and_logit_grad(p: np.ndarray, q: np.ndarray, loss_only: bool = False,
+                       log_p: np.ndarray = None):
     """KL(p||q) and its gradient w.r.t. the logits producing p, row by row.
 
     p and q broadcast over leading axes; the last axis is the distribution.
-    With loss_only the gradient is None and is not computed.
+    With loss_only the gradient is None and is not computed. log_p is
+    np.log(p) when the caller has it already.
     """
-    logratio = np.log(p) - np.log(q)
+    logratio = (np.log(p) if log_p is None else log_p) - np.log(q)
     kl = np.vecdot(p, logratio)  # row-wise, bit for bit np.dot's sum
     return kl, None if loss_only else p * logratio - p * kl[..., None]
 
@@ -132,16 +140,18 @@ def grpo_loss(pi: np.ndarray, pi_ref: np.ndarray, w: np.ndarray, beta,
     policy's and the frozen reference's distributions at the same features;
     the logit gradient of the first term is (sum_a w_a) pi - w. Stacks
     broadcast: w against the distributions (..., 3) and beta against the
-    losses (...); each row is bit for bit what its operands alone give. With
-    loss_only the gradient is None and is not computed. _theta_grad turns the
-    logit gradient into theta's.
+    losses (...); a float beta multiplies directly. Each row is bit for bit
+    what its operands alone give. With loss_only the gradient is None and is
+    not computed. _theta_grad turns the logit gradient into theta's.
     """
-    kl, kl_grad_logits = _kl_and_logit_grad(pi, pi_ref, loss_only)
-    loss = -np.vecdot(w, np.log(pi)) + beta * kl
+    log_pi = np.log(pi)  # taken once, for both terms
+    kl, kl_grad_logits = _kl_and_logit_grad(pi, pi_ref, loss_only, log_pi)
+    loss = -np.vecdot(w, log_pi) + beta * kl
     if loss_only:
         return loss, None
+    beta_rows = beta if isinstance(beta, float) else np.asarray(beta)[..., None]
     grad_logits = (np.add.reduce(w, axis=-1, keepdims=True) * pi - w
-                   + np.asarray(beta)[..., None] * kl_grad_logits)
+                   + beta_rows * kl_grad_logits)
     return loss, grad_logits
 
 
@@ -236,8 +246,21 @@ class CurvePoint(NamedTuple):
 
 
 # steps x rows per block of _mean_gold_probs: about 16 steps of 1000 rows, so
-# its buffers stay near 640 KB, reused for every block
+# each worker's buffers stay near 640 KB, reused for every block
 _CURVE_BLOCK_ENTRIES = 16_000
+
+
+def _curve_block(n: int) -> int:
+    """Steps per block of _mean_gold_probs at n dataset rows."""
+    return max(1, _CURVE_BLOCK_ENTRIES // n)
+
+
+def _visible_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without affinity masks
+        return os.cpu_count() or 1
 
 
 def _mean_gold_probs(thetas: np.ndarray, features: np.ndarray,
@@ -251,14 +274,21 @@ def _mean_gold_probs(thetas: np.ndarray, features: np.ndarray,
     the denominator summed as (e0 + e1) + e2, the order of numpy's sum over a
     3-long axis (e0 + (e1 + e2) differs in the last bit), but only the gold
     entries are divided. Label-major rows keep every elementwise step
-    contiguous; exp runs on one contiguous array in either layout.
+    contiguous; exp runs on one contiguous array in either layout. Both
+    reductions run over the label axis, which is not the contiguous one, so
+    numpy takes the labels in turn, elementwise: that order for the sum, and
+    one call each instead of two.
 
-    The steps go in blocks of _CURVE_BLOCK_ENTRIES // n, through buffers
-    allocated once: fresh block-sized temporaries each come from a new
-    mapping and page-fault, which costs what the blocking saves.
+    The steps go in blocks of _curve_block(n), through buffers allocated
+    once per call: fresh block-sized temporaries each come from a new
+    mapping and page-fault, which costs what the blocking saves. Each step's
+    mean is computed apart from the others', so any split of the stack into
+    calls gives the same bits. _curve_means makes one call per worker, on
+    min(visible CPUs, blocks) workers, each with its own buffers, so the
+    curve is the same on any number of cores.
     """
     steps, n = len(thetas), len(features)
-    block = max(1, _CURVE_BLOCK_ENTRIES // n)
+    block = _curve_block(n)
     logits = np.empty((min(block, steps), len(LABELS), n))
     row_max = np.empty((len(logits), n))  # then each row's denominator
     gold_probs = np.empty((len(logits), n))
@@ -268,16 +298,40 @@ def _mean_gold_probs(thetas: np.ndarray, features: np.ndarray,
         b = min(block, steps - start)
         exp, den, gold = logits[:b], row_max[:b], gold_probs[:b]
         np.matmul(labels_major[start:start + b], features.T, out=exp)
-        c0, c1, c2 = exp.transpose(1, 0, 2)
-        np.maximum(np.maximum(c0, c1, out=den), c2, out=den)
+        np.maximum.reduce(exp, axis=1, out=den)
         np.subtract(exp, den[:, None], out=exp)
         np.exp(exp, out=exp)
-        e0, e1, e2 = exp.transpose(1, 0, 2)
-        np.add(np.add(e0, e1, out=den), e2, out=den)
+        np.add.reduce(exp, axis=1, out=den)
         exp.reshape(b, -1).take(gold_flat, axis=1, out=gold, mode="clip")
         np.divide(gold, den, out=gold)
         np.add.reduce(gold, axis=1, out=means[start:start + b])  # .mean()'s
     return np.divide(means, n, out=means)                          # ufunc calls
+
+
+def _curve_means(thetas: np.ndarray, features: np.ndarray,
+                 gold_flat: np.ndarray) -> np.ndarray:
+    """_mean_gold_probs of the (steps, F, 3) stack thetas, on every visible CPU.
+
+    The workers are min(visible CPUs, blocks of _curve_block(n) steps). The
+    steps split into contiguous runs of whole blocks, one per worker; each
+    worker calls _mean_gold_probs on its run, through its own buffers, and
+    the runs' means are joined in order. The bits are the same on any number
+    of workers. One worker is the plain call, in the calling thread.
+    """
+    steps, block = len(thetas), _curve_block(len(features))
+    blocks = -(-steps // block)
+    workers = min(_visible_cpus(), blocks)
+    if workers < 2:
+        return _mean_gold_probs(thetas, features, gold_flat)
+    bounds = [block * (blocks * i // workers) for i in range(workers)] + [steps]
+
+    def run(span):
+        # numpy's error state is per context, and a new thread starts from
+        # the default: this is the training loop's
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return _mean_gold_probs(thetas[span[0]:span[1]], features, gold_flat)
+
+    return np.concatenate(on_workers(run, list(zip(bounds, bounds[1:])), workers))
 
 
 def train_toy(dataset, cfg: GrpoConfig, seed: int = 0):
@@ -288,7 +342,8 @@ def train_toy(dataset, cfg: GrpoConfig, seed: int = 0):
     grpo_loss call. Rewards, advantages and label weights come from the drawn
     indices, and the frozen reference's distribution is computed once per row
     the run visits. The loop keeps every step's theta; the curve's mean gold
-    probabilities are computed from them once, after the last step.
+    probabilities are computed from them once, after the last step, by
+    _curve_means.
 
     Returns (final PolicyState, learning curve of CurvePoint).
     """
@@ -330,7 +385,7 @@ def train_toy(dataset, cfg: GrpoConfig, seed: int = 0):
             policy = PolicyState(theta=np.subtract(
                 policy.theta, cfg.learning_rate * _theta_grad(phi, grad_logits),
                 out=thetas[step]))
-        means = _mean_gold_probs(thetas, features, gold_flat).tolist()
+        means = _curve_means(thetas, features, gold_flat).tolist()
     return policy, [CurvePoint(step, loss, mean)
                     for step, (loss, mean) in enumerate(zip(losses, means))]
 

@@ -75,12 +75,22 @@ class EvalAggregate:
             raise ValueError("mean_tokens must be >= 0")
 
 
-def evaluate(spec: BenchmarkSpec, cfg: EndpointConfig, backend):
-    """Repeat-sampled single-question evaluation: (records, EvalAggregate)."""
+def load_corpus(spec: BenchmarkSpec) -> list:
+    """The spec's questions, their golds checked; an empty corpus is an error."""
     questions = load_questions(spec.corpus_path, spec.answer_kind)
     if not questions:
         raise ValueError(f"{spec.corpus_path}: corpus is empty")
+    return questions
 
+
+def evaluate(spec: BenchmarkSpec, cfg: EndpointConfig, backend, questions=None):
+    """Repeat-sampled single-question evaluation: (records, EvalAggregate).
+
+    questions is the spec's corpus as load_corpus gives it, loaded here when
+    None.
+    """
+    if questions is None:
+        questions = load_corpus(spec)
     envelopes = [build_single_prompt(q) for q in questions
                  for _ in range(spec.samples_per_question)]
     completions, failures = complete_many(envelopes, cfg, backend)

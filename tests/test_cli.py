@@ -596,6 +596,22 @@ class TestEvalAndReport:
         assert csv_path.exists()
 
 
+    @pytest.mark.parametrize("corpus, message", [
+        (None, "No such file or directory"),
+        ('{"id": "a", "text": "t", "gold_answer": "1"}\n5\n', "line 2: "),
+        ("", "corpus is empty"),
+    ], ids=["missing", "bad-line", "empty"])
+    def test_eval_on_corpus_that_fails_to_load_makes_no_out_dir(
+            self, workspace, tmp_path, capsys, corpus, message):
+        path = tmp_path / "corpus.jsonl"
+        if corpus is not None:
+            path.write_text(corpus)
+        out = tmp_path / "eval"
+        assert main(["eval", "--benchmark", "gsm8k", "--corpus", str(path),
+                     "--out-dir", str(out), "--mock", str(workspace["mock"])]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_eval_with_zero_samples_per_question_is_error(self, workspace, tmp_path,
                                                           capsys):
         assert main(["eval", "--benchmark", "aime2024",
