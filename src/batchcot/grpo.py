@@ -60,8 +60,10 @@ def initial_policy(feature_dim: int = FEATURE_DIM) -> PolicyState:
 def group_advantages(rewards, mode: str = MEAN_STD) -> list:
     """Group-relative advantages with a mean (optionally std-normalized) baseline.
 
-    MEAN_ONLY is computed in exact rational arithmetic so the advantages sum
-    to zero exactly; MEAN_STD uses the population standard deviation and
+    MEAN_ONLY is computed in exact rational arithmetic, in integers over
+    one common denominator, so the advantages sum to zero exactly; a reward
+    is the exact value Fraction(r) takes, and one it does not take raises
+    what it raises. MEAN_STD uses the population standard deviation and
     returns all zeros for degenerate (constant-reward) groups. Otherwise
     MEAN_STD is bit for bit (arr - arr.mean()) / arr.std(), from the ufunc
     calls np.mean and np.std make, without their wrappers.
@@ -70,14 +72,42 @@ def group_advantages(rewards, mode: str = MEAN_STD) -> list:
     if len(rewards) < 2:
         raise ValueError("advantage baseline needs a group of size >= 2")
     if mode == MEAN_ONLY:
-        exact = [Fraction(r) for r in rewards]
-        mean = sum(exact) / len(exact)
-        return [r - mean for r in exact]
+        return _mean_only(rewards)
     if mode == MEAN_STD:
         if min(rewards) == max(rewards):
             return [0.0] * len(rewards)
         return list(_mean_std(np.asarray(rewards, dtype=float)))
     raise ValueError(f"unknown advantage mode: {mode!r}")
+
+
+# reward types whose as_integer_ratio is the exact value Fraction(r) takes,
+# NaN and infinities raising as Fraction(r) raises
+_RATIO_TYPES = frozenset({int, bool, float, np.float64, Fraction})
+
+
+def _integer_ratio(reward) -> tuple:
+    """Ints (x, d) with x / d the exact value Fraction(reward) takes.
+
+    A reward of _RATIO_TYPES gives its as_integer_ratio; any other goes
+    through Fraction(reward), and raises what that raises.
+    """
+    if type(reward) in _RATIO_TYPES:
+        return reward.as_integer_ratio()
+    exact = Fraction(reward)
+    return int(exact.numerator), int(exact.denominator)
+
+
+def _mean_only(rewards: list) -> list:
+    """MEAN_ONLY advantages, in integers.
+
+    Over the common denominator den, the rewards are integers x with total
+    t; reward x's advantage x/den - t/(den k) is one Fraction(x k - t, den k).
+    """
+    ratios = [_integer_ratio(r) for r in rewards]
+    den = math.lcm(*(d for _, d in ratios))
+    scaled = [x * (den // d) for x, d in ratios]
+    total, k = sum(scaled), len(scaled)
+    return [Fraction(x * k - total, den * k) for x in scaled]
 
 
 def _mean_std(rewards: np.ndarray) -> np.ndarray:
@@ -436,22 +466,87 @@ def finite_difference_grad(loss_fn: Callable[[np.ndarray], np.ndarray],
     return ((up - down) / (2 * step)).reshape(theta.shape)
 
 
-def _mixed_group(pi: np.ndarray, gold_idx: int, group_size: int,
-                 rng: np.random.Generator) -> np.ndarray:
-    """The label indices of a group with both rewards, so its gradient is
-    nontrivial, in one draw.
+# the labels other than each gold label, in order: row g is gold g's
+_NON_GOLD = np.array([[i for i in range(len(LABELS)) if i != gold]
+                      for gold in range(len(LABELS))])
 
-    pi is the policy's distribution. group_size - 2 labels come from pi, plus
-    the gold label and one non-gold label drawn from pi restricted to the two
-    non-gold labels, at random positions.
+# gradient_check's configurations: theta, theta_ref - theta and the features
+# are normal draws at these scales, then beta is drawn from _CHECK_BETAS;
+# each objective mode then gets one mixed group of _CHECK_GROUP_SIZE
+_THETA_SIZE = FEATURE_DIM * len(LABELS)
+_CHECK_SCALES = np.repeat([0.8, 0.3, 1.0], [_THETA_SIZE, _THETA_SIZE, FEATURE_DIM])
+_CHECK_BETAS = (0.0, 0.01, 0.1)
+_CHECK_GROUP_SIZE = 8
+
+
+def _stacked_cdf(p: np.ndarray) -> np.ndarray:
+    """_draw's CDF of each distribution along the last axis, checked as it
+    checks it."""
+    cdf = p.cumsum(axis=-1)
+    total = cdf[..., -1:]
+    bad = ~((0.0 < total) & (total < math.inf))[..., 0]  # also true for NaN
+    if bad.any():
+        raise ValueError(f"cannot draw from the distribution {p[bad][0]}: "
+                         "its entries must be finite with a positive sum")
+    return cdf / total
+
+
+def _inverse_cdf(cdf: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """The count of cdf entries at most each uniform, searchsorted's
+    side="right", for a stack of CDFs and a stack of uniforms per CDF."""
+    return np.count_nonzero(cdf[..., None, :] <= uniforms[..., None], axis=-1)
+
+
+def _mixed_groups(pi: np.ndarray, gold_idx: np.ndarray, uniforms: np.ndarray,
+                  perms: np.ndarray) -> np.ndarray:
+    """The label indices of groups with both rewards, one group of G per row,
+    so each group's gradient is nontrivial.
+
+    Before it is permuted, a row is G - 2 labels drawn from the row's pi, the
+    gold label, and one non-gold label drawn from pi restricted to the two
+    non-gold labels; the row then is group[perms]. The draws are _draw's, by
+    inverse CDF, of the randoms in uniforms (..., G - 1): the first G - 2
+    for the labels from pi, the last for the non-gold one. Drawing those
+    randoms with rng.random(G - 1) and perms with rng.permutation(G) reads
+    the stream as rng.choice(3, G - 2, p=pi), rng.choice of the non-gold
+    label and rng.permutation of the group do, and gives their indices:
+    permutation's swaps do not depend on what the array holds. A
+    distribution that is not finite, or sums to zero, raises ValueError.
     """
-    wrong = [i for i in range(len(LABELS)) if i != gold_idx]
-    wrong_pi = pi[wrong]
-    action_idx = np.concatenate([
-        _draw(pi, rng, group_size - 2),
-        [gold_idx, wrong[_draw(wrong_pi / wrong_pi.sum(), rng)]],
-    ])
-    return rng.permutation(action_idx)
+    wrong = _NON_GOLD[gold_idx]
+    wrong_pi = np.take_along_axis(pi, wrong, axis=-1)
+    wrong_pi = wrong_pi / np.add.reduce(wrong_pi, axis=-1, keepdims=True)
+    pi_cdf, wrong_cdf = _stacked_cdf(pi), _stacked_cdf(wrong_pi)
+    group = np.concatenate([
+        _inverse_cdf(pi_cdf, uniforms[..., :-1]),
+        gold_idx[..., None],
+        np.take_along_axis(wrong, _inverse_cdf(wrong_cdf, uniforms[..., -1:]), axis=-1),
+    ], axis=-1)
+    return np.take_along_axis(group, perms, axis=-1)
+
+
+def _mixed_group_weights(action_idx: np.ndarray, gold_idx: np.ndarray,
+                         objective_mode: str) -> np.ndarray:
+    """_weights of MEAN_STD advantages, for a stack of mixed groups, one per row.
+
+    Row by row these are the bits of _weights(idx, _index_advantages(idx,
+    gold, MEAN_STD), gold, objective_mode): the same reductions along each
+    row, and SAMPLED's label sums taken one group position at a time, in
+    bincount's order. A mixed group's rewards are never constant.
+    """
+    groups, size = action_idx.shape
+    rows = np.arange(groups)
+    if objective_mode != SAMPLED:
+        w = np.full((groups, len(LABELS)), -0.5)
+        w[rows, gold_idx] = 1.0
+        return w
+    rewards = (action_idx == gold_idx[:, None]).astype(float)
+    dev = rewards - np.add.reduce(rewards, axis=-1, keepdims=True) / size
+    advantages = dev / np.sqrt(np.add.reduce(dev * dev, axis=-1, keepdims=True) / size)
+    w = np.zeros((groups, len(LABELS)))
+    for j in range(size):
+        w[rows, action_idx[:, j]] += advantages[:, j]
+    return w / size
 
 
 def gradient_check(n_configs: int = 100, seed: int = 0, step: float = 1e-5,
@@ -460,28 +555,43 @@ def gradient_check(n_configs: int = 100, seed: int = 0, step: float = 1e-5,
 
     Each of n_configs random configurations (theta, theta_ref, features,
     beta) gets one mixed group of 8 per objective mode, with MEAN_STD
-    advantages. All groups are drawn first; then one stacked grpo_loss call
-    gives every analytic gradient and one more, loss only, every
-    finite-difference loss.
+    advantages. The check runs in two phases. First one loop over the
+    configurations draws only raw randoms, in the order a loop drawing each
+    configuration and its groups in turn through rng.normal, rng.choice and
+    rng.permutation reads the stream. Then everything else is computed over
+    the whole stack: the policy distributions, the groups (_mixed_groups),
+    their label weights, one grpo_loss call for every analytic gradient and
+    one more, loss only, for every finite-difference loss.
     """
     if n_configs < 1:
         raise ValueError(f"n_configs must be >= 1, got {n_configs}")
     rng = np.random.default_rng(seed)
-    rows = []  # (theta, theta_ref, features, beta, label weights) per group
-    for _ in range(n_configs):
-        theta = rng.normal(scale=0.8, size=(FEATURE_DIM, len(LABELS)))
-        ref_theta = theta + rng.normal(scale=0.3, size=theta.shape)
-        features = rng.normal(scale=1.0, size=FEATURE_DIM)
-        beta = float(rng.choice([0.0, 0.01, 0.1]))
-        pi = PolicyState(theta=theta).distribution(features)
-        for mode in OBJECTIVE_MODES:
-            gold_idx = int(rng.integers(len(LABELS)))
-            idx = _mixed_group(pi, gold_idx, 8, rng)
-            rows.append((theta, ref_theta, features, beta,
-                         _weights(idx, _index_advantages(idx, gold_idx, MEAN_STD),
-                                  gold_idx, mode)))
+    modes, size = len(OBJECTIVE_MODES), _CHECK_GROUP_SIZE
+    normals = np.empty((n_configs, len(_CHECK_SCALES)))
+    beta, gold_idx, uniforms, perms = [], [], [], []
+    for row in normals:
+        rng.standard_normal(out=row)
+        beta.append(_CHECK_BETAS[int(rng.integers(len(_CHECK_BETAS)))])  # as choice draws it
+        for _ in range(modes):
+            gold_idx.append(int(rng.integers(len(LABELS))))
+            uniforms.append(rng.random(size - 1))
+            perms.append(rng.permutation(size))
 
-    theta, ref_theta, phi, beta, w = map(np.array, zip(*rows))
+    normals = 0.0 + _CHECK_SCALES * normals  # normal's loc + scale * z
+    theta = normals[:, :_THETA_SIZE].reshape(n_configs, FEATURE_DIM, len(LABELS))
+    ref_theta = theta + normals[:, _THETA_SIZE:2 * _THETA_SIZE].reshape(theta.shape)
+    features = normals[:, 2 * _THETA_SIZE:]
+    # one (1, F) @ (F, 3) product per row, the bits of each 1-D call's
+    pi = PolicyState(theta=theta).distribution(features[:, None])[:, 0]
+    gold_idx = np.array(gold_idx)
+    idx = _mixed_groups(np.repeat(pi, modes, axis=0), gold_idx,
+                        np.array(uniforms), np.array(perms))
+    w = np.empty((len(idx), len(LABELS)))  # rows: configuration, then mode
+    for m, mode in enumerate(OBJECTIVE_MODES):
+        w[m::modes] = _mixed_group_weights(idx[m::modes], gold_idx[m::modes], mode)
+
+    theta, ref_theta, phi, beta = (np.repeat(a, modes, axis=0)
+                                   for a in (theta, ref_theta, features, np.array(beta)))
     # axes: group, the thetas its loss is taken at, phi as a one-row matrix
     phi, beta, w = phi[:, None, None], beta[:, None, None], w[:, None, None]
     pi_ref = PolicyState(theta=ref_theta[:, None]).distribution(phi)
@@ -490,14 +600,14 @@ def gradient_check(n_configs: int = 100, seed: int = 0, step: float = 1e-5,
         pi = PolicyState(theta=thetas).distribution(phi)
         return grpo_loss(pi, pi_ref, w, beta, loss_only)
 
-    grad = _theta_grad(phi, objective(theta[:, None])[1]).reshape(len(rows), -1)
+    grad = _theta_grad(phi, objective(theta[:, None])[1]).reshape(len(idx), -1)
     fd = finite_difference_grad(lambda t: objective(t, loss_only=True)[0][..., 0],
-                                theta, step, stack_ndim=1).reshape(len(rows), -1)
+                                theta, step, stack_ndim=1).reshape(len(idx), -1)
     # sqrt(x . x) per row is np.linalg.norm's formula, bit for bit
     vectors = np.stack([grad, fd, grad - fd])
     grad_norm, fd_norm, diff_norm = np.sqrt(np.vecdot(vectors, vectors))
     denom = np.maximum(grad_norm, fd_norm)
-    err = np.divide(diff_norm, denom, out=np.zeros(len(rows)), where=denom >= 1e-12)
+    err = np.divide(diff_norm, denom, out=np.zeros(len(idx)), where=denom >= 1e-12)
     worst = float(err.max())
     return worst, worst < tolerance
 
@@ -505,6 +615,13 @@ def gradient_check(n_configs: int = 100, seed: int = 0, step: float = 1e-5,
 def _binary_vectors(length: int):
     for bits in range(2 ** length):
         yield [(bits >> i) & 1 for i in range(length)]
+
+
+def _sums_to_zero(fractions: list) -> bool:
+    """Whether the Fractions sum to exactly zero, summed as integers over
+    their least common denominator."""
+    den = math.lcm(*(f.denominator for f in fractions))
+    return sum(f.numerator * (den // f.denominator) for f in fractions) == 0
 
 
 def advantage_checks(max_length: int = 6):
@@ -515,7 +632,7 @@ def advantage_checks(max_length: int = 6):
         for rewards in _binary_vectors(length):
             by_mode = {mode: group_advantages(rewards, mode)
                        for mode in (MEAN_ONLY, MEAN_STD)}
-            if sum(by_mode[MEAN_ONLY]) != 0:
+            if not _sums_to_zero(by_mode[MEAN_ONLY]):
                 return False, f"MEAN_ONLY sum nonzero for {rewards}"
             mixed = 0 < sum(rewards) < length
             for mode, adv in by_mode.items():

@@ -549,6 +549,21 @@ class TestGrpoCommands:
         assert result.returncode == 0, result.stderr
         assert (tmp_path / "toy" / "policy.txt").exists()
 
+    def test_module_entry_point_runs_grpo_check(self):
+        # python -m batchcot.cli, through its __main__ guard and entrypoint
+        src = str(Path(batchcot.__file__).parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        result = subprocess.run([sys.executable, "-m", "batchcot.cli", "grpo-check",
+                                 "--seed", "8"], env=env, capture_output=True, text=True,
+                                timeout=120)
+        assert result.returncode == 0, result.stderr
+        lines = result.stdout.splitlines()
+        assert [line.split(":")[0] for line in lines] == [
+            "PASS gradient_finite_difference", "PASS advantage_properties",
+            "PASS kl_properties"]
+        assert "max relative error 8.66e-11" in lines[0]
+
     def test_cli_import_loads_no_http_client_email_or_ssl(self):
         # the client speaks HTTP itself, imports ssl for an https URL only,
         # and runs its requests on plain threads, without concurrent.futures

@@ -1,3 +1,4 @@
+import codecs
 import fcntl
 import gc
 import json
@@ -308,7 +309,65 @@ def _serve_malformed(body, base=_MalformedHandler):
             yield backend
 
 
+def reference_chat_completion_body(body: bytes):
+    """client._chat_completion_body as json.loads of the bytes alone: the
+    oracle for its result and its RequestError message."""
+    try:
+        data = json.loads(body)
+        text = data["choices"][0]["message"]["content"]
+        tokens = (data.get("usage") or {}).get("completion_tokens")
+    except (ValueError, LookupError, TypeError, AttributeError) as exc:
+        raise RequestError(f"malformed completion body: {type(exc).__name__}: {exc}",
+                           status=200) from exc
+    if not isinstance(text, str):
+        problem = f"content is {type(text).__name__}, not str"
+    elif tokens is not None and (type(tokens) is not int or tokens < 0):
+        problem = f"completion_tokens is {tokens!r}, not a non-negative int"
+    else:
+        return text, tokens
+    raise RequestError(f"malformed completion body: {problem}", status=200)
+
+
+def _completion_json(content: str) -> str:
+    return json.dumps({"choices": [{"message": {"content": content}}],
+                       "usage": {"completion_tokens": 3}}, ensure_ascii=False)
+
+
+_ASCII_BODY = _completion_json("ok \\boxed{1}")
+_UNICODE_BODY = _completion_json("π ≈ 3.14159 — ünïcödé 😀")
+_DECODE_BODIES = [
+    _ASCII_BODY.encode("ascii"),
+    _UNICODE_BODY.encode("utf-8"),
+    codecs.BOM_UTF8 + _UNICODE_BODY.encode("utf-8"),
+    _UNICODE_BODY.encode("utf-16-le"),
+    _UNICODE_BODY.encode("utf-16-be"),
+    codecs.BOM_UTF16_LE + _UNICODE_BODY.encode("utf-16-le"),
+    codecs.BOM_UTF16_BE + _UNICODE_BODY.encode("utf-16-be"),
+    _UNICODE_BODY.encode("utf-32"),
+    _UNICODE_BODY.encode("utf-32-le"),
+    _UNICODE_BODY.encode("utf-32-be"),
+    b'{"choices": [{"message": {"content": "lone \xed\xa0\x80 surrogate"}}]}',
+    _ASCII_BODY.encode("ascii") + b" \r\n\t ",
+    b"not json",
+    b"",
+    b"\xff\xfe\xfd",
+    _ASCII_BODY.encode("ascii") + b" trailing",
+    b'{"choices": [{"message": {"content": 7}}]}',
+]
+
+
 class TestMalformedBody:
+    @pytest.mark.parametrize("body", _DECODE_BODIES)
+    def test_body_decode_matches_json_loads_of_the_bytes(self, body):
+        try:
+            want = reference_chat_completion_body(body)
+        except RequestError as exc:
+            with pytest.raises(RequestError) as got:
+                client._chat_completion_body(body)
+            assert (str(got.value), got.value.status) == (str(exc), exc.status)
+        else:
+            assert client._chat_completion_body(body) == want
+
     @pytest.mark.parametrize("body", _MALFORMED_BODIES)
     def test_send_raises_request_error(self, body):
         with _serve_malformed(body) as backend:

@@ -152,6 +152,24 @@ def reference_finite_difference_grad(loss_fn, theta: np.ndarray,
     return grad
 
 
+def reference_check_groups(n_configs: int, seed: int):
+    """(theta, reference policy, features, config, gold index, label indices)
+    of each of gradient_check's groups, drawn configuration by configuration
+    through Generator.normal, Generator.choice and reference_mixed_group."""
+    rng = np.random.default_rng(seed)
+    for _ in range(n_configs):
+        theta = rng.normal(scale=0.8, size=(FEATURE_DIM, len(LABELS)))
+        ref = PolicyState(theta=theta + rng.normal(scale=0.3, size=theta.shape))
+        features = rng.normal(scale=1.0, size=FEATURE_DIM)
+        beta = float(rng.choice([0.0, 0.01, 0.1]))
+        pi = PolicyState(theta=theta).distribution(features)
+        for mode in OBJECTIVE_MODES:
+            cfg = GrpoConfig(beta=beta, group_size=8, objective_mode=mode)
+            gold_idx = int(rng.integers(len(LABELS)))
+            yield (theta, ref, features, cfg, gold_idx,
+                   reference_mixed_group(pi, gold_idx, cfg.group_size, rng))
+
+
 def reference_gradient_check(n_configs: int = 100, seed: int = 0, step: float = 1e-5,
                              tolerance: float = 1e-6):
     """Two grpo_loss calls per group, group by group: the oracle for
@@ -160,29 +178,18 @@ def reference_gradient_check(n_configs: int = 100, seed: int = 0, step: float = 
     The checked code's loop before it was stacked, on label-string groups
     drawn through Generator.choice, with advantages from group_advantages.
     """
-    rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(n_configs):
-        theta = rng.normal(scale=0.8, size=(FEATURE_DIM, len(LABELS)))
-        ref = PolicyState(theta=theta + rng.normal(scale=0.3, size=theta.shape))
-        features = rng.normal(scale=1.0, size=FEATURE_DIM)
-        beta = float(rng.choice([0.0, 0.01, 0.1]))
-        policy = PolicyState(theta=theta)
-        for mode in OBJECTIVE_MODES:
-            cfg = GrpoConfig(beta=beta, group_size=8, objective_mode=mode)
-            gold_idx = int(rng.integers(len(LABELS)))
-            idx = reference_mixed_group(policy.distribution(features), gold_idx,
-                                        cfg.group_size, rng)
-            group = make_group([LABELS[i] for i in idx], LABELS[gold_idx], features)
-            _, grad = group_loss(policy, ref, group, cfg)
+    for theta, ref, features, cfg, gold_idx, idx in reference_check_groups(n_configs, seed):
+        group = make_group([LABELS[i] for i in idx], LABELS[gold_idx], features)
+        _, grad = group_loss(PolicyState(theta=theta), ref, group, cfg)
 
-            def loss_at(t, _ref=ref, _group=group, _cfg=cfg):
-                return group_loss(PolicyState(theta=t), _ref, _group, _cfg)[0]
+        def loss_at(t, _ref=ref, _group=group, _cfg=cfg):
+            return group_loss(PolicyState(theta=t), _ref, _group, _cfg)[0]
 
-            fd = finite_difference_grad(loss_at, theta, step)
-            denom = max(np.linalg.norm(grad), np.linalg.norm(fd))
-            err = 0.0 if denom < 1e-12 else np.linalg.norm(grad - fd) / denom
-            worst = max(worst, err)
+        fd = finite_difference_grad(loss_at, theta, step)
+        denom = max(np.linalg.norm(grad), np.linalg.norm(fd))
+        err = 0.0 if denom < 1e-12 else np.linalg.norm(grad - fd) / denom
+        worst = max(worst, err)
     return worst, worst < tolerance
 
 
@@ -392,6 +399,45 @@ class TestAdvantages:
             assert adv == expected, rewards
             assert list(map(type, adv)) == list(map(type, expected)), rewards
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(
+        st.integers(), st.booleans(), st.fractions(),
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.sampled_from([5e-324, -2.5e-308, 1e300, -1e300]),  # subnormal, huge
+        st.floats(allow_nan=False, allow_infinity=False).map(np.float64)),
+        min_size=2, max_size=24))
+    def test_mean_only_matches_reference_on_exact_numbers(self, rewards):
+        adv = group_advantages(rewards, MEAN_ONLY)
+        expected = reference_group_advantages(rewards, MEAN_ONLY)
+        assert adv == expected, rewards
+        assert list(map(type, adv)) == list(map(type, expected)), rewards
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(st.integers(), st.fractions(), st.floats(-1e3, 1e3)),
+                    min_size=1, max_size=8),
+           st.sampled_from([math.nan, math.inf, -math.inf, np.float64(math.nan),
+                            np.float64(math.inf), np.float64(-math.inf)]),
+           st.integers(0, 8))
+    def test_mean_only_not_finite_raises_what_reference_raises(self, rewards, bad, at):
+        rewards.insert(at, bad)
+        with pytest.raises(Exception) as want:
+            reference_group_advantages(rewards, MEAN_ONLY)
+        with pytest.raises(want.type):
+            group_advantages(rewards, MEAN_ONLY)
+
+    def test_mean_only_other_numbers_go_through_fraction(self):
+        from decimal import Decimal
+        for rewards in ([Decimal("0.1"), 1], [np.int64(3), 2], ["1/3", 0]):
+            assert (group_advantages(rewards, MEAN_ONLY)
+                    == reference_group_advantages(rewards, MEAN_ONLY)), rewards
+        # a numpy int is its exact value: sums of Fractions over np.int64
+        # numerators wrap around at 2**63, here to a wrong sign
+        assert (group_advantages([np.int64(2 ** 40), Fraction(1, 3), 0.1], MEAN_ONLY)
+                == reference_group_advantages([2 ** 40, Fraction(1, 3), 0.1], MEAN_ONLY))
+        for rewards in ([1j, 0], [np.float32(0.5), 1]):  # Fraction takes neither
+            with pytest.raises(TypeError):
+                group_advantages(rewards, MEAN_ONLY)
+
     # floats of one moderate range often make pairwise and sequential sums
     # round apart; unbounded ones rarely do
     @settings(max_examples=300, deadline=None)
@@ -460,7 +506,7 @@ class TestDraw:
             assert ours.random() == numpys.random()  # the same stream position
 
     def test_scalar_draw_over_non_gold_labels_matches_generator_choice(self):
-        # _mixed_group's draw of one non-gold action
+        # reference_mixed_group's draw of one non-gold action
         for seed, pi in enumerate(self.distributions(0)):
             for gold_idx in range(len(LABELS)):
                 wrong = [i for i in range(len(LABELS)) if i != gold_idx]
@@ -473,14 +519,31 @@ class TestDraw:
 
     @pytest.mark.parametrize("group_size", [2, 3, 8, 16])
     def test_mixed_group_matches_reference(self, group_size):
+        # one stacked draw of 300 groups, each row from its own generator's
+        # raw randoms, against that generator's twin drawing through choice
         pis = np.random.default_rng(group_size).dirichlet(np.ones(len(LABELS)), size=300)
-        for seed, pi in enumerate(pis):
-            gold_idx = seed % len(LABELS)
-            ours, numpys = np.random.default_rng(seed), np.random.default_rng(seed)
-            idx = grpo._mixed_group(pi, gold_idx, group_size, ours)
-            want = reference_mixed_group(pi, gold_idx, group_size, numpys)
-            assert idx.dtype == want.dtype and np.array_equal(idx, want)
-            assert ours.random() == numpys.random()
+        gold_idx = np.arange(len(pis)) % len(LABELS)
+        ours = [np.random.default_rng(seed) for seed in range(len(pis))]
+        uniforms, perms = map(np.array, zip(*[
+            (rng.random(group_size - 1), rng.permutation(group_size)) for rng in ours]))
+        idx = grpo._mixed_groups(pis, gold_idx, uniforms, perms)
+        assert idx.shape == (len(pis), group_size)
+        for seed, (pi, gold, row, rng) in enumerate(zip(pis, gold_idx, idx, ours)):
+            numpys = np.random.default_rng(seed)
+            want = reference_mixed_group(pi, int(gold), group_size, numpys)
+            assert row.dtype == want.dtype and np.array_equal(row, want), seed
+            assert rng.random() == numpys.random()
+
+    @pytest.mark.parametrize("bad", [[np.nan] * 3, [0.5, np.nan, 0.5], [np.inf, 0.0, 0.0],
+                                     [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+    def test_mixed_groups_reject_a_distribution_not_finite(self, bad):
+        # the last one puts all its mass on gold: no non-gold label to draw
+        pis = np.array([[0.2, 0.3, 0.5], bad])
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match="^cannot draw from the distribution"), \
+                np.errstate(invalid="ignore", divide="ignore"):
+            grpo._mixed_groups(pis, np.zeros(2, dtype=int), rng.random((2, 7)),
+                               np.array([rng.permutation(8) for _ in range(2)]))
 
     @pytest.mark.parametrize("p", [[np.nan] * 3, [0.5, np.nan, 0.5], [np.inf, 0.0, 0.0],
                                    [np.inf, -np.inf, 1.0], [0.0, 0.0, 0.0]])
@@ -1238,20 +1301,64 @@ class TestVerificationSuite:
     @pytest.mark.parametrize("seed", [0, 8])
     def test_gradient_check_draws_one_mixed_group_per_config_and_mode(
             self, monkeypatch, seed):
-        groups = []
-        draw = grpo._mixed_group
+        calls = []
+        draw = grpo._mixed_groups
 
-        def counted(pi, gold_idx, group_size, rng):
-            idx = draw(pi, gold_idx, group_size, rng)
-            groups.append((idx, gold_idx, group_size))
+        def counted(pi, gold_idx, uniforms, perms):
+            idx = draw(pi, gold_idx, uniforms, perms)
+            calls.append((idx, gold_idx))
             return idx
 
-        monkeypatch.setattr(grpo, "_mixed_group", counted)
+        monkeypatch.setattr(grpo, "_mixed_groups", counted)
         _, ok = gradient_check(n_configs=100, seed=seed)
         assert ok
-        assert len(groups) == 200
-        assert all(len(idx) == size == 8 and is_mixed(idx, gold)
-                   for idx, gold, size in groups)
+        [(groups, golds)] = calls  # one stacked draw
+        assert groups.shape == (200, 8)
+        assert all(is_mixed(idx, gold) for idx, gold in zip(groups, golds))
+        # row by row, configuration then mode, the group the per-group loop drew
+        want = list(reference_check_groups(100, seed))
+        assert golds.tolist() == [gold for *_, gold, _ in want]
+        for idx, (*_, expected) in zip(groups, want):
+            assert idx.dtype == expected.dtype and np.array_equal(idx, expected)
+
+    def test_stacked_policy_distributions_are_each_configs_1d_call(self):
+        # gradient_check's draws take each configuration's distribution from
+        # one stacked call: (1, F) @ (F, 3) per row gives the 1-D call's bits
+        z = np.random.default_rng(0).standard_normal((5000, FEATURE_DIM * (len(LABELS) + 1)))
+        theta = z[:, :-FEATURE_DIM].reshape(-1, FEATURE_DIM, len(LABELS))
+        features = z[:, -FEATURE_DIM:]
+        stacked = PolicyState(theta=theta).distribution(features[:, None])[:, 0]
+        one_by_one = np.array([PolicyState(theta=t).distribution(f)
+                               for t, f in zip(theta, features)])
+        assert stacked.tobytes() == one_by_one.tobytes()
+
+    @pytest.mark.parametrize("mode", OBJECTIVE_MODES)
+    def test_stacked_weights_are_each_groups_bit_for_bit(self, mode):
+        rng = np.random.default_rng(3)
+        for size in range(2, 17):
+            gold = rng.integers(len(LABELS), size=400)
+            idx = rng.integers(len(LABELS), size=(400, size))
+            idx[:, 0], idx[:, 1] = gold, (gold + 1 + rng.integers(2, size=400)) % len(LABELS)
+            stacked = grpo._mixed_group_weights(idx, gold, mode)
+            each = np.array([grpo._weights(i, grpo._index_advantages(i, g, MEAN_STD), g, mode)
+                             for i, g in zip(idx, gold)])
+            assert stacked.tobytes() == each.tobytes(), size
+
+    def test_gradient_check_rejects_a_distribution_not_finite(self, monkeypatch):
+        # the first distribution gradient_check computes is its draws'
+        distribution = PolicyState.distribution
+        calls = []
+
+        def nan_first(self, features):
+            calls.append(features.shape)
+            pi = distribution(self, features)
+            return np.full_like(pi, np.nan) if len(calls) == 1 else pi
+
+        monkeypatch.setattr(PolicyState, "distribution", nan_first)
+        with pytest.raises(ValueError, match="^cannot draw from the distribution"), \
+                np.errstate(invalid="ignore"):
+            gradient_check(n_configs=3)
+        assert calls == [(3, 1, FEATURE_DIM)]
 
     @pytest.mark.parametrize("seed", range(20))
     def test_gradient_check_matches_reference(self, seed):
@@ -1294,6 +1401,31 @@ class TestVerificationSuite:
     def test_check_that_would_check_nothing_is_error(self, check, setting):
         with pytest.raises(ValueError, match=f"^{setting} must be"):
             check()
+
+    @pytest.mark.parametrize("fractions, zero", [
+        ([Fraction(1, 3), Fraction(-1, 6), Fraction(-1, 6)], True),
+        ([Fraction(1, 3), Fraction(-1, 6), Fraction(-1, 7)], False),
+        ([Fraction(1, 2), Fraction(-1, 3), Fraction(-1, 6)], True),
+        ([Fraction(2, 5), Fraction(-1, 3)], False),
+        ([Fraction(0), Fraction(0)], True),
+        ([Fraction(10 ** 30 + 1, 2 ** 60), Fraction(-10 ** 30 - 1, 2 ** 60)], True),
+    ])
+    def test_exact_zero_sum_over_a_common_denominator(self, fractions, zero):
+        assert grpo._sums_to_zero(fractions) is zero
+        assert (sum(fractions) == 0) is zero
+
+    def test_advantage_checks_catch_a_mean_only_sum_off_by_one_part_in_a_million(
+            self, monkeypatch):
+        advantages = grpo.group_advantages
+
+        def off(rewards, mode=MEAN_STD):
+            adv = advantages(rewards, mode)
+            if mode == MEAN_ONLY and len(rewards) == 5:
+                adv[-1] += Fraction(1, 10 ** 6)
+            return adv
+
+        monkeypatch.setattr(grpo, "group_advantages", off)
+        assert advantage_checks() == (False, "MEAN_ONLY sum nonzero for [0, 0, 0, 0, 0]")
 
     def test_smallest_checks_still_check(self):
         assert gradient_check(n_configs=1)[1]
