@@ -163,27 +163,16 @@ class MockBackend:
         """Nothing to release: the engine holds no connections."""
 
 
-# json.loads' decoder of a str
-_decode_json = json.JSONDecoder().decode
-
-
 def _chat_completion_body(body: bytes):
     """(content, completion_tokens) of an HTTP 200 chat-completion response body.
 
     Raises RequestError(status=200) when the body is not JSON, lacks a
     string message content, or reports completion_tokens that is not a
-    non-negative int, so one malformed reply fails one request only.
-
-    A strict UTF-8 decode and the str decoder are tried first; any
-    ValueError falls back to json.loads of the bytes, which gives the result
-    or the error. Wherever the fast path parses, json.loads would have
-    detected UTF-8 too: a BOM, a null byte or a surrogate stops it.
+    non-negative int, so one malformed reply fails one request only. The
+    bytes go to json.loads, which detects their UTF-8, -16 or -32 encoding.
     """
     try:
-        try:
-            data = _decode_json(body.decode("utf-8"))
-        except ValueError:
-            data = json.loads(body)
+        data = json.loads(body)
         text = data["choices"][0]["message"]["content"]
         tokens = (data.get("usage") or {}).get("completion_tokens")
     except (ValueError, LookupError, TypeError, AttributeError) as exc:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-import os
 import random
 import time
 from dataclasses import dataclass
@@ -29,7 +28,6 @@ from batchcot.grpo_modes import (
 )
 from batchcot.preference import LABELS, PreferenceSample, label_sample
 from batchcot.prompts import BATCH, VANILLA
-from batchcot.workers import on_workers
 
 FEATURE_DIM = 4
 
@@ -276,21 +274,8 @@ class CurvePoint(NamedTuple):
 
 
 # steps x rows per block of _mean_gold_probs: about 16 steps of 1000 rows, so
-# each worker's buffers stay near 640 KB, reused for every block
+# its buffers stay near 640 KB, reused for every block
 _CURVE_BLOCK_ENTRIES = 16_000
-
-
-def _curve_block(n: int) -> int:
-    """Steps per block of _mean_gold_probs at n dataset rows."""
-    return max(1, _CURVE_BLOCK_ENTRIES // n)
-
-
-def _visible_cpus() -> int:
-    """The number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # a platform without affinity masks
-        return os.cpu_count() or 1
 
 
 def _mean_gold_probs(thetas: np.ndarray, features: np.ndarray,
@@ -309,16 +294,14 @@ def _mean_gold_probs(thetas: np.ndarray, features: np.ndarray,
     numpy takes the labels in turn, elementwise: that order for the sum, and
     one call each instead of two.
 
-    The steps go in blocks of _curve_block(n), through buffers allocated
-    once per call: fresh block-sized temporaries each come from a new
-    mapping and page-fault, which costs what the blocking saves. Each step's
-    mean is computed apart from the others', so any split of the stack into
-    calls gives the same bits. _curve_means makes one call per worker, on
-    min(visible CPUs, blocks) workers, each with its own buffers, so the
-    curve is the same on any number of cores.
+    The steps go in blocks of _CURVE_BLOCK_ENTRIES // n (at least one),
+    through buffers allocated once per call: fresh block-sized temporaries
+    each come from a new mapping and page-fault, which costs what the
+    blocking saves. Each step's mean is computed apart from the others', so
+    where the blocks split the stack does not change its bits.
     """
     steps, n = len(thetas), len(features)
-    block = _curve_block(n)
+    block = max(1, _CURVE_BLOCK_ENTRIES // n)
     logits = np.empty((min(block, steps), len(LABELS), n))
     row_max = np.empty((len(logits), n))  # then each row's denominator
     gold_probs = np.empty((len(logits), n))
@@ -338,32 +321,6 @@ def _mean_gold_probs(thetas: np.ndarray, features: np.ndarray,
     return np.divide(means, n, out=means)                          # ufunc calls
 
 
-def _curve_means(thetas: np.ndarray, features: np.ndarray,
-                 gold_flat: np.ndarray) -> np.ndarray:
-    """_mean_gold_probs of the (steps, F, 3) stack thetas, on every visible CPU.
-
-    The workers are min(visible CPUs, blocks of _curve_block(n) steps). The
-    steps split into contiguous runs of whole blocks, one per worker; each
-    worker calls _mean_gold_probs on its run, through its own buffers, and
-    the runs' means are joined in order. The bits are the same on any number
-    of workers. One worker is the plain call, in the calling thread.
-    """
-    steps, block = len(thetas), _curve_block(len(features))
-    blocks = -(-steps // block)
-    workers = min(_visible_cpus(), blocks)
-    if workers < 2:
-        return _mean_gold_probs(thetas, features, gold_flat)
-    bounds = [block * (blocks * i // workers) for i in range(workers)] + [steps]
-
-    def run(span):
-        # numpy's error state is per context, and a new thread starts from
-        # the default: this is the training loop's
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return _mean_gold_probs(thetas[span[0]:span[1]], features, gold_flat)
-
-    return np.concatenate(on_workers(run, list(zip(bounds, bounds[1:])), workers))
-
-
 def train_toy(dataset, cfg: GrpoConfig, seed: int = 0):
     """Sample-group-update loop on the toy policy; deterministic given seed.
 
@@ -373,7 +330,7 @@ def train_toy(dataset, cfg: GrpoConfig, seed: int = 0):
     indices, and the frozen reference's distribution is computed once per row
     the run visits. The loop keeps every step's theta; the curve's mean gold
     probabilities are computed from them once, after the last step, by
-    _curve_means.
+    _mean_gold_probs.
 
     Returns (final PolicyState, learning curve of CurvePoint).
     """
@@ -415,7 +372,7 @@ def train_toy(dataset, cfg: GrpoConfig, seed: int = 0):
             policy = PolicyState(theta=np.subtract(
                 policy.theta, cfg.learning_rate * _theta_grad(phi, grad_logits),
                 out=thetas[step]))
-        means = _curve_means(thetas, features, gold_flat).tolist()
+        means = _mean_gold_probs(thetas, features, gold_flat).tolist()
     return policy, [CurvePoint(step, loss, mean)
                     for step, (loss, mean) in enumerate(zip(losses, means))]
 

@@ -83,14 +83,11 @@ def load_corpus(spec: BenchmarkSpec) -> list:
     return questions
 
 
-def evaluate(spec: BenchmarkSpec, cfg: EndpointConfig, backend, questions=None):
+def evaluate(spec: BenchmarkSpec, cfg: EndpointConfig, backend, questions: list):
     """Repeat-sampled single-question evaluation: (records, EvalAggregate).
 
-    questions is the spec's corpus as load_corpus gives it, loaded here when
-    None.
+    questions is the spec's corpus as load_corpus gives it.
     """
-    if questions is None:
-        questions = load_corpus(spec)
     envelopes = [build_single_prompt(q) for q in questions
                  for _ in range(spec.samples_per_question)]
     completions, failures = complete_many(envelopes, cfg, backend)

@@ -126,15 +126,9 @@ def _boxed_content_at(text: str, start: int):
         i += 1
     if i >= n or text[i] != "{":
         return None
-    begin = i + 1
-    close = text.find("}", begin)
-    if close < 0:
-        return None
-    # no "{" before the first "}": that "}" closes the group
-    if text.find("{", begin, close) < 0:
-        return text[begin:close], close + 1
     depth = 1
-    i = begin
+    i += 1
+    begin = i
     while i < n:
         ch = text[i]
         if ch == "{":

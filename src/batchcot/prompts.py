@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import json
 import random
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Union
 
-from batchcot.records import from_dict, loads_line, named_error
+from batchcot.records import from_dict, named_error
 
 VANILLA = "vanilla"
 BATCH = "batch"
@@ -137,7 +138,7 @@ def load_questions(path, answer_kind: str = "numeric") -> list:
                 continue
             where = f"{path}: line {lineno}"
             try:
-                q = from_dict(Question, loads_line(line))
+                q = from_dict(Question, json.loads(line))
             except (TypeError, KeyError, ValueError) as exc:
                 raise named_error(where, exc) from exc
             if q.id in seen:

@@ -158,26 +158,6 @@ def write_jsonl(path, rows):
             fh.write("\n")
 
 
-_raw_decode = json.JSONDecoder().raw_decode
-
-
-def loads_line(line: str):
-    """json.loads(line), for a line read from a text file.
-
-    A line that is one JSON value and at most its newline, as every writer
-    here writes one, takes a single raw_decode call, without json.loads's
-    type and whitespace checks around the same scan. Any other line goes to
-    json.loads, which decodes it or raises its error.
-    """
-    try:
-        value, end = _raw_decode(line)
-    except ValueError:
-        return json.loads(line)
-    if line[end:] in ("", "\n"):
-        return value
-    return json.loads(line)
-
-
 def named_error(where: str, exc: Exception) -> ValueError:
     """`exc`, raised by the data read at `where`, as a ValueError naming `where`."""
     return ValueError(f"{where}: {type(exc).__name__}: {exc}")
@@ -204,7 +184,7 @@ def read_jsonl(path, cls) -> list:
         for n, line in enumerate(fh, 1):
             if not line.isspace():
                 try:
-                    records.append(decode(loads_line(line)))
+                    records.append(decode(json.loads(line)))
                 except (TypeError, KeyError, ValueError) as exc:
                     raise named_error(f"{path}: line {n}", exc) from exc
     return records

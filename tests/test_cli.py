@@ -1,4 +1,5 @@
 import argparse
+import ast
 import contextlib
 import csv
 import io
@@ -564,6 +565,26 @@ class TestGrpoCommands:
             "PASS kl_properties"]
         assert "max relative error 8.66e-11" in lines[0]
 
+    def test_module_entry_point_writes_a_row_per_step(self, tmp_path):
+        # the curve is computed after training in blocks of steps, and 203 is
+        # no multiple of the block: every step still has its row, and the
+        # last one is the value the command prints
+        src = str(Path(batchcot.__file__).parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        for steps in (200, 203):
+            out = tmp_path / f"toy{steps}"
+            result = subprocess.run(
+                [sys.executable, "-m", "batchcot.cli", "grpo-train-toy", "--samples", "200",
+                 "--steps", str(steps), "--seed", "3", "--out-dir", str(out)],
+                env=env, capture_output=True, text=True, timeout=120)
+            assert result.returncode == 0, result.stderr
+            rows = (out / "curve.csv").read_text(encoding="utf-8").splitlines()
+            assert len(rows) == steps + 1
+            last = float(rows[-1].split(",")[2])
+            assert (f"final mean gold-label probability = {last:.4f}"
+                    in result.stdout), (last, result.stdout)
+
     def test_cli_import_loads_no_http_client_email_or_ssl(self):
         # the client speaks HTTP itself, imports ssl for an https URL only,
         # and runs its requests on plain threads, without concurrent.futures
@@ -860,6 +881,23 @@ class TestConfigResolution:
                                            path.read_text(encoding="utf-8")))
                  for path in sorted(src.glob("*.py"))}
         assert {name: n for name, n in calls.items() if n} == {"cli.py": 1}
+
+    def test_only_the_client_starts_worker_threads(self):
+        # complete_many sends requests on workers.on_workers; the grpo
+        # commands are numeric work in the calling thread
+        src = Path(batchcot.__file__).parent
+        calls = {path.name: len(re.findall(r"(?<!def )\bon_workers\(",
+                                           path.read_text(encoding="utf-8")))
+                 for path in sorted(src.glob("*.py"))}
+        assert {name: n for name, n in calls.items() if n} == {"client.py": 1}
+        imported = set()
+        for node in ast.walk(ast.parse((src / "grpo.py").read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                imported.add(node.module)
+                imported.update(f"{node.module}.{alias.name}" for alias in node.names)
+        assert not imported & {"threading", "batchcot.workers"}
 
 
 def parse_outcome(parser, argv, capsys):

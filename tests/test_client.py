@@ -37,7 +37,7 @@ from batchcot.client import (
 )
 from batchcot.cli import main
 from batchcot.http1 import Connection
-from batchcot.harness import BenchmarkSpec, evaluate
+from batchcot.harness import BenchmarkSpec, evaluate, load_corpus
 from batchcot.parsing import SamplingParams
 from batchcot.prompts import Question, build_prompt, build_single_prompt, shuffle_and_group
 
@@ -392,7 +392,7 @@ class TestMalformedBody:
             + json.dumps({"id": "b", "text": "other?", "gold_answer": "1"}) + "\n")
         spec = BenchmarkSpec(name="Toy", corpus_path=str(corpus), samples_per_question=2)
         with _serve_malformed(b"not json") as backend:
-            records, agg = evaluate(spec, cfg(), backend)
+            records, agg = evaluate(spec, cfg(), backend, load_corpus(spec))
         assert agg.exclusions == 2
         assert agg.n_samples == 2
         assert agg.accuracy == 1.0

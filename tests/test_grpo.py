@@ -1,17 +1,9 @@
-import contextlib
-import io
 import itertools
 import math
-import os
 import random
 import re
-import subprocess
-import sys
-import threading
 import tracemalloc
-import warnings
 from fractions import Fraction
-from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -45,7 +37,6 @@ from batchcot.grpo import (
     write_curve_csv,
 )
 from batchcot import verify
-from batchcot.cli import main
 from batchcot.preference import LABELS, PreferenceSample, label_sample
 from batchcot.prompts import BATCH, VANILLA
 
@@ -1144,134 +1135,6 @@ class TestMeanGoldProb:
 
         assert peak_bytes(lambda: np.empty((2000, len(LABELS), 1000))) >= 48e6
         assert peak_bytes(lambda: grpo._mean_gold_probs(thetas, features, gold_flat)) < 4e6
-
-
-def visible_cpus(monkeypatch, count):
-    """Make the affinity mask hold count CPUs, as grpo._visible_cpus reads it."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)),
-                        raising=False)
-
-
-def spy_on_curve(monkeypatch):
-    """Record (workers, runs) of every on_workers call the curve makes, and
-    every thread started; returns (calls, started)."""
-    calls, started = [], []
-    on_workers, start = grpo.on_workers, threading.Thread.start
-
-    def recorded(fn, items, workers):
-        calls.append((workers, len(items)))
-        return on_workers(fn, items, workers)
-
-    def counted(thread):
-        started.append(thread)
-        return start(thread)
-
-    monkeypatch.setattr(grpo, "on_workers", recorded)
-    monkeypatch.setattr(threading.Thread, "start", counted)
-    return calls, started
-
-
-TRAIN_ARGV = ["grpo-train-toy", "--samples", "1000", "--seed", "4"]  # 16-step blocks
-
-
-def train_outputs(out, steps):
-    """curve.csv and policy.txt of a grpo-train-toy run of TRAIN_ARGV."""
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert main([*TRAIN_ARGV, "--steps", str(steps), "--out-dir", str(out)]) == 0
-    return (out / "curve.csv").read_bytes(), (out / "policy.txt").read_bytes()
-
-
-class TestCurveWorkers:
-    def test_outputs_do_not_depend_on_the_worker_count(self, tmp_path, monkeypatch):
-        # steps on both sides of a block boundary (16, 32, 48) and of every
-        # split into 2 or 3 runs of whole blocks
-        calls, _ = spy_on_curve(monkeypatch)
-        for steps in (0, 1, 15, 16, 17, 31, 32, 33, 47, 48, 49, 100):
-            outputs = {}
-            for cpus in (1, 2, 3):
-                visible_cpus(monkeypatch, cpus)
-                calls.clear()
-                outputs[cpus] = train_outputs(tmp_path / f"{steps}-{cpus}", steps)
-                workers = min(cpus, -(-steps // 16))
-                assert calls == ([(workers, workers)] if workers > 1 else []), steps
-            assert outputs[2] == outputs[1] and outputs[3] == outputs[1], steps
-
-    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
-                        reason="no CPU affinity on this platform")
-    def test_run_pinned_to_one_cpu_writes_the_same_bytes(self, tmp_path):
-        script = ("import os, sys\n"
-                  "if sys.argv[1] == 'pinned':\n"
-                  "    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
-                  "    assert len(os.sched_getaffinity(0)) == 1\n"
-                  "from batchcot.cli import main\n"
-                  "sys.exit(main(sys.argv[2:]))\n")
-        src = str(Path(grpo.__file__).parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        outputs = []
-        for how in ("pinned", "unpinned"):
-            out = tmp_path / how
-            result = subprocess.run(
-                [sys.executable, "-c", script, how, *TRAIN_ARGV, "--steps", "250",
-                 "--out-dir", str(out)], env=env, capture_output=True, text=True,
-                timeout=120)
-            assert result.returncode == 0, result.stderr
-            outputs.append([(out / name).read_bytes()
-                            for name in ("curve.csv", "policy.txt")])
-        assert outputs[0] == outputs[1]
-
-    @pytest.mark.parametrize("cpus, steps", [(1, 0), (1, 1), (1, 100), (8, 0), (8, 1),
-                                             (8, 16)])
-    def test_one_cpu_or_one_block_starts_no_thread(self, monkeypatch, cpus, steps):
-        calls, started = spy_on_curve(monkeypatch)
-        visible_cpus(monkeypatch, cpus)
-        train_toy(make_toy_dataset(1000, seed=4), GrpoConfig(steps=steps), seed=4)
-        assert calls == [] and started == []
-
-    @pytest.mark.parametrize("cpus", [2, 3, 8])
-    @pytest.mark.parametrize("steps", [17, 33, 48, 49, 100])
-    def test_workers_never_exceed_visible_cpus_or_blocks(self, monkeypatch, cpus, steps):
-        calls, started = spy_on_curve(monkeypatch)
-        visible_cpus(monkeypatch, cpus)
-        train_toy(make_toy_dataset(1000, seed=4), GrpoConfig(steps=steps), seed=4)
-        workers = min(cpus, -(-steps // 16))
-        assert calls == [(workers, workers)]
-        assert len(started) == workers
-
-    def test_more_workers_than_cores_with_a_short_switch_interval(self, monkeypatch):
-        features, _, gold_flat = gold_fixture(1000)
-        thetas = np.random.default_rng(3).normal(size=(150, FEATURE_DIM, len(LABELS)))
-        serial = grpo._mean_gold_probs(thetas, features, gold_flat).tobytes()
-        visible_cpus(monkeypatch, 8)  # 10 blocks of 16 steps, on 8 workers
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for _ in range(5):
-                assert grpo._curve_means(thetas, features, gold_flat).tobytes() == serial
-        finally:
-            sys.setswitchinterval(interval)
-
-    @pytest.mark.parametrize("count, cpus", [(3, 3), (None, 1)])
-    def test_cpu_count_without_affinity(self, monkeypatch, count, cpus):
-        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: count)
-        assert grpo._visible_cpus() == cpus
-
-    def test_workers_keep_the_training_loops_error_state(self, monkeypatch):
-        # infinite weights make nan logits (inf - inf), which the loop's
-        # np.errstate keeps quiet; each worker thread must enter it too
-        features, _, gold_flat = gold_fixture(1000)
-        thetas = np.random.default_rng(2).normal(size=(100, FEATURE_DIM, len(LABELS)))
-        thetas[::7] = np.inf
-        means = {}
-        for cpus in (1, 2):
-            visible_cpus(monkeypatch, cpus)
-            with warnings.catch_warnings(), \
-                    np.errstate(divide="ignore", invalid="ignore"):
-                warnings.simplefilter("error")
-                means[cpus] = grpo._curve_means(thetas, features, gold_flat)
-        assert np.isnan(means[1][::7]).all()
-        assert means[2].tobytes() == means[1].tobytes()
 
 
 class TestCheckpointAndCurve:

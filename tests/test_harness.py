@@ -11,6 +11,7 @@ from batchcot.harness import (
     EvalAggregate,
     aggregates_to_csv,
     evaluate,
+    load_corpus,
     overall_mean,
     overall_weighted,
     read_aggregates,
@@ -92,7 +93,7 @@ class TestEvaluate:
             env = build_single_prompt(q)
             script.add(env.text, f"so \\boxed{{{q.gold_answer}}}", tokens=100)
         spec = BenchmarkSpec(name="Toy", corpus_path=str(corpus))
-        records, agg = evaluate(spec, cfg(), script)
+        records, agg = evaluate(spec, cfg(), script, load_corpus(spec))
         assert agg.accuracy == 1.0
         assert agg.mean_tokens == 100.0
         assert agg.n_questions == 5
@@ -115,7 +116,8 @@ class TestEvaluate:
             sequences[env.text] = [(f"\\boxed{{{a}}}", 50) for a in answers]
         spec = BenchmarkSpec(name="Toy", corpus_path=str(corpus),
                              samples_per_question=5)
-        _, agg = evaluate(spec, cfg(max_concurrent=1), _PerPromptBackend(sequences))
+        _, agg = evaluate(spec, cfg(max_concurrent=1), _PerPromptBackend(sequences),
+                          load_corpus(spec))
         assert agg.accuracy == pytest.approx(0.7)
         assert agg.n_samples == 10
 
@@ -131,7 +133,7 @@ class TestEvaluate:
 
         spec = BenchmarkSpec(name="Toy", corpus_path=str(corpus))
         with pytest.raises(ValueError, match="empty"):
-            evaluate(spec, cfg(), ExplodingBackend())
+            evaluate(spec, cfg(), ExplodingBackend(), load_corpus(spec))
 
     def test_transport_failures_become_exclusions(self, tmp_path):
         questions = self.make_questions(4)
@@ -147,7 +149,7 @@ class TestEvaluate:
                 return RawCompletion("\\boxed{1}", 10, [])
 
         spec = BenchmarkSpec(name="Toy", corpus_path=str(corpus))
-        records, agg = evaluate(spec, cfg(), HalfFailingBackend())
+        records, agg = evaluate(spec, cfg(), HalfFailingBackend(), load_corpus(spec))
         assert agg.exclusions == 2
         assert agg.n_samples == 2
         assert len(records) == 2
@@ -165,8 +167,8 @@ class TestEvaluate:
         def run(qs, name):
             corpus = tmp_path / f"{name}.jsonl"
             write_corpus(corpus, qs)
-            return evaluate(BenchmarkSpec(name=name, corpus_path=str(corpus)),
-                            cfg(), backend)[1]
+            spec = BenchmarkSpec(name=name, corpus_path=str(corpus))
+            return evaluate(spec, cfg(), backend, load_corpus(spec))[1]
 
         whole = run(questions, "whole")
         halves = [run(questions[:4], "lo"), run(questions[4:], "hi")]
@@ -193,7 +195,7 @@ class TestEvaluate:
 
         spec = registry_spec("gpqa_diamond", str(corpus))
         with pytest.raises(ValueError) as info:
-            evaluate(spec, cfg(), CountingBackend())
+            evaluate(spec, cfg(), CountingBackend(), load_corpus(spec))
         assert str(info.value) == (f"{corpus}: line 2: gold answer 'not-a-letter' "
                                    "is not a choice letter")
         assert CountingBackend.requests == 0
@@ -207,7 +209,7 @@ class TestEvaluate:
                    "I choose \\boxed{C}", tokens=7)
         spec = BenchmarkSpec(name="Choices", corpus_path=str(corpus),
                              answer_kind=CHOICE_LETTER)
-        _, agg = evaluate(spec, cfg(), script)
+        _, agg = evaluate(spec, cfg(), script, load_corpus(spec))
         assert agg.accuracy == 1.0
 
 

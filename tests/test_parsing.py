@@ -87,7 +87,7 @@ class TestExtractBoxedProperty:
 
 
 def reference_boxed_content_at(text, start):
-    """parsing._boxed_content_at as a character loop only, without the find fast path."""
+    """parsing._boxed_content_at written out apart, as the oracle for its groups."""
     i = start + len("\\boxed")
     n = len(text)
     while i < n and text[i].isspace():
@@ -110,7 +110,7 @@ def reference_boxed_content_at(text, start):
 
 
 class TestBoxedContentOracle:
-    """The find fast path gives the character loop's result at every \\boxed."""
+    """_boxed_content_at gives the reference loop's group at every \\boxed."""
 
     # nested, unbalanced and whitespace-led braces, with Unicode whitespace
     # that str.isspace takes and a bare backslash that starts no \boxed
@@ -125,7 +125,7 @@ class TestBoxedContentOracle:
             assert (parsing._boxed_content_at(text, start)
                     == reference_boxed_content_at(text, start)), (text, start)
 
-    def test_cases_either_side_of_the_fast_path(self):
+    def test_flat_nested_and_unterminated_groups(self):
         for text, expected in (
             ("\\boxed{42}", ("42", 10)),
             ("\\boxed \u2003{a}b", ("a", 11)),

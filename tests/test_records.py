@@ -1,4 +1,4 @@
-"""records' fast paths against the code they replaced: from_dict, loads_line and
+"""records' fast paths against the code they replaced: from_dict and
 write_jsonl's encoder.
 
 A fast path must give the reference's value, or raise the reference's
@@ -17,7 +17,7 @@ from batchcot.harness import EvalAggregate
 from batchcot.parsing import ChainOrigin, CompletionRecord, ReasoningChain, SamplingParams
 from batchcot.preference import PreferenceSample
 from batchcot.prompts import BATCH, VANILLA, PromptEnvelope
-from batchcot.records import from_dict, loads_line, read_jsonl, to_dict, write_jsonl
+from batchcot.records import from_dict, read_jsonl, to_dict, write_jsonl
 
 
 def reference_from_dict(cls, d):
@@ -148,29 +148,6 @@ class TestFromDict:
         d = as_json(RECORDS[2])
         del d["sampling"]
         assert from_dict(CompletionRecord, d).sampling == SamplingParams()
-
-
-# lines a JSONL file can hold: JSON documents and any text, each between
-# whitespace that json.loads skips, whitespace it does not, and extra data
-LINES = st.tuples(
-    st.sampled_from(["", " ", "\t", "\u2003", "\ufeff", "\x1c"]),
-    JSON_VALUES.map(json.dumps) | st.text(max_size=8),
-    st.sampled_from(["", "\n", " \n", "\r\n", "\t", "\u2003\n", "\x85", "x\n", ",{}\n",
-                     "]\n"]),
-).map("".join)
-
-
-class TestLoadsLine:
-    @settings(max_examples=400, deadline=None)
-    @given(LINES)
-    def test_same_outcome_as_json_loads(self, line):
-        # repr, so that a NaN compares equal to itself
-        assert repr(outcome(loads_line, line)) == repr(outcome(json.loads, line))
-
-    def test_record_lines(self):
-        line = json.dumps(to_dict(RECORDS[2]), sort_keys=True)
-        for text in (line, line + "\n"):
-            assert loads_line(text) == json.loads(text)
 
 
 # rows as write_jsonl gets them: nested dicts with every JSON type, and
