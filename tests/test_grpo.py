@@ -1,9 +1,17 @@
+import contextlib
+import io
 import itertools
 import math
+import os
 import random
 import re
+import subprocess
+import sys
+import threading
 import tracemalloc
+import warnings
 from fractions import Fraction
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -37,6 +45,7 @@ from batchcot.grpo import (
     write_curve_csv,
 )
 from batchcot import verify
+from batchcot.cli import main
 from batchcot.preference import LABELS, PreferenceSample, label_sample
 from batchcot.prompts import BATCH, VANILLA
 
@@ -1135,6 +1144,96 @@ class TestMeanGoldProb:
 
         assert peak_bytes(lambda: np.empty((2000, len(LABELS), 1000))) >= 48e6
         assert peak_bytes(lambda: grpo._mean_gold_probs(thetas, features, gold_flat)) < 4e6
+
+
+TRAIN_ARGV = ["grpo-train-toy", "--samples", "1000", "--seed", "4"]  # 16-step blocks
+
+
+def train_outputs(out, steps):
+    """curve.csv and policy.txt of a grpo-train-toy run of TRAIN_ARGV."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main([*TRAIN_ARGV, "--steps", str(steps), "--out-dir", str(out)]) == 0
+    return (out / "curve.csv").read_bytes(), (out / "policy.txt").read_bytes()
+
+
+class TestCurveBlocks:
+    @pytest.mark.parametrize("steps", [0, 1, 15, 16, 17, 31, 32, 33, 47, 48, 49, 100])
+    def test_command_writes_the_reference_run(self, tmp_path, steps):
+        # steps on both sides of the 16-step block boundaries of the
+        # command's 1000 rows
+        curve, policy = train_outputs(tmp_path / "run", steps)
+        cfg = GrpoConfig(steps=steps)
+        theta, want = reference_train_toy(make_toy_dataset(1000, seed=4), cfg, seed=4)
+        write_curve_csv(tmp_path / "curve.csv", want)
+        save_policy(tmp_path / "policy.txt", PolicyState(theta=theta), seed=4, cfg=cfg)
+        assert curve == (tmp_path / "curve.csv").read_bytes()
+        assert policy == (tmp_path / "policy.txt").read_bytes()
+
+    @pytest.mark.parametrize("entries", [1, 2000, 3000, 5000, 7000, 32_000, 149_000,
+                                         150_000, 151_000])
+    def test_where_the_blocks_split_the_stack_does_not_change_its_bits(
+            self, monkeypatch, entries):
+        # blocks of 1 to 151 steps over a stack of 150 at 1000 rows
+        features, _, gold_flat = gold_fixture(1000)
+        thetas = np.random.default_rng(3).normal(size=(150, FEATURE_DIM, len(LABELS)))
+        default = grpo._mean_gold_probs(thetas, features, gold_flat).tobytes()
+        monkeypatch.setattr(grpo, "_CURVE_BLOCK_ENTRIES", entries)
+        assert grpo._mean_gold_probs(thetas, features, gold_flat).tobytes() == default
+
+    def test_nan_steps_stay_in_their_own_entries(self):
+        # infinite weights make nan logits (inf - inf), which the training
+        # loop's np.errstate keeps quiet; the finite steps that share their
+        # blocks keep their bits
+        features, _, gold_flat = gold_fixture(1000)
+        thetas = np.random.default_rng(2).normal(size=(100, FEATURE_DIM, len(LABELS)))
+        thetas[::7] = np.inf
+        finite = np.arange(100) % 7 != 0
+        with warnings.catch_warnings(), np.errstate(divide="ignore", invalid="ignore"):
+            warnings.simplefilter("error")
+            means = grpo._mean_gold_probs(thetas, features, gold_flat)
+        assert np.isnan(means[::7]).all()
+        assert means[finite].tobytes() == \
+            grpo._mean_gold_probs(thetas[finite], features, gold_flat).tobytes()
+
+    @pytest.mark.parametrize("objective_mode, advantage_mode",
+                             list(itertools.product(OBJECTIVE_MODES, (MEAN_STD, MEAN_ONLY))))
+    def test_training_starts_no_thread(self, monkeypatch, objective_mode, advantage_mode):
+        started = []
+        start = threading.Thread.start
+
+        def counted(thread):
+            started.append(thread)
+            return start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counted)
+        cfg = GrpoConfig(steps=100, objective_mode=objective_mode,
+                         advantage_mode=advantage_mode)
+        _, curve = train_toy(make_toy_dataset(1000, seed=4), cfg, seed=4)
+        assert len(curve) == 100 and started == []
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                        reason="no CPU affinity on this platform")
+    def test_run_pinned_to_one_cpu_writes_the_same_bytes(self, tmp_path):
+        script = ("import os, sys\n"
+                  "if sys.argv[1] == 'pinned':\n"
+                  "    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+                  "    assert len(os.sched_getaffinity(0)) == 1\n"
+                  "from batchcot.cli import main\n"
+                  "sys.exit(main(sys.argv[2:]))\n")
+        src = str(Path(grpo.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        outputs = []
+        for how in ("pinned", "unpinned"):
+            out = tmp_path / how
+            result = subprocess.run(
+                [sys.executable, "-c", script, how, *TRAIN_ARGV, "--steps", "250",
+                 "--out-dir", str(out)], env=env, capture_output=True, text=True,
+                timeout=120)
+            assert result.returncode == 0, result.stderr
+            outputs.append([(out / name).read_bytes()
+                            for name in ("curve.csv", "policy.txt")])
+        assert outputs[0] == outputs[1]
 
 
 class TestCheckpointAndCurve:

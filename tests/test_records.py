@@ -1,5 +1,6 @@
 """records' fast paths against the code they replaced: from_dict and
-write_jsonl's encoder.
+write_jsonl's encoder; and a line of a JSONL file, read by read_jsonl or
+load_questions, against json.loads of that line.
 
 A fast path must give the reference's value, or raise the reference's
 exception with the same message, on every input.
@@ -16,7 +17,7 @@ from batchcot import records
 from batchcot.harness import EvalAggregate
 from batchcot.parsing import ChainOrigin, CompletionRecord, ReasoningChain, SamplingParams
 from batchcot.preference import PreferenceSample
-from batchcot.prompts import BATCH, VANILLA, PromptEnvelope
+from batchcot.prompts import BATCH, VANILLA, PromptEnvelope, Question, load_questions
 from batchcot.records import from_dict, read_jsonl, to_dict, write_jsonl
 
 
@@ -199,3 +200,38 @@ class TestReadJsonl:
             read_jsonl(path, ReasoningChain)
         assert str(info.value) == (f"{path}: line 2: TypeError: "
                                    "verdict is int, not str or NoneType")
+
+    @pytest.mark.parametrize("read, cls, row", [
+        (lambda path: read_jsonl(path, ReasoningChain), ReasoningChain, as_json(RECORDS[0])),
+        (load_questions, Question, {"id": "q1", "text": "What is 1+1?", "gold_answer": "2"}),
+    ], ids=["read_jsonl", "load_questions"])
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_a_line_reads_as_json_loads_reads_it(self, tmp_path_factory, read, cls, row,
+                                                 data):
+        line = data.draw(line_of(json.dumps(row)))
+        path = tmp_path_factory.getbasetemp() / "line.jsonl"
+        path.write_text(line, encoding="utf-8", newline="")
+        got = outcome(read, path)
+        if not line.strip():  # no line, or a blank one
+            assert got == ("value", [], None)
+            return
+        # text mode reads "\r\n" as "\n"
+        want = outcome(lambda: from_dict(cls, json.loads(line.replace("\r\n", "\n"))))
+        if want[0] == "value":
+            assert got[:2] == ("value", [want[1]])
+        else:
+            assert got == (ValueError, f"{path}: line 1: {want[0].__name__}: {want[1]}")
+
+
+def line_of(row: str):
+    """One line of a JSONL file: the row, a JSON value or any text, each
+    between whitespace that json.loads skips, whitespace it does not, and
+    extra data; no "\\n" or "\\r" before its end, so the file holds one line."""
+    return st.tuples(
+        st.sampled_from(["", " ", "\t", "\u2003", "\ufeff", "\x1c"]),
+        st.just(row) | JSON_VALUES.map(json.dumps)
+        | st.text(max_size=8).filter(lambda s: "\n" not in s and "\r" not in s),
+        st.sampled_from(["", "\n", " \n", "\r\n", "\t", "\u2003\n", "\x85", "x\n",
+                         ",{}\n", "]\n"]),
+    ).map("".join)
