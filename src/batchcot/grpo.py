@@ -282,35 +282,45 @@ def _mean_gold_probs(thetas: np.ndarray, features: np.ndarray,
                      gold_flat: np.ndarray) -> np.ndarray:
     """Mean gold-label probability over the n rows of features, one per theta.
 
-    thetas is a (steps, F, 3) stack; gold_flat holds each row's gold entry as
-    an index into the flattened (3, n) label-major probabilities, gold label
-    * n + row. Each entry is bit for bit the mean of the gold entries of
-    PolicyState(theta).distribution(features): the same row max and exp, and
-    the denominator summed as (e0 + e1) + e2, the order of numpy's sum over a
-    3-long axis (e0 + (e1 + e2) differs in the last bit), but only the gold
-    entries are divided. Label-major rows keep every elementwise step
-    contiguous; exp runs on one contiguous array in either layout. Both
-    reductions run over the label axis, which is not the contiguous one, so
-    numpy takes the labels in turn, elementwise: that order for the sum, and
-    one call each instead of two.
+    thetas is a (steps, F, 3) stack, of any strides; gold_flat holds each
+    row's gold entry as an index into the flattened (3, n) label-major
+    probabilities, gold label * n + row. Each entry is bit for bit the mean
+    of the gold entries of PolicyState(theta).distribution(features): the
+    same row max and exp, and the denominator summed as (e0 + e1) + e2, the
+    order of numpy's sum over a 3-long axis (e0 + (e1 + e2) differs in the
+    last bit), but only the gold entries are divided. Label-major rows keep
+    every elementwise step contiguous; exp runs on one contiguous array in
+    either layout. Both reductions run over the label axis, which is not the
+    contiguous one, so numpy takes the labels in turn, elementwise: that
+    order for the sum, and one call each instead of two.
 
     The steps go in blocks of _CURVE_BLOCK_ENTRIES // n (at least one),
     through buffers allocated once per call: fresh block-sized temporaries
     each come from a new mapping and page-fault, which costs what the
-    blocking saves. Each step's mean is computed apart from the others', so
-    where the blocks split the stack does not change its bits.
+    blocking saves. A block's b thetas are copied label-major into one
+    column-major (3b, F) matrix, the layout of each theta's own (3, F)
+    transpose, so its logits are one (3b, F) @ (F, n) product, not b
+    stacked (3, F) @ (F, n) ones; each logit is still a dot of F products,
+    with the bits of the per-step products. Each step's mean is computed
+    apart from the others', so where the blocks split the stack does not
+    change its bits.
     """
     steps, n = len(thetas), len(features)
-    block = max(1, _CURVE_BLOCK_ENTRIES // n)
+    # one row makes each product a matrix-vector one, whose BLAS kernel rounds
+    # by the matrix's row count: one step a block keeps the per-step bits
+    block = max(1, _CURVE_BLOCK_ENTRIES // n) if n > 1 else 1
     logits = np.empty((min(block, steps), len(LABELS), n))
     row_max = np.empty((len(logits), n))  # then each row's denominator
     gold_probs = np.empty((len(logits), n))
+    block_thetas = np.empty((thetas.shape[1], len(logits), len(LABELS)))  # (F, b, 3)
     means = np.empty(steps)
-    labels_major = thetas.transpose(0, 2, 1)
     for start in range(0, steps, block):
         b = min(block, steps - start)
         exp, den, gold = logits[:b], row_max[:b], gold_probs[:b]
-        np.matmul(labels_major[start:start + b], features.T, out=exp)
+        theta_cols = block_thetas[:, :b]
+        np.copyto(theta_cols, thetas[start:start + b].transpose(1, 0, 2))
+        np.matmul(theta_cols.reshape(len(theta_cols), -1).T, features.T,
+                  out=exp.reshape(-1, n))
         np.maximum.reduce(exp, axis=1, out=den)
         np.subtract(exp, den[:, None], out=exp)
         np.exp(exp, out=exp)
@@ -327,10 +337,13 @@ def train_toy(dataset, cfg: GrpoConfig, seed: int = 0):
     Each step computes the policy's distribution at its row once, draws the
     group's label indices from it and gives that same distribution to one
     grpo_loss call. Rewards, advantages and label weights come from the drawn
-    indices, and the frozen reference's distribution is computed once per row
-    the run visits. The loop keeps every step's theta; the curve's mean gold
-    probabilities are computed from them once, after the last step, by
-    _mean_gold_probs.
+    indices and the row's gold label alone, so they are computed once per
+    distinct (gold, drawn indices) group of the run and kept, read-only, for
+    every later step that draws the same group; most steps of a trained
+    policy draw the same all-gold group. The frozen reference's distribution
+    is computed once per row the run visits. The loop keeps every step's
+    theta; the curve's mean gold probabilities are computed from them once,
+    after the last step, by _mean_gold_probs.
 
     Returns (final PolicyState, learning curve of CurvePoint).
     """
@@ -346,6 +359,8 @@ def train_toy(dataset, cfg: GrpoConfig, seed: int = 0):
     # row -> ref.distribution(features[row]); one 2-D call over all rows would
     # differ from these 1-D calls in the last bits at a nonzero reference
     ref_pis = {}
+    # (gold, drawn indices' bytes) -> the group's label weights, read-only
+    group_weights = {}
     thetas = np.empty((cfg.steps, *policy.theta.shape))
     losses = []
     # a diverging run's log(0) and 0 * inf are named by the finiteness check
@@ -360,9 +375,13 @@ def train_toy(dataset, cfg: GrpoConfig, seed: int = 0):
             pi_ref = ref_pis.get(idx)
             if pi_ref is None:
                 pi_ref = ref_pis[idx] = ref.distribution(phi)
-            w = _weights(action_idx,
-                         _index_advantages(action_idx, gold, cfg.advantage_mode),
-                         gold, cfg.objective_mode)
+            key = gold, action_idx.tobytes()
+            w = group_weights.get(key)
+            if w is None:
+                w = group_weights[key] = _weights(
+                    action_idx, _index_advantages(action_idx, gold, cfg.advantage_mode),
+                    gold, cfg.objective_mode)
+                w.flags.writeable = False
             loss, grad_logits = grpo_loss(pi, pi_ref, w, cfg.beta)
             loss = float(loss)
             if not math.isfinite(loss):

@@ -37,6 +37,19 @@ def write_corpus(path, questions):
                                  "source": q.source}) + "\n")
 
 
+def count_mock_sends(monkeypatch) -> list:
+    """The prompt of every MockBackend.send call from here on, in order."""
+    sent = []
+    send = MockBackend.send
+
+    def counted(backend, prompt_text, cfg):
+        sent.append(prompt_text)
+        return send(backend, prompt_text, cfg)
+
+    monkeypatch.setattr(MockBackend, "send", counted)
+    return sent
+
+
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
     """Corpus, mock-response dir, and a completed gen run shared by tests."""
@@ -632,21 +645,37 @@ class TestEvalAndReport:
         assert csv_path.exists()
 
 
-    @pytest.mark.parametrize("corpus, message", [
-        (None, "No such file or directory"),
-        ('{"id": "a", "text": "t", "gold_answer": "1"}\n5\n', "line 2: "),
-        ("", "corpus is empty"),
-    ], ids=["missing", "bad-line", "empty"])
+    @pytest.mark.parametrize("name, corpus, message", [
+        ("gsm8k", None, "No such file or directory"),
+        ("gsm8k", '{"id": "a", "text": "t", "gold_answer": "1"}\n5\n', "line 2: "),
+        ("gsm8k", "", "corpus is empty"),
+        ("gpqa_diamond", '{"id": "g1", "text": "pick one", "gold_answer": "not-a-letter"}\n',
+         "line 1: gold answer 'not-a-letter' is not a choice letter"),
+    ], ids=["missing", "bad-line", "empty", "bad-choice-letter"])
     def test_eval_on_corpus_that_fails_to_load_makes_no_out_dir(
-            self, workspace, tmp_path, capsys, corpus, message):
+            self, workspace, tmp_path, capsys, monkeypatch, name, corpus, message):
+        # the corpus is checked before the out-dir is made and before any
+        # request is sent
+        sent = count_mock_sends(monkeypatch)
         path = tmp_path / "corpus.jsonl"
         if corpus is not None:
             path.write_text(corpus)
         out = tmp_path / "eval"
-        assert main(["eval", "--benchmark", "gsm8k", "--corpus", str(path),
+        assert main(["eval", "--benchmark", name, "--corpus", str(path),
                      "--out-dir", str(out), "--mock", str(workspace["mock"])]) == 1
         assert message in capsys.readouterr().err
         assert not out.exists()
+        assert sent == []
+
+    def test_eval_requests_are_counted_through_mock_send(self, workspace, tmp_path,
+                                                          monkeypatch):
+        # count_mock_sends sees every request of an eval that runs
+        sent = count_mock_sends(monkeypatch)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["eval", "--benchmark", "gsm8k", "--corpus", str(workspace["corpus"]),
+                         "--out-dir", str(tmp_path / "eval"),
+                         "--mock", str(workspace["mock"])]) == 0
+        assert len(sent) == pf.N_QUESTIONS
 
     def test_eval_with_zero_samples_per_question_is_error(self, workspace, tmp_path,
                                                           capsys):

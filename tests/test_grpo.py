@@ -1020,6 +1020,77 @@ class TestTrainToy:
         assert ref_rows == list(dict.fromkeys(rows))  # at each row's first visit
         assert len(refs) == 1 and len(ref_rows) < steps
 
+    @staticmethod
+    def record_steps(monkeypatch, dataset, cfg, seed):
+        """Run train_toy, recording each _index_advantages and _weights call by
+        its (gold, drawn indices' bytes) group, each weights array _weights
+        built with its bytes then, and each step's group and grpo_loss w."""
+        built, advantage_calls, weight_calls, steps = [], [], [], []
+        index_advantages, weights = grpo._index_advantages, grpo._weights
+        draw, loss, theta_grad = grpo._draw, grpo.grpo_loss, grpo._theta_grad
+
+        def counted_advantages(action_idx, gold_idx, advantage_mode):
+            advantage_calls.append((gold_idx, action_idx.tobytes()))
+            return index_advantages(action_idx, gold_idx, advantage_mode)
+
+        def counted_weights(action_idx, advantages, gold_idx, objective_mode):
+            weight_calls.append((gold_idx, action_idx.tobytes()))
+            w = weights(action_idx, advantages, gold_idx, objective_mode)
+            built.append((w, w.tobytes()))
+            return w
+
+        def recorded_draw(*args):
+            steps.append({"drawn": draw(*args)})
+            return steps[-1]["drawn"]
+
+        def recorded_loss(pi, pi_ref, w, beta):
+            steps[-1]["w"] = w
+            return loss(pi, pi_ref, w, beta)
+
+        def recorded_theta_grad(phi, grad_logits):
+            steps[-1]["phi"] = phi
+            return theta_grad(phi, grad_logits)
+
+        for name, fn in [("_index_advantages", counted_advantages),
+                         ("_weights", counted_weights), ("_draw", recorded_draw),
+                         ("grpo_loss", recorded_loss), ("_theta_grad", recorded_theta_grad)]:
+            monkeypatch.setattr(grpo, name, fn)
+        train_toy(dataset, cfg, seed=seed)
+        features = feature_matrix(dataset)
+        golds = [LABELS.index(s.gold_label) for s in dataset]
+        for step in steps:
+            row = int(np.flatnonzero((features == step["phi"]).all(axis=1))[0])
+            step["group"] = golds[row], step["drawn"].tobytes()
+        return built, advantage_calls, weight_calls, steps
+
+    @pytest.mark.parametrize("settings", [
+        *({"objective_mode": objective_mode, "advantage_mode": advantage_mode}
+          for objective_mode, advantage_mode in itertools.product(
+              OBJECTIVE_MODES, (MEAN_STD, MEAN_ONLY))),
+        {"group_size": 2},
+    ])
+    def test_label_weights_once_per_distinct_group(self, monkeypatch, settings):
+        cfg = GrpoConfig(steps=400, **settings)
+        _, advantage_calls, weight_calls, steps = self.record_steps(
+            monkeypatch, make_toy_dataset(200, seed=8), cfg, seed=8)
+        groups = [step["group"] for step in steps]
+        assert len(groups) == cfg.steps
+        # each distinct group once, at its first step
+        assert advantage_calls == weight_calls == list(dict.fromkeys(groups))
+        assert len(weight_calls) < cfg.steps / 2
+
+    def test_label_weights_are_not_written_after_they_are_built(self, monkeypatch):
+        built, _, _, steps = self.record_steps(
+            monkeypatch, make_toy_dataset(200, seed=8), GrpoConfig(steps=400), seed=8)
+        first = {}
+        for step in steps:
+            # a step's w is the array built for its group's first step
+            w = first.setdefault(step["group"], step["w"])
+            assert step["w"] is w
+        assert len(first) == len(built) < len(steps)
+        for (w, at_build), w_used in zip(built, first.values()):
+            assert w is w_used and w.tobytes() == at_build
+
     def test_reference_distribution_is_each_rows_own_call(self, monkeypatch):
         # rows of one 2-D call differ from 1-D calls in the last bits at a
         # nonzero reference, so a zero reference could not tell them apart
@@ -1125,6 +1196,15 @@ class TestMeanGoldProb:
         for scale in (0.1, 1.0, 30.0):
             thetas = rng.normal(scale=scale, size=(20, FEATURE_DIM, len(LABELS)))
             thetas[..., tied[1]] = thetas[..., tied[0]]
+            self.assert_matches_reference(toy, thetas)
+
+    def test_strided_theta_stacks_match_reference_bit_for_bit(self, toy):
+        # 40 steps cross two 16-step block boundaries at 1000 rows
+        big = np.random.default_rng(11).normal(
+            scale=3.0, size=(80, FEATURE_DIM + 1, 2 * len(LABELS)))
+        for thetas in (big[::2, 1:, ::2], big[:40, :FEATURE_DIM, ::-2],
+                       np.asfortranarray(big[:40, :FEATURE_DIM, :len(LABELS)])):
+            assert not thetas.flags.c_contiguous
             self.assert_matches_reference(toy, thetas)
 
     def test_working_set_is_a_few_blocks(self):

@@ -121,19 +121,14 @@ class TestEvaluate:
         assert agg.accuracy == pytest.approx(0.7)
         assert agg.n_samples == 10
 
-    def test_empty_corpus_no_requests(self, tmp_path):
+    def test_empty_corpus_fails_at_load(self, tmp_path):
+        # that eval then sends no request is checked on the command, in
+        # tests/test_cli.py
         corpus = tmp_path / "empty.jsonl"
         corpus.write_text("")
-
-        class ExplodingBackend:
-            name = "exploding"
-
-            def send(self, prompt_text, c):
-                raise AssertionError("no request should be issued")
-
         spec = BenchmarkSpec(name="Toy", corpus_path=str(corpus))
         with pytest.raises(ValueError, match="empty"):
-            evaluate(spec, cfg(), ExplodingBackend(), load_corpus(spec))
+            load_corpus(spec)
 
     def test_transport_failures_become_exclusions(self, tmp_path):
         questions = self.make_questions(4)
@@ -176,29 +171,18 @@ class TestEvaluate:
         assert acc_w == pytest.approx(whole.accuracy)
         assert tok_w == pytest.approx(whole.mean_tokens)
 
-    @pytest.mark.parametrize("answer", ["\\boxed{B}", "maybe 42"])
-    def test_bad_letter_gold_fails_at_load(self, tmp_path, answer):
-        # a bad gold is named by its line before any request is sent, whether
-        # or not the answers parse as letters
+    def test_bad_letter_gold_fails_at_load(self, tmp_path):
+        # a bad gold is named by its line as the corpus loads; that eval then
+        # sends no request is checked on the command, in tests/test_cli.py
         corpus = tmp_path / "gpqa.jsonl"
         write_corpus(corpus, [Question(id=f"g{i}", text=f"pick {i}",
                                        gold_answer="not-a-letter" if i == 1 else "A")
                               for i in range(6)])
-
-        class CountingBackend:
-            name = "counting"
-            requests = 0
-
-            def send(self, prompt_text, c):
-                CountingBackend.requests += 1
-                return RawCompletion(answer, 5, [])
-
         spec = registry_spec("gpqa_diamond", str(corpus))
         with pytest.raises(ValueError) as info:
-            evaluate(spec, cfg(), CountingBackend(), load_corpus(spec))
+            load_corpus(spec)
         assert str(info.value) == (f"{corpus}: line 2: gold answer 'not-a-letter' "
                                    "is not a choice letter")
-        assert CountingBackend.requests == 0
 
     def test_choice_letter_eval(self, tmp_path):
         questions = [Question(id="g1", text="pick one", gold_answer="C")]
