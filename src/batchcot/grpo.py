@@ -297,30 +297,20 @@ def _mean_gold_probs(thetas: np.ndarray, features: np.ndarray,
     The steps go in blocks of _CURVE_BLOCK_ENTRIES // n (at least one),
     through buffers allocated once per call: fresh block-sized temporaries
     each come from a new mapping and page-fault, which costs what the
-    blocking saves. A block's b thetas are copied label-major into one
-    column-major (3b, F) matrix, the layout of each theta's own (3, F)
-    transpose, so its logits are one (3b, F) @ (F, n) product, not b
-    stacked (3, F) @ (F, n) ones; each logit is still a dot of F products,
-    with the bits of the per-step products. Each step's mean is computed
-    apart from the others', so where the blocks split the stack does not
-    change its bits.
+    blocking saves. Each step's mean is computed apart from the others', so
+    where the blocks split the stack does not change its bits.
     """
     steps, n = len(thetas), len(features)
-    # one row makes each product a matrix-vector one, whose BLAS kernel rounds
-    # by the matrix's row count: one step a block keeps the per-step bits
-    block = max(1, _CURVE_BLOCK_ENTRIES // n) if n > 1 else 1
+    block = max(1, _CURVE_BLOCK_ENTRIES // n)
     logits = np.empty((min(block, steps), len(LABELS), n))
     row_max = np.empty((len(logits), n))  # then each row's denominator
     gold_probs = np.empty((len(logits), n))
-    block_thetas = np.empty((thetas.shape[1], len(logits), len(LABELS)))  # (F, b, 3)
     means = np.empty(steps)
+    labels_major = thetas.transpose(0, 2, 1)
     for start in range(0, steps, block):
         b = min(block, steps - start)
         exp, den, gold = logits[:b], row_max[:b], gold_probs[:b]
-        theta_cols = block_thetas[:, :b]
-        np.copyto(theta_cols, thetas[start:start + b].transpose(1, 0, 2))
-        np.matmul(theta_cols.reshape(len(theta_cols), -1).T, features.T,
-                  out=exp.reshape(-1, n))
+        np.matmul(labels_major[start:start + b], features.T, out=exp)
         np.maximum.reduce(exp, axis=1, out=den)
         np.subtract(exp, den[:, None], out=exp)
         np.exp(exp, out=exp)

@@ -1178,7 +1178,7 @@ class TestMeanGoldProb:
             self.assert_matches_reference(
                 toy, rng.normal(scale=scale, size=(length, FEATURE_DIM, len(LABELS))))
 
-    @pytest.mark.parametrize("n", [1, 37, 5000, 20000])
+    @pytest.mark.parametrize("n", [1, 2, 3, 37, 5000, 20000])
     def test_other_row_counts_match_reference_bit_for_bit(self, n):
         # the block shrinks with n, to one step above _CURVE_BLOCK_ENTRIES rows
         toy = gold_fixture(n, seed=n)
