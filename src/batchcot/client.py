@@ -26,7 +26,6 @@ from batchcot.parsing import (
 )
 from batchcot.prompts import BATCH, PromptEnvelope
 from batchcot.records import mean, named_error, naming, show
-from batchcot.workers import on_workers
 
 # Environment variable whose value HttpBackend sends as a bearer token.
 API_KEY_ENV = "BATCHCOT_API_KEY"
@@ -356,6 +355,46 @@ def complete(envelope: PromptEnvelope, cfg: EndpointConfig, backend) -> Completi
         sampling=cfg.sampling,
         endpoint=backend.name,
     )
+
+
+def on_workers(fn, items: list, workers: int) -> list:
+    """[fn(item) for item in items], on min(workers, len(items)) threads."""
+    results = [None] * len(items)
+    lock = threading.Lock()
+    taken = 0  # indexes handed out so far, each to one worker
+    stopped = []  # the exceptions that stopped the run, in the order raised
+
+    def work():
+        nonlocal taken
+        while True:
+            with lock:
+                i = taken
+                if i == len(items) or stopped:
+                    return
+                taken += 1
+            try:
+                results[i] = fn(items[i])
+            except BaseException as exc:
+                stopped.append(exc)
+                return
+
+    threads = [threading.Thread(target=work) for _ in range(min(workers, len(items)))]
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+    except BaseException as exc:
+        stopped.append(exc)
+        # a thread that is not alive has ended, or has yet to take an index
+        # and now takes none
+        for thread in threads:
+            if thread.is_alive():
+                thread.join()
+        raise
+    if stopped:
+        raise stopped[0]
+    return results
 
 
 def complete_many(envelopes, cfg: EndpointConfig, backend):

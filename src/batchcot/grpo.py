@@ -242,6 +242,7 @@ def make_toy_dataset(n: int = 1000, seed: int = 0) -> list:
     """Synthetic preference samples whose labels are linearly separable."""
     rng = random.Random(seed)
     words_list = [f"step{j}" for j in range(140)]  # the longest chain's words
+    chains = {}  # word count -> its chain, built at the count's first draw
     samples = []
     for i in range(n):
         origin_kind = VANILLA if rng.random() < 0.5 else BATCH
@@ -250,11 +251,14 @@ def make_toy_dataset(n: int = 1000, seed: int = 0) -> list:
             words = rng.randint(80, 140)
         else:
             words = rng.randint(30, 70)
+        cot = chains.get(words)
+        if cot is None:
+            cot = chains[words] = " ".join(words_list[:words])
         verdict = verify.CORRECT if correct else verify.INCORRECT
         samples.append(
             PreferenceSample(
                 question=f"toy question {i}",
-                cot=" ".join(words_list[:words]),
+                cot=cot,
                 gold_label=label_sample(origin_kind, verdict),
                 provenance={
                     "origin_kind": origin_kind,
@@ -331,9 +335,12 @@ def train_toy(dataset, cfg: GrpoConfig, seed: int = 0):
     distinct (gold, drawn indices) group of the run and kept, read-only, for
     every later step that draws the same group; most steps of a trained
     policy draw the same all-gold group. The frozen reference's distribution
-    is computed once per row the run visits. The loop keeps every step's
-    theta; the curve's mean gold probabilities are computed from them once,
-    after the last step, by _mean_gold_probs.
+    is computed once per run when its weights are all zero, as the initial
+    policy's are: it is then uniform at every row, and one 1-D call gives
+    each row's bits. A nonzero reference's is computed once per row the run
+    visits. The loop keeps every step's theta; the curve's mean gold
+    probabilities are computed from them once, after the last step, by
+    _mean_gold_probs.
 
     Returns (final PolicyState, learning curve of CurvePoint).
     """
@@ -346,8 +353,10 @@ def train_toy(dataset, cfg: GrpoConfig, seed: int = 0):
     gold_flat = np.array(gold_idx) * n + np.arange(n)
     rng = np.random.default_rng(seed)
     ref = policy = initial_policy(features.shape[1])  # ref stays frozen
-    # row -> ref.distribution(features[row]); one 2-D call over all rows would
-    # differ from these 1-D calls in the last bits at a nonzero reference
+    # zero weights give every finite row the logits +-0 and so the same
+    # distribution; otherwise row -> ref.distribution(features[row]), as one
+    # 2-D call over all rows would differ from these 1-D calls in the last bits
+    uniform_ref = None if ref.theta.any() else ref.distribution(features[0])
     ref_pis = {}
     # (gold, drawn indices' bytes) -> the group's label weights, read-only
     group_weights = {}
@@ -362,7 +371,7 @@ def train_toy(dataset, cfg: GrpoConfig, seed: int = 0):
             pi = policy.distribution(phi)
             action_idx = _draw(pi, rng, cfg.group_size)
             gold = gold_idx[idx]
-            pi_ref = ref_pis.get(idx)
+            pi_ref = uniform_ref if uniform_ref is not None else ref_pis.get(idx)
             if pi_ref is None:
                 pi_ref = ref_pis[idx] = ref.distribution(phi)
             key = gold, action_idx.tobytes()
@@ -596,12 +605,14 @@ def advantage_checks(max_length: int = 6):
         raise ValueError(f"max_length must be >= 2, got {max_length}")
     for length in range(2, max_length + 1):
         for rewards in _binary_vectors(length):
-            by_mode = {mode: group_advantages(rewards, mode)
-                       for mode in (MEAN_ONLY, MEAN_STD)}
-            if not _sums_to_zero(by_mode[MEAN_ONLY]):
+            mean_only = group_advantages(rewards, MEAN_ONLY)
+            mean_std = group_advantages(rewards, MEAN_STD)
+            if not _sums_to_zero(mean_only):
                 return False, f"MEAN_ONLY sum nonzero for {rewards}"
             mixed = 0 < sum(rewards) < length
-            for mode, adv in by_mode.items():
+            # a Fraction's denominator is positive: its numerator has its sign
+            for mode, adv in ((MEAN_ONLY, [a.numerator for a in mean_only]),
+                              (MEAN_STD, mean_std)):
                 if mixed:
                     for r, a in zip(rewards, adv):
                         if (a > 0) != (r == 1):
@@ -609,7 +620,7 @@ def advantage_checks(max_length: int = 6):
                 else:
                     if any(a != 0 for a in adv):
                         return False, f"degenerate group not all-zero for {rewards} ({mode})"
-            if abs(sum(by_mode[MEAN_STD])) >= 1e-9:
+            if abs(sum(mean_std)) >= 1e-9:
                 return False, f"MEAN_STD sum too large for {rewards}"
     return True, f"all binary reward vectors of length 2..{max_length}"
 

@@ -912,7 +912,7 @@ class TestConfigResolution:
         assert {name: n for name, n in calls.items() if n} == {"cli.py": 1}
 
     def test_only_the_client_starts_worker_threads(self):
-        # complete_many sends requests on workers.on_workers; the grpo
+        # complete_many sends requests on client.on_workers; the grpo
         # commands are numeric work in the calling thread
         src = Path(batchcot.__file__).parent
         calls = {path.name: len(re.findall(r"(?<!def )\bon_workers\(",
@@ -926,7 +926,7 @@ class TestConfigResolution:
             elif isinstance(node, ast.ImportFrom):
                 imported.add(node.module)
                 imported.update(f"{node.module}.{alias.name}" for alias in node.names)
-        assert not imported & {"threading", "batchcot.workers"}
+        assert not imported & {"threading", "batchcot.client"}
 
 
 def parse_outcome(parser, argv, capsys):

@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from batchcot import grpo
@@ -941,6 +941,7 @@ class TestTrainToy:
         (0, {"group_size": 2, "beta": 0.0}),
         (0, {"group_size": 3, "beta": 0.5}),
         (0, {"group_size": 32}),
+        (0, {"group_size": 32, "beta": 1.0}),  # groups rarely repeat
     ])
     def test_matches_reference_train_toy(self, seed, settings):
         dataset = make_toy_dataset(200, seed=seed)
@@ -969,11 +970,13 @@ class TestTrainToy:
         assert repr(curve) == repr(want)
         assert policy.theta.tobytes() == theta.tobytes()
 
+    @pytest.mark.parametrize("nonzero", [False, True])
     def test_one_policy_distribution_per_step_and_one_reference_per_row(
-            self, monkeypatch):
-        # each step: the policy's distribution, the draw from it, the
-        # reference's distribution only on the first visit to the row, and
-        # one grpo_loss call
+            self, monkeypatch, nonzero):
+        # each step: the policy's distribution, the draw from it and one
+        # grpo_loss call. A zero reference is uniform at every row, so its
+        # distribution is taken once per run, before the first step; a
+        # nonzero one's on the first visit to each row, after the draw
         events, refs = [], []
         make_initial, distribution, draw, loss = (grpo.initial_policy,
                                                   PolicyState.distribution, grpo._draw,
@@ -981,6 +984,9 @@ class TestTrainToy:
 
         def initial(feature_dim):
             refs.append(make_initial(feature_dim))
+            if nonzero:
+                refs[-1] = PolicyState(theta=np.random.default_rng(9).normal(
+                    scale=0.5, size=refs[-1].theta.shape))
             return refs[-1]
 
         def counted_distribution(self, features):
@@ -1003,22 +1009,61 @@ class TestTrainToy:
         train_toy(make_toy_dataset(20, seed=0), GrpoConfig(steps=steps), seed=0)
 
         kinds, rows, ref_rows = "", [], []
-        for event in events:
+        for event, following in zip(events, events[1:] + [None]):
             if event == ("draw",):
                 kinds += "D"
             elif event == ("loss",):
                 kinds += "L"
-            elif kinds.endswith("D") and event[1] is refs[0]:
-                # the policy is refs[0] only before its first update
-                assert event[2] == rows[-1]
-                kinds += "R"
-                ref_rows.append(event[2])
-            else:
+            elif following == ("draw",):  # the policy's, drawn from
                 kinds += "P"
                 rows.append(event[2])
-        assert re.fullmatch("(PDR?L)*", kinds) and len(rows) == steps
-        assert ref_rows == list(dict.fromkeys(rows))  # at each row's first visit
-        assert len(refs) == 1 and len(ref_rows) < steps
+            else:
+                assert event[1] is refs[0]
+                assert not nonzero or event[2] == rows[-1]  # the step's row
+                kinds += "R"
+                ref_rows.append(event[2])
+        assert len(refs) == 1 and len(rows) == steps
+        if nonzero:
+            assert re.fullmatch("(PDR?L)*", kinds)
+            assert ref_rows == list(dict.fromkeys(rows))  # at each row's first visit
+            assert 1 < len(ref_rows) < steps
+        else:
+            assert re.fullmatch("R(PDL)*", kinds)
+
+    @pytest.fixture(scope="class")
+    def zero_reference_run(self):
+        """Each step's pi_ref of a run at the zero reference, and the run's
+        features."""
+        pi_refs, loss = [], grpo.grpo_loss
+
+        def recorded_loss(pi, pi_ref, *args):
+            pi_refs.append(pi_ref)
+            return loss(pi, pi_ref, *args)
+
+        dataset = make_toy_dataset(200, seed=4)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(grpo, "grpo_loss", recorded_loss)
+            train_toy(dataset, GrpoConfig(steps=300), seed=4)
+        return pi_refs, feature_matrix(dataset)
+
+    def test_zero_reference_is_one_array_that_is_each_rows_own_call(
+            self, zero_reference_run):
+        pi_refs, features = zero_reference_run
+        assert len(pi_refs) == 300 and all(p is pi_refs[0] for p in pi_refs)
+        for phi in features:
+            assert initial_policy().distribution(phi).tobytes() == pi_refs[0].tobytes()
+
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                    min_size=FEATURE_DIM, max_size=FEATURE_DIM))
+    @example([-0.0] * FEATURE_DIM)
+    @example([0.0, -0.0, -0.0, 0.0])
+    @example([1.7976931348623157e308, -1.7976931348623157e308, -5e-324, -0.0])
+    @example([-1e300, -1e300, -1e300, -1e300])
+    def test_zero_reference_array_is_any_finite_rows_own_call(
+            self, zero_reference_run, row):
+        # phi @ 0 is +0 or -0 in every column, so every row's logits tie
+        pi_ref = zero_reference_run[0][0]
+        assert initial_policy().distribution(np.array(row)).tobytes() == pi_ref.tobytes()
 
     @staticmethod
     def record_steps(monkeypatch, dataset, cfg, seed):
@@ -1468,6 +1513,25 @@ class TestVerificationSuite:
 
         monkeypatch.setattr(grpo, "group_advantages", off)
         assert advantage_checks() == (False, "MEAN_ONLY sum nonzero for [0, 0, 0, 0, 0]")
+
+    @pytest.mark.parametrize("mode", [MEAN_ONLY, MEAN_STD])
+    @pytest.mark.parametrize("rewards, flawed, message", [
+        # negated advantages still sum to zero, with every sign wrong
+        ([0, 1, 1], lambda adv: [-a for a in adv], "sign property failed"),
+        # a zero-sum nonzero pair in a group of equal rewards
+        ([1, 1, 1], lambda adv: [adv[0] + 1, adv[1] - 1, adv[2]],
+         "degenerate group not all-zero"),
+    ])
+    def test_advantage_checks_report_a_flawed_mode(self, monkeypatch, mode, rewards,
+                                                   flawed, message):
+        advantages = grpo.group_advantages
+
+        def flaw(r, m=MEAN_STD):
+            adv = advantages(r, m)
+            return flawed(adv) if (m, r) == (mode, rewards) else adv
+
+        monkeypatch.setattr(grpo, "group_advantages", flaw)
+        assert advantage_checks() == (False, f"{message} for {rewards} ({mode})")
 
     def test_smallest_checks_still_check(self):
         assert gradient_check(n_configs=1)[1]
