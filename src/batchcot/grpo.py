@@ -353,7 +353,7 @@ def train_toy(dataset, cfg: GrpoConfig, seed: int = 0):
     gold_flat = np.array(gold_idx) * n + np.arange(n)
     rng = np.random.default_rng(seed)
     ref = policy = initial_policy(features.shape[1])  # ref stays frozen
-    # zero weights give every finite row the logits +-0 and so the same
+    # zero weights tie a finite row's three logits, so every row has the same
     # distribution; otherwise row -> ref.distribution(features[row]), as one
     # 2-D call over all rows would differ from these 1-D calls in the last bits
     uniform_ref = None if ref.theta.any() else ref.distribution(features[0])

@@ -1521,7 +1521,7 @@ class TestVerificationSuite:
         # a zero-sum nonzero pair in a group of equal rewards
         ([1, 1, 1], lambda adv: [adv[0] + 1, adv[1] - 1, adv[2]],
          "degenerate group not all-zero"),
-    ])
+    ], ids=["wrong-sign", "nonzero-in-constant-group"])
     def test_advantage_checks_report_a_flawed_mode(self, monkeypatch, mode, rewards,
                                                    flawed, message):
         advantages = grpo.group_advantages
