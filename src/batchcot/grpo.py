@@ -119,15 +119,16 @@ def _mean_std(rewards: np.ndarray) -> np.ndarray:
     return dev / math.sqrt(float(np.add.reduce(dev * dev)) / n)
 
 
-def _kl_and_logit_grad(p: np.ndarray, q: np.ndarray, loss_only: bool = False,
+def _kl_and_logit_grad(p: np.ndarray, log_q: np.ndarray, loss_only: bool = False,
                        log_p: np.ndarray = None):
     """KL(p||q) and its gradient w.r.t. the logits producing p, row by row.
 
-    p and q broadcast over leading axes; the last axis is the distribution.
-    With loss_only the gradient is None and is not computed. log_p is
-    np.log(p) when the caller has it already.
+    log_q is np.log(q), taken by the caller, which may hold it for many
+    calls. p and log_q broadcast over leading axes; the last axis is the
+    distribution. With loss_only the gradient is None and is not computed.
+    log_p is np.log(p) when the caller has it already.
     """
-    logratio = (np.log(p) if log_p is None else log_p) - np.log(q)
+    logratio = (np.log(p) if log_p is None else log_p) - log_q
     kl = np.vecdot(p, logratio)  # row-wise, bit for bit np.dot's sum
     return kl, None if loss_only else p * logratio - p * kl[..., None]
 
@@ -158,28 +159,31 @@ def _weights(action_idx, advantages, gold_idx: int, objective_mode: str) -> np.n
     return w
 
 
-def grpo_loss(pi: np.ndarray, pi_ref: np.ndarray, w: np.ndarray, beta,
-              loss_only: bool = False):
+def grpo_loss(pi: np.ndarray, log_ref: np.ndarray, w: np.ndarray, w_sum: np.ndarray,
+              beta, loss_only: bool = False):
     """The negated GRPO objective of a group and its gradient w.r.t. the logits.
 
     The loss is -sum_a w_a log pi_a + beta * KL(pi || pi_ref): both objective
     modes are this one weighted log-likelihood over the labels, with w from
-    _weights of the group's drawn label indices. pi and pi_ref are the
-    policy's and the frozen reference's distributions at the same features;
-    the logit gradient of the first term is (sum_a w_a) pi - w. Stacks
-    broadcast: w against the distributions (..., 3) and beta against the
-    losses (...); a float beta multiplies directly. Each row is bit for bit
-    what its operands alone give. With loss_only the gradient is None and is
-    not computed. _theta_grad turns the logit gradient into theta's.
+    _weights of the group's drawn label indices. pi is the policy's
+    distribution and log_ref np.log(pi_ref), the log of the frozen
+    reference's at the same features; w_sum is np.add.reduce(w, axis=-1,
+    keepdims=True). The caller takes both once, since they stay fixed while
+    pi moves: train_toy once per run or row and once per distinct group,
+    gradient_check once for its stack. The logit gradient of the first term
+    is w_sum pi - w. Stacks broadcast: w and w_sum against the distributions
+    (..., 3) and beta against the losses (...); a float beta multiplies
+    directly. Each row is bit for bit what its operands alone give. With
+    loss_only the gradient is None and is not computed. _theta_grad turns
+    the logit gradient into theta's.
     """
     log_pi = np.log(pi)  # taken once, for both terms
-    kl, kl_grad_logits = _kl_and_logit_grad(pi, pi_ref, loss_only, log_pi)
+    kl, kl_grad_logits = _kl_and_logit_grad(pi, log_ref, loss_only, log_pi)
     loss = -np.vecdot(w, log_pi) + beta * kl
     if loss_only:
         return loss, None
     beta_rows = beta if isinstance(beta, float) else np.asarray(beta)[..., None]
-    grad_logits = (np.add.reduce(w, axis=-1, keepdims=True) * pi - w
-                   + beta_rows * kl_grad_logits)
+    grad_logits = w_sum * pi - w + beta_rows * kl_grad_logits
     return loss, grad_logits
 
 
@@ -200,7 +204,7 @@ def _draw(p: np.ndarray, rng: np.random.Generator, size=None):
     distribution that is not finite, or sums to zero, raises ValueError before
     any draw; choice rejected it too.
     """
-    cdf = p.cumsum()
+    cdf = np.add.accumulate(p)  # the ufunc p.cumsum() calls
     total = cdf[-1]
     if not 0.0 < total < math.inf:  # also false for NaN
         raise ValueError(f"cannot draw from the distribution {p}: "
@@ -221,11 +225,16 @@ def _hash_noise(sample: PreferenceSample) -> float:
 
 def feature_matrix(samples) -> np.ndarray:
     """One row per sample: bias, chain length over the mean, origin indicator,
-    correctness-correlated channel."""
+    correctness-correlated channel.
+
+    Each distinct chain text is counted once: make_toy_dataset's chains
+    repeat, at most 102 distinct ones at any size.
+    """
     samples = list(samples)
     if not samples:
         raise ValueError("feature matrix needs a nonempty dataset")
-    counts = [parsing.count_tokens(s.cot) for s in samples]
+    token_counts = {cot: parsing.count_tokens(cot) for cot in {s.cot for s in samples}}
+    counts = [token_counts[s.cot] for s in samples]
     mean_tokens = sum(counts) / len(counts)
     return np.array([
         [
@@ -330,17 +339,17 @@ def train_toy(dataset, cfg: GrpoConfig, seed: int = 0):
 
     Each step computes the policy's distribution at its row once, draws the
     group's label indices from it and gives that same distribution to one
-    grpo_loss call. Rewards, advantages and label weights come from the drawn
-    indices and the row's gold label alone, so they are computed once per
-    distinct (gold, drawn indices) group of the run and kept, read-only, for
-    every later step that draws the same group; most steps of a trained
-    policy draw the same all-gold group. The frozen reference's distribution
-    is computed once per run when its weights are all zero, as the initial
-    policy's are: it is then uniform at every row, and one 1-D call gives
-    each row's bits. A nonzero reference's is computed once per row the run
-    visits. The loop keeps every step's theta; the curve's mean gold
-    probabilities are computed from them once, after the last step, by
-    _mean_gold_probs.
+    grpo_loss call. Rewards, advantages, label weights and the weights' sum
+    come from the drawn indices and the row's gold label alone, so they are
+    computed once per distinct (gold, drawn indices) group of the run and
+    kept, read-only, for every later step that draws the same group; most
+    steps of a trained policy draw the same all-gold group. The frozen
+    reference's log-probabilities are computed once per run when its weights
+    are all zero, as the initial policy's are: it is then uniform at every
+    row, and one 1-D call gives each row's bits. A nonzero reference's are
+    computed once per row the run visits. The loop keeps every step's theta;
+    the curve's mean gold probabilities are computed from them once, after
+    the last step, by _mean_gold_probs.
 
     Returns (final PolicyState, learning curve of CurvePoint).
     """
@@ -354,11 +363,13 @@ def train_toy(dataset, cfg: GrpoConfig, seed: int = 0):
     rng = np.random.default_rng(seed)
     ref = policy = initial_policy(features.shape[1])  # ref stays frozen
     # zero weights tie a finite row's three logits, so every row has the same
-    # distribution; otherwise row -> ref.distribution(features[row]), as one
-    # 2-D call over all rows would differ from these 1-D calls in the last bits
-    uniform_ref = None if ref.theta.any() else ref.distribution(features[0])
-    ref_pis = {}
-    # (gold, drawn indices' bytes) -> the group's label weights, read-only
+    # distribution; otherwise row -> np.log(ref.distribution(features[row])),
+    # as one 2-D call over all rows would differ from these 1-D calls in the
+    # last bits
+    uniform_log_ref = None if ref.theta.any() else np.log(ref.distribution(features[0]))
+    log_refs = {}
+    # (gold, drawn indices' bytes) -> the group's label weights and their
+    # sum, both read-only
     group_weights = {}
     thetas = np.empty((cfg.steps, *policy.theta.shape))
     losses = []
@@ -371,17 +382,19 @@ def train_toy(dataset, cfg: GrpoConfig, seed: int = 0):
             pi = policy.distribution(phi)
             action_idx = _draw(pi, rng, cfg.group_size)
             gold = gold_idx[idx]
-            pi_ref = uniform_ref if uniform_ref is not None else ref_pis.get(idx)
-            if pi_ref is None:
-                pi_ref = ref_pis[idx] = ref.distribution(phi)
+            log_ref = uniform_log_ref if uniform_log_ref is not None else log_refs.get(idx)
+            if log_ref is None:
+                log_ref = log_refs[idx] = np.log(ref.distribution(phi))
             key = gold, action_idx.tobytes()
-            w = group_weights.get(key)
-            if w is None:
-                w = group_weights[key] = _weights(
+            weights = group_weights.get(key)
+            if weights is None:
+                w = _weights(
                     action_idx, _index_advantages(action_idx, gold, cfg.advantage_mode),
                     gold, cfg.objective_mode)
-                w.flags.writeable = False
-            loss, grad_logits = grpo_loss(pi, pi_ref, w, cfg.beta)
+                w_sum = np.add.reduce(w, axis=-1, keepdims=True)
+                w.flags.writeable = w_sum.flags.writeable = False
+                weights = group_weights[key] = w, w_sum
+            loss, grad_logits = grpo_loss(pi, log_ref, *weights, cfg.beta)
             loss = float(loss)
             if not math.isfinite(loss):
                 raise ValueError(f"training diverged at step {step}: loss is {loss} "
@@ -396,10 +409,10 @@ def train_toy(dataset, cfg: GrpoConfig, seed: int = 0):
 
 
 def write_curve_csv(path, curve):
+    rows = "".join(f"{point.step},{point.loss!r},{point.mean_gold_prob!r}\n"
+                   for point in curve)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("step,loss,mean_gold_prob\n")
-        for point in curve:
-            fh.write(f"{point.step},{point.loss!r},{point.mean_gold_prob!r}\n")
+        fh.write("step,loss,mean_gold_prob\n" + rows)
 
 
 def save_policy(path, policy: PolicyState, seed: int, cfg: GrpoConfig):
@@ -535,8 +548,10 @@ def gradient_check(n_configs: int = 100, seed: int = 0, step: float = 1e-5,
     configuration and its groups in turn through rng.normal, rng.choice and
     rng.permutation reads the stream. Then everything else is computed over
     the whole stack: the policy distributions, the groups (_mixed_groups),
-    their label weights, one grpo_loss call for every analytic gradient and
-    one more, loss only, for every finite-difference loss.
+    their label weights and the terms that stay fixed while theta moves (the
+    reference's log-probabilities and the weights' sums), one grpo_loss call
+    for every analytic gradient and one more, loss only, for every
+    finite-difference loss.
     """
     if n_configs < 1:
         raise ValueError(f"n_configs must be >= 1, got {n_configs}")
@@ -569,11 +584,12 @@ def gradient_check(n_configs: int = 100, seed: int = 0, step: float = 1e-5,
                                    for a in (theta, ref_theta, features, np.array(beta)))
     # axes: group, the thetas its loss is taken at, phi as a one-row matrix
     phi, beta, w = phi[:, None, None], beta[:, None, None], w[:, None, None]
-    pi_ref = PolicyState(theta=ref_theta[:, None]).distribution(phi)
+    log_ref = np.log(PolicyState(theta=ref_theta[:, None]).distribution(phi))
+    w_sum = np.add.reduce(w, axis=-1, keepdims=True)
 
     def objective(thetas, loss_only=False):
         pi = PolicyState(theta=thetas).distribution(phi)
-        return grpo_loss(pi, pi_ref, w, beta, loss_only)
+        return grpo_loss(pi, log_ref, w, w_sum, beta, loss_only)
 
     grad = _theta_grad(phi, objective(theta[:, None])[1]).reshape(len(idx), -1)
     fd = finite_difference_grad(lambda t: objective(t, loss_only=True)[0][..., 0],
@@ -641,14 +657,14 @@ def kl_checks(n_pairs: int = 1000, seed: int = 0):
     if n_pairs < 1:
         raise ValueError(f"n_pairs must be >= 1, got {n_pairs}")
     # closed form fixes the direction: KL(q || p) here is about 0.0566
-    kl, _ = _kl_and_logit_grad(np.array([0.5, 0.25, 0.25]), np.full(3, 1 / 3))
+    kl, _ = _kl_and_logit_grad(np.array([0.5, 0.25, 0.25]), np.log(np.full(3, 1 / 3)))
     if abs(kl - (math.log(3) - 1.5 * math.log(2))) > 1e-12:
         return False, f"KL((1/2,1/4,1/4) || uniform) = {float(kl)!r}, not log 3 - 3/2 log 2"
     rows = _random_distributions(np.random.default_rng(seed), 2 * n_pairs)
     p, q = rows[0::2], rows[1::2]
-    if (_kl_and_logit_grad(p, q)[0] < 0).any():
+    if (_kl_and_logit_grad(p, np.log(q))[0] < 0).any():
         return False, "KL negative"
-    kl, grad = _kl_and_logit_grad(p, p)
+    kl, grad = _kl_and_logit_grad(p, np.log(p))
     if (np.abs(kl) > 1e-12).any():
         return False, "KL(p, p) != 0"
     if (np.abs(grad) > 1e-10).any():

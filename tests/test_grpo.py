@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import itertools
 import math
@@ -18,6 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from batchcot import grpo
 from batchcot.grpo import (
@@ -44,7 +46,7 @@ from batchcot.grpo import (
     train_toy,
     write_curve_csv,
 )
-from batchcot import verify
+from batchcot import parsing, verify
 from batchcot.cli import main
 from batchcot.preference import LABELS, PreferenceSample, label_sample
 from batchcot.prompts import BATCH, VANILLA
@@ -86,6 +88,29 @@ def label_weights(group: Group, objective_mode: str) -> np.ndarray:
                          LABELS.index(group.gold), objective_mode)
 
 
+def formula_grpo_loss(pi, pi_ref, w, beta, loss_only: bool = False):
+    """grpo_loss with log pi_ref and sum_a w_a taken inside, as it was written
+    before its callers took them: the oracle that grpo_loss of those two
+    precomputed terms must give bit for bit."""
+    log_pi = np.log(pi)
+    logratio = log_pi - np.log(pi_ref)
+    kl = np.vecdot(pi, logratio)
+    loss = -np.vecdot(w, log_pi) + beta * kl
+    if loss_only:
+        return loss, None
+    beta_rows = beta if isinstance(beta, float) else np.asarray(beta)[..., None]
+    grad_logits = (np.add.reduce(w, axis=-1, keepdims=True) * pi - w
+                   + beta_rows * (pi * logratio - pi * kl[..., None]))
+    return loss, grad_logits
+
+
+def loss_of(pi, pi_ref, w, beta, loss_only: bool = False):
+    """grpo_loss of a reference distribution and label weights, with the
+    reference's log and the weights' sum taken here."""
+    return grpo_loss(pi, np.log(pi_ref), w, np.add.reduce(w, axis=-1, keepdims=True),
+                     beta, loss_only)
+
+
 def group_loss(policy: PolicyState, ref_policy: PolicyState, group: Group,
                cfg: GrpoConfig):
     """grpo_loss of a label-string group at policy's theta, with the gradient
@@ -95,8 +120,8 @@ def group_loss(policy: PolicyState, ref_policy: PolicyState, group: Group,
     of theta's shape.
     """
     phi = np.asarray(group.features, dtype=float)
-    loss, grad_logits = grpo_loss(policy.distribution(phi), ref_policy.distribution(phi),
-                                  label_weights(group, cfg.objective_mode), cfg.beta)
+    loss, grad_logits = loss_of(policy.distribution(phi), ref_policy.distribution(phi),
+                                label_weights(group, cfg.objective_mode), cfg.beta)
     return loss, grpo._theta_grad(phi, grad_logits)
 
 
@@ -132,7 +157,7 @@ def reference_grpo_loss(policy: PolicyState, ref_policy: PolicyState,
         # sum_a adv[a] * (pi - e_a); the pi terms cancel because adv sums to 0
         grad_logits = -adv_vec.copy()
 
-    kl, kl_grad_logits = grpo._kl_and_logit_grad(pi, pi_ref)
+    kl, kl_grad_logits = grpo._kl_and_logit_grad(pi, np.log(pi_ref))
     loss = loss_policy + cfg.beta * kl
     grad = np.outer(phi, grad_logits + cfg.beta * kl_grad_logits)
     return loss, grad
@@ -218,6 +243,19 @@ def reference_group_advantages(rewards, mode: str = MEAN_STD) -> list:
             return [0.0] * len(rewards)
         return list((arr - arr.mean()) / std)
     raise ValueError(f"unknown advantage mode: {mode!r}")
+
+
+def reference_feature_matrix(samples) -> np.ndarray:
+    """One token count per sample: the oracle for feature_matrix, which
+    counts each distinct chain once and must give the same matrix."""
+    counts = [parsing.count_tokens(s.cot) for s in samples]
+    mean_tokens = sum(counts) / len(counts)
+    return np.array([
+        [1.0, tokens / mean_tokens if mean_tokens > 0 else 0.0,
+         1.0 if s.provenance.get("origin_kind") == VANILLA else 0.0,
+         (1.0 if s.gold_label != "C" else -1.0) + 0.3 * grpo._hash_noise(s)]
+        for s, tokens in zip(samples, counts)
+    ])
 
 
 def reference_make_toy_dataset(n: int, seed: int) -> list:
@@ -593,15 +631,15 @@ class TestKl:
         rng = np.random.default_rng(4)
         for _ in range(1000):
             p, q = grpo._random_distributions(rng, 2)
-            kl, _ = grpo._kl_and_logit_grad(p, q)
+            kl, _ = grpo._kl_and_logit_grad(p, np.log(q))
             assert abs(kl - kl_categorical(p, q)) < 1e-12
 
     def test_stacked_kl_matches_each_pair_and_np_dot(self):
         rows = grpo._random_distributions(np.random.default_rng(6), 400)
         p, q = rows[0::2], rows[1::2]
-        kls, grads = grpo._kl_and_logit_grad(p, q)
+        kls, grads = grpo._kl_and_logit_grad(p, np.log(q))
         for i in range(len(p)):
-            kl, grad = grpo._kl_and_logit_grad(p[i], q[i])
+            kl, grad = grpo._kl_and_logit_grad(p[i], np.log(q[i]))
             assert kl == kls[i] == np.dot(p[i], np.log(p[i]) - np.log(q[i]))
             assert np.array_equal(grad, grads[i])
 
@@ -612,10 +650,27 @@ class TestKl:
         sequential = [sequential_random_distribution(rng) for _ in range(500)]
         assert np.array_equal(batched, np.array(sequential))
 
+    def test_checks_take_each_reference_log_themselves(self, monkeypatch):
+        # kl_checks hands _kl_and_logit_grad np.log of each q it names
+        kl_and_grad, calls = grpo._kl_and_logit_grad, []
+
+        def recorded(p, log_q):
+            calls.append((p, log_q))
+            return kl_and_grad(p, log_q)
+
+        monkeypatch.setattr(grpo, "_kl_and_logit_grad", recorded)
+        assert kl_checks(n_pairs=50, seed=3)[0]
+        rows = grpo._random_distributions(np.random.default_rng(3), 100)
+        qs = [np.full(3, 1 / 3), rows[1::2], rows[0::2]]
+        assert len(calls) == len(qs)
+        for (_, log_q), q in zip(calls, qs):
+            assert log_q.tobytes() == np.log(q).tobytes()
+
     def test_checks_reject_reversed_kl(self, monkeypatch):
-        def reversed_kl(p, q):
+        def reversed_kl(p, log_q):
             # KL(q || p) and its gradient w.r.t. the logits producing p
-            return float(np.dot(q, np.log(q) - np.log(p))), p - q
+            q = np.exp(log_q)
+            return float(np.dot(q, log_q - np.log(p))), p - q
 
         monkeypatch.setattr(grpo, "_kl_and_logit_grad", reversed_kl)
         ok, _ = kl_checks(n_pairs=1000, seed=0)
@@ -632,10 +687,10 @@ class TestKl:
         # more than 0.9 on the first label, which about 1% of draws do
         kl_and_grad = grpo._kl_and_logit_grad
 
-        def flawed(p, q):
-            kl, grad = kl_and_grad(p, q)
+        def flawed(p, log_q):
+            kl, grad = kl_and_grad(p, log_q)
             if flaw == "negative":
-                return np.where(np.asarray(q)[..., 0] > 0.9, -kl, kl), grad
+                return np.where(log_q[..., 0] > math.log(0.9), -kl, kl), grad
             off = np.asarray(p)[..., 0] > 0.9
             if flaw == "nonzero_at_p_eq_q":
                 return kl + 1e-9 * off, grad
@@ -739,7 +794,7 @@ class TestGrpoLoss:
 
         def losses(t):
             pi = PolicyState(theta=t).distribution(phi)
-            return grpo_loss(pi, pi_ref, w, beta, loss_only=True)[0][..., 0]
+            return loss_of(pi, pi_ref, w, beta, loss_only=True)[0][..., 0]
 
         for step in (1e-5, 1e-3):
             stacked = finite_difference_grad(losses, thetas, step, stack_ndim=1)
@@ -787,10 +842,38 @@ class TestGrpoLoss:
         pi, pi_ref = grpo._random_distributions(rng, 2 * 60).reshape(2, 60, 3)
         w = rng.normal(size=(60, 3))
         beta = rng.choice([0.0, 0.01, 1.0], size=60)
-        loss, grad_logits = grpo_loss(pi, pi_ref, w, beta)
-        loss_only, none = grpo_loss(pi, pi_ref, w, beta, loss_only=True)
+        loss, grad_logits = loss_of(pi, pi_ref, w, beta)
+        loss_only, none = loss_of(pi, pi_ref, w, beta, loss_only=True)
         assert none is None and grad_logits.shape == (60, 3)
         assert loss_only.tobytes() == loss.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_precomputed_terms_give_the_formulas_bits(self, data):
+        # stacks of up to two axes; w either one row for the whole stack or
+        # one per row; beta a float or an array broadcast against the losses
+        stack = tuple(data.draw(st.lists(st.integers(1, 3), max_size=2), label="stack"))
+        logits = data.draw(hnp.arrays(float, (2, *stack, len(LABELS)),
+                                      elements=st.floats(-30.0, 30.0)), label="logits")
+        exp = np.exp(logits - logits.max(axis=-1, keepdims=True))
+        pi, pi_ref = exp / exp.sum(axis=-1, keepdims=True)
+        w_shape = data.draw(st.sampled_from([(len(LABELS),), (*stack, len(LABELS))]))
+        w = data.draw(hnp.arrays(float, w_shape, elements=st.floats(-2.0, 2.0)), label="w")
+        if data.draw(st.booleans(), label="float beta"):
+            beta = data.draw(st.sampled_from([0.0, 0.01, 0.1, 1.0, 2.5]), label="beta")
+        else:
+            beta_shape = tuple(data.draw(st.sampled_from([1, n])) for n in stack)
+            beta = data.draw(hnp.arrays(float, beta_shape, elements=st.floats(0.0, 2.0)),
+                             label="beta")
+        loss_only = data.draw(st.booleans(), label="loss_only")
+        loss, grad = grpo_loss(pi, np.log(pi_ref), w,
+                               np.add.reduce(w, axis=-1, keepdims=True), beta, loss_only)
+        want_loss, want_grad = formula_grpo_loss(pi, pi_ref, w, beta, loss_only)
+        assert loss.shape == want_loss.shape and loss.tobytes() == want_loss.tobytes()
+        if loss_only:
+            assert grad is None and want_grad is None
+        else:
+            assert grad.shape == want_grad.shape and grad.tobytes() == want_grad.tobytes()
 
     def test_stack_of_thetas_matches_each_theta_alone(self):
         rng = np.random.default_rng(23)
@@ -975,12 +1058,13 @@ class TestTrainToy:
             self, monkeypatch, nonzero):
         # each step: the policy's distribution, the draw from it and one
         # grpo_loss call. A zero reference is uniform at every row, so its
-        # distribution is taken once per run, before the first step; a
-        # nonzero one's on the first visit to each row, after the draw
+        # distribution and that distribution's log are taken once per run,
+        # before the first step; a nonzero one's on the first visit to each
+        # row, after the draw. No other np.log takes a reference distribution
         events, refs = [], []
-        make_initial, distribution, draw, loss = (grpo.initial_policy,
-                                                  PolicyState.distribution, grpo._draw,
-                                                  grpo.grpo_loss)
+        make_initial, distribution, draw, loss, log = (
+            grpo.initial_policy, PolicyState.distribution, grpo._draw, grpo.grpo_loss,
+            np.log)
 
         def initial(feature_dim):
             refs.append(make_initial(feature_dim))
@@ -990,8 +1074,9 @@ class TestTrainToy:
             return refs[-1]
 
         def counted_distribution(self, features):
-            events.append(("distribution", self, features.tobytes()))
-            return distribution(self, features)
+            pi = distribution(self, features)
+            events.append(("distribution", self, features.tobytes(), pi))
+            return pi
 
         def counted_draw(*args):
             events.append(("draw",))
@@ -1001,19 +1086,26 @@ class TestTrainToy:
             events.append(("loss",))
             return loss(*args)
 
+        def counted_log(x, *args, **kwargs):
+            events.append(("log", x))
+            return log(x, *args, **kwargs)
+
         monkeypatch.setattr(grpo, "initial_policy", initial)
         monkeypatch.setattr(PolicyState, "distribution", counted_distribution)
         monkeypatch.setattr(grpo, "_draw", counted_draw)
         monkeypatch.setattr(grpo, "grpo_loss", counted_loss)
+        monkeypatch.setattr(np, "log", counted_log)
         steps = 120
         train_toy(make_toy_dataset(20, seed=0), GrpoConfig(steps=steps), seed=0)
 
-        kinds, rows, ref_rows = "", [], []
+        kinds, rows, ref_rows, ref_pis = "", [], [], []
         for event, following in zip(events, events[1:] + [None]):
             if event == ("draw",):
                 kinds += "D"
             elif event == ("loss",):
                 kinds += "L"
+            elif event[0] == "log":  # grpo_loss's own logs of pi are not shown
+                kinds += "G" if any(event[1] is pi for pi in ref_pis) else ""
             elif following == ("draw",):  # the policy's, drawn from
                 kinds += "P"
                 rows.append(event[2])
@@ -1022,36 +1114,38 @@ class TestTrainToy:
                 assert not nonzero or event[2] == rows[-1]  # the step's row
                 kinds += "R"
                 ref_rows.append(event[2])
+                ref_pis.append(event[3])
         assert len(refs) == 1 and len(rows) == steps
         if nonzero:
-            assert re.fullmatch("(PDR?L)*", kinds)
+            assert re.fullmatch("(PD(RG)?L)*", kinds)
             assert ref_rows == list(dict.fromkeys(rows))  # at each row's first visit
             assert 1 < len(ref_rows) < steps
         else:
-            assert re.fullmatch("R(PDL)*", kinds)
+            assert re.fullmatch("RG(PDL)*", kinds)
 
     @pytest.fixture(scope="class")
     def zero_reference_run(self):
-        """Each step's pi_ref of a run at the zero reference, and the run's
+        """Each step's log_ref of a run at the zero reference, and the run's
         features."""
-        pi_refs, loss = [], grpo.grpo_loss
+        log_refs, loss = [], grpo.grpo_loss
 
-        def recorded_loss(pi, pi_ref, *args):
-            pi_refs.append(pi_ref)
-            return loss(pi, pi_ref, *args)
+        def recorded_loss(pi, log_ref, *args):
+            log_refs.append(log_ref)
+            return loss(pi, log_ref, *args)
 
         dataset = make_toy_dataset(200, seed=4)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(grpo, "grpo_loss", recorded_loss)
             train_toy(dataset, GrpoConfig(steps=300), seed=4)
-        return pi_refs, feature_matrix(dataset)
+        return log_refs, feature_matrix(dataset)
 
     def test_zero_reference_is_one_array_that_is_each_rows_own_call(
             self, zero_reference_run):
-        pi_refs, features = zero_reference_run
-        assert len(pi_refs) == 300 and all(p is pi_refs[0] for p in pi_refs)
+        log_refs, features = zero_reference_run
+        assert len(log_refs) == 300 and all(p is log_refs[0] for p in log_refs)
         for phi in features:
-            assert initial_policy().distribution(phi).tobytes() == pi_refs[0].tobytes()
+            assert (np.log(initial_policy().distribution(phi)).tobytes()
+                    == log_refs[0].tobytes())
 
     @given(st.lists(st.floats(allow_nan=False, allow_infinity=False),
                     min_size=FEATURE_DIM, max_size=FEATURE_DIM))
@@ -1062,14 +1156,16 @@ class TestTrainToy:
     def test_zero_reference_array_is_any_finite_rows_own_call(
             self, zero_reference_run, row):
         # phi @ 0 is +0 or -0 in every column, so every row's logits tie
-        pi_ref = zero_reference_run[0][0]
-        assert initial_policy().distribution(np.array(row)).tobytes() == pi_ref.tobytes()
+        log_ref = zero_reference_run[0][0]
+        assert (np.log(initial_policy().distribution(np.array(row))).tobytes()
+                == log_ref.tobytes())
 
     @staticmethod
     def record_steps(monkeypatch, dataset, cfg, seed):
         """Run train_toy, recording each _index_advantages and _weights call by
         its (gold, drawn indices' bytes) group, each weights array _weights
-        built with its bytes then, and each step's group and grpo_loss w."""
+        built with its bytes then, and each step's group and grpo_loss w and
+        w_sum."""
         built, advantage_calls, weight_calls, steps = [], [], [], []
         index_advantages, weights = grpo._index_advantages, grpo._weights
         draw, loss, theta_grad = grpo._draw, grpo.grpo_loss, grpo._theta_grad
@@ -1088,9 +1184,9 @@ class TestTrainToy:
             steps.append({"drawn": draw(*args)})
             return steps[-1]["drawn"]
 
-        def recorded_loss(pi, pi_ref, w, beta):
-            steps[-1]["w"] = w
-            return loss(pi, pi_ref, w, beta)
+        def recorded_loss(pi, log_ref, w, w_sum, beta):
+            steps[-1]["w"], steps[-1]["w_sum"] = w, w_sum
+            return loss(pi, log_ref, w, w_sum, beta)
 
         def recorded_theta_grad(phi, grad_logits):
             steps[-1]["phi"] = phi
@@ -1129,12 +1225,16 @@ class TestTrainToy:
             monkeypatch, make_toy_dataset(200, seed=8), GrpoConfig(steps=400), seed=8)
         first = {}
         for step in steps:
-            # a step's w is the array built for its group's first step
-            w = first.setdefault(step["group"], step["w"])
-            assert step["w"] is w
+            # a step's w and w_sum are the arrays built for its group's first
+            # step, both read-only
+            w, w_sum = first.setdefault(step["group"], (step["w"], step["w_sum"]))
+            assert step["w"] is w and step["w_sum"] is w_sum
+            assert not w.flags.writeable and not w_sum.flags.writeable
         assert len(first) == len(built) < len(steps)
-        for (w, at_build), w_used in zip(built, first.values()):
+        for (w, at_build), (w_used, w_sum) in zip(built, first.values()):
             assert w is w_used and w.tobytes() == at_build
+            assert (w_sum.tobytes()
+                    == np.add.reduce(w, axis=-1, keepdims=True).tobytes())
 
     def test_reference_distribution_is_each_rows_own_call(self, monkeypatch):
         # rows of one 2-D call differ from 1-D calls in the last bits at a
@@ -1142,12 +1242,12 @@ class TestTrainToy:
         ref = PolicyState(theta=np.random.default_rng(12).normal(
             size=(FEATURE_DIM, len(LABELS))))
         monkeypatch.setattr(grpo, "initial_policy", lambda feature_dim: ref)
-        pi_refs, phis = [], []
+        log_refs, phis = [], []
         loss, theta_grad = grpo.grpo_loss, grpo._theta_grad
 
-        def recorded_loss(pi, pi_ref, *args):
-            pi_refs.append(pi_ref)
-            return loss(pi, pi_ref, *args)
+        def recorded_loss(pi, log_ref, *args):
+            log_refs.append(log_ref)
+            return loss(pi, log_ref, *args)
 
         def recorded_theta_grad(phi, grad_logits):
             phis.append(phi)
@@ -1159,10 +1259,10 @@ class TestTrainToy:
         train_toy(dataset, GrpoConfig(steps=300), seed=4)
         features = feature_matrix(dataset)
         rows = [int(np.flatnonzero((features == phi).all(axis=1))[0]) for phi in phis]
-        assert len(rows) == len(pi_refs) == 300
-        for i, pi_ref in zip(rows, pi_refs):
-            assert pi_ref.tobytes() == ref.distribution(features[i]).tobytes()
-        assert (ref.distribution(features)[rows] != np.array(pi_refs)).any()
+        assert len(rows) == len(log_refs) == 300
+        for i, log_ref in zip(rows, log_refs):
+            assert log_ref.tobytes() == np.log(ref.distribution(features[i])).tobytes()
+        assert (np.log(ref.distribution(features))[rows] != np.array(log_refs)).any()
 
     def test_distribution_not_finite_is_named_error(self, monkeypatch):
         # all-inf weights give nan logits; the first draw names them instead
@@ -1187,6 +1287,26 @@ class TestTrainToy:
         feats = feature_matrix(dataset)
         assert feats.shape == (10, FEATURE_DIM)
         assert np.all(feats[:, 0] == 1.0)
+
+    @pytest.mark.parametrize("distinct", [True, False])
+    def test_feature_matrix_counts_each_distinct_chain_once(self, monkeypatch, distinct):
+        dataset = make_toy_dataset(300, seed=5)
+        if distinct:  # every chain its own text, of its own length
+            dataset = [dataclasses.replace(s, cot=f"{s.cot} " + "w " * i)
+                       for i, s in enumerate(dataset)]
+        want = reference_feature_matrix(dataset)
+        count_tokens, counted = parsing.count_tokens, []
+
+        def recorded(text):
+            counted.append(text)
+            return count_tokens(text)
+
+        monkeypatch.setattr(parsing, "count_tokens", recorded)
+        got = feature_matrix(dataset)
+        cots = {s.cot for s in dataset}
+        assert sorted(counted) == sorted(cots)
+        assert (len(cots) == len(dataset)) is distinct
+        assert got.tobytes() == want.tobytes()
 
 
 def gold_fixture(n: int, seed: int = 0):
@@ -1478,6 +1598,32 @@ class TestVerificationSuite:
         assert calls == [((14, 1, 1, 3), False), ((14, 2 * FEATURE_DIM * 3, 1, 3), True)]
         assert not ok
         assert worst == pytest.approx(1e-4, rel=1e-2)
+
+    def test_gradient_check_takes_the_fixed_terms_once_for_both_calls(self, monkeypatch):
+        # the reference's log-probabilities and the weights' sums are taken
+        # once for the stack and handed to both grpo_loss calls
+        objective, calls = grpo.grpo_loss, []
+        distribution, ref_pis = PolicyState.distribution, []
+
+        def recorded(pi, log_ref, w, w_sum, beta, loss_only=False):
+            calls.append((log_ref, w, w_sum, loss_only))
+            return objective(pi, log_ref, w, w_sum, beta, loss_only)
+
+        def recorded_distribution(self, features):
+            pi = distribution(self, features)
+            ref_pis.append(pi)
+            return pi
+
+        monkeypatch.setattr(grpo, "grpo_loss", recorded)
+        monkeypatch.setattr(PolicyState, "distribution", recorded_distribution)
+        assert gradient_check(n_configs=7, seed=8)[1]
+        (log_ref, w, w_sum, first), (*again, second) = calls
+        assert (first, second) == (False, True)
+        assert all(a is b for a, b in zip(again, (log_ref, w, w_sum)))
+        # the distributions: the draws', the reference's, then the two calls'
+        assert len(ref_pis) == 4 and log_ref.shape == (14, 1, 1, len(LABELS))
+        assert log_ref.tobytes() == np.log(ref_pis[1]).tobytes()
+        assert w_sum.tobytes() == np.add.reduce(w, axis=-1, keepdims=True).tobytes()
 
     @pytest.mark.parametrize("check, setting", [
         (lambda: gradient_check(n_configs=0), "n_configs"),
