@@ -95,33 +95,39 @@ def _add_batch_run_args(p):
     _add_endpoint_flags(p)
 
 
-def _send_batch_runs(args, take):
-    """Send every batch run of gen or batch-experiment, one --batch-size at a time.
-
-    Each size must be at least 1 and given once, which is checked before
-    --out-dir is made or any request is sent. Once a size's requests are
-    done, take(questions, k, records, failures) gets its completions and
-    failed requests. Returns the manifest fields both commands write.
+def _send_runs(args, questions, sizes, take, repeats=1, group="sequential"):
+    """The request path of gen, batch-experiment and eval: a run per batch
+    size k of `sizes` groups the questions by shuffle_and_group and sends each
+    group's envelope `repeats` times in a row, after --out-dir is made;
+    take(questions, k, records, failures) then gets its completions and failed
+    requests. Returns the manifest fields the three commands share and what
+    take returned for each run.
     """
+    cfg = resolve_endpoint_config(args)
+    request_failures, taken = 0, []
+    with closing(_make_backend(args, cfg)) as backend:
+        os.makedirs(args.out_dir, exist_ok=True)
+        for k in sizes:
+            groups = shuffle_and_group(questions, k, seed=args.seed, group=group)
+            records, failures = complete_many(
+                [e for g in groups for e in [build_prompt(g)] * repeats], cfg, backend)
+            request_failures += len(failures)
+            taken.append(take(questions, k, records, failures))
+    return ({"config": _config_snapshot(cfg),
+             "exclusions": {"request_failures": request_failures}}, taken)
+
+
+def _send_batch_runs(args, take):
+    """gen's and batch-experiment's runs; each --batch-size is checked first."""
     for i, k in enumerate(args.batch_size):
         if k < 1 or k in args.batch_size[:i]:
             problem = "must be at least 1" if k < 1 else "is given more than once"
             raise ValueError(f"--batch-size {k} {problem}")
-    cfg = resolve_endpoint_config(args)
-    request_failures = 0
-    with closing(_make_backend(args, cfg)) as backend:
-        questions = load_questions(args.questions)
-        os.makedirs(args.out_dir, exist_ok=True)
-        for k in args.batch_size:
-            groups = shuffle_and_group(questions, k, seed=args.seed, group=args.group)
-            records, failures = complete_many([build_prompt(g) for g in groups], cfg,
-                                              backend)
-            request_failures += len(failures)
-            take(questions, k, records, failures)
-    return {"config": _config_snapshot(cfg), "inputs": [args.questions],
-            "exclusions": {"request_failures": request_failures,
-                           "ungrouped": sum(len(questions) % k for k in args.batch_size)},
-            "group": args.group, "batch_sizes": args.batch_size}
+    questions = load_questions(args.questions)
+    fields, taken = _send_runs(args, questions, args.batch_size, take, group=args.group)
+    fields["exclusions"]["ungrouped"] = sum(len(questions) % k for k in args.batch_size)
+    return {**fields, "inputs": [args.questions], "group": args.group,
+            "batch_sizes": args.batch_size}, taken
 
 
 # --- subcommands ----------------------------------------------------------------
@@ -140,7 +146,7 @@ def cmd_gen(args):
               f"mean tokens/question = {show(tokens_per_question(records))}, "
               f"failures = {len(failures)}")
 
-    return {**_send_batch_runs(args, write), "outputs": outputs}
+    return {**_send_batch_runs(args, write)[0], "outputs": outputs}
 
 
 def cmd_split(args):
@@ -214,14 +220,12 @@ def cmd_grpo_train_toy(args):
 
 
 def cmd_eval(args):
-    cfg = resolve_endpoint_config(args)
-    with closing(_make_backend(args, cfg)) as backend:
-        spec = harness.registry_spec(
-            args.benchmark, args.corpus, samples_per_question=args.samples_per_question
-        )
-        questions = harness.load_corpus(spec)
-        os.makedirs(args.out_dir, exist_ok=True)
-        records, aggregate = harness.evaluate(spec, cfg, backend, questions)
+    spec = harness.registry_spec(args.benchmark, args.corpus,
+                                 samples_per_question=args.samples_per_question)
+    fields, [(records, aggregate)] = _send_runs(
+        args, harness.load_corpus(spec), [1],
+        lambda questions, k, *run: harness.evaluate(spec, questions, *run),
+        repeats=spec.samples_per_question)
     results_path = os.path.join(args.out_dir, "results.jsonl")
     write_jsonl(results_path, records)
     agg_path = os.path.join(args.out_dir, "aggregate.json")
@@ -231,9 +235,8 @@ def cmd_eval(args):
     with open(report_path, "w", encoding="utf-8") as fh:
         fh.write(report + "\n")
     print(report)
-    return {"config": _config_snapshot(cfg), "inputs": [args.corpus],
-            "outputs": [results_path, agg_path, report_path],
-            "exclusions": {"request_failures": aggregate.exclusions}}
+    return {**fields, "inputs": [args.corpus],
+            "outputs": [results_path, agg_path, report_path]}
 
 
 def cmd_report(args):
@@ -248,8 +251,7 @@ def cmd_report(args):
 
 
 def cmd_batch_experiment(args):
-    rows = []
-    fields = _send_batch_runs(args, lambda *run: rows.append(run_batch_experiment(*run)))
+    fields, rows = _send_batch_runs(args, run_batch_experiment)
     rows_path = os.path.join(args.out_dir, "experiment.jsonl")
     write_jsonl(rows_path, map(to_dict, rows))
     table = render_experiment_table(rows)

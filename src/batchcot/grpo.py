@@ -169,7 +169,7 @@ def grpo_loss(pi: np.ndarray, log_ref: np.ndarray, w: np.ndarray, w_sum: np.ndar
     distribution and log_ref np.log(pi_ref), the log of the frozen
     reference's at the same features; w_sum is np.add.reduce(w, axis=-1,
     keepdims=True). The caller takes both once, since they stay fixed while
-    pi moves: train_toy once per run or row and once per distinct group,
+    pi moves: train_toy once per run and once per distinct group,
     gradient_check once for its stack. The logit gradient of the first term
     is w_sum pi - w. Stacks broadcast: w and w_sum against the distributions
     (..., 3) and beta against the losses (...); a float beta multiplies
@@ -344,10 +344,9 @@ def train_toy(dataset, cfg: GrpoConfig, seed: int = 0):
     computed once per distinct (gold, drawn indices) group of the run and
     kept, read-only, for every later step that draws the same group; most
     steps of a trained policy draw the same all-gold group. The frozen
-    reference's log-probabilities are computed once per run when its weights
-    are all zero, as the initial policy's are: it is then uniform at every
-    row, and one 1-D call gives each row's bits. A nonzero reference's are
-    computed once per row the run visits. The loop keeps every step's theta;
+    reference is the initial policy, whose weights are all zero: it is
+    uniform at every row, so its log-probabilities are computed once per run,
+    and one 1-D call gives each row's bits. The loop keeps every step's theta;
     the curve's mean gold probabilities are computed from them once, after
     the last step, by _mean_gold_probs.
 
@@ -361,13 +360,7 @@ def train_toy(dataset, cfg: GrpoConfig, seed: int = 0):
     gold_idx = [_LABEL_INDEX[s.gold_label] for s in dataset]
     gold_flat = np.array(gold_idx) * n + np.arange(n)
     rng = np.random.default_rng(seed)
-    ref = policy = initial_policy(features.shape[1])  # ref stays frozen
-    # zero weights tie a finite row's three logits, so every row has the same
-    # distribution; otherwise row -> np.log(ref.distribution(features[row])),
-    # as one 2-D call over all rows would differ from these 1-D calls in the
-    # last bits
-    uniform_log_ref = None if ref.theta.any() else np.log(ref.distribution(features[0]))
-    log_refs = {}
+    policy = initial_policy(features.shape[1])
     # (gold, drawn indices' bytes) -> the group's label weights and their
     # sum, both read-only
     group_weights = {}
@@ -376,15 +369,15 @@ def train_toy(dataset, cfg: GrpoConfig, seed: int = 0):
     # a diverging run's log(0) and 0 * inf are named by the finiteness check
     # below, not warned about; entered once, not once per step
     with np.errstate(divide="ignore", invalid="ignore"):
+        # the frozen reference: zero weights tie a finite row's three logits,
+        # so it has one distribution at every row
+        log_ref = np.log(policy.distribution(features[0]))
         for step in range(cfg.steps):
             idx = int(rng.integers(n))
             phi = features[idx]
             pi = policy.distribution(phi)
             action_idx = _draw(pi, rng, cfg.group_size)
             gold = gold_idx[idx]
-            log_ref = uniform_log_ref if uniform_log_ref is not None else log_refs.get(idx)
-            if log_ref is None:
-                log_ref = log_refs[idx] = np.log(ref.distribution(phi))
             key = gold, action_idx.tobytes()
             weights = group_weights.get(key)
             if weights is None:

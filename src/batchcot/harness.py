@@ -9,9 +9,8 @@ from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 from batchcot import verify
-from batchcot.client import EndpointConfig, complete_many
 from batchcot.parsing import split_completions
-from batchcot.prompts import build_single_prompt, load_questions
+from batchcot.prompts import load_questions
 from batchcot.records import from_dict, mean, naming, show, to_dict, write_json
 from batchcot.verify import ANSWER_KINDS, CHOICE_LETTER, NUMERIC
 
@@ -83,14 +82,13 @@ def load_corpus(spec: BenchmarkSpec) -> list:
     return questions
 
 
-def evaluate(spec: BenchmarkSpec, cfg: EndpointConfig, backend, questions: list):
-    """Repeat-sampled single-question evaluation: (records, EvalAggregate).
+def evaluate(spec: BenchmarkSpec, questions: list, completions, failures):
+    """(records, EvalAggregate) of an eval run over the spec's corpus, as
+    load_corpus gives it, from its completions and failed requests.
 
-    questions is the spec's corpus as load_corpus gives it.
+    It sends nothing: the completions are one per repeat sample, each
+    question's in a row.
     """
-    envelopes = [build_single_prompt(q) for q in questions
-                 for _ in range(spec.samples_per_question)]
-    completions, failures = complete_many(envelopes, cfg, backend)
     chains, _ = split_completions(completions)
     n_correct = verify.grade_chains(chains, questions, spec.answer_kind)[verify.CORRECT]
     records = [{"question_id": c.question_id, "predicted_answer": c.predicted_answer,

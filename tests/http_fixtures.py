@@ -15,7 +15,7 @@ from batchcot.parsing import count_tokens
 @contextmanager
 def mock_http_server(script: MockBackend, host: str = "127.0.0.1", port: int = 0,
                      keep_alive: bool = False, accepted: list = None,
-                     drop=frozenset()):
+                     drop=frozenset(), bodies: list = None):
     """Serve a MockBackend over an OpenAI-compatible loopback endpoint.
 
     With keep_alive the server speaks HTTP/1.1 and keeps each connection open
@@ -23,7 +23,8 @@ def mock_http_server(script: MockBackend, host: str = "127.0.0.1", port: int = 0
     body in separate sends, as perfbench's loopback server does. A request
     whose prompt fingerprint is in `drop` gets no answer: the server closes
     its connection. Each connection the server accepts appends its client
-    address to `accepted`, if given.
+    address to `accepted`, and each request its decoded JSON body to
+    `bodies`, if given.
     """
 
     class Handler(BaseHTTPRequestHandler):
@@ -40,6 +41,8 @@ def mock_http_server(script: MockBackend, host: str = "127.0.0.1", port: int = 0
                 return
             length = int(self.headers.get("Content-Length", 0))
             body = json.loads(self.rfile.read(length))
+            if bodies is not None:
+                bodies.append(body)
             prompt_text = body["messages"][0]["content"]
             if fingerprint(prompt_text) in drop:
                 self.close_connection = True

@@ -16,7 +16,7 @@ import pytest
 import batchcot
 import pipeline_fixtures as pf
 from http_fixtures import mock_http_server, open_sockets_to
-from batchcot import __version__, cli, client, parsing, verify
+from batchcot import __version__, cli, client, harness, parsing, verify
 from batchcot.client import (
     EndpointConfig,
     MockBackend,
@@ -647,7 +647,8 @@ class TestEvalAndReport:
 
     @pytest.mark.parametrize("name, corpus, message", [
         ("gsm8k", None, "No such file or directory"),
-        ("gsm8k", '{"id": "a", "text": "t", "gold_answer": "1"}\n5\n', "line 2: "),
+        ("gsm8k", '{"id": "a", "text": "t", "gold_answer": "1"}\n5\n',
+         "line 2: TypeError: int is not a JSON object"),
         ("gsm8k", "", "corpus is empty"),
         ("gpqa_diamond", '{"id": "g1", "text": "pick one", "gold_answer": "not-a-letter"}\n',
          "line 1: gold answer 'not-a-letter' is not a choice letter"),
@@ -666,6 +667,33 @@ class TestEvalAndReport:
         assert message in capsys.readouterr().err
         assert not out.exists()
         assert sent == []
+
+    @pytest.mark.parametrize("name, corpus, answers, accuracy", [
+        # a boxed, decorated, lower-case letter matches its gold letter;
+        # another letter does not
+        ("gpqa_diamond", [{"id": "g1", "text": "pick one", "gold_answer": "B"},
+                          {"id": "g2", "text": "pick another", "gold_answer": "A"}],
+         ["\\boxed{(b)}", "\\boxed{C}"], "50.00%"),
+        # a JSON number as id or gold is kept as its str()
+        ("math500", [{"id": 1, "text": "What is 1 + 0?", "gold_answer": 1}],
+         ["\\boxed{1}"], "100.00%"),
+    ], ids=["choice-letter", "numeric-id-and-gold"])
+    def test_eval_reports_accuracy(self, tmp_path, capsys, name, corpus, answers,
+                                   accuracy):
+        path, mock, out = tmp_path / "corpus.jsonl", tmp_path / "mock", tmp_path / "eval"
+        path.write_text("".join(json.dumps(entry) + "\n" for entry in corpus))
+        spec = harness.registry_spec(name, str(path))
+        script = MockBackend()
+        for q, answer in zip(harness.load_corpus(spec), answers):
+            script.add(build_prompt([q]).text, answer)
+        pf.write_script_dir(script, mock)
+        assert main(["eval", "--benchmark", name, "--corpus", str(path),
+                     "--out-dir", str(out), "--mock", str(mock)]) == 0
+        assert (out / "report.txt").read_text().splitlines()[1].split()[:2] == [
+            spec.name, accuracy]
+        assert [json.loads(line)["question_id"] for line in
+                (out / "results.jsonl").read_text().splitlines()] == [
+            str(entry["id"]) for entry in corpus]
 
     def test_eval_requests_are_counted_through_mock_send(self, workspace, tmp_path,
                                                           monkeypatch):
@@ -868,6 +896,46 @@ class TestKeepAliveEndpoint:
         assert capsys.readouterr().err.startswith("error: ")
 
 
+class TestEvalRepeatsOverHttp:
+    """eval of 5 samples per question over loopback HTTP, on more worker
+    threads (4) than the benchmark's workload runs (2 at most), with each
+    request's body recorded."""
+
+    @pytest.fixture(scope="class")
+    def run(self, tmp_path_factory):
+        """(corpus ids, results ids, manifest, request bodies) of one run."""
+        root = tmp_path_factory.mktemp("repeats")
+        questions = pf.make_corpus(6)
+        write_corpus(root / "corpus.jsonl", questions)
+        bodies = []
+        with mock_http_server(pf.build_script(questions, (1,)), bodies=bodies) as url:
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(["eval", "--benchmark", "aime2024",
+                             "--corpus", str(root / "corpus.jsonl"),
+                             "--samples-per-question", "5", "--seed", "3",
+                             "--out-dir", str(root / "eval"), "--base-url", url,
+                             "--max-concurrent", "4"]) == 0
+        results = (root / "eval" / "results.jsonl").read_text().splitlines()
+        return ([q.id for q in questions], [json.loads(r)["question_id"] for r in results],
+                json.loads((root / "eval" / "manifest.json").read_text()), bodies)
+
+    def test_results_keep_corpus_order(self, run):
+        corpus, ids, manifest, bodies = run
+        assert manifest["exclusions"] == {"request_failures": 0}
+        assert len(bodies) == 30
+        assert ids == [qid for qid in corpus for _ in range(5)]
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP direction 11: a question's repeats are identical requests, "
+        "each with the run's --seed 3"))
+    def test_repeats_of_a_question_carry_distinct_seeds(self, run):
+        seeds = {}
+        for body in run[3]:
+            seeds.setdefault(body["messages"][0]["content"], []).append(body.get("seed"))
+        assert sorted(map(len, seeds.values())) == [5] * 6
+        assert all(len(set(s)) == 5 for s in seeds.values())
+
+
 class TestConfigResolution:
     def test_defaults(self):
         args = build_parser().parse_args(["eval", "--benchmark", "gsm8k",
@@ -927,6 +995,23 @@ class TestConfigResolution:
                 imported.add(node.module)
                 imported.update(f"{node.module}.{alias.name}" for alias in node.names)
         assert not imported & {"threading", "batchcot.client"}
+
+    def test_one_loop_sends_requests(self):
+        # gen, batch-experiment and eval send from cli._send_runs; harness
+        # only summarizes the completions it is given
+        src = Path(batchcot.__file__).parent
+        calls, harness_imports = {}, set()
+        for path in sorted(src.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Call) and "complete_many" in (
+                        getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                    calls[path.name] = calls.get(path.name, 0) + 1
+                elif path.name == "harness.py" and isinstance(node, ast.ImportFrom):
+                    harness_imports.add(node.module)
+                elif path.name == "harness.py" and isinstance(node, ast.Import):
+                    harness_imports.update(alias.name for alias in node.names)
+        assert calls == {"cli.py": 1}
+        assert harness_imports and "batchcot.client" not in harness_imports
 
 
 def parse_outcome(parser, argv, capsys):

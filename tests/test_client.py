@@ -391,8 +391,11 @@ class TestMalformedBody:
             json.dumps({"id": "a", "text": "SERVE-VALID 1?", "gold_answer": "1"}) + "\n"
             + json.dumps({"id": "b", "text": "other?", "gold_answer": "1"}) + "\n")
         spec = BenchmarkSpec(name="Toy", corpus_path=str(corpus), samples_per_question=2)
+        questions = load_corpus(spec)
         with _serve_malformed(b"not json") as backend:
-            records, agg = evaluate(spec, cfg(), backend, load_corpus(spec))
+            envelopes = [build_single_prompt(q) for q in questions for _ in range(2)]
+            completions, failures = complete_many(envelopes, cfg(), backend)
+        records, agg = evaluate(spec, questions, completions, failures)
         assert agg.exclusions == 2
         assert agg.n_samples == 2
         assert agg.accuracy == 1.0

@@ -296,7 +296,7 @@ def reference_distribution(theta: np.ndarray, features: np.ndarray) -> np.ndarra
     return exp / exp.sum(axis=-1, keepdims=True)
 
 
-def reference_train_toy(dataset, cfg: GrpoConfig, seed: int, ref_theta=None):
+def reference_train_toy(dataset, cfg: GrpoConfig, seed: int):
     """The training loop with numpy's own draws and reductions, step by step:
     the oracle for train_toy, which must give its curve and theta bit for bit.
 
@@ -304,15 +304,12 @@ def reference_train_toy(dataset, cfg: GrpoConfig, seed: int, ref_theta=None):
     through np.mean and np.std, labels rewards by comparing label strings,
     and takes the loss of one theta as the weighted log-likelihood plus
     beta * KL; mean_gold_prob is the mean of the full softmax's gold column.
-    ref_theta is the reference and initial policy's theta, zero by default
-    as initial_policy's.
+    The reference and initial policy's theta is zero, as initial_policy's.
     """
     features = feature_matrix(dataset)
     gold_idx = np.array([LABELS.index(s.gold_label) for s in dataset])
     rng = np.random.default_rng(seed)
-    if ref_theta is None:
-        ref_theta = np.zeros((features.shape[1], len(LABELS)))
-    theta = ref_theta
+    theta = ref_theta = np.zeros((features.shape[1], len(LABELS)))
     curve = []
     for step in range(cfg.steps):
         idx = int(rng.integers(len(dataset)))
@@ -987,7 +984,7 @@ class TestTrainToy:
             train_toy([], GrpoConfig(), seed=0)
 
     @staticmethod
-    def assert_curve_matches_reference(objective_mode, advantage_mode, ref_theta=None):
+    def assert_curve_matches_reference(objective_mode, advantage_mode):
         # the curve is computed after the loop in blocks of steps; every step
         # count on either side of a block boundary gives the reference's
         # curve, which takes each step's full softmax as it goes
@@ -997,7 +994,7 @@ class TestTrainToy:
             cfg = GrpoConfig(steps=steps, objective_mode=objective_mode,
                              advantage_mode=advantage_mode)
             policy, curve = train_toy(dataset, cfg, seed=3)
-            theta, want = reference_train_toy(dataset, cfg, 3, ref_theta=ref_theta)
+            theta, want = reference_train_toy(dataset, cfg, 3)
             assert repr(curve) == repr(want), steps  # floats, not np.float64s
             assert policy.theta.tobytes() == theta.tobytes(), steps
 
@@ -1006,16 +1003,6 @@ class TestTrainToy:
     ])
     def test_matches_reference_gold_prob(self, objective_mode, advantage_mode):
         self.assert_curve_matches_reference(objective_mode, advantage_mode)
-
-    @pytest.mark.parametrize("objective_mode, advantage_mode", [
-        (SAMPLED, MEAN_STD), (SAMPLED, MEAN_ONLY), (PAPER_LITERAL, MEAN_STD),
-    ])
-    def test_matches_reference_gold_prob_at_nonzero_reference(
-            self, monkeypatch, objective_mode, advantage_mode):
-        ref = PolicyState(theta=np.random.default_rng(9).normal(
-            scale=0.5, size=(FEATURE_DIM, len(LABELS))))
-        monkeypatch.setattr(grpo, "initial_policy", lambda feature_dim: ref)
-        self.assert_curve_matches_reference(objective_mode, advantage_mode, ref.theta)
 
     @pytest.mark.parametrize("seed, settings", [
         *((seed, {"objective_mode": objective_mode, "advantage_mode": advantage_mode})
@@ -1034,33 +1021,12 @@ class TestTrainToy:
         assert repr(curve) == repr(ref_curve)  # reprs tell -0.0 from 0.0
         assert policy.theta.tobytes() == theta.tobytes()
 
-    @pytest.mark.parametrize("settings", [
-        *({"objective_mode": objective_mode, "advantage_mode": advantage_mode}
-          for objective_mode, advantage_mode in itertools.product(
-              OBJECTIVE_MODES, (MEAN_STD, MEAN_ONLY))),
-        {"group_size": 2, "beta": 0.5},
-    ])
-    def test_matches_per_group_api_at_nonzero_reference(self, monkeypatch, settings):
-        # reference_train_toy's group-by-group steps, started from and held
-        # to a nonzero reference policy
-        ref = PolicyState(theta=np.random.default_rng(9).normal(
-            scale=0.5, size=(FEATURE_DIM, len(LABELS))))
-        monkeypatch.setattr(grpo, "initial_policy", lambda feature_dim: ref)
-        dataset = make_toy_dataset(100, seed=6)
-        cfg = GrpoConfig(steps=250, **settings)
-        policy, curve = train_toy(dataset, cfg, seed=6)
-        theta, want = reference_train_toy(dataset, cfg, 6, ref_theta=ref.theta)
-        assert repr(curve) == repr(want)
-        assert policy.theta.tobytes() == theta.tobytes()
-
-    @pytest.mark.parametrize("nonzero", [False, True])
-    def test_one_policy_distribution_per_step_and_one_reference_per_row(
-            self, monkeypatch, nonzero):
+    def test_one_policy_distribution_per_step_and_one_reference_per_run(
+            self, monkeypatch):
         # each step: the policy's distribution, the draw from it and one
-        # grpo_loss call. A zero reference is uniform at every row, so its
+        # grpo_loss call. The zero reference is uniform at every row, so its
         # distribution and that distribution's log are taken once per run,
-        # before the first step; a nonzero one's on the first visit to each
-        # row, after the draw. No other np.log takes a reference distribution
+        # before the first step. No other np.log takes a reference distribution
         events, refs = [], []
         make_initial, distribution, draw, loss, log = (
             grpo.initial_policy, PolicyState.distribution, grpo._draw, grpo.grpo_loss,
@@ -1068,14 +1034,11 @@ class TestTrainToy:
 
         def initial(feature_dim):
             refs.append(make_initial(feature_dim))
-            if nonzero:
-                refs[-1] = PolicyState(theta=np.random.default_rng(9).normal(
-                    scale=0.5, size=refs[-1].theta.shape))
             return refs[-1]
 
         def counted_distribution(self, features):
             pi = distribution(self, features)
-            events.append(("distribution", self, features.tobytes(), pi))
+            events.append(("distribution", self, pi))
             return pi
 
         def counted_draw(*args):
@@ -1098,7 +1061,7 @@ class TestTrainToy:
         steps = 120
         train_toy(make_toy_dataset(20, seed=0), GrpoConfig(steps=steps), seed=0)
 
-        kinds, rows, ref_rows, ref_pis = "", [], [], []
+        kinds, ref_pis = "", []
         for event, following in zip(events, events[1:] + [None]):
             if event == ("draw",):
                 kinds += "D"
@@ -1108,20 +1071,12 @@ class TestTrainToy:
                 kinds += "G" if any(event[1] is pi for pi in ref_pis) else ""
             elif following == ("draw",):  # the policy's, drawn from
                 kinds += "P"
-                rows.append(event[2])
             else:
                 assert event[1] is refs[0]
-                assert not nonzero or event[2] == rows[-1]  # the step's row
                 kinds += "R"
-                ref_rows.append(event[2])
-                ref_pis.append(event[3])
-        assert len(refs) == 1 and len(rows) == steps
-        if nonzero:
-            assert re.fullmatch("(PD(RG)?L)*", kinds)
-            assert ref_rows == list(dict.fromkeys(rows))  # at each row's first visit
-            assert 1 < len(ref_rows) < steps
-        else:
-            assert re.fullmatch("RG(PDL)*", kinds)
+                ref_pis.append(event[2])
+        assert len(refs) == 1
+        assert re.fullmatch(f"RG(PDL){{{steps}}}", kinds)
 
     @pytest.fixture(scope="class")
     def zero_reference_run(self):
@@ -1235,34 +1190,6 @@ class TestTrainToy:
             assert w is w_used and w.tobytes() == at_build
             assert (w_sum.tobytes()
                     == np.add.reduce(w, axis=-1, keepdims=True).tobytes())
-
-    def test_reference_distribution_is_each_rows_own_call(self, monkeypatch):
-        # rows of one 2-D call differ from 1-D calls in the last bits at a
-        # nonzero reference, so a zero reference could not tell them apart
-        ref = PolicyState(theta=np.random.default_rng(12).normal(
-            size=(FEATURE_DIM, len(LABELS))))
-        monkeypatch.setattr(grpo, "initial_policy", lambda feature_dim: ref)
-        log_refs, phis = [], []
-        loss, theta_grad = grpo.grpo_loss, grpo._theta_grad
-
-        def recorded_loss(pi, log_ref, *args):
-            log_refs.append(log_ref)
-            return loss(pi, log_ref, *args)
-
-        def recorded_theta_grad(phi, grad_logits):
-            phis.append(phi)
-            return theta_grad(phi, grad_logits)
-
-        monkeypatch.setattr(grpo, "grpo_loss", recorded_loss)
-        monkeypatch.setattr(grpo, "_theta_grad", recorded_theta_grad)
-        dataset = make_toy_dataset(200, seed=4)
-        train_toy(dataset, GrpoConfig(steps=300), seed=4)
-        features = feature_matrix(dataset)
-        rows = [int(np.flatnonzero((features == phi).all(axis=1))[0]) for phi in phis]
-        assert len(rows) == len(log_refs) == 300
-        for i, log_ref in zip(rows, log_refs):
-            assert log_ref.tobytes() == np.log(ref.distribution(features[i])).tobytes()
-        assert (np.log(ref.distribution(features))[rows] != np.array(log_refs)).any()
 
     def test_distribution_not_finite_is_named_error(self, monkeypatch):
         # all-inf weights give nan logits; the first draw names them instead

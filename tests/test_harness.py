@@ -4,7 +4,13 @@ import threading
 
 import pytest
 
-from batchcot.client import EndpointConfig, MockBackend, RawCompletion, TransportError
+from batchcot.client import (
+    EndpointConfig,
+    MockBackend,
+    RawCompletion,
+    TransportError,
+    complete_many,
+)
 from batchcot.harness import (
     BENCHMARKS,
     BenchmarkSpec,
@@ -33,6 +39,16 @@ def write_corpus(path, questions):
 
 
 cfg = EndpointConfig
+
+
+def send_and_evaluate(spec, c, backend):
+    """evaluate over the spec's corpus and the completions of what eval sends:
+    each question's single prompt, samples_per_question times in a row."""
+    questions = load_corpus(spec)
+    completions, failures = complete_many(
+        [build_single_prompt(q) for q in questions
+         for _ in range(spec.samples_per_question)], c, backend)
+    return evaluate(spec, questions, completions, failures)
 
 
 class TestRegistry:
@@ -93,7 +109,7 @@ class TestEvaluate:
             env = build_single_prompt(q)
             script.add(env.text, f"so \\boxed{{{q.gold_answer}}}", tokens=100)
         spec = BenchmarkSpec(name="Toy", corpus_path=str(corpus))
-        records, agg = evaluate(spec, cfg(), script, load_corpus(spec))
+        records, agg = send_and_evaluate(spec, cfg(), script)
         assert agg.accuracy == 1.0
         assert agg.mean_tokens == 100.0
         assert agg.n_questions == 5
@@ -116,8 +132,8 @@ class TestEvaluate:
             sequences[env.text] = [(f"\\boxed{{{a}}}", 50) for a in answers]
         spec = BenchmarkSpec(name="Toy", corpus_path=str(corpus),
                              samples_per_question=5)
-        _, agg = evaluate(spec, cfg(max_concurrent=1), _PerPromptBackend(sequences),
-                          load_corpus(spec))
+        _, agg = send_and_evaluate(spec, cfg(max_concurrent=1),
+                                   _PerPromptBackend(sequences))
         assert agg.accuracy == pytest.approx(0.7)
         assert agg.n_samples == 10
 
@@ -144,7 +160,7 @@ class TestEvaluate:
                 return RawCompletion("\\boxed{1}", 10, [])
 
         spec = BenchmarkSpec(name="Toy", corpus_path=str(corpus))
-        records, agg = evaluate(spec, cfg(), HalfFailingBackend(), load_corpus(spec))
+        records, agg = send_and_evaluate(spec, cfg(), HalfFailingBackend())
         assert agg.exclusions == 2
         assert agg.n_samples == 2
         assert len(records) == 2
@@ -163,7 +179,7 @@ class TestEvaluate:
             corpus = tmp_path / f"{name}.jsonl"
             write_corpus(corpus, qs)
             spec = BenchmarkSpec(name=name, corpus_path=str(corpus))
-            return evaluate(spec, cfg(), backend, load_corpus(spec))[1]
+            return send_and_evaluate(spec, cfg(), backend)[1]
 
         whole = run(questions, "whole")
         halves = [run(questions[:4], "lo"), run(questions[4:], "hi")]
@@ -193,7 +209,7 @@ class TestEvaluate:
                    "I choose \\boxed{C}", tokens=7)
         spec = BenchmarkSpec(name="Choices", corpus_path=str(corpus),
                              answer_kind=CHOICE_LETTER)
-        _, agg = evaluate(spec, cfg(), script, load_corpus(spec))
+        _, agg = send_and_evaluate(spec, cfg(), script)
         assert agg.accuracy == 1.0
 
 
