@@ -2,6 +2,7 @@ import argparse
 import ast
 import contextlib
 import csv
+import inspect
 import io
 import json
 import os
@@ -381,6 +382,23 @@ class TestBadInputSendsNothing:
         # no out-dir made: only the file that blocks one is there
         assert [p.name for p in tmp_path.iterdir()] == (
             ["out"] if case == "out-dir-taken" else [])
+
+    @pytest.mark.parametrize("flags", [["--timeout", "nan"], [],
+                                       ["--mock", "no-such-mock-dir"]],
+                             ids=["timeout-nan", "no-endpoint", "missing-mock"])
+    @pytest.mark.parametrize("command", ["gen", "batch-experiment", "eval"])
+    def test_corpus_fault_is_named_before_an_endpoint_fault(
+            self, tmp_path, monkeypatch, capsys, command, flags):
+        # the corpus is loaded before the endpoint settings are checked and
+        # before the backend is built, so of two faults it is the one named
+        monkeypatch.delenv("BATCHCOT_API_KEY", raising=False)
+        corpus, out = tmp_path / "missing.jsonl", tmp_path / "out"
+        corpus_flags = (["--benchmark", "gsm8k", "--corpus", str(corpus)] if command == "eval"
+                        else ["--questions", str(corpus), "--batch-size", "1"])
+        assert main([command, "--out-dir", str(out)] + corpus_flags + flags) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: [Errno 2] No such file or directory: '{corpus}'\n"
+        assert list(tmp_path.iterdir()) == []
 
 
 def run_split_grade_and_experiment(tmp_path, questions, script, k):
@@ -1012,6 +1030,18 @@ class TestConfigResolution:
                     harness_imports.update(alias.name for alias in node.names)
         assert calls == {"cli.py": 1}
         assert harness_imports and "batchcot.client" not in harness_imports
+
+    @pytest.mark.parametrize("command, loop", [("cmd_gen", "_send_batch_runs"),
+                                               ("cmd_batch_experiment", "_send_batch_runs"),
+                                               ("cmd_eval", "_send_runs")])
+    def test_command_leaves_endpoint_backend_and_out_dir_to_the_loop(self, command, loop):
+        # the send loop resolves the endpoint config, builds the backend and
+        # makes --out-dir; a command that sends requests does none of them
+        tree = ast.parse(inspect.getsource(getattr(cli, command)))
+        called = {getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                  for node in ast.walk(tree) if isinstance(node, ast.Call)}
+        assert loop in called
+        assert not called & {"resolve_endpoint_config", "_make_backend", "makedirs"}
 
 
 def parse_outcome(parser, argv, capsys):

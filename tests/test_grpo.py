@@ -1191,6 +1191,31 @@ class TestTrainToy:
             assert (w_sum.tobytes()
                     == np.add.reduce(w, axis=-1, keepdims=True).tobytes())
 
+    def test_reference_log_is_each_visited_rows_own_call(self, monkeypatch):
+        # the log taken once, at the first row, is bit for bit the frozen
+        # initial policy's 1-D call at the row of every step
+        log_refs, phis = [], []
+        loss, theta_grad = grpo.grpo_loss, grpo._theta_grad
+
+        def recorded_loss(pi, log_ref, *args):
+            log_refs.append(log_ref)
+            return loss(pi, log_ref, *args)
+
+        def recorded_theta_grad(phi, grad_logits):
+            phis.append(phi)
+            return theta_grad(phi, grad_logits)
+
+        monkeypatch.setattr(grpo, "grpo_loss", recorded_loss)
+        monkeypatch.setattr(grpo, "_theta_grad", recorded_theta_grad)
+        dataset = make_toy_dataset(200, seed=4)
+        train_toy(dataset, GrpoConfig(steps=300), seed=4)
+        features = feature_matrix(dataset)
+        ref = initial_policy(features.shape[1])
+        rows = [int(np.flatnonzero((features == phi).all(axis=1))[0]) for phi in phis]
+        assert len(rows) == len(log_refs) == 300 and len(set(rows)) > 1
+        for i, log_ref in zip(rows, log_refs):
+            assert log_ref.tobytes() == np.log(ref.distribution(features[i])).tobytes()
+
     def test_distribution_not_finite_is_named_error(self, monkeypatch):
         # all-inf weights give nan logits; the first draw names them instead
         # of drawing label 0 sixteen times
