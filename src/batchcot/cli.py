@@ -253,7 +253,7 @@ def cmd_report(args):
 def cmd_batch_experiment(args):
     fields, rows = _send_batch_runs(args, run_batch_experiment)
     rows_path = os.path.join(args.out_dir, "experiment.jsonl")
-    write_jsonl(rows_path, map(to_dict, rows))
+    write_jsonl(rows_path, rows)
     table = render_experiment_table(rows)
     table_path = os.path.join(args.out_dir, "experiment.txt")
     with open(table_path, "w", encoding="utf-8") as fh:

@@ -4,10 +4,10 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import ClassVar, Optional
 
 from batchcot.prompts import BATCH, VANILLA, PromptEnvelope
-from batchcot.records import read_jsonl, to_dict, write_jsonl
+from batchcot.records import OMITTED_WHILE_NONE, read_jsonl, write_jsonl
 
 WHITESPACE = "whitespace"
 
@@ -87,9 +87,12 @@ class ReasoningChain:
     text: str
     origin: ChainOrigin
     predicted_answer: Optional[str] = None
-    verdict: Optional[str] = None
+    # a chain row has no verdict key until the chain is graded
+    verdict: Optional[str] = field(default=None, metadata=OMITTED_WHILE_NONE)
     # count_tokens(text), counted here when the chain is built without one
     token_count: Optional[int] = field(default=None, compare=False)
+    # the scheme of token_count, named in every chain row
+    token_scheme: ClassVar[str] = WHITESPACE
 
     def __post_init__(self):
         if self.token_count is None:
@@ -302,17 +305,8 @@ def split_completions(records):
 
 # --- JSONL (de)serialization -------------------------------------------------
 
-def _chain_row(chain: ReasoningChain) -> dict:
-    """A chain's fields plus its token scheme; verdict once graded."""
-    d = to_dict(chain)
-    if chain.verdict is None:
-        del d["verdict"]
-    d["token_scheme"] = WHITESPACE
-    return d
-
-
 def write_chains(path, chains):
-    write_jsonl(path, map(_chain_row, chains))
+    write_jsonl(path, chains)
 
 
 def read_chains(path) -> list:
@@ -320,7 +314,7 @@ def read_chains(path) -> list:
 
 
 def write_completions(path, records):
-    write_jsonl(path, map(to_dict, records))
+    write_jsonl(path, records)
 
 
 def read_completions(path) -> list:

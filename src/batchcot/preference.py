@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 from batchcot import verify
 from batchcot.prompts import BATCH, VANILLA
-from batchcot.records import to_dict, write_jsonl
+from batchcot.records import write_jsonl
 
 LABEL_A = "A"
 LABEL_B = "B"
@@ -108,4 +108,4 @@ def build_dataset(chains, questions, seed: int = 0, mode: str = PER_CHAIN):
 
 
 def write_samples(path, samples):
-    write_jsonl(path, map(to_dict, samples))
+    write_jsonl(path, samples)

@@ -5,7 +5,6 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Union
 
 from batchcot.records import from_dict, named_error
@@ -24,6 +23,22 @@ SOLUTION_MARKER = "[Solution Process]"
 FINAL_ANSWER_MARKER = "[Final Answer]"
 
 
+class _computed_once:
+    """functools.cached_property without its lock, which Python 3.10 and 3.11
+    take on every first read: the method's value is computed on the first
+    read and kept in the instance's __dict__, where later reads find it."""
+
+    def __init__(self, method):
+        self.method = method
+        self.__doc__ = method.__doc__
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.method.__name__] = self.method(obj)
+        return value
+
+
 @dataclass(frozen=True)
 class Question:
     # a number (JSON's, too) is kept as its str()
@@ -39,16 +54,16 @@ class Question:
         if not self.text:
             raise ValueError("empty question text")
 
-    @cached_property
+    @_computed_once
     def gold_number(self):
         """verify.normalize_numeric of the gold answer, computed once per Question.
 
         load_questions computes it as it validates a numeric gold answer.
         """
         # imported here: verify imports prompts
-        from batchcot.verify import normalize_numeric
+        import batchcot.verify
 
-        return normalize_numeric(self.gold_answer)
+        return batchcot.verify.normalize_numeric(self.gold_answer)
 
 
 @dataclass(frozen=True)
@@ -136,20 +151,21 @@ def load_questions(path, answer_kind: str = "numeric") -> list:
         for lineno, line in enumerate(fh, 1):
             if line.isspace():
                 continue
-            where = f"{path}: line {lineno}"
             try:
                 q = from_dict(Question, json.loads(line))
             except (TypeError, KeyError, ValueError) as exc:
-                raise named_error(where, exc) from exc
+                raise named_error(f"{path}: line {lineno}", exc) from exc
             if q.id in seen:
-                raise ValueError(f"{where}: duplicate question id {q.id!r}")
-            seen.add(q.id)
-            if answer_kind == NUMERIC and q.gold_number is None:
-                raise ValueError(f"{where}: gold answer {q.gold_answer!r} is not numeric")
-            if answer_kind != NUMERIC and normalize_letter(q.gold_answer) is None:
-                raise ValueError(f"{where}: gold answer "
-                                 f"{q.gold_answer!r} is not a choice letter")
-            questions.append(q)
+                fault = f"duplicate question id {q.id!r}"
+            elif answer_kind == NUMERIC and q.gold_number is None:
+                fault = f"gold answer {q.gold_answer!r} is not numeric"
+            elif answer_kind != NUMERIC and normalize_letter(q.gold_answer) is None:
+                fault = f"gold answer {q.gold_answer!r} is not a choice letter"
+            else:
+                seen.add(q.id)
+                questions.append(q)
+                continue
+            raise ValueError(f"{path}: line {lineno}: {fault}")
     return questions
 
 

@@ -144,6 +144,68 @@ def _row_encoder():
 _encode = _row_encoder()
 
 
+# field metadata: the field's key is left out of a row while its value is None
+OMITTED_WHILE_NONE = {"omitted_while_none": True}
+
+
+@functools.cache
+def _encoder(cls):
+    """_encode(to_dict(row)) for a `cls` row, compiled as _decoder is; None
+    when `cls` is no dataclass.
+
+    The generated function reads each field once and returns the row from
+    one f-string, keys in sorted order. A value is written by its runtime
+    type, among those its field's hint takes: a str by
+    encode_basestring_ascii, an int by str(), None as null, and anything
+    else by _encode (so a bool, NaN or a value of a type the hint does not
+    name still writes what json.dumps writes); a dataclass field by its
+    class's encoder. A field with OMITTED_WHILE_NONE metadata has no key
+    while its value is None, and each ClassVar of `cls` is a key with its
+    value as a constant.
+    """
+    if not is_dataclass(cls):
+        return None
+    hints = typing.get_type_hints(cls)
+    env = {"enc": _encode, "esc": json.encoder.encode_basestring_ascii, "NULL": "null"}
+    reads, items = [], []  # items: (key, value expression, its variable if omitted)
+    for i, f in enumerate(fields(cls)):
+        hint, v = hints[f.name], f"v{i}"
+        reads.append(f"    {v} = row.{f.name}\n")
+        if is_dataclass(hint):
+            env[f"encode{i}"] = _encoder(hint)
+            value = f"encode{i}({v})"
+        else:
+            accepts = _accepts(hint)
+            value = "".join(fast for t, fast in (
+                (str, f"esc({v}) if type({v}) is str else "),
+                (int, f"{v} if type({v}) is int else "),
+                (type(None), f"NULL if {v} is None else ")) if t in accepts) + f"enc({v})"
+        items.append((f.name, value, v if f.metadata.get("omitted_while_none") else None))
+    for name, hint in hints.items():
+        if typing.get_origin(hint) is typing.ClassVar:
+            env[f"const_{name}"] = _encode(getattr(cls, name))
+            items.append((name, f"const_{name}", None))
+    if all(omitted for _, _, omitted in items):
+        raise TypeError(f"a {cls.__name__} row has no key that is always written")
+    # an omitted key's separator goes on the side of a key always written
+    template, optional, written = [], [], False
+    for key, value, omitted in sorted(items):
+        item = f"{json.encoder.encode_basestring_ascii(key)}: {{{value}}}"
+        if omitted is None:
+            template.append(f", {item}" if written else item)
+            written = True
+        else:
+            piece = f", {item}" if written else f"{item}, "
+            optional.append(f"    p{omitted} = '' if {omitted} is None else f{piece!r}\n")
+            template.append(f"{{p{omitted}}}")
+    # repr quotes the text between the braces; the replacement fields hold no
+    # quote or backslash, which an f-string could not hold there before 3.12
+    source = ("def encode(row):\n" + "".join(reads) + "".join(optional)
+              + f"    return f{'{{' + ''.join(template) + '}}'!r}\n")
+    exec(source, env)
+    return env["encode"]
+
+
 def write_json(path, doc):
     """json.dump(doc, fh, indent=2, sort_keys=True) and a newline, in one write."""
     with open(path, "w", encoding="utf-8") as fh:
@@ -151,11 +213,11 @@ def write_json(path, doc):
 
 
 def write_jsonl(path, rows):
-    """One sort_keys JSON object per line."""
+    """One sort_keys JSON object per line, in one write: a record by its
+    class's compiled encoder, a dict by _encode."""
     with open(path, "w", encoding="utf-8") as fh:
         for row in rows:
-            fh.write(_encode(row))
-            fh.write("\n")
+            fh.write(f"{(_encoder(type(row)) or _encode)(row)}\n")
 
 
 def named_error(where: str, exc: Exception) -> ValueError:

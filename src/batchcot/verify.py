@@ -42,48 +42,59 @@ def _strip_boxed(s: str) -> str:
 
 
 def normalize_numeric(s: str) -> Optional[Fraction]:
-    """The exact number `s` names, or None on failure."""
+    """The exact number `s` names, or None on failure.
+
+    A number of more digits than int() converts (sys.get_int_max_str_digits(),
+    4300 by default) is a failure too: the limit guards every conversion of
+    the process against quadratic time, so it is not raised here.
+    """
     if s is None:
         return None
-    s = s.strip()
-    s = _strip_boxed(s).strip()
-    s = s.strip("$").strip()
-    while s.endswith("%"):
-        s = s[:-1].strip()
-    while s.endswith("."):
-        s = s[:-1].strip()
-    s = _THOUSANDS_RE.sub("", s)
+    try:
+        # ASCII digits alone: what the rule below gives them, at once
+        if s.isdigit() and s.isascii():
+            return Fraction(int(s))
+        s = s.strip()
+        s = _strip_boxed(s).strip()
+        s = s.strip("$").strip()
+        while s.endswith("%"):
+            s = s[:-1].strip()
+        while s.endswith("."):
+            s = s[:-1].strip()
+        s = _THOUSANDS_RE.sub("", s)
 
-    if _INT_RE.match(s):
-        return Fraction(int(s))
+        if _INT_RE.match(s):
+            return Fraction(int(s))
 
-    m = _DEC_RE.match(s)
-    if m:
-        sign, whole, frac = m.groups()
-        unscaled = int((whole or "0") + frac)
-        if sign == "-":
-            unscaled = -unscaled
-        return Fraction(unscaled, 10 ** len(frac))
+        m = _DEC_RE.match(s)
+        if m:
+            sign, whole, frac = m.groups()
+            unscaled = int((whole or "0") + frac)
+            if sign == "-":
+                unscaled = -unscaled
+            return Fraction(unscaled, 10 ** len(frac))
 
-    m = _SLASH_RE.match(s)
-    if m:
-        num, den = int(m.group(1)), int(m.group(2))
-        if den == 0:
-            return None
-        return Fraction(num, den)
+        m = _SLASH_RE.match(s)
+        if m:
+            num, den = int(m.group(1)), int(m.group(2))
+            if den == 0:
+                return None
+            return Fraction(num, den)
 
-    m = _FRAC_RE.match(s)
-    if m:
-        sign, num, den = m.groups()
-        num, den = int(num), int(den)
-        if den == 0:
-            return None
-        value = Fraction(num, den)
-        if sign == "-":
-            value = -value
-        return value
+        m = _FRAC_RE.match(s)
+        if m:
+            sign, num, den = m.groups()
+            num, den = int(num), int(den)
+            if den == 0:
+                return None
+            value = Fraction(num, den)
+            if sign == "-":
+                value = -value
+            return value
 
-    return None
+        return None
+    except ValueError:  # int() refused the digits
+        return None
 
 
 def normalize_letter(s) -> Optional[str]:
@@ -100,7 +111,10 @@ def normalize_letter(s) -> Optional[str]:
 
 def grade(chain: ReasoningChain, q: Question, answer_kind: str = NUMERIC) -> str:
     """Correctness verdict for a chain's predicted answer against the gold:
-    both normalize by the rule of `answer_kind`, and are compared with ==."""
+    both normalize by the rule of `answer_kind`, and are compared with ==.
+
+    A checked gold is correct at once for a predicted string equal to it.
+    """
     if chain.question_id != q.id:
         raise ValueError(
             f"chain question id {chain.question_id!r} does not match {q.id!r}"
@@ -112,6 +126,8 @@ def grade(chain: ReasoningChain, q: Question, answer_kind: str = NUMERIC) -> str
         gold = normalize_letter(q.gold_answer)
     if gold is None:
         raise ValueError(f"gold answer {q.gold_answer!r} is not {what}")
+    if chain.predicted_answer == q.gold_answer:
+        return CORRECT  # equal strings normalize to equal values
     predicted = normalize(chain.predicted_answer)
     if predicted is None:
         return UNPARSEABLE

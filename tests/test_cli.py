@@ -1204,6 +1204,26 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith(
             f"error: {bad}: line 2: ValueError: token_count must be >= 0")
 
+    @pytest.mark.parametrize("answer", ["1" * 5000, "-" + "1" * 5000, "0." + "1" * 5000,
+                                        "1/" + "1" * 5000, "\\frac{1}{" + "1" * 5000 + "}"],
+                             ids=["integer", "negative", "decimal", "slash", "frac"])
+    def test_answer_of_more_digits_than_int_converts_is_unparseable(self, workspace,
+                                                                    tmp_path, answer):
+        # int() refuses more than 4300 digits; the answer is graded, the run goes on
+        chain = {"question_id": "q000", "text": "t", "predicted_answer": answer,
+                 "origin": {"kind": "vanilla", "size": 1, "position": 1}}
+        chains = tmp_path / "chains.jsonl"
+        chains.write_text(json.dumps(chain) + "\n")
+        graded = tmp_path / "graded.jsonl"
+        assert main(["grade", "--in", str(chains), "--questions", str(workspace["corpus"]),
+                     "--out", str(graded)]) == 0
+        assert read_jsonl(graded, parsing.ReasoningChain)[0].verdict == verify.UNPARSEABLE
+        # label grades a chain that has no verdict
+        prefs = tmp_path / "prefs.jsonl"
+        assert main(["label", "--in", str(chains), "--questions", str(workspace["corpus"]),
+                     "--out", str(prefs)]) == 0
+        assert read_jsonl(prefs, PreferenceSample)[0].gold_label == "C"
+
     def test_label_on_chain_of_unknown_kind(self, workspace, tmp_path, capsys):
         bad = tmp_path / "chains.jsonl"
         bad.write_text(json.dumps({"question_id": "q000", "text": "t",

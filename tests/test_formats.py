@@ -8,6 +8,8 @@ object in one form.
 """
 
 import json
+import os
+import sys
 
 import pytest
 
@@ -220,3 +222,62 @@ class TestEntryThatIsNotAnObject:
 
 def test_chain_built_without_a_count_is_counted():
     assert (CHAIN.token_count, GRADED_CHAIN.token_count) == (3, 2)
+
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                         "perfbench")
+
+# sha256 of every output of the benchmark's mock-pipeline pass at seed 1
+PIPELINE_DIGESTS = {
+    "chains_k1.jsonl": "9a864e09713a60a4b752cb6e0359762a8a2e87f1840654c07c024e902f6ae2f9",
+    "chains_k4.jsonl": "8de5251fba68f576aecd6686062accd9bd3e1a851c450c4bdf7afd9f7d04f13c",
+    "chains_k8.jsonl": "219fbfc545b326fb13df323ce124c6ee4bdb7afcbdc525f236dae97b6dbf169f",
+    "exp/experiment.jsonl": "29f5041e6b13ede14258a0e390fcd34e3afed66ab78cf7e3e08fe7aa72dc4e68",
+    "exp/experiment.txt": "581548a3fb3b2afdc2a6f4d75b710d8caac6858add4b0f22a3766d8964a6366e",
+    "gen/completions_k1.jsonl":
+        "204d352976b1ee4c66b5bbb12940d0ca539c0332619e4f29b4286470186bd409",
+    "gen/completions_k4.jsonl":
+        "fe071c4249d0541c5e9698fae6a00c550547104bb358ea62295c90f5435461a1",
+    "gen/completions_k8.jsonl":
+        "520d09735bf5eaf24401436683e3607d10bd44174d6dfa6040cccc5daa379256",
+    "graded_k1.jsonl": "fb17f70a1a2be42e23d57a32a79db22fb1cf64b7fe366b619281ea1e8b7e4053",
+    "graded_k4.jsonl": "8a252c7f20123a51fb216c954351d4aee696a2752eecdbbd390b60b3d8faab08",
+    "graded_k8.jsonl": "2442131b2830266500e7f41dd85cace11bc24f526e21886882375bc5652ed5b2",
+    "prefs.jsonl": "2f872ff3c46dcfef9498764ec45e5f6cf06cf1de36ae5afd28a84142a280270e",
+}
+
+
+class TestBenchmarkPipelineBytes:
+    def test_mock_pipeline_outputs_keep_their_bytes(self, tmp_path, monkeypatch, capsys):
+        # the nine commands of perfbench/run.py's MockPipeline pass, with its argv
+        monkeypatch.syspath_prepend(PERFBENCH)
+        import checker
+        import gen_inputs
+        try:
+            truth = gen_inputs.make_pipeline_inputs(str(tmp_path), 1)
+            ks = truth["batch_sizes"]
+            run_dir = tmp_path / "run"
+            f = checker.pipeline_files(str(run_dir), ks)
+            questions = str(tmp_path / "questions.jsonl")
+            sizes = [a for k in ks for a in ("--batch-size", str(k))]
+            common = ["--seed", "1", "--mock", str(tmp_path / "mock"), "--max-concurrent",
+                      str(max(1, min(2, len(os.sched_getaffinity(0)))))]
+            argvs = (
+                [["gen", "--questions", questions, "--out-dir", f["gen_dir"]]
+                 + sizes + common]
+                + [["split", "--in", f["completions"][k], "--out", f["chains"][k]]
+                   for k in ks]
+                + [["grade", "--in", f["chains"][k], "--questions", questions,
+                    "--out", f["graded"][k]] for k in ks]
+                + [["label", "--questions", questions, "--out", f["prefs"], "--seed", "1"]
+                   + [a for k in ks for a in ("--in", f["graded"][k])]]
+                + [["batch-experiment", "--questions", questions, "--out-dir", f["exp_dir"]]
+                   + sizes + common]
+            )
+            for argv in argvs:
+                assert main(argv) == 0, argv
+            capsys.readouterr()
+            assert checker.output_digests(str(run_dir)) == PIPELINE_DIGESTS
+        finally:
+            for name in ("checker", "gen_inputs"):
+                sys.modules.pop(name, None)

@@ -125,6 +125,14 @@ class TestLoadQuestions:
         with pytest.raises(ValueError, match="not numeric"):
             load_questions(path)
 
+    def test_gold_of_more_digits_than_int_converts_names_its_line(self, tmp_path):
+        path = tmp_path / "q.jsonl"
+        self.write(path, [{"id": "a", "text": "t", "gold_answer": "1" * 4300},
+                          {"id": "b", "text": "t", "gold_answer": "1" * 4301}])
+        with pytest.raises(ValueError) as info:
+            load_questions(path)
+        assert str(info.value) == f"{path}: line 2: gold answer {'1' * 4301!r} is not numeric"
+
     def test_non_letter_gold_rejected(self, tmp_path):
         path = tmp_path / "q.jsonl"
         self.write(path, [{"id": "a", "text": "t", "gold_answer": "B"},
@@ -217,6 +225,20 @@ class TestLoadQuestions:
             # what the gold_number property computes for a Question built directly
             assert [q.gold_number for q in questions] == list(map(real, golds))
             assert calls == golds * n
+
+
+class TestGoldNumber:
+    def test_question_built_directly_normalizes_its_gold_on_first_use_once(self,
+                                                                          monkeypatch):
+        calls = []
+        real = verify.normalize_numeric
+        monkeypatch.setattr(verify, "normalize_numeric",
+                            lambda s: calls.append(s) or real(s))
+        question = Question(id="q1", text="t", gold_answer="0.50")
+        assert calls == [] and "gold_number" not in vars(question)
+        assert question.gold_number == real("0.50")
+        assert question.gold_number == real("0.50")
+        assert calls == ["0.50"]
 
 
 class TestGrouping:

@@ -7,15 +7,23 @@ exception with the same message, on every input.
 """
 
 import json
-from dataclasses import is_dataclass
+from dataclasses import dataclass, field, fields, is_dataclass
+from typing import ClassVar, Optional
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from batchcot import records
+from batchcot.client import ExperimentRow
 from batchcot.harness import EvalAggregate
-from batchcot.parsing import ChainOrigin, CompletionRecord, ReasoningChain, SamplingParams
+from batchcot.parsing import (
+    WHITESPACE,
+    ChainOrigin,
+    CompletionRecord,
+    ReasoningChain,
+    SamplingParams,
+)
 from batchcot.preference import PreferenceSample
 from batchcot.prompts import BATCH, VANILLA, PromptEnvelope, Question, load_questions
 from batchcot.records import from_dict, read_jsonl, to_dict, write_jsonl
@@ -160,11 +168,101 @@ ROWS = st.recursive(
     max_leaves=12).map(lambda value: {"row": value})
 
 
+def reference_chain_row(chain) -> dict:
+    """A chain's row as write_chains built it before rows were compiled: its
+    fields plus its token scheme; verdict once graded."""
+    d = to_dict(chain)
+    if chain.verdict is None:
+        del d["verdict"]
+    d["token_scheme"] = WHITESPACE
+    return d
+
+
+def reference_row(record) -> dict:
+    return reference_chain_row(record) if type(record) is ReasoningChain else to_dict(record)
+
+
+# text with non-ASCII and control characters and lone surrogates
+TEXT = st.text(st.characters(blacklist_categories=())) | st.sampled_from(
+    ["", "\ud800", "a\udfffb", "\x00\x1f\x7f\n\t", "caf\u00e9 \U0001d70b", '"\\{}'])
+# what a float field may hold: a float (NaN and +-inf too), an int or a bool
+NUMBERS = st.floats() | st.integers() | st.booleans()
+COUNTS = st.integers(0, 10 ** 20)
+ENVELOPES = (st.builds(PromptEnvelope, TEXT, st.just(VANILLA), st.just(1), st.tuples(TEXT))
+             | st.integers(2, 4).flatmap(lambda k: st.builds(
+                 PromptEnvelope, TEXT, st.just(BATCH), st.just(k),
+                 st.lists(TEXT, min_size=k, max_size=k).map(tuple))))
+ORIGINS = (st.builds(ChainOrigin, st.just(VANILLA), st.integers(1, 3), st.integers(1, 3))
+           | st.integers(1, 4).flatmap(lambda k: st.builds(
+               ChainOrigin, st.just(BATCH), st.just(k), st.integers(1, k))))
+RECORD_VALUES = st.one_of(
+    st.builds(CompletionRecord, ENVELOPES, TEXT, COUNTS, st.none() | COUNTS,
+              st.builds(SamplingParams, NUMBERS, st.integers(), st.none() | st.integers()),
+              TEXT),
+    st.builds(ReasoningChain, TEXT, TEXT, ORIGINS, st.none() | TEXT, st.none() | TEXT,
+              st.none() | COUNTS),
+    st.builds(PreferenceSample, TEXT, TEXT, st.sampled_from(["A", "B", "C"]),
+              st.dictionaries(TEXT, JSON_VALUES, max_size=4)),
+    st.builds(ExperimentRow, *[st.integers()] * 4, *[st.none() | NUMBERS] * 3,
+              st.integers(), st.integers()),
+)
+
+
+@st.composite
+def record_values(draw):
+    """A record, some of whose plain fields may hold a value of any JSON type
+    (an empty tuple too), as a record built by hand could."""
+    record = draw(RECORD_VALUES)
+    for f in fields(record):
+        if not is_dataclass(getattr(record, f.name)) and draw(st.integers(0, 4)) == 0:
+            object.__setattr__(record, f.name, draw(st.just(()) | JSON_VALUES | TEXT))
+    return record
+
+
+@dataclass
+class Sparse:
+    # fields out of key order; a, c and e are omitted while None
+    e: Optional[str] = field(default=None, metadata=records.OMITTED_WHILE_NONE)
+    c: Optional[int] = field(default=None, metadata=records.OMITTED_WHILE_NONE)
+    b: int = 0
+    a: Optional[int] = field(default=None, metadata=records.OMITTED_WHILE_NONE)
+    d: ClassVar[str] = "\u00e9{}"
+
+
+@dataclass
+class Hidden:
+    a: Optional[int] = field(default=None, metadata=records.OMITTED_WHILE_NONE)
+
+
 class TestWriteJsonl:
     @settings(max_examples=300, deadline=None)
     @given(ROWS)
     def test_line_is_json_dumps_sort_keys(self, row):
         assert records._encode(row) == json.dumps(row, sort_keys=True)
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(record_values(), max_size=3))
+    def test_record_line_is_json_dumps_of_its_row(self, tmp_path_factory, rows):
+        # write_chains, write_completions, write_samples and the experiment
+        # rows write records with no dict built
+        path = tmp_path_factory.getbasetemp() / "records.jsonl"
+        write_jsonl(path, rows)
+        assert path.read_bytes() == "".join(
+            json.dumps(reference_row(r), sort_keys=True) + "\n" for r in rows).encode("utf-8")
+
+    @pytest.mark.parametrize("first", [None, 1])
+    @pytest.mark.parametrize("middle", [None, False])
+    @pytest.mark.parametrize("last", [None, "z"])
+    def test_omitted_keys_and_class_constants(self, first, middle, last):
+        # an omitted key before, between or after the keys always written
+        row = Sparse(e=last, c=middle, b=2, a=first)
+        want = {"a": first, "b": 2, "c": middle, "d": "\u00e9{}", "e": last}
+        assert records._encoder(Sparse)(row) == json.dumps(
+            {k: v for k, v in want.items() if v is not None}, sort_keys=True)
+
+    def test_a_row_needs_a_key_always_written(self):
+        with pytest.raises(TypeError, match="a Hidden row has no key that is always written"):
+            records._encoder(Hidden)
 
     @pytest.mark.parametrize("c_encoder", [True, False], ids=["c", "python"])
     def test_file_bytes(self, tmp_path, monkeypatch, c_encoder):

@@ -73,6 +73,25 @@ class TestNormalize:
         c = normalize_numeric("14/-4")
         assert type(c) is Fraction and (c.numerator, c.denominator) == (-7, 2)
 
+    @given(st.text("0123456789", min_size=1, max_size=60)
+           | st.sampled_from(["0", "7", "007", "0000", "9" * 4300]))
+    def test_ascii_digits_read_as_the_full_rule_reads_them(self, digits):
+        # spaces around them send the digits through the full rule
+        got = normalize_numeric(digits)
+        assert type(got) is Fraction and got == normalize_numeric(f" {digits} ")
+
+    @pytest.mark.parametrize("text", ["1" * 4301, " " + "1" * 5000, "-" + "1" * 5000,
+                                      "1," + "1" * 5000, "0." + "1" * 5000,
+                                      "1" * 5000 + "/2", "1/" + "1" * 5000,
+                                      "\\frac{1}{" + "1" * 5000 + "}",
+                                      "\\boxed{" + "1" * 5000 + "}"],
+                             ids=["integer", "spaced", "negative", "grouped", "decimal",
+                                  "numerator", "denominator", "frac", "boxed"])
+    def test_more_digits_than_int_converts_is_none(self, text):
+        # int() converts at most 4300 digits; the limit is not raised
+        assert normalize_numeric(text) is None
+        assert normalize_numeric("1" * 4300) == int("1" * 4300)
+
     def test_idempotent_on_rendering(self):
         # a Fraction's own str is a surface form normalize_numeric reads back
         for s in ("\\frac{6}{8}", "1,234", "0.500", "-17", "2/4"):
@@ -171,6 +190,9 @@ class TestGrade:
         with pytest.raises(ValueError, match="not numeric"):
             grade(make_chain("42"), q)
 
+    def test_answer_of_more_digits_than_int_converts_unparseable(self):
+        assert grade(make_chain("1" * 5000), self.Q) == UNPARSEABLE
+
     def test_gold_normalized_once_per_question(self, tmp_path, monkeypatch):
         calls = []
         monkeypatch.setattr(verify, "normalize_numeric",
@@ -215,8 +237,10 @@ class TestChoiceLetterGrading:
 
 # questions q0..q3 with numeric and letter golds; a chain may name the unknown q9
 GOLDS = {NUMERIC: ("42", "1/2", "0.75", "-3"), CHOICE_LETTER: ("A", "b", "(C)", "D")}
+# every gold string is a prediction too: equal strings are graded at once
 PREDICTIONS = st.one_of(st.none(), st.sampled_from(
-    ["42", "0.5", "3/4", "-3", "7", "A", "B", "\\boxed{c}", "(d).", "x", ""]))
+    ["42", "0.5", "3/4", "-3", "7", "A", "B", "\\boxed{c}", "(d).", "x", ""]
+    + [g for golds in GOLDS.values() for g in golds]))
 
 
 class TestGradeChains:
@@ -255,6 +279,14 @@ class TestGradeChains:
         q = Question(id="q1", text="t", gold_answer="not-a-letter")
         with pytest.raises(ValueError, match="'not-a-letter' is not a choice letter"):
             grade_chains([make_chain(predicted)], [q], CHOICE_LETTER)
+
+    @pytest.mark.parametrize("kind, gold", [(NUMERIC, "forty-two"), (NUMERIC, "1" * 5000),
+                                            (CHOICE_LETTER, "not-a-letter")],
+                             ids=["numeric", "long-numeric", "letter"])
+    def test_bad_gold_raises_before_an_equal_prediction(self, kind, gold):
+        q = Question(id="q1", text="t", gold_answer=gold)
+        with pytest.raises(ValueError, match="gold answer .* is not "):
+            grade_chains([make_chain(gold)], [q], kind)
 
     def test_unknown_answer_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown answer kind"):
