@@ -183,6 +183,15 @@ def _marker_spans(pattern, text: str) -> list:
     return spans
 
 
+def _position(digits: str) -> int:
+    """int(digits), or 0, which is no position, for a run of more digits than
+    int() converts (sys.get_int_max_str_digits(), 4300 by default)."""
+    try:
+        return int(digits)
+    except ValueError:
+        return 0
+
+
 def _final_answers(text: str, k: int, finals: list) -> dict:
     """{position: answer} after the last of the final-answer marker spans `finals`."""
     if not finals:
@@ -191,7 +200,7 @@ def _final_answers(text: str, k: int, finals: list) -> dict:
     entries = {}
     last = 0
     for m in _ENTRY_RE.finditer(tail):
-        pos = int(m.group(1))
+        pos = _position(m.group(1))
         parsed = _boxed_content_at(tail, m.end())
         if parsed is None:
             continue
@@ -239,7 +248,7 @@ def split_batch_chains(record: CompletionRecord) -> list:
     expected = 1
     # In "\n" + region a match starts at the offset in region of its line.
     for m in _HEADING_RE.finditer("\n" + region):
-        if int(m.group(1)) == expected:
+        if _position(m.group(1)) == expected:
             marks.append(m.start())
             expected += 1
             if expected > k:

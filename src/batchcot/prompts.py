@@ -151,21 +151,20 @@ def load_questions(path, answer_kind: str = "numeric") -> list:
         for lineno, line in enumerate(fh, 1):
             if line.isspace():
                 continue
+            where = f"{path}: line {lineno}"
             try:
                 q = from_dict(Question, json.loads(line))
             except (TypeError, KeyError, ValueError) as exc:
-                raise named_error(f"{path}: line {lineno}", exc) from exc
+                raise named_error(where, exc) from exc
             if q.id in seen:
-                fault = f"duplicate question id {q.id!r}"
-            elif answer_kind == NUMERIC and q.gold_number is None:
-                fault = f"gold answer {q.gold_answer!r} is not numeric"
-            elif answer_kind != NUMERIC and normalize_letter(q.gold_answer) is None:
-                fault = f"gold answer {q.gold_answer!r} is not a choice letter"
-            else:
-                seen.add(q.id)
-                questions.append(q)
-                continue
-            raise ValueError(f"{path}: line {lineno}: {fault}")
+                raise ValueError(f"{where}: duplicate question id {q.id!r}")
+            seen.add(q.id)
+            if answer_kind == NUMERIC and q.gold_number is None:
+                raise ValueError(f"{where}: gold answer {q.gold_answer!r} is not numeric")
+            if answer_kind != NUMERIC and normalize_letter(q.gold_answer) is None:
+                raise ValueError(f"{where}: gold answer "
+                                 f"{q.gold_answer!r} is not a choice letter")
+            questions.append(q)
     return questions
 
 

@@ -185,23 +185,23 @@ def _encoder(cls):
         if typing.get_origin(hint) is typing.ClassVar:
             env[f"const_{name}"] = _encode(getattr(cls, name))
             items.append((name, f"const_{name}", None))
-    if all(omitted for _, _, omitted in items):
-        raise TypeError(f"a {cls.__name__} row has no key that is always written")
-    # an omitted key's separator goes on the side of a key always written
-    template, optional, written = [], [], False
-    for key, value, omitted in sorted(items):
-        item = f"{json.encoder.encode_basestring_ascii(key)}: {{{value}}}"
+    items.sort()
+    # each key's piece holds the separator before it, so an omitted key's
+    # separator goes with it; the first key is always written, and [2:] below
+    # cuts its separator off
+    assert items[0][2] is None, f"a {cls.__name__} row's first key is omitted while None"
+    template, optional = [], []
+    for key, value, omitted in items:
+        item = f", {json.encoder.encode_basestring_ascii(key)}: {{{value}}}"
         if omitted is None:
-            template.append(f", {item}" if written else item)
-            written = True
+            template.append(item)
         else:
-            piece = f", {item}" if written else f"{item}, "
-            optional.append(f"    p{omitted} = '' if {omitted} is None else f{piece!r}\n")
+            optional.append(f"    p{omitted} = '' if {omitted} is None else f{item!r}\n")
             template.append(f"{{p{omitted}}}")
     # repr quotes the text between the braces; the replacement fields hold no
     # quote or backslash, which an f-string could not hold there before 3.12
     source = ("def encode(row):\n" + "".join(reads) + "".join(optional)
-              + f"    return f{'{{' + ''.join(template) + '}}'!r}\n")
+              + f"    return f{'{{' + ''.join(template)[2:] + '}}'!r}\n")
     exec(source, env)
     return env["encode"]
 

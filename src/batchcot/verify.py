@@ -51,9 +51,6 @@ def normalize_numeric(s: str) -> Optional[Fraction]:
     if s is None:
         return None
     try:
-        # ASCII digits alone: what the rule below gives them, at once
-        if s.isdigit() and s.isascii():
-            return Fraction(int(s))
         s = s.strip()
         s = _strip_boxed(s).strip()
         s = s.strip("$").strip()
@@ -111,10 +108,7 @@ def normalize_letter(s) -> Optional[str]:
 
 def grade(chain: ReasoningChain, q: Question, answer_kind: str = NUMERIC) -> str:
     """Correctness verdict for a chain's predicted answer against the gold:
-    both normalize by the rule of `answer_kind`, and are compared with ==.
-
-    A checked gold is correct at once for a predicted string equal to it.
-    """
+    both normalize by the rule of `answer_kind`, and are compared with ==."""
     if chain.question_id != q.id:
         raise ValueError(
             f"chain question id {chain.question_id!r} does not match {q.id!r}"
@@ -126,8 +120,6 @@ def grade(chain: ReasoningChain, q: Question, answer_kind: str = NUMERIC) -> str
         gold = normalize_letter(q.gold_answer)
     if gold is None:
         raise ValueError(f"gold answer {q.gold_answer!r} is not {what}")
-    if chain.predicted_answer == q.gold_answer:
-        return CORRECT  # equal strings normalize to equal values
     predicted = normalize(chain.predicted_answer)
     if predicted is None:
         return UNPARSEABLE

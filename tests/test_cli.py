@@ -1224,6 +1224,34 @@ class TestExitCodes:
                      "--out", str(prefs)]) == 0
         assert read_jsonl(prefs, PreferenceSample)[0].gold_label == "C"
 
+    def test_number_of_more_digits_than_int_converts_is_no_position(self, tmp_path):
+        # int() refuses more than 4300 digits; a heading or answer entry of
+        # that many is never a position 1..k, so split and batch-experiment go on
+        corpus, mock = tmp_path / "questions.jsonl", tmp_path / "mock"
+        questions = pf.make_corpus(4)
+        write_corpus(corpus, questions)
+        long = "1" * 5000
+        script = MockBackend()
+        for grp in shuffle_and_group(questions, 2, group="sequential"):
+            text = pf.batch_response(grp, 2)
+            text = text.replace("[Solution Process]\n", f"[Solution Process]\n{long}. x\n")
+            text = text.replace("[Final Answer]\n", f"[Final Answer]\n{long}. \\boxed{{0}}\n")
+            script.add(build_prompt(grp).text, text)
+        pf.write_script_dir(script, mock)
+        common = ["--questions", str(corpus), "--batch-size", "2",
+                  "--group", "sequential", "--mock", str(mock)]
+        assert main(["gen", "--out-dir", str(tmp_path / "gen")] + common) == 0
+        chains = tmp_path / "chains.jsonl"
+        assert main(["split", "--in", str(tmp_path / "gen" / "completions_k2.jsonl"),
+                     "--out", str(chains)]) == 0
+        assert ([c.predicted_answer for c in parsing.read_chains(chains)]
+                == [pf._answer(q, 2) for q in questions])
+        exp = tmp_path / "exp"
+        assert main(["batch-experiment", "--out-dir", str(exp)] + common) == 0
+        [row] = [json.loads(line)
+                 for line in (exp / "experiment.jsonl").read_text().splitlines()]
+        assert (row["n_graded"], row["n_unsplittable"]) == (4, 0)
+
     def test_label_on_chain_of_unknown_kind(self, workspace, tmp_path, capsys):
         bad = tmp_path / "chains.jsonl"
         bad.write_text(json.dumps({"question_id": "q000", "text": "t",

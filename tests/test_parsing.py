@@ -180,6 +180,11 @@ class TestParseFinalAnswers:
         rec = batch_record("[Final Answer]\n1. \\boxed{3}", k=3)
         assert parse_final_answers(rec) == {1: "3"}
 
+    def test_entry_of_more_digits_than_int_converts_is_no_position(self):
+        # int() refuses more than 4300 digits; such a number is never 1..k
+        text = "[Final Answer]\n" + "1" * 5000 + ". \\boxed{1}\n1. \\boxed{3}\n2. \\boxed{9}"
+        assert parse_final_answers(batch_record(text)) == {1: "3", 2: "9"}
+
     def test_requires_batch_mode(self):
         with pytest.raises(ValueError):
             parse_final_answers(vanilla_record("\\boxed{1}"))
@@ -245,6 +250,14 @@ class TestSplitBatchChains:
         text = "1. final \\boxed{3}\n2. intermediate \\boxed{9}, so final \\boxed{4}"
         chains = split_batch_chains(batch_record(text))
         assert [c.predicted_answer for c in chains] == ["3", "4"]
+
+    def test_heading_of_more_digits_than_int_converts_is_no_heading(self):
+        long_heading = "1" * 5000 + ". x\n"
+        text = ("[Solution Process]\n" + long_heading + "1. a \\boxed{1}\n2. b \\boxed{2}\n"
+                "[Final Answer]\n1. \\boxed{3}\n2. \\boxed{4}\n")
+        chains = split_batch_chains(batch_record(text))
+        assert [c.predicted_answer for c in chains] == ["3", "4"]
+        assert chains[0].text.startswith("\n" + long_heading)
 
     def test_requires_batch_mode(self):
         with pytest.raises(ValueError):

@@ -7,8 +7,7 @@ exception with the same message, on every input.
 """
 
 import json
-from dataclasses import dataclass, field, fields, is_dataclass
-from typing import ClassVar, Optional
+from dataclasses import fields, is_dataclass
 
 import pytest
 from hypothesis import given, settings
@@ -219,21 +218,6 @@ def record_values(draw):
     return record
 
 
-@dataclass
-class Sparse:
-    # fields out of key order; a, c and e are omitted while None
-    e: Optional[str] = field(default=None, metadata=records.OMITTED_WHILE_NONE)
-    c: Optional[int] = field(default=None, metadata=records.OMITTED_WHILE_NONE)
-    b: int = 0
-    a: Optional[int] = field(default=None, metadata=records.OMITTED_WHILE_NONE)
-    d: ClassVar[str] = "\u00e9{}"
-
-
-@dataclass
-class Hidden:
-    a: Optional[int] = field(default=None, metadata=records.OMITTED_WHILE_NONE)
-
-
 class TestWriteJsonl:
     @settings(max_examples=300, deadline=None)
     @given(ROWS)
@@ -249,20 +233,6 @@ class TestWriteJsonl:
         write_jsonl(path, rows)
         assert path.read_bytes() == "".join(
             json.dumps(reference_row(r), sort_keys=True) + "\n" for r in rows).encode("utf-8")
-
-    @pytest.mark.parametrize("first", [None, 1])
-    @pytest.mark.parametrize("middle", [None, False])
-    @pytest.mark.parametrize("last", [None, "z"])
-    def test_omitted_keys_and_class_constants(self, first, middle, last):
-        # an omitted key before, between or after the keys always written
-        row = Sparse(e=last, c=middle, b=2, a=first)
-        want = {"a": first, "b": 2, "c": middle, "d": "\u00e9{}", "e": last}
-        assert records._encoder(Sparse)(row) == json.dumps(
-            {k: v for k, v in want.items() if v is not None}, sort_keys=True)
-
-    def test_a_row_needs_a_key_always_written(self):
-        with pytest.raises(TypeError, match="a Hidden row has no key that is always written"):
-            records._encoder(Hidden)
 
     @pytest.mark.parametrize("c_encoder", [True, False], ids=["c", "python"])
     def test_file_bytes(self, tmp_path, monkeypatch, c_encoder):

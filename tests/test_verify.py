@@ -76,7 +76,7 @@ class TestNormalize:
     @given(st.text("0123456789", min_size=1, max_size=60)
            | st.sampled_from(["0", "7", "007", "0000", "9" * 4300]))
     def test_ascii_digits_read_as_the_full_rule_reads_them(self, digits):
-        # spaces around them send the digits through the full rule
+        # leading zeros and long runs read as an integer, with or without spaces
         got = normalize_numeric(digits)
         assert type(got) is Fraction and got == normalize_numeric(f" {digits} ")
 
@@ -237,7 +237,7 @@ class TestChoiceLetterGrading:
 
 # questions q0..q3 with numeric and letter golds; a chain may name the unknown q9
 GOLDS = {NUMERIC: ("42", "1/2", "0.75", "-3"), CHOICE_LETTER: ("A", "b", "(C)", "D")}
-# every gold string is a prediction too: equal strings are graded at once
+# every gold string is a prediction too: an equal string grades correct
 PREDICTIONS = st.one_of(st.none(), st.sampled_from(
     ["42", "0.5", "3/4", "-3", "7", "A", "B", "\\boxed{c}", "(d).", "x", ""]
     + [g for golds in GOLDS.values() for g in golds]))
