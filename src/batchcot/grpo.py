@@ -26,7 +26,7 @@ from batchcot.grpo_modes import (
     SAMPLED,
     GrpoConfig,
 )
-from batchcot.preference import LABELS, PreferenceSample, label_sample
+from batchcot.preference import LABELS, PreferenceSample, Provenance, label_sample
 from batchcot.prompts import BATCH, VANILLA
 
 FEATURE_DIM = 4
@@ -240,7 +240,7 @@ def feature_matrix(samples) -> np.ndarray:
         [
             1.0,
             tokens / mean_tokens if mean_tokens > 0 else 0.0,
-            1.0 if s.provenance.get("origin_kind") == VANILLA else 0.0,
+            1.0 if s.provenance.origin_kind == VANILLA else 0.0,
             (1.0 if s.gold_label != "C" else -1.0) + 0.3 * _hash_noise(s),
         ]
         for s, tokens in zip(samples, counts)
@@ -269,12 +269,8 @@ def make_toy_dataset(n: int = 1000, seed: int = 0) -> list:
                 question=f"toy question {i}",
                 cot=cot,
                 gold_label=label_sample(origin_kind, verdict),
-                provenance={
-                    "origin_kind": origin_kind,
-                    "batch_size": 1 if origin_kind == VANILLA else 2,
-                    "position": 1,
-                    "question_id": f"toy-{i}",
-                },
+                provenance=Provenance(origin_kind, 1 if origin_kind == VANILLA else 2,
+                                      1, f"toy-{i}"),
             )
         )
     return samples

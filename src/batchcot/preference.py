@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import ClassVar
 
 from batchcot import verify
 from batchcot.prompts import BATCH, VANILLA
@@ -33,16 +34,25 @@ PAIRED = "paired"
 
 
 @dataclass(frozen=True)
+class Provenance:
+    """The chain a sample was built from."""
+
+    origin_kind: str  # VANILLA or BATCH
+    batch_size: int
+    position: int
+    question_id: str
+
+
+@dataclass(frozen=True)
 class PreferenceSample:
     question: str
     cot: str
     gold_label: str
-    provenance: dict
-    options: tuple = field(default=OPTIONS)
+    provenance: Provenance
+    # the three answer sentences, named in every sample row
+    options: ClassVar[tuple] = OPTIONS
 
     def __post_init__(self):
-        if self.options != OPTIONS:
-            raise ValueError("option strings must match the canonical sentences")
         if self.gold_label not in LABELS:
             raise ValueError(f"gold label must be one of {LABELS}")
 
@@ -85,12 +95,8 @@ def build_dataset(chains, questions, seed: int = 0, mode: str = PER_CHAIN):
                 question=q.text,
                 cot=chain.text,
                 gold_label=label_sample(chain.origin.kind, chain.verdict),
-                provenance={
-                    "origin_kind": chain.origin.kind,
-                    "batch_size": chain.origin.size,
-                    "position": chain.origin.position,
-                    "question_id": chain.question_id,
-                },
+                provenance=Provenance(chain.origin.kind, chain.origin.size,
+                                      chain.origin.position, chain.question_id),
             )
         )
     random.Random(seed).shuffle(samples)
@@ -100,7 +106,7 @@ def build_dataset(chains, questions, seed: int = 0, mode: str = PER_CHAIN):
         "seed": seed,
         "mode": mode,
         "n_samples": len(samples),
-        "n_questions": len({s.provenance["question_id"] for s in samples}),
+        "n_questions": len({s.provenance.question_id for s in samples}),
         "label_counts": {label: counts.get(label, 0) for label in LABELS},
         "template_version": JUDGE_TEMPLATE_VERSION,
     }

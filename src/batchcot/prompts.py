@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 from typing import Union
 
-from batchcot.records import from_dict, named_error
+from batchcot.records import numbered_records
 
 VANILLA = "vanilla"
 BATCH = "batch"
@@ -137,34 +136,28 @@ def build_prompt(questions) -> PromptEnvelope:
 
 
 def load_questions(path, answer_kind: str = "numeric") -> list:
-    """Read a Question corpus from JSONL, as records.read_jsonl reads records.
+    """Read a Question corpus from JSONL through read_jsonl's line loop.
 
     Blank lines are skipped and an id may occur once. Each gold answer is
     checked by the rule of `answer_kind`, verify.NUMERIC or CHOICE_LETTER; a
-    numeric gold is normalized once, into its gold_number.
+    numeric gold is normalized once, into its gold_number. The first fault
+    in line order, in a line's data or in these checks, is the one raised.
     """
     # imported here: verify imports prompts
     from batchcot.verify import NUMERIC, normalize_letter
 
     questions, seen = [], set()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            if line.isspace():
-                continue
-            where = f"{path}: line {lineno}"
-            try:
-                q = from_dict(Question, json.loads(line))
-            except (TypeError, KeyError, ValueError) as exc:
-                raise named_error(where, exc) from exc
-            if q.id in seen:
-                raise ValueError(f"{where}: duplicate question id {q.id!r}")
-            seen.add(q.id)
-            if answer_kind == NUMERIC and q.gold_number is None:
-                raise ValueError(f"{where}: gold answer {q.gold_answer!r} is not numeric")
-            if answer_kind != NUMERIC and normalize_letter(q.gold_answer) is None:
-                raise ValueError(f"{where}: gold answer "
-                                 f"{q.gold_answer!r} is not a choice letter")
-            questions.append(q)
+    for lineno, q in numbered_records(path, Question):
+        if q.id in seen:
+            raise ValueError(f"{path}: line {lineno}: duplicate question id {q.id!r}")
+        seen.add(q.id)
+        if answer_kind == NUMERIC and q.gold_number is None:
+            raise ValueError(f"{path}: line {lineno}: gold answer "
+                             f"{q.gold_answer!r} is not numeric")
+        if answer_kind != NUMERIC and normalize_letter(q.gold_answer) is None:
+            raise ValueError(f"{path}: line {lineno}: gold answer "
+                             f"{q.gold_answer!r} is not a choice letter")
+        questions.append(q)
     return questions
 
 

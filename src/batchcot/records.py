@@ -21,21 +21,24 @@ def _accepts(hint) -> tuple:
 
 @functools.cache
 def _schema(cls) -> tuple:
-    """Type hints of a dataclass, resolved once: (fields, nested).
+    """Type hints of a dataclass, resolved once: (fields, nested, constants).
 
-    fields holds (name, required, convert, accepts) per init field, where
-    convert is the field's dataclass type, tuple, or None; nested names the
-    fields whose type is a dataclass.
+    fields holds (name, required, convert, accepts) per field, in field
+    order, where convert is the field's dataclass type, tuple, or None;
+    nested names the fields whose type is a dataclass, and constants holds
+    (name, value) per ClassVar. _decoder and _encoder are compiled from it.
     """
     hints = typing.get_type_hints(cls)
     plan = []
     for f in fields(cls):
-        if f.init:
-            hint = hints[f.name]
-            convert = hint if is_dataclass(hint) or hint is tuple else None
-            plan.append((f.name, f.default is MISSING and f.default_factory is MISSING,
-                         convert, _accepts(hint)))
-    return tuple(plan), tuple(name for name, _, c, _ in plan if c not in (None, tuple))
+        hint = hints[f.name]
+        convert = hint if is_dataclass(hint) or hint is tuple else None
+        plan.append((f.name, f.default is MISSING and f.default_factory is MISSING,
+                     convert, _accepts(hint)))
+    constants = tuple((name, getattr(cls, name)) for name, hint in hints.items()
+                      if typing.get_origin(hint) is typing.ClassVar)
+    return (tuple(plan), tuple(name for name, _, c, _ in plan if c not in (None, tuple)),
+            constants)
 
 
 def to_dict(obj) -> dict:
@@ -60,65 +63,47 @@ def from_dict(cls, d: dict):
     return _decoder(cls)(d)
 
 
-def _checked_from_dict(cls, d):
-    """from_dict one field at a time, raising the first error in field order."""
-    if type(d) is not dict:
-        raise TypeError(f"{type(d).__name__} is not a JSON object")
-    kwargs = {}
-    for name, required, convert, accepts in _schema(cls)[0]:
-        if not required and name not in d:
-            continue
-        value = d[name]
-        # exact types, so a JSON true or false is not taken for a number
-        if type(value) not in accepts:
-            raise TypeError(f"{name} is {type(value).__name__}, not "
-                            + " or ".join(t.__name__ for t in accepts))
-        if convert is tuple:
-            value = tuple(value)
-        elif convert is not None:
-            value = from_dict(convert, value)
-        kwargs[name] = value
-    return cls(**kwargs)
-
-
-# what a missing key reads as: no field's hint takes type object
-_ABSENT = object()
-
-
 @functools.cache
 def _decoder(cls):
     """from_dict for `cls`, compiled from its fields as dataclasses compiles __init__.
 
-    The generated function reads every field with one dict lookup, checks
-    every type in one condition and calls cls with the init fields as
-    positional arguments (no record class has keyword-only fields). It
-    falls back to _checked_from_dict, which raises the error, when a
-    required key is missing or a type is wrong; also when a key whose field
-    has a default factory is missing, which that call fills in.
+    The generated function checks the fields in order and raises the first
+    error itself: a KeyError for a missing required key, a TypeError for a
+    value whose exact type its field's hint does not take (so a JSON true
+    or false is not taken for a number), and a nested record's own error
+    from its decoder. A missing optional key takes the field's default, or
+    its default factory's value, made only then. It calls cls with the
+    fields as positional arguments (no record class has a keyword-only or
+    non-init field).
     """
-    by_name = {f.name: f for f in fields(cls)}
-    env = {"cls": cls, "checked": functools.partial(_checked_from_dict, cls)}
-    reads, checks, args = [], [], []
-    for i, (name, _, convert, accepts) in enumerate(_schema(cls)[0]):
-        default = by_name[name].default
-        env[f"default{i}"] = _ABSENT if default is MISSING else default
+    env = {"cls": cls}
+    lines, args = [], []
+    for i, ((name, required, convert, accepts), f) in enumerate(zip(_schema(cls)[0],
+                                                                    fields(cls))):
+        v = f"v{i}"
         env[f"accepts{i}"] = accepts
-        reads.append(f"    v{i} = d.get({name!r}, default{i})\n")
-        checks.append(f"type(v{i}) not in accepts{i}")
+        read = [f"{v} = d[{name!r}]",
+                f"if type({v}) not in accepts{i}:",
+                f'    raise TypeError(f"{name} is {{type({v}).__name__}}, not '
+                + " or ".join(t.__name__ for t in accepts) + '")']
         if convert is tuple:
-            args.append(f"tuple(v{i})")
+            read.append(f"{v} = tuple({v})")
         elif convert is not None:
             env[f"convert{i}"] = _decoder(convert)
-            args.append(f"convert{i}(v{i})")
+            read.append(f"{v} = convert{i}({v})")
+        if required:
+            lines += read
         else:
-            args.append(f"v{i}")
+            factory = f.default_factory is not MISSING
+            env[f"default{i}"] = f.default_factory if factory else f.default
+            lines += [f"if {name!r} in d:", *(f"    {line}" for line in read),
+                      "else:", f"    {v} = default{i}{'()' if factory else ''}"]
+        args.append(v)
     source = ("def from_dict(d):\n"
               "    if type(d) is not dict:\n"
-              "        return checked(d)\n"
-              + "".join(reads)
-              + f"    if {' or '.join(checks) or 'False'}:\n"
-              "        return checked(d)\n"
-              f"    return cls({', '.join(args)})\n")
+              '        raise TypeError(f"{type(d).__name__} is not a JSON object")\n'
+              + "".join(f"    {line}\n" for line in lines)
+              + f"    return cls({', '.join(args)})\n")
     exec(source, env)
     return env["from_dict"]
 
@@ -161,30 +146,28 @@ def _encoder(cls):
     name still writes what json.dumps writes); a dataclass field by its
     class's encoder. A field with OMITTED_WHILE_NONE metadata has no key
     while its value is None, and each ClassVar of `cls` is a key with its
-    value as a constant.
+    value, written once by json.dumps, as a constant.
     """
     if not is_dataclass(cls):
         return None
-    hints = typing.get_type_hints(cls)
+    plan, _, constants = _schema(cls)
     env = {"enc": _encode, "esc": json.encoder.encode_basestring_ascii, "NULL": "null"}
     reads, items = [], []  # items: (key, value expression, its variable if omitted)
-    for i, f in enumerate(fields(cls)):
-        hint, v = hints[f.name], f"v{i}"
-        reads.append(f"    {v} = row.{f.name}\n")
-        if is_dataclass(hint):
-            env[f"encode{i}"] = _encoder(hint)
+    for i, ((name, _, convert, accepts), f) in enumerate(zip(plan, fields(cls))):
+        v = f"v{i}"
+        reads.append(f"    {v} = row.{name}\n")
+        if convert not in (None, tuple):
+            env[f"encode{i}"] = _encoder(convert)
             value = f"encode{i}({v})"
         else:
-            accepts = _accepts(hint)
             value = "".join(fast for t, fast in (
                 (str, f"esc({v}) if type({v}) is str else "),
                 (int, f"{v} if type({v}) is int else "),
                 (type(None), f"NULL if {v} is None else ")) if t in accepts) + f"enc({v})"
-        items.append((f.name, value, v if f.metadata.get("omitted_while_none") else None))
-    for name, hint in hints.items():
-        if typing.get_origin(hint) is typing.ClassVar:
-            env[f"const_{name}"] = _encode(getattr(cls, name))
-            items.append((name, f"const_{name}", None))
+        items.append((name, value, v if f.metadata.get("omitted_while_none") else None))
+    for name, value in constants:
+        env[f"const_{name}"] = json.dumps(value, sort_keys=True)
+        items.append((name, f"const_{name}", None))
     items.sort()
     # each key's piece holds the separator before it, so an omitted key's
     # separator goes with it; the first key is always written, and [2:] below
@@ -234,22 +217,27 @@ def naming(where: str):
         raise named_error(where, exc) from exc
 
 
-def read_jsonl(path, cls) -> list:
-    """Every non-blank line of a JSONL file as a `cls` record.
+def numbered_records(path, cls):
+    """(line number, `cls` record) for each non-blank line of a JSONL file.
 
-    An error from a line's data is a ValueError naming the path and line.
+    An error from a line's data is a ValueError naming the path and line,
+    raised when the line is reached.
     """
     decode = _decoder(cls)
-    records = []
     with open(path, encoding="utf-8") as fh:
         # a line from a file is never "", so isspace() is `not line.strip()`
         for n, line in enumerate(fh, 1):
             if not line.isspace():
                 try:
-                    records.append(decode(json.loads(line)))
+                    record = decode(json.loads(line))
                 except (TypeError, KeyError, ValueError) as exc:
                     raise named_error(f"{path}: line {n}", exc) from exc
-    return records
+                yield n, record
+
+
+def read_jsonl(path, cls) -> list:
+    """Every non-blank line of a JSONL file as a `cls` record (numbered_records)."""
+    return [record for _, record in numbered_records(path, cls)]
 
 
 def mean(total, count: int) -> typing.Optional[float]:

@@ -26,7 +26,7 @@ from batchcot.parsing import (
     write_chains,
     write_completions,
 )
-from batchcot.preference import PreferenceSample, write_samples
+from batchcot.preference import PreferenceSample, Provenance, write_samples
 from batchcot.prompts import BATCH, VANILLA, PromptEnvelope, load_questions
 from batchcot.records import read_jsonl, write_jsonl
 
@@ -59,7 +59,7 @@ GRADED_CHAIN_LINE = (
 
 SAMPLE = PreferenceSample(
     "What is 1+1?", "2 \\boxed{2}", "B",
-    {"origin_kind": "batch", "batch_size": 2, "position": 1, "question_id": "q1"},
+    Provenance(origin_kind="batch", batch_size=2, position=1, question_id="q1"),
 )
 SAMPLE_LINE = (
     r'{"cot": "2 \\boxed{2}", "gold_label": "B", "options": ['

@@ -48,7 +48,7 @@ from batchcot.grpo import (
 )
 from batchcot import parsing, verify
 from batchcot.cli import main
-from batchcot.preference import LABELS, PreferenceSample, label_sample
+from batchcot.preference import LABELS, PreferenceSample, Provenance, label_sample
 from batchcot.prompts import BATCH, VANILLA
 
 
@@ -252,7 +252,7 @@ def reference_feature_matrix(samples) -> np.ndarray:
     mean_tokens = sum(counts) / len(counts)
     return np.array([
         [1.0, tokens / mean_tokens if mean_tokens > 0 else 0.0,
-         1.0 if s.provenance.get("origin_kind") == VANILLA else 0.0,
+         1.0 if s.provenance.origin_kind == VANILLA else 0.0,
          (1.0 if s.gold_label != "C" else -1.0) + 0.3 * grpo._hash_noise(s)]
         for s, tokens in zip(samples, counts)
     ])
@@ -276,12 +276,8 @@ def reference_make_toy_dataset(n: int, seed: int) -> list:
                 question=f"toy question {i}",
                 cot=" ".join(f"step{j}" for j in range(words)),
                 gold_label=label_sample(origin_kind, verdict),
-                provenance={
-                    "origin_kind": origin_kind,
-                    "batch_size": 1 if origin_kind == VANILLA else 2,
-                    "position": 1,
-                    "question_id": f"toy-{i}",
-                },
+                provenance=Provenance(origin_kind, 1 if origin_kind == VANILLA else 2,
+                                      1, f"toy-{i}"),
             )
         )
     return samples

@@ -1,5 +1,6 @@
 import itertools
 import json
+from dataclasses import fields
 
 import pytest
 
@@ -13,6 +14,7 @@ from batchcot.preference import (
     OPTIONS,
     PAIRED,
     PreferenceSample,
+    Provenance,
     build_dataset,
     label_sample,
     write_samples,
@@ -32,6 +34,9 @@ def render_judge_prompt(sample: PreferenceSample) -> str:
         f"C. {OPTION_C}\n\n"
         "Answer with a single letter: A, B, or C."
     )
+
+
+PROVENANCE = Provenance(VANILLA, 1, 1, "q0")
 
 
 def chain(qid, kind, predicted, position=1, size=2, verdict=None):
@@ -75,19 +80,20 @@ class TestOptions:
                             "the thinking is thorough and concise.")
         assert OPTION_C == "The reasoning process is wrong."
 
-    def test_sample_rejects_modified_options(self):
-        with pytest.raises(ValueError):
-            PreferenceSample(
-                question="q", cot="c", gold_label="A",
-                provenance={}, options=(OPTION_A, OPTION_B, "Wrong."),
-            )
+    def test_options_are_no_init_field(self):
+        assert "options" not in {f.name for f in fields(PreferenceSample)}
+        with pytest.raises(TypeError):
+            PreferenceSample(question="q", cot="c", gold_label="A", provenance=PROVENANCE,
+                             options=(OPTION_A, OPTION_B, "Wrong."))
 
     def test_serialized_options_immutable(self, tmp_path):
-        sample = PreferenceSample(question="q", cot="c",
-                                  gold_label="B", provenance={})
+        samples = [PreferenceSample(question=f"q{i}", cot=f"c{i}", gold_label=label,
+                                    provenance=PROVENANCE)
+                   for i, label in enumerate(LABELS)]
         path = tmp_path / "prefs.jsonl"
-        write_samples(path, [sample])
-        assert json.loads(path.read_text())["options"] == list(OPTIONS)
+        write_samples(path, samples)
+        assert [json.loads(row)["options"] for row in path.read_text().splitlines()] == \
+            [list(OPTIONS)] * len(samples)
 
 
 class TestBuildDataset:
@@ -163,7 +169,7 @@ class TestBuildDataset:
         samples, manifest = build_dataset(vanilla + batch, self.questions, mode=PAIRED)
         # only q0 and q1 have both kinds; one chain of each kind
         assert manifest["n_samples"] == 4
-        ids = sorted(s.provenance["question_id"] for s in samples)
+        ids = sorted(s.provenance.question_id for s in samples)
         assert ids == ["q0", "q0", "q1", "q1"]
 
     def test_manifest_fields(self):
@@ -177,7 +183,7 @@ class TestJudgePromptAndIo:
     def test_judge_prompt_contains_everything(self):
         sample = PreferenceSample(question="What is 1+1?",
                                   cot="I think 2.", gold_label="B",
-                                  provenance={})
+                                  provenance=PROVENANCE)
         prompt = render_judge_prompt(sample)
         assert "What is 1+1?" in prompt
         assert "I think 2." in prompt
@@ -188,7 +194,7 @@ class TestJudgePromptAndIo:
         samples = [
             PreferenceSample(question=f"q{i}", cot=f"c{i}",
                              gold_label=LABELS[i % 3],
-                             provenance={"question_id": f"q{i}"})
+                             provenance=Provenance(BATCH, 2, 1 + i % 2, f"q{i}"))
             for i in range(5)
         ]
         path = tmp_path / "prefs.jsonl"
@@ -197,5 +203,5 @@ class TestJudgePromptAndIo:
 
     def test_dict_roundtrip(self):
         sample = PreferenceSample(question="q", cot="c",
-                                  gold_label="C", provenance={"x": 1})
+                                  gold_label="C", provenance=PROVENANCE)
         assert from_dict(PreferenceSample, to_dict(sample)) == sample

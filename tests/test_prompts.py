@@ -156,6 +156,19 @@ class TestLoadQuestions:
             with pytest.raises(ValueError, match=f"line 2: {message}"):
                 load_questions(path)
 
+    def test_first_fault_in_line_order_is_named(self, tmp_path):
+        path = tmp_path / "q.jsonl"
+        row = '{"id": "a", "text": "t", "gold_answer": "1"}\n'
+        for lines, message in (
+                ([row, row, "\n", "not json\n"],
+                 f"{path}: line 2: duplicate question id 'a'"),
+                ([row, "not json\n", "\n", row.replace('"1"', '"2"')],
+                 f"{path}: line 2: JSONDecodeError: Expecting value: line 1 column 1 (char 0)")):
+            path.write_text("".join(lines))
+            with pytest.raises(ValueError) as info:
+                load_questions(path)
+            assert str(info.value) == message
+
     @pytest.mark.parametrize("text, kind", [(["x", "y"], "list"), (7, "int"),
                                             ({"t": "x"}, "dict"), (True, "bool")])
     def test_text_that_is_not_a_string_rejected(self, tmp_path, text, kind):

@@ -23,7 +23,7 @@ from batchcot.parsing import (
     ReasoningChain,
     SamplingParams,
 )
-from batchcot.preference import PreferenceSample
+from batchcot.preference import OPTIONS, PreferenceSample, Provenance
 from batchcot.prompts import BATCH, VANILLA, PromptEnvelope, Question, load_questions
 from batchcot.records import from_dict, read_jsonl, to_dict, write_jsonl
 
@@ -65,7 +65,7 @@ RECORDS = (
     ReasoningChain("q2", "the answer", ChainOrigin(VANILLA), None, None, 2),
     CompletionRecord(PromptEnvelope("Q1?\nQ2?", BATCH, 2, ("q1", "q2")), "1. \\boxed{2}",
                      5, 9, SamplingParams(0.6, 1024, 7), "mock"),
-    PreferenceSample("What is 1+1?", "2 \\boxed{2}", "B", {"question_id": "q1"}),
+    PreferenceSample("What is 1+1?", "2 \\boxed{2}", "B", Provenance(BATCH, 2, 1, "q1")),
     EvalAggregate("AIME 2024", 0.25, 1234.5, 30, 148, 2),
 )
 
@@ -178,7 +178,12 @@ def reference_chain_row(chain) -> dict:
 
 
 def reference_row(record) -> dict:
-    return reference_chain_row(record) if type(record) is ReasoningChain else to_dict(record)
+    """The row a record's line holds: to_dict's, and a sample's options too."""
+    if type(record) is ReasoningChain:
+        return reference_chain_row(record)
+    if type(record) is PreferenceSample:
+        return {**to_dict(record), "options": OPTIONS}
+    return to_dict(record)
 
 
 # text with non-ASCII and control characters and lone surrogates
@@ -201,7 +206,8 @@ RECORD_VALUES = st.one_of(
     st.builds(ReasoningChain, TEXT, TEXT, ORIGINS, st.none() | TEXT, st.none() | TEXT,
               st.none() | COUNTS),
     st.builds(PreferenceSample, TEXT, TEXT, st.sampled_from(["A", "B", "C"]),
-              st.dictionaries(TEXT, JSON_VALUES, max_size=4)),
+              st.builds(Provenance, TEXT | JSON_VALUES, st.integers() | JSON_VALUES,
+                        st.integers() | JSON_VALUES, TEXT | JSON_VALUES)),
     st.builds(ExperimentRow, *[st.integers()] * 4, *[st.none() | NUMBERS] * 3,
               st.integers(), st.integers()),
 )
@@ -243,6 +249,26 @@ class TestWriteJsonl:
         write_jsonl(tmp_path / "rows.jsonl", rows)
         assert (tmp_path / "rows.jsonl").read_bytes() == "".join(
             json.dumps(row, sort_keys=True) + "\n" for row in rows).encode("utf-8")
+
+    def test_sample_and_graded_chain_rows_need_no_generic_encoder(self, tmp_path,
+                                                                  monkeypatch):
+        # every field of a sample row and a graded chain row is a str, an int
+        # or a record, so their compiled encoders never call _encode
+        def refuse(row):
+            raise AssertionError(f"_encode called on {row!r}")
+
+        rows = [RECORDS[3], RECORDS[0]]
+        assert rows[1].verdict is not None
+        records._encoder.cache_clear()
+        monkeypatch.setattr(records, "_encode", refuse)
+        try:
+            for row in rows:
+                write_jsonl(tmp_path / "row.jsonl", [row])
+                assert (tmp_path / "row.jsonl").read_text(encoding="utf-8") == \
+                    json.dumps(reference_row(row), sort_keys=True) + "\n"
+        finally:
+            # the encoders compiled here hold refuse
+            records._encoder.cache_clear()
 
     def test_unserializable_value_fails_and_later_rows_still_encode(self):
         with pytest.raises(TypeError):
