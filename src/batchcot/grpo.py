@@ -61,10 +61,9 @@ def group_advantages(rewards, mode: str = MEAN_STD) -> list:
     MEAN_ONLY is computed in exact rational arithmetic, in integers over
     one common denominator, so the advantages sum to zero exactly; a reward
     is the exact value Fraction(r) takes, and one it does not take raises
-    what it raises. MEAN_STD uses the population standard deviation and
-    returns all zeros for degenerate (constant-reward) groups. Otherwise
-    MEAN_STD is bit for bit (arr - arr.mean()) / arr.std(), from the ufunc
-    calls np.mean and np.std make, without their wrappers.
+    what it raises. MEAN_STD is _mean_std of the rewards as one float
+    vector, a list of np.float64: a reward that is not finite raises
+    ValueError, as MEAN_ONLY raises for it.
     """
     rewards = list(rewards)
     if len(rewards) < 2:
@@ -72,9 +71,10 @@ def group_advantages(rewards, mode: str = MEAN_STD) -> list:
     if mode == MEAN_ONLY:
         return _mean_only(rewards)
     if mode == MEAN_STD:
-        if min(rewards) == max(rewards):
-            return [0.0] * len(rewards)
-        return list(_mean_std(np.asarray(rewards, dtype=float)))
+        arr = np.asarray(rewards, dtype=float)
+        if not np.isfinite(arr).all():
+            raise ValueError(f"MEAN_STD rewards must be finite, got {rewards}")
+        return list(_mean_std(arr))
     raise ValueError(f"unknown advantage mode: {mode!r}")
 
 
@@ -109,14 +109,21 @@ def _mean_only(rewards: list) -> list:
 
 
 def _mean_std(rewards: np.ndarray) -> np.ndarray:
-    """MEAN_STD advantages of nonconstant float rewards, as an array.
+    """MEAN_STD advantages of one group of float rewards (G,) or of a stack
+    of groups (..., G), each group along the last axis.
 
-    The mean and the std are Python floats: IEEE division and the correctly
-    rounded math.sqrt give numpy's scalar bits, without its scalar calls.
+    A group of equal rewards gets zeros: numpy's mean of [0.1] * 3 is not
+    0.1, so a std-based test would normalize rounding error to advantages of
+    -1. Any other group's are bit for bit (arr - arr.mean()) / arr.std(),
+    from the ufunc calls np.mean and np.std make, along the group's own row,
+    so a group in a stack gets the bits it gets alone.
     """
-    n = len(rewards)
-    dev = rewards - float(np.add.reduce(rewards)) / n
-    return dev / math.sqrt(float(np.add.reduce(dev * dev)) / n)
+    n = rewards.shape[-1]
+    dev = rewards - np.add.reduce(rewards, axis=-1, keepdims=True) / n
+    std = np.sqrt(np.add.reduce(dev * dev, axis=-1, keepdims=True) / n)
+    mixed = (np.minimum.reduce(rewards, axis=-1, keepdims=True)
+             < np.maximum.reduce(rewards, axis=-1, keepdims=True))
+    return np.divide(dev, std, out=np.zeros(dev.shape), where=mixed)
 
 
 def _kl_and_logit_grad(p: np.ndarray, log_q: np.ndarray, loss_only: bool = False,
@@ -133,30 +140,31 @@ def _kl_and_logit_grad(p: np.ndarray, log_q: np.ndarray, loss_only: bool = False
     return kl, None if loss_only else p * logratio - p * kl[..., None]
 
 
-def _index_advantages(action_idx: np.ndarray, gold_idx: int, advantage_mode: str):
-    """group_advantages of drawn label indices, each rewarded 1 if it is gold.
+def _weights(action_idx: np.ndarray, gold_idx, advantage_mode: str,
+             objective_mode: str) -> np.ndarray:
+    """Each label's weight w_a in the objective's -sum_a w_a log pi_a: (3,)
+    for one group of drawn label indices (G,) and its gold index, (..., 3)
+    for a stack of groups (..., G) and their gold indices (...).
 
-    MEAN_STD's come as an array, without the list of rewards.
-    """
-    rewards = (action_idx == gold_idx).astype(float)
-    if advantage_mode != MEAN_STD:
-        return group_advantages(rewards.tolist(), advantage_mode)
-    if not 0 < np.add.reduce(rewards) < len(rewards):  # constant rewards
-        return np.zeros(len(rewards))
-    return _mean_std(rewards)
-
-
-def _weights(action_idx, advantages, gold_idx: int, objective_mode: str) -> np.ndarray:
-    """Each label's weight w_a in the objective's -sum_a w_a log pi_a.
-
-    SAMPLED weighs each label by its drawn indices' advantages over G;
+    SAMPLED rewards a drawn index 1 if it is gold, else 0, and weighs each
+    label by its drawn indices' advantages (MEAN_ONLY's Fractions as floats)
+    over G, summed in group order by one bincount with three bins per group.
     PAPER_LITERAL weighs the gold label +1 and the others -1/2.
     """
-    if objective_mode == SAMPLED:
-        return np.bincount(action_idx, advantages, len(LABELS)) / len(action_idx)
-    w = np.full(len(LABELS), -0.5)
-    w[gold_idx] = 1.0
-    return w
+    gold_idx = np.asarray(gold_idx)
+    if objective_mode != SAMPLED:
+        return np.where(np.arange(len(LABELS)) == gold_idx[..., None], 1.0, -0.5)
+    labels, groups, size = len(LABELS), gold_idx.size, action_idx.shape[-1]
+    rewards = (action_idx == gold_idx[..., None]).astype(float)
+    if advantage_mode == MEAN_STD:
+        advantages = _mean_std(rewards)
+    else:
+        rows = rewards.reshape(groups, size).tolist()
+        advantages = np.array([group_advantages(r, advantage_mode) for r in rows], dtype=float)
+    # group g's labels in bins 3g, 3g + 1 and 3g + 2
+    bins = action_idx + np.arange(0, labels * groups, labels).reshape(*gold_idx.shape, 1)
+    w = np.bincount(bins.ravel(), advantages.ravel(), labels * groups)
+    return w.reshape(*gold_idx.shape, labels) / size
 
 
 def grpo_loss(pi: np.ndarray, log_ref: np.ndarray, w: np.ndarray, w_sum: np.ndarray,
@@ -165,8 +173,8 @@ def grpo_loss(pi: np.ndarray, log_ref: np.ndarray, w: np.ndarray, w_sum: np.ndar
 
     The loss is -sum_a w_a log pi_a + beta * KL(pi || pi_ref): both objective
     modes are this one weighted log-likelihood over the labels, with w from
-    _weights of the group's drawn label indices. pi is the policy's
-    distribution and log_ref np.log(pi_ref), the log of the frozen
+    _weights of the drawn label indices of one group or a stack. pi is the
+    policy's distribution and log_ref np.log(pi_ref), the log of the frozen
     reference's at the same features; w_sum is np.add.reduce(w, axis=-1,
     keepdims=True). The caller takes both once, since they stay fixed while
     pi moves: train_toy once per run and once per distinct group,
@@ -377,9 +385,7 @@ def train_toy(dataset, cfg: GrpoConfig, seed: int = 0):
             key = gold, action_idx.tobytes()
             weights = group_weights.get(key)
             if weights is None:
-                w = _weights(
-                    action_idx, _index_advantages(action_idx, gold, cfg.advantage_mode),
-                    gold, cfg.objective_mode)
+                w = _weights(action_idx, gold, cfg.advantage_mode, cfg.objective_mode)
                 w_sum = np.add.reduce(w, axis=-1, keepdims=True)
                 w.flags.writeable = w_sum.flags.writeable = False
                 weights = group_weights[key] = w, w_sum
@@ -447,13 +453,22 @@ def finite_difference_grad(loss_fn: Callable[[np.ndarray], np.ndarray],
 _NON_GOLD = np.array([[i for i in range(len(LABELS)) if i != gold]
                       for gold in range(len(LABELS))])
 
-# gradient_check's configurations: theta, theta_ref - theta and the features
-# are normal draws at these scales, then beta is drawn from _CHECK_BETAS;
-# each objective mode then gets one mixed group of _CHECK_GROUP_SIZE
+# gradient_check's _CHECK_CONFIGS configurations: theta, theta_ref - theta
+# and the features are normal draws at these scales, then beta is drawn from
+# _CHECK_BETAS; each objective mode then gets one mixed group of
+# _CHECK_GROUP_SIZE. Central differences of _CHECK_STEP must agree within a
+# relative error of _CHECK_TOLERANCE. advantage_checks takes every binary
+# reward vector of length 2 to _CHECK_MAX_LENGTH, kl_checks _CHECK_PAIRS
+# generated (p, q) pairs. These are the sizes grpo-check runs
 _THETA_SIZE = FEATURE_DIM * len(LABELS)
 _CHECK_SCALES = np.repeat([0.8, 0.3, 1.0], [_THETA_SIZE, _THETA_SIZE, FEATURE_DIM])
 _CHECK_BETAS = (0.0, 0.01, 0.1)
 _CHECK_GROUP_SIZE = 8
+_CHECK_CONFIGS = 100
+_CHECK_STEP = 1e-5
+_CHECK_TOLERANCE = 1e-6
+_CHECK_MAX_LENGTH = 6
+_CHECK_PAIRS = 1000
 
 
 def _stacked_cdf(p: np.ndarray) -> np.ndarray:
@@ -502,51 +517,26 @@ def _mixed_groups(pi: np.ndarray, gold_idx: np.ndarray, uniforms: np.ndarray,
     return np.take_along_axis(group, perms, axis=-1)
 
 
-def _mixed_group_weights(action_idx: np.ndarray, gold_idx: np.ndarray,
-                         objective_mode: str) -> np.ndarray:
-    """_weights of MEAN_STD advantages, for a stack of mixed groups, one per row.
+def gradient_check(seed: int = 0):
+    """Max relative error between analytic and central-difference gradients,
+    and whether it is under _CHECK_TOLERANCE.
 
-    Row by row these are the bits of _weights(idx, _index_advantages(idx,
-    gold, MEAN_STD), gold, objective_mode): the same reductions along each
-    row, and SAMPLED's label sums taken one group position at a time, in
-    bincount's order. A mixed group's rewards are never constant.
+    Each of _CHECK_CONFIGS random configurations (theta, theta_ref,
+    features, beta) gets one mixed group of 8 per objective mode, with
+    MEAN_STD advantages. The check runs in two phases. First one loop over
+    the configurations draws only raw randoms, in the order a loop drawing
+    each configuration and its groups in turn through rng.normal, rng.choice
+    and rng.permutation reads the stream. Then everything else is computed
+    over the whole stack: the policy distributions, the groups
+    (_mixed_groups), their label weights (one _weights call per objective
+    mode) and the terms that stay fixed while theta moves (the reference's
+    log-probabilities and the weights' sums), one grpo_loss call for every
+    analytic gradient and one more, loss only, for every finite-difference
+    loss.
     """
-    groups, size = action_idx.shape
-    rows = np.arange(groups)
-    if objective_mode != SAMPLED:
-        w = np.full((groups, len(LABELS)), -0.5)
-        w[rows, gold_idx] = 1.0
-        return w
-    rewards = (action_idx == gold_idx[:, None]).astype(float)
-    dev = rewards - np.add.reduce(rewards, axis=-1, keepdims=True) / size
-    advantages = dev / np.sqrt(np.add.reduce(dev * dev, axis=-1, keepdims=True) / size)
-    w = np.zeros((groups, len(LABELS)))
-    for j in range(size):
-        w[rows, action_idx[:, j]] += advantages[:, j]
-    return w / size
-
-
-def gradient_check(n_configs: int = 100, seed: int = 0, step: float = 1e-5,
-                   tolerance: float = 1e-6):
-    """Max relative error between analytic and central-difference gradients.
-
-    Each of n_configs random configurations (theta, theta_ref, features,
-    beta) gets one mixed group of 8 per objective mode, with MEAN_STD
-    advantages. The check runs in two phases. First one loop over the
-    configurations draws only raw randoms, in the order a loop drawing each
-    configuration and its groups in turn through rng.normal, rng.choice and
-    rng.permutation reads the stream. Then everything else is computed over
-    the whole stack: the policy distributions, the groups (_mixed_groups),
-    their label weights and the terms that stay fixed while theta moves (the
-    reference's log-probabilities and the weights' sums), one grpo_loss call
-    for every analytic gradient and one more, loss only, for every
-    finite-difference loss.
-    """
-    if n_configs < 1:
-        raise ValueError(f"n_configs must be >= 1, got {n_configs}")
     rng = np.random.default_rng(seed)
     modes, size = len(OBJECTIVE_MODES), _CHECK_GROUP_SIZE
-    normals = np.empty((n_configs, len(_CHECK_SCALES)))
+    normals = np.empty((_CHECK_CONFIGS, len(_CHECK_SCALES)))
     beta, gold_idx, uniforms, perms = [], [], [], []
     for row in normals:
         rng.standard_normal(out=row)
@@ -557,7 +547,7 @@ def gradient_check(n_configs: int = 100, seed: int = 0, step: float = 1e-5,
             perms.append(rng.permutation(size))
 
     normals = 0.0 + _CHECK_SCALES * normals  # normal's loc + scale * z
-    theta = normals[:, :_THETA_SIZE].reshape(n_configs, FEATURE_DIM, len(LABELS))
+    theta = normals[:, :_THETA_SIZE].reshape(_CHECK_CONFIGS, FEATURE_DIM, len(LABELS))
     ref_theta = theta + normals[:, _THETA_SIZE:2 * _THETA_SIZE].reshape(theta.shape)
     features = normals[:, 2 * _THETA_SIZE:]
     # one (1, F) @ (F, 3) product per row, the bits of each 1-D call's
@@ -567,7 +557,7 @@ def gradient_check(n_configs: int = 100, seed: int = 0, step: float = 1e-5,
                         np.array(uniforms), np.array(perms))
     w = np.empty((len(idx), len(LABELS)))  # rows: configuration, then mode
     for m, mode in enumerate(OBJECTIVE_MODES):
-        w[m::modes] = _mixed_group_weights(idx[m::modes], gold_idx[m::modes], mode)
+        w[m::modes] = _weights(idx[m::modes], gold_idx[m::modes], MEAN_STD, mode)
 
     theta, ref_theta, phi, beta = (np.repeat(a, modes, axis=0)
                                    for a in (theta, ref_theta, features, np.array(beta)))
@@ -582,14 +572,14 @@ def gradient_check(n_configs: int = 100, seed: int = 0, step: float = 1e-5,
 
     grad = _theta_grad(phi, objective(theta[:, None])[1]).reshape(len(idx), -1)
     fd = finite_difference_grad(lambda t: objective(t, loss_only=True)[0][..., 0],
-                                theta, step, stack_ndim=1).reshape(len(idx), -1)
+                                theta, _CHECK_STEP, stack_ndim=1).reshape(len(idx), -1)
     # sqrt(x . x) per row is np.linalg.norm's formula, bit for bit
     vectors = np.stack([grad, fd, grad - fd])
     grad_norm, fd_norm, diff_norm = np.sqrt(np.vecdot(vectors, vectors))
     denom = np.maximum(grad_norm, fd_norm)
     err = np.divide(diff_norm, denom, out=np.zeros(len(idx)), where=denom >= 1e-12)
     worst = float(err.max())
-    return worst, worst < tolerance
+    return worst, worst < _CHECK_TOLERANCE
 
 
 def _binary_vectors(length: int):
@@ -604,14 +594,14 @@ def _sums_to_zero(fractions: list) -> bool:
     return sum(f.numerator * (den // f.denominator) for f in fractions) == 0
 
 
-def advantage_checks(max_length: int = 6):
-    """Exhaustive zero-sum and sign checks over binary reward vectors."""
-    if max_length < 2:
-        raise ValueError(f"max_length must be >= 2, got {max_length}")
-    for length in range(2, max_length + 1):
-        for rewards in _binary_vectors(length):
+def advantage_checks():
+    """Exhaustive zero-sum and sign checks over the binary reward vectors of
+    length 2 to _CHECK_MAX_LENGTH, each length's through _mean_std at once."""
+    for length in range(2, _CHECK_MAX_LENGTH + 1):
+        vectors = list(_binary_vectors(length))
+        stack = _mean_std(np.array(vectors, dtype=float)).tolist()
+        for rewards, mean_std in zip(vectors, stack):
             mean_only = group_advantages(rewards, MEAN_ONLY)
-            mean_std = group_advantages(rewards, MEAN_STD)
             if not _sums_to_zero(mean_only):
                 return False, f"MEAN_ONLY sum nonzero for {rewards}"
             mixed = 0 < sum(rewards) < length
@@ -627,7 +617,7 @@ def advantage_checks(max_length: int = 6):
                         return False, f"degenerate group not all-zero for {rewards} ({mode})"
             if abs(sum(mean_std)) >= 1e-9:
                 return False, f"MEAN_STD sum too large for {rewards}"
-    return True, f"all binary reward vectors of length 2..{max_length}"
+    return True, f"all binary reward vectors of length 2..{_CHECK_MAX_LENGTH}"
 
 
 def _random_distributions(rng: np.random.Generator, count: int,
@@ -641,15 +631,14 @@ def _random_distributions(rng: np.random.Generator, count: int,
     return x / x.sum(axis=-1, keepdims=True)
 
 
-def kl_checks(n_pairs: int = 1000, seed: int = 0):
-    """Properties of _kl_and_logit_grad, grpo_loss's beta-weighted KL term."""
-    if n_pairs < 1:
-        raise ValueError(f"n_pairs must be >= 1, got {n_pairs}")
+def kl_checks(seed: int = 0):
+    """Properties of _kl_and_logit_grad, grpo_loss's beta-weighted KL term,
+    on a closed form and _CHECK_PAIRS generated pairs."""
     # closed form fixes the direction: KL(q || p) here is about 0.0566
     kl, _ = _kl_and_logit_grad(np.array([0.5, 0.25, 0.25]), np.log(np.full(3, 1 / 3)))
     if abs(kl - (math.log(3) - 1.5 * math.log(2))) > 1e-12:
         return False, f"KL((1/2,1/4,1/4) || uniform) = {float(kl)!r}, not log 3 - 3/2 log 2"
-    rows = _random_distributions(np.random.default_rng(seed), 2 * n_pairs)
+    rows = _random_distributions(np.random.default_rng(seed), 2 * _CHECK_PAIRS)
     p, q = rows[0::2], rows[1::2]
     if (_kl_and_logit_grad(p, np.log(q))[0] < 0).any():
         return False, "KL negative"
@@ -658,18 +647,19 @@ def kl_checks(n_pairs: int = 1000, seed: int = 0):
         return False, "KL(p, p) != 0"
     if (np.abs(grad) > 1e-10).any():
         return False, "KL gradient nonzero at pi == pi_ref"
-    return True, f"closed form and {n_pairs} generated pairs"
+    return True, f"closed form and {_CHECK_PAIRS} generated pairs"
 
 
 def run_verification_suite(seed: int = 0) -> list:
     """Gradient, advantage and KL property checks with pass/fail results."""
     results = []
     start = time.monotonic()
-    err, ok = gradient_check(n_configs=100, seed=seed)
+    err, ok = gradient_check(seed=seed)
     elapsed = time.monotonic() - start
     results.append(CheckResult(
         "gradient_finite_difference", ok,
-        f"max relative error {err:.2e} over 100 configs x 2 modes in {elapsed:.1f}s",
+        f"max relative error {err:.2e} over {_CHECK_CONFIGS} configs x 2 modes "
+        f"in {elapsed:.1f}s",
     ))
     ok, detail = advantage_checks()
     results.append(CheckResult("advantage_properties", ok, detail))

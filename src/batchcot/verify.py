@@ -29,7 +29,9 @@ _INT_RE = re.compile(r"^[+-]?\d+$")
 _DEC_RE = re.compile(r"^([+-]?)(\d*)\.(\d+)$")
 _SLASH_RE = re.compile(r"^([+-]?\d+)\s*/\s*([+-]?\d+)$")
 _FRAC_RE = re.compile(r"^([+-]?)\\[dt]?frac\{([+-]?\d+)\}\{([+-]?\d+)\}$")
-_THOUSANDS_RE = re.compile(r"(?<=\d),(?=\d)")
+# a digit run whose commas each open a whole thousands group, 1,234 or
+# 12,345,678; any other comma stays, and no number form takes it
+_THOUSANDS_RE = re.compile(r"(?<![\d,.])\d{1,3}(?:,\d{3})+(?![\d,])")
 
 
 def _strip_boxed(s: str) -> str:
@@ -58,7 +60,7 @@ def normalize_numeric(s: str) -> Optional[Fraction]:
             s = s[:-1].strip()
         while s.endswith("."):
             s = s[:-1].strip()
-        s = _THOUSANDS_RE.sub("", s)
+        s = _THOUSANDS_RE.sub(lambda m: m.group().replace(",", ""), s)
 
         if _INT_RE.match(s):
             return Fraction(int(s))

@@ -713,6 +713,29 @@ class TestEvalAndReport:
                 (out / "results.jsonl").read_text().splitlines()] == [
             str(entry["id"]) for entry in corpus]
 
+    @pytest.mark.parametrize("answers, mean_tokens", [
+        (["\\boxed{7}", "\\boxed{8}"], 1.0), (["", ""], 0.0),
+    ], ids=["every-answer-wrong", "every-response-empty"])
+    def test_eval_with_nothing_right_writes_zeros_that_report_reads(
+            self, tmp_path, capsys, answers, mean_tokens):
+        path, mock, out = tmp_path / "corpus.jsonl", tmp_path / "mock", tmp_path / "eval"
+        path.write_text("".join(json.dumps({"id": f"q{i}", "text": f"What is {i} + 1?",
+                                            "gold_answer": i + 1}) + "\n"
+                                for i in range(2)))
+        spec = harness.registry_spec("math500", str(path))
+        script = MockBackend()
+        for q, answer in zip(harness.load_corpus(spec), answers):
+            script.add(build_prompt([q]).text, answer)
+        pf.write_script_dir(script, mock)
+        assert main(["eval", "--benchmark", "math500", "--corpus", str(path),
+                     "--out-dir", str(out), "--mock", str(mock)]) == 0
+        agg, = json.loads((out / "aggregate.json").read_text())
+        assert (agg["accuracy"], agg["mean_tokens"], agg["n_samples"]) == (
+            0.0, mean_tokens, 2)
+        capsys.readouterr()
+        assert main(["report", "--aggregates", str(out / "aggregate.json")]) == 0
+        assert capsys.readouterr().out.splitlines()[1].split()[:2] == [spec.name, "0.00%"]
+
     def test_eval_requests_are_counted_through_mock_send(self, workspace, tmp_path,
                                                           monkeypatch):
         # count_mock_sends sees every request of an eval that runs

@@ -19,12 +19,15 @@ from batchcot.parsing import (
     extract_boxed,
     parse_final_answers,
     read_chains,
+    read_completions,
     split_batch_chains,
     split_completions,
     vanilla_chain,
     write_chains,
+    write_completions,
 )
-from batchcot.prompts import BATCH, VANILLA, PromptEnvelope, load_questions
+from batchcot.prompts import BATCH, VANILLA, PromptEnvelope, Question, load_questions
+from batchcot.verify import UNPARSEABLE, grade_chains
 
 
 def batch_record(raw_text, k=2, ids=None):
@@ -219,6 +222,13 @@ class TestSplitBatchChains:
         rec = batch_record(FIXTURE_2, k=2)
         for chain in split_batch_chains(rec):
             assert chain.text in rec.raw_text
+
+    def test_empty_solution_region_is_unsplittable(self):
+        # the final-answer block starts where the solution process marker
+        # ends: its numbered entries are not taken for problem headings
+        text = "[Solution Process][Final Answer]\n1. \\boxed{3}\n2. \\boxed{4}"
+        with pytest.raises(UnsplittableError, match="found 0 of 2"):
+            split_batch_chains(batch_record(text, k=2))
 
     def test_missing_heading_unsplittable(self):
         text = ("[Solution Process]\n1. only one heading here\n"
@@ -498,6 +508,16 @@ class TestVanillaChain:
     def test_no_boxed(self):
         assert vanilla_chain(vanilla_record("no answer")).predicted_answer is None
 
+    def test_empty_response_is_one_zero_token_unparseable_chain(self, tmp_path):
+        chain = vanilla_chain(vanilla_record(""))
+        assert (chain.text, chain.token_count, chain.predicted_answer) == ("", 0, None)
+        grade_chains([chain], [Question(id="q0", text="t", gold_answer="1")])
+        assert chain.verdict == UNPARSEABLE
+        path = tmp_path / "chains.jsonl"
+        write_chains(path, [chain])
+        back, = read_chains(path)
+        assert back == chain and back.token_count == 0
+
 
 class TestCountTokens:
     def test_whitespace(self):
@@ -600,6 +620,20 @@ class TestChainSerialization:
         write_chains(out, read_chains(path))
         assert [json.loads(line)["token_count"]
                 for line in out.read_text().splitlines()] == [7, 3]
+
+    @pytest.mark.parametrize("batch_size, question_ids", [(1, ["a", "b"]), (2, ["a"])],
+                             ids=["two-ids", "batch-size-2"])
+    def test_vanilla_envelope_not_of_one_question_fails_its_line(
+            self, tmp_path, batch_size, question_ids):
+        path = tmp_path / "completions.jsonl"
+        write_completions(path, [vanilla_record("x \\boxed{1}", qid=q) for q in "ab"])
+        rows = [json.loads(line) for line in path.read_text().splitlines()]
+        rows[1]["envelope"].update(batch_size=batch_size, question_ids=question_ids)
+        path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        with pytest.raises(ValueError) as info:
+            read_completions(path)
+        assert str(info.value) == (f"{path}: line 2: ValueError: "
+                                   "vanilla envelope must carry exactly one question")
 
     def test_record_token_preference(self):
         rec = CompletionRecord(

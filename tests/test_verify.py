@@ -27,8 +27,20 @@ class TestNormalize:
     def test_frac(self):
         assert normalize_numeric("\\frac{1}{2}") == Fraction(1, 2)
 
-    def test_thousands_commas(self):
-        assert normalize_numeric("1,234") == 1234
+    @pytest.mark.parametrize("text, value", [
+        ("1,234", 1234), ("-12,345,678", -12345678), ("1,000.5", Fraction(2001, 2)),
+        ("$1,234$", 1234), ("+999,999", 999999), ("1,234/5", Fraction(1234, 5)),
+        ("\\frac{1,000}{3}", Fraction(1000, 3)),
+    ])
+    def test_thousands_commas(self, text, value):
+        assert normalize_numeric(text) == value
+
+    @pytest.mark.parametrize("text", ["0,5", "1,2", "1,23", "1,234,5678", "1234,567",
+                                      "12,34,567", "1.234,567", "1,0000", "$0,5$"])
+    def test_any_other_comma_is_unparseable(self, text):
+        assert normalize_numeric(text) is None
+        assert grade(make_chain(text), Question(id="q1", text="t", gold_answer="5")) \
+            == UNPARSEABLE
 
     def test_non_numeric(self):
         assert normalize_numeric("half") is None
@@ -224,6 +236,8 @@ class TestChoiceLetterGrading:
     def test_unparseable(self):
         assert grade_letter("maybe 42", "A") == UNPARSEABLE
         assert grade_letter(None, "A") == UNPARSEABLE
+        for not_one_letter in ("AB", "1", "\\boxed{AB}", "(1)"):
+            assert grade_letter(not_one_letter, "A") == UNPARSEABLE
 
     def test_bad_gold_rejected(self):
         with pytest.raises(ValueError, match="'not-a-letter' is not a choice letter"):
